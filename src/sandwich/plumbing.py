@@ -10,6 +10,7 @@ by ``I(a,b) += I(a,E) * I(b,E)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -318,7 +319,22 @@ class ClusterPoint:
 
 
 @dataclass(frozen=True)
+class ClusterIndex:
+    """Validated structure of a cluster, by point row.  Row 0 is the root
+    and parents precede children, so each chain lists rows in order."""
+
+    row: dict[str, int]  # point id -> row
+    children: list[list[int]]
+    proximate: list[list[int]]  # rows of the points proximate to each point
+    chains: list[list[int]]  # support rows of each branch, root to leaf
+    sums: tuple[int, ...]  # multiplicity sum of each branch
+
+
+@dataclass(frozen=True)
 class Cluster:
+    """Points in row order, with one multiplicity per (point, branch).  The
+    structure is validated and indexed once per object, by ``indexed``."""
+
     branches: tuple[str, ...]
     points: tuple[ClusterPoint, ...]
     mults: tuple[tuple[int, ...], ...]  # aligned points x branches
@@ -332,6 +348,12 @@ class Cluster:
 
     def mult(self, pid: str, branch: str) -> int:
         return self.mults[self.index(pid)][self.branches.index(branch)]
+
+    @functools.cached_property
+    def indexed(self) -> ClusterIndex:
+        """The structure checks of ``check_cluster`` and the index they
+        leave, built once per cluster object."""
+        return _index_cluster(self)
 
 
 def cluster(branches, points, mults, weights=None) -> Cluster:
@@ -357,39 +379,41 @@ def _prox_set(p: ClusterPoint) -> tuple[str, ...]:
     return ((p.parent,) if p.parent else ()) + p.prox
 
 
-def check_cluster(c: Cluster, weights=None) -> tuple[int, ...]:
-    """Validate structure and proximity/weight invariants; returns the
-    effective branch weights."""
+def _index_cluster(c: Cluster) -> ClusterIndex:
     ids = [p.id for p in c.points]
     if len(set(ids)) != len(ids):
         raise ProximityViolationError("duplicate cluster point id")
     if not c.points:
         raise ProximityViolationError("empty cluster")
-    index = {pid: i for i, pid in enumerate(ids)}
+    row = {pid: i for i, pid in enumerate(ids)}
     roots = [p.id for p in c.points if p.parent is None]
     if len(roots) != 1:
         raise ProximityViolationError(f"expected one root point, found {roots}")
 
-    ancestors: dict[str, set[str]] = {}
+    children: list[list[int]] = [[] for _ in ids]
+    proximate: list[list[int]] = [[] for _ in ids]
     satellite_slots: set[tuple[str, str]] = set()
     for i, p in enumerate(c.points):
         if p.parent is not None:
-            if p.parent not in index or index[p.parent] >= i:
+            if row.get(p.parent, i) >= i:
                 raise ProximityViolationError(f"point {p.id} lists a parent that does not precede it")
-            ancestors[p.id] = {p.parent} | ancestors[p.parent]
-        else:
-            ancestors[p.id] = set()
+            children[row[p.parent]].append(i)
         if len(p.prox) > 1:
             raise ProximityViolationError(f"point {p.id} is proximate to more than two points")
         for q in p.prox:
-            if q not in index or index[q] >= i:
+            if row.get(q, i) >= i:
                 raise ProximityViolationError(f"point {p.id} lists proximity to {q}, which does not precede it")
             if q == p.parent:
                 raise ProximityViolationError(f"point {p.id} repeats its parent in prox")
-            if q not in ancestors[p.id]:
-                raise ProximityViolationError(f"point {p.id} proximate to non-ancestor {q}")
-            parent = c.points[index[p.parent]]
+            parent = c.points[row[p.parent]]
             if q not in _prox_set(parent):
+                # every point the parent is proximate to is an ancestor, so
+                # ancestry only decides which message this is
+                a = parent.parent
+                while a is not None and a != q:
+                    a = c.points[row[a]].parent
+                if a is None:
+                    raise ProximityViolationError(f"point {p.id} proximate to non-ancestor {q}")
                 raise ProximityViolationError(
                     f"point {p.id} proximate to {q}, but its parent {parent.id} is not"
                 )
@@ -399,37 +423,47 @@ def check_cluster(c: Cluster, weights=None) -> tuple[int, ...]:
                     f"two points share the satellite position over ({p.parent}, {q})"
                 )
             satellite_slots.add((p.parent, q))
+        for q in _prox_set(p):
+            proximate[row[q]].append(i)
 
     nb = len(c.branches)
     for i, p in enumerate(c.points):
         for b in range(nb):
             if c.mults[i][b] < 0:
                 raise ProximityViolationError(f"negative multiplicity at {p.id}")
-            total = sum(c.mults[index[r.id]][b] for r in c.points if p.id in _prox_set(r))
+            total = sum(c.mults[r][b] for r in proximate[i])
             if c.mults[i][b] < total:
                 raise ProximityViolationError(
                     f"proximity inequality fails for branch {c.branches[b]} at {p.id}: "
                     f"{c.mults[i][b]} < {total}"
                 )
 
+    chains = []
     for b in range(nb):
-        support = [p for i, p in enumerate(c.points) if c.mults[i][b] > 0]
+        support = [i for i in range(len(ids)) if c.mults[i][b] > 0]
         if not support:
             raise ProximityViolationError(f"branch {c.branches[b]} has no points")
-        if support[0].parent is not None:
+        if c.points[support[0]].parent is not None:
             raise ProximityViolationError(f"branch {c.branches[b]} does not pass through the root")
-        sup = {p.id for p in support}
-        children: dict[str, int] = {}
-        for p in support[1:]:
-            if p.parent not in sup:
+        sup = {ids[i] for i in support}
+        for i in support[1:]:
+            if c.points[i].parent not in sup:
                 raise ProximityViolationError(
-                    f"branch {c.branches[b]} support is not a chain at {p.id}"
+                    f"branch {c.branches[b]} support is not a chain at {ids[i]}"
                 )
-            children[p.parent] = children.get(p.parent, 0) + 1
-        if any(v > 1 for v in children.values()):
+        if len({c.points[i].parent for i in support[1:]}) < len(support) - 1:
             raise ProximityViolationError(f"branch {c.branches[b]} support forks")
+        chains.append(support)
 
-    sums = tuple(sum(c.mults[i][b] for i in range(len(c.points))) for b in range(nb))
+    sums = tuple(sum(c.mults[i][b] for i in range(len(ids))) for b in range(nb))
+    return ClusterIndex(row, children, proximate, chains, sums)
+
+
+def check_cluster(c: Cluster, weights=None) -> tuple[int, ...]:
+    """Validate structure and proximity/weight invariants; returns the
+    effective branch weights.  The structure is checked once per cluster
+    object, when ``c.indexed`` is built; each call compares the weights."""
+    sums = c.indexed.sums
     declared = tuple(weights) if weights is not None else c.weights
     if declared is not None and tuple(declared) != sums:
         raise WeightMismatchError(f"declared weights {tuple(declared)} != multiplicity sums {sums}")
@@ -438,20 +472,7 @@ def check_cluster(c: Cluster, weights=None) -> tuple[int, ...]:
 
 def branch_chain(c: Cluster, b: int) -> list[int]:
     """Support point indices of branch b, ordered root to leaf."""
-    idx = [i for i in range(len(c.points)) if c.mults[i][b] > 0]
-    order = {p.id: i for i, p in enumerate(c.points)}
-    chain = [i for i in idx if c.points[i].parent is None]
-    sup = set(idx)
-    while True:
-        last = c.points[chain[-1]].id
-        nxt = [i for i in idx if c.points[i].parent == last and i in sup]
-        if not nxt:
-            break
-        chain.append(nxt[0])
-    if len(chain) != len(idx):
-        raise ProximityViolationError("branch support is not a chain")
-    del order
-    return chain
+    return list(c.indexed.chains[b])
 
 
 def graph_from_cluster(c: Cluster, weights=None) -> tuple[PlumbingGraph, Augmentation]:
@@ -464,10 +485,9 @@ def graph_from_cluster(c: Cluster, weights=None) -> tuple[PlumbingGraph, Augment
     presentation and raise WeightMismatchError.
     """
     check_cluster(c, weights)
-    index = {p.id: i for i, p in enumerate(c.points)}
+    ix = c.indexed
     finals = []
-    for b in range(len(c.branches)):
-        chain = branch_chain(c, b)
+    for b, chain in enumerate(ix.chains):
         f = chain[-1]
         fp = c.points[f]
         if fp.parent is None:
@@ -481,41 +501,29 @@ def graph_from_cluster(c: Cluster, weights=None) -> tuple[PlumbingGraph, Augment
             )
         if fp.prox:
             raise ProximityViolationError(f"final point {fp.id} must be free")
-        if any(fp.id in _prox_set(r) for r in c.points):
+        if ix.proximate[f]:
             raise ProximityViolationError(f"final point {fp.id} must be last on its branch")
         finals.append(f)
         # blow-down multiplicities are the proximity closure of the final
         # point, so slack anywhere else has no graph presentation
         for i in chain[:-1]:
-            q = c.points[i]
-            total = sum(
-                c.mults[index[r.id]][b] for r in c.points if q.id in _prox_set(r)
-            )
+            total = sum(c.mults[r][b] for r in ix.proximate[i])
             if c.mults[i][b] != total:
                 raise ProximityViolationError(
                     f"branch {c.branches[b]} has multiplicity {c.mults[i][b]} at "
-                    f"{q.id} but its proximate points only account for {total}"
+                    f"{c.points[i].id} but its proximate points only account for {total}"
                 )
 
     final_set = set(finals)
-    prox_count = {p.id: 0 for p in c.points}
-    for r in c.points:
-        for q in _prox_set(r):
-            prox_count[q] += 1
-    vertices = [(p.id, -1 - prox_count[p.id]) for i, p in enumerate(c.points) if i not in final_set]
-    vertex_names = {v for v, _ in vertices}
-
+    vertices = [(p.id, -1 - len(ix.proximate[i])) for i, p in enumerate(c.points) if i not in final_set]
     edges = []
     for i, p in enumerate(c.points):
         if i in final_set:
             continue
         for q in _prox_set(p):
-            if q not in vertex_names:
-                continue
-            separated = any(
-                p.id in _prox_set(r) and q in _prox_set(r) for r in c.points
-            )
-            if not separated:
+            k = ix.row[q]
+            # a later point proximate to both separates the two curves
+            if k not in final_set and set(ix.proximate[i]).isdisjoint(ix.proximate[k]):
                 edges.append((p.id, q))
 
     arrows = [(c.branches[b], c.points[finals[b]].parent) for b in range(len(c.branches))]
@@ -528,10 +536,10 @@ def germ_from_cluster(c: Cluster, weights=None) -> DecoratedGerm:
     blow-down path, and the one presentation that also covers weight-1
     branches."""
     sums = check_cluster(c, weights)
-    root = next(p.id for p in c.points if p.parent is None)
+    root = c.points[0].id
     branches = []
     for b, name in enumerate(c.branches):
-        chain = branch_chain(c, b)
+        chain = c.indexed.chains[b]
         seq = tuple(c.mults[i][b] for i in reversed(chain))
         f = c.points[chain[-1]]
         sits = f.parent if f.parent is not None else f.id

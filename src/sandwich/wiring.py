@@ -38,7 +38,7 @@ from .mcg import (
     perm_inverse,
     reduce_word,
 )
-from .plumbing import Cluster, ValidationReport, branch_chain, check_cluster
+from .plumbing import Cluster, ValidationReport, check_cluster
 
 
 @dataclass(frozen=True)
@@ -151,30 +151,35 @@ def final_state(w: WiringDiagram) -> tuple[int, ...]:
     return tuple(_states(w.n, w.braids, w.events)[-1])
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the classes of a and b under the smaller root; False when they
+    were one class already."""
+    a, b = _find(parent, a), _find(parent, b)
+    parent[max(a, b)] = min(a, b)
+    return a != b
+
+
 def _infer_components(n: int, braids, events) -> tuple[str, ...]:
     parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     state = list(range(1, n + 1))
     for i, ev in enumerate(events):
         state = _apply_perm(state, braids[i], n)
         if isinstance(ev, Tangency):
-            a, b = find(state[ev.pos - 1]), find(state[ev.pos])
-            parent[max(a, b)] = min(a, b)
-    roots = sorted({find(s) for s in range(1, n + 1)})
+            _union(parent, state[ev.pos - 1], state[ev.pos])
+    roots = sorted({_find(parent, s) for s in range(1, n + 1)})
     names = {r: f"c{i}" for i, r in enumerate(roots, start=1)}
-    return tuple(names[find(s)] for s in range(1, n + 1))
+    return tuple(names[_find(parent, s)] for s in range(1, n + 1))
 
 
-def strand_components(w: WiringDiagram) -> tuple[str, ...]:
-    """Component label per initial strand; rejects tangencies joining
-    strands of different components."""
-    for ev, ids in event_strands(w):
+def _check_tangency_components(w: WiringDiagram, event_ids) -> None:
+    for ev, ids in event_ids:
         if isinstance(ev, Tangency):
             a, b = ids
             la, lb = w.components[a - 1], w.components[b - 1]
@@ -182,6 +187,12 @@ def strand_components(w: WiringDiagram) -> tuple[str, ...]:
                 raise TangencyComponentMismatchError(
                     f"tangency at {ev.pos} joins components {la} and {lb}"
                 )
+
+
+def strand_components(w: WiringDiagram) -> tuple[str, ...]:
+    """Component label per initial strand; rejects tangencies joining
+    strands of different components."""
+    _check_tangency_components(w, event_strands(w))
     return w.components
 
 
@@ -190,54 +201,44 @@ def strand_components(w: WiringDiagram) -> tuple[str, ...]:
 
 
 def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
-    entries = []
+    event_ids = event_strands(w)
     try:
-        strand_components(w)
+        _check_tangency_components(w, event_ids)
     except TangencyComponentMismatchError as exc:
-        entries.append(("tangency-component", exc.message))
-        return ValidationReport(tuple(entries))
+        return ValidationReport((("tangency-component", exc.message),))
 
+    entries = []
     groups = w.component_strands()
-    tangencies: dict[str, list[tuple[int, int]]] = {label: [] for label in groups}
-    for ev, ids in event_strands(w):
+    # tangencies join strands of one component, so one union-find serves all
+    parent = list(range(w.n + 1))
+    edges = {label: 0 for label in groups}
+    joined = dict(edges)
+    for ev, ids in event_ids:
         if isinstance(ev, Tangency):
-            tangencies[w.components[ids[0] - 1]].append((ids[0], ids[1]))
-    for label, strands in sorted(groups.items()):
-        edges = tangencies[label]
-        root = {s: s for s in strands}
-
-        def find(x):
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        joined = 0
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)
-                joined += 1
-        if len(edges) != len(strands) - 1 or joined != len(strands) - 1:
+            label = w.components[ids[0] - 1]
+            edges[label] += 1
+            joined[label] += _union(parent, *ids)
+    for label, members in sorted(groups.items()):
+        if edges[label] != len(members) - 1 or joined[label] != len(members) - 1:
             entries.append((
                 "tangency-tree",
-                f"component {label}: {len(edges)} tangencies on {len(strands)} strands "
+                f"component {label}: {edges[label]} tangencies on {len(members)} strands "
                 "do not form a tree",
             ))
 
     if germ is not None:
-        entries.extend(_germ_entries(w, germ))
+        entries.extend(_germ_entries(w, germ, event_ids))
     return ValidationReport(tuple(entries))
 
 
-def _component_summary(w: WiringDiagram):
+def _component_summary(w: WiringDiagram, event_ids):
     """Per component: (strand count, row sum, self pair count); plus cross
     counts per unordered label pair."""
     groups = w.component_strands()
     rows = {label: 0 for label in groups}
     self_pairs = {label: 0 for label in groups}
     cross: dict[tuple[str, str], int] = {}
-    for ev, ids in event_strands(w):
+    for ev, ids in event_ids:
         if isinstance(ev, Tangency):
             continue
         counts: dict[str, int] = {}
@@ -255,9 +256,9 @@ def _component_summary(w: WiringDiagram):
     return strands, rows, self_pairs, cross
 
 
-def _germ_entries(w: WiringDiagram, germ) -> list[tuple[str, str]]:
+def _germ_entries(w: WiringDiagram, germ, event_ids) -> list[tuple[str, str]]:
     entries = []
-    strands, rows, self_pairs, cross = _component_summary(w)
+    strands, rows, self_pairs, cross = _component_summary(w, event_ids)
     total_d = sum(b.origin_multiplicity for b in germ.branches)
     if w.n != total_d:
         entries.append(("strand-count", f"{w.n} strands != sum of branch multiplicities {total_d}"))
@@ -266,21 +267,12 @@ def _germ_entries(w: WiringDiagram, germ) -> list[tuple[str, str]]:
     if len(labels) != len(names):
         entries.append(("component-count", f"{len(labels)} components != {len(names)} branches"))
         return entries
+    # a match agrees on every strand count, so the strand-count entry above
+    # only ever stands beside other entries
     if labels == names:
-        assignments = [dict(zip(labels, labels))]
-    else:
-        assignments = _matchings(labels, names, germ, strands, rows, self_pairs, cross)
-        if not assignments:
-            entries.append(("component-match", "no branch assignment matches the incidence data"))
-            return entries
-    best = None
-    for m in assignments:
-        errs = _check_assignment(m, germ, strands, rows, self_pairs, cross)
-        if not errs:
-            return []
-        if best is None or len(errs) < len(best):
-            best = errs
-    entries.extend(best)
+        entries.extend(_check_assignment(dict(zip(labels, labels)), germ, strands, rows, self_pairs, cross))
+    elif not _matching_exists(labels, names, germ, strands, rows, self_pairs, cross):
+        entries.append(("component-match", "no branch assignment matches the incidence data"))
     return entries
 
 
@@ -305,9 +297,9 @@ def _check_assignment(m, germ, strands, rows, self_pairs, cross) -> list[tuple[s
     return errs
 
 
-def _matchings(labels, names, germ, strands, rows, self_pairs, cross):
-    """Branch assignments consistent with per-component invariants."""
-    out = []
+def _matching_exists(labels, names, germ, strands, rows, self_pairs, cross) -> bool:
+    """Whether some branch assignment passes ``_check_assignment``: ``fits``
+    checks the same invariants one label at a time."""
 
     def fits(label, bname, chosen):
         b = germ.branch(bname)
@@ -321,20 +313,18 @@ def _matchings(labels, names, germ, strands, rows, self_pairs, cross):
         return True
 
     def rec(i, chosen, used):
-        if len(out) >= 64:
-            return
         if i == len(labels):
-            out.append(dict(chosen))
-            return
+            return True
         for bname in names:
             if bname in used or not fits(labels[i], bname, chosen):
                 continue
             chosen[labels[i]] = bname
-            rec(i + 1, chosen, used | {bname})
+            if rec(i + 1, chosen, used | {bname}):
+                return True
             del chosen[labels[i]]
+        return False
 
-    rec(0, {}, frozenset())
-    return out
+    return rec(0, {}, frozenset())
 
 
 @dataclass(frozen=True)
@@ -355,11 +345,12 @@ class IncidenceMatrix:
 def incidence(w: WiringDiagram) -> IncidenceMatrix:
     """Rows = components (sorted by label), one column per Intersection or
     FreePoint in seq order; entries count that component's strands there."""
-    strand_components(w)
+    event_ids = event_strands(w)
+    _check_tangency_components(w, event_ids)
     labels = sorted(w.component_strands())
     rows = {label: [] for label in labels}
     kinds = []
-    for ev, ids in event_strands(w):
+    for ev, ids in event_ids:
         if isinstance(ev, Tangency):
             continue
         kinds.append("free" if isinstance(ev, FreePoint) else "intersection")
@@ -471,42 +462,30 @@ def scott(c: Cluster) -> WiringDiagram:
     first: every earlier event permutes strands strictly inside an enclosing
     window, so each window still holds exactly its own strands when its
     event appears.  Clusters where a branch shrinks strictly inside a
-    three-branch window admit no unbraided layout and are rejected.
+    three-branch window admit no unbraided layout and are rejected, and so
+    are clusters with a point that carries no branch.
     """
     check_cluster(c)
-    index = {p.id: i for i, p in enumerate(c.points)}
-    chains = {}
-    finals = {}
+    ix = c.indexed
+    finals: dict[int, list[str]] = {}
     for k, b in enumerate(c.branches):
-        chain = branch_chain(c, k)
-        if c.mults[chain[-1]][k] != 1:
-            raise ProximityViolationError(
-                f"branch {b} ends with multiplicity {c.mults[chain[-1]][k]}, not 1"
-            )
-        chains[b] = chain
-        finals.setdefault(chain[-1], []).append(b)
+        f = ix.chains[k][-1]
+        if c.mults[f][k] != 1:
+            raise ProximityViolationError(f"branch {b} ends with multiplicity {c.mults[f][k]}, not 1")
+        finals.setdefault(f, []).append(b)
 
-    children: dict[str, list[str]] = {p.id: [] for p in c.points}
-    root = None
-    for p in c.points:
-        if p.parent is None:
-            root = p.id
-        else:
-            children[p.parent].append(p.id)
-
+    # branches in depth-first order of their final points
     order: list[str] = []
-
-    def dfs(pid: str):
-        order.extend(finals.get(index[pid], ()))
-        for q in children[pid]:
-            dfs(q)
-
-    dfs(root)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        order.extend(finals.get(i, ()))
+        stack.extend(reversed(ix.children[i]))
 
     block: dict[str, list[int]] = {}
     pos = 1
     for b in order:
-        d = c.mults[index[root]][c.branches.index(b)]
+        d = c.mults[0][c.branches.index(b)]
         block[b] = list(range(pos, pos + d))
         pos += d
     n = pos - 1
@@ -519,6 +498,8 @@ def scott(c: Cluster) -> WiringDiagram:
     for i, p in enumerate(c.points):
         depth[p.id] = 0 if p.parent is None else depth[p.parent] + 1
         bs = [b for b in order if c.mults[i][c.branches.index(b)] > 0]
+        if not bs:
+            raise ProximityViolationError(f"point {p.id} carries no branch")
         window: list[int] = []
         for k, b in enumerate(bs):
             m = c.mults[i][c.branches.index(b)]
@@ -551,7 +532,7 @@ def scott(c: Cluster) -> WiringDiagram:
     events: list[Singularity] = []
     for b in order:
         positions = []
-        chain = chains[b]
+        chain = ix.chains[c.branches.index(b)]
         for prev, cur in zip(chain, chain[1:]):
             old = portion[(c.points[prev].id, b)]
             new = portion[(c.points[cur].id, b)]
@@ -566,7 +547,7 @@ def scott(c: Cluster) -> WiringDiagram:
 
     for p in sorted(c.points, key=lambda p: (-depth[p.id], windows[p.id][0])):
         window = windows[p.id]
-        total = sum(c.mults[index[p.id]])
+        total = sum(c.mults[ix.row[p.id]])
         if total == 1:
             events.append(FreePoint(window[0]))
         else:

@@ -6,7 +6,7 @@ import pytest
 
 from sandwich.cli import main, render
 from sandwich.plumbing import parse_plumb
-from sandwich.wiring import add_free_points, parse_wire, serialize_wire
+from sandwich.wiring import FreePoint, add_free_points, parse_wire, serialize_wire
 
 FIG = (
     "strands 4\n"
@@ -103,6 +103,31 @@ class TestExitCodes:
         data = json.loads(err)
         assert data["code"] == "format"
         assert data["location"] == "SANDWICH_FORMAT_VERSION"
+
+    def test_scott_point_without_branch_is_two(self, work, capsys):
+        (work / "bare.germ").write_text(
+            "branch c0\npoint q0 parent root\npoint f1 parent q0\nmult q0 c0=1\n"
+        )
+        code, _, err = run(capsys, "scott", "--germ", work / "bare.germ")
+        assert code == 2
+        assert json.loads(err) == {
+            "code": "proximity-violation", "location": None,
+            "message": "point f1 carries no branch",
+        }
+
+    def test_long_smooth_branch_is_zero(self, work, capsys):
+        n = 1500
+        lines = ["branch A", "point q0 parent root"]
+        lines += [f"point q{i} parent q{i - 1}" for i in range(1, n)]
+        lines += [f"mult q{i} A=1" for i in range(n)]
+        (work / "long.germ").write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "graph", "--germ", work / "long.germ")
+        assert code == 0
+        g, aug, _ = parse_plumb(out)
+        assert len(g.vertices) == n - 1 and aug.arrows == (("A", f"q{n - 2}"),)
+        code, out, _ = run(capsys, "scott", "--germ", work / "long.germ")
+        assert code == 0
+        assert parse_wire(out).events == (FreePoint(1),) * n
 
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component

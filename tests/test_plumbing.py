@@ -12,9 +12,11 @@ from sandwich.errors import (
 )
 from sandwich.plumbing import (
     Branch,
+    Cluster,
     augmentation,
     automorphisms,
     blow_down,
+    branch_chain,
     build_unexpected,
     cap_framing,
     check_cluster,
@@ -202,12 +204,11 @@ def test_check_cluster_rejections():
         # multiplicity drops below sum over proximate points
         check_cluster(cluster(["A"], [("q0", None), ("q1", "q0"), ("q2", "q1", ("q0",))],
                               {"q0": {"A": 1}, "q1": {"A": 1}, "q2": {"A": 1}}))
-    with pytest.raises(ProximityViolationError):
-        # prox to a non-ancestor
+    with pytest.raises(ProximityViolationError, match="^point q2 proximate to non-ancestor q1$"):
         check_cluster(cluster(["A"], [("q0", None), ("q1", "q0"), ("q2", "q0", ("q1",))],
                               {"q0": {"A": 2}, "q1": {"A": 1}, "q2": {"A": 1}}))
-    with pytest.raises(ProximityViolationError):
-        # satellite without the parent being proximate to the target
+    with pytest.raises(ProximityViolationError,
+                       match="^point q3 proximate to q0, but its parent q2 is not$"):
         check_cluster(cluster(
             ["A"],
             [("q0", None), ("q1", "q0"), ("q2", "q1"), ("q3", "q2", ("q0",))],
@@ -506,6 +507,37 @@ def test_random_cluster_paths_agree():
         check_cluster(c)
         g, aug = graph_from_cluster(c)
         assert germ_from_augmentation(g, aug) == germ_from_cluster(c)
+
+
+def proximate_sum(c, mults, i, b):
+    pid = c.points[i].id
+    return sum(mults[r][b] for r, p in enumerate(c.points) if pid == p.parent or pid in p.prox)
+
+
+def test_random_cluster_mutations():
+    rng = random.Random(10)
+    for _ in range(40):
+        c = rand_cluster(rng)
+        b = rng.randrange(len(c.branches))
+        i = rng.choice(branch_chain(c, b)[:-1])
+        name, pid, total = c.branches[b], c.points[i].id, proximate_sum(c, c.mults, i, b)
+
+        lowered = [list(row) for row in c.mults]
+        lowered[i][b] = total - 1
+        with pytest.raises(ProximityViolationError,
+                           match=f"^proximity inequality fails for branch {name} at {pid}: "):
+            check_cluster(Cluster(c.branches, c.points, tuple(map(tuple, lowered))))
+
+        # slack at i, carried up to the points that then need more
+        slack = [list(row) for row in c.mults]
+        slack[i][b] += 1
+        for r in reversed(range(i)):
+            slack[r][b] = max(slack[r][b], proximate_sum(c, slack, r, b))
+        s = Cluster(c.branches, c.points, tuple(map(tuple, slack)))
+        assert germ_from_cluster(s).branch(name).weight == sum(row[b] for row in slack)
+        with pytest.raises(ProximityViolationError,
+                           match=f"^branch {name} has multiplicity {total + 1} at {pid} but "):
+            graph_from_cluster(s)
 
 
 def test_random_cluster_trace_roundtrip():
