@@ -12,14 +12,17 @@ from .fillings import incidence_canonical, incidence_equiv, unexpected_arrangeme
 from .mcg import Factorization
 from .plumbing import (
     automorphisms,
+    blow_down,
     extend_chains,
     germ_from_augmentation,
     germ_from_cluster,
+    germ_from_trace,
     germ_json,
     graph_from_cluster,
     parse_germ,
     parse_plumb,
     serialize_plumb,
+    trace_json,
 )
 from .wiring import (
     FreePoint,
@@ -95,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = cmd("germ", help="decorated germ of a plumbing graph, as JSON")
     q.add_argument("--graph", required=True)
+    q.add_argument("--trace", metavar="PATH", help="also write the blow-down trace, as JSON")
 
     q = cmd("graph", help="plumbing graph presenting a cluster")
     q.add_argument("--germ", required=True)
@@ -265,7 +269,13 @@ def _load_plumb(path: str):
 
 def _cmd_germ(args, version):
     g, aug = _load_plumb(args.graph)
-    _write_json(germ_json(germ_from_augmentation(g, aug)), args.out, version)
+    if args.trace is None:
+        germ = germ_from_augmentation(g, aug)
+    else:
+        trace = blow_down(g, aug)
+        germ = germ_from_trace(trace, aug)
+        _write_json(trace_json(trace), args.trace, version)
+    _write_json(germ_json(germ), args.out, version)
     return 0
 
 
@@ -408,6 +418,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         _emit_error("io", str(exc), getattr(exc, "filename", None))
+        return 2
+    except Exception as exc:
+        # a bug or a resource limit, never a computed "no"
+        _emit_error("internal", f"{type(exc).__name__}: {exc}")
         return 2
 
 

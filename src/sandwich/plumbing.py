@@ -11,6 +11,7 @@ by ``I(a,b) += I(a,E) * I(b,E)``.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -161,15 +162,17 @@ class BlowDownTrace:
     pairwise: tuple[tuple[int, ...], ...]
 
 
-def _key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace:
     """Contract (-1) curves until nothing remains, recording per-step
     curvetta multiplicities.  Ties break to the lexicographically smallest
     name unless ``choose`` (a callable on the sorted candidate list) says
-    otherwise."""
+    otherwise.
+
+    ``meet`` maps each curve and curvetta to its nonzero intersection
+    numbers, so a contraction touches only the neighbours of the curve it
+    removes.  ``euler`` holds the curves not yet contracted, and ``ones`` is
+    a heap of (-1) curves with lazy deletion: euler numbers only grow, so a
+    curve enters it at most once and leaves it for good."""
     euler = dict(g.vertices)
     curvettas = aug.curvettas()
     taken = set(euler) | set(curvettas)
@@ -184,46 +187,54 @@ def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace
         taken.add(arrow_vertex)
 
     graph_names = set(euler)
-    table: dict[tuple[str, str], int] = {}
-    for a, b in g.edges:
-        table[_key(a, b)] = 1
+    meet: dict[str, dict[str, int]] = {x: {} for x in taken}
+    pairs = list(g.edges)
     for cname, vname in aug.arrows:
         arrow_vertex = ARROW_PREFIX + cname
         euler[arrow_vertex] = -1
-        table[_key(arrow_vertex, vname)] = 1
-        table[_key(cname, arrow_vertex)] = 1
+        pairs += [(arrow_vertex, vname), (cname, arrow_vertex)]
+    for a, b in pairs:
+        meet[a][b] = meet[b][a] = 1
 
-    active = set(euler)
-    objects = list(curvettas)  # curvettas never contract
+    ones = [v for v, e in euler.items() if e == -1]
+    heapq.heapify(ones)
     steps: list[BlowStep] = []
     last_vertex = None
-    while active:
-        avail = sorted(v for v in active if euler[v] == -1)
-        if not avail:
-            raise NotSandwichedError(
-                "no (-1) curve available; remaining: "
-                + ", ".join(f"{v}({euler[v]})" for v in sorted(active))
-            )
-        e = avail[0] if choose is None else choose(avail)
-        if e not in active or euler[e] != -1:
-            raise RangeError(f"chose {e}, which is not an available (-1) curve")
-        active.remove(e)
-        mults = tuple(table.get(_key(c, e), 0) for c in curvettas)
-        meet = [(v, table.get(_key(v, e), 0)) for v in active]
-        prox = tuple(sorted(v for v, i in meet if i >= 1))
-        simple = all(i <= 1 for _, i in meet)
-        neighbors = [x for x in itertools.chain(active, objects) if table.get(_key(x, e), 0) != 0]
-        for x in neighbors:
-            if x in active:
-                euler[x] += table[_key(x, e)] ** 2
-        for x, y in itertools.combinations(neighbors, 2):
-            table[_key(x, y)] = table.get(_key(x, y), 0) + table[_key(x, e)] * table[_key(y, e)]
+    while euler:
+        while ones and euler.get(ones[0]) != -1:
+            heapq.heappop(ones)
+        if choose is None and ones:
+            e = heapq.heappop(ones)
+        else:
+            # a sorted list is a heap, so the candidates replace it
+            ones = sorted(v for v in ones if euler.get(v) == -1)
+            if not ones:
+                raise NotSandwichedError(
+                    "no (-1) curve available; remaining: "
+                    + ", ".join(f"{v}({euler[v]})" for v in sorted(euler))
+                )
+            e = choose(list(ones))
+            if euler.get(e) != -1:
+                raise RangeError(f"chose {e}, which is not an available (-1) curve")
+        del euler[e]
+        around = meet.pop(e)
+        for x in around:
+            del meet[x][e]
+        mults = tuple(around.get(c, 0) for c in curvettas)
+        prox = tuple(sorted(x for x in around if x in euler))
+        simple = all(around[x] <= 1 for x in prox)
+        for x in prox:
+            euler[x] += around[x] ** 2
+            if euler[x] == -1:
+                heapq.heappush(ones, x)
+        for x, y in itertools.combinations(around, 2):
+            meet[x][y] = meet[y][x] = meet[x].get(y, 0) + around[x] * around[y]
         steps.append(BlowStep(e, mults, prox, simple))
         if e in graph_names:
             last_vertex = e
 
     pairwise = tuple(
-        tuple(0 if i == k else table.get(_key(a, b), 0) for k, b in enumerate(curvettas))
+        tuple(0 if i == k else meet[a].get(b, 0) for k, b in enumerate(curvettas))
         for i, a in enumerate(curvettas)
     )
     return BlowDownTrace(curvettas, tuple(steps), last_vertex, pairwise)
@@ -279,7 +290,12 @@ def cap_framing(branch) -> int:
 def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation, choose=None) -> DecoratedGerm:
     """Blow down and assemble the decorated germ, cross-checking the final
     curvetta intersections against the Noether sums over shared steps."""
-    trace = blow_down(g, aug, choose=choose)
+    return germ_from_trace(blow_down(g, aug, choose=choose), aug)
+
+
+def germ_from_trace(trace: BlowDownTrace, aug: Augmentation) -> DecoratedGerm:
+    """The decorated germ of a blow-down trace of ``aug``; see
+    ``germ_from_augmentation``."""
     if not trace.steps:
         raise RangeError("empty configuration has no germ")
     branches = []
@@ -291,15 +307,27 @@ def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation, choose=None) -> 
         if d <= 0:
             raise InternalInconsistencyError(f"branch {cname} missed the final blow-down step")
         branches.append(Branch(cname, seq, sum(seq), d, delta(seq), vname))
+    noether = _pair_sums((s.mults for s in trace.steps), len(branches))
     for i in range(len(branches)):
         for k in range(i + 1, len(branches)):
-            noether = sum(s.mults[i] * s.mults[k] for s in trace.steps)
-            if noether != trace.pairwise[i][k]:
+            if noether[i][k] != trace.pairwise[i][k]:
                 raise InternalInconsistencyError(
-                    f"Noether sum {noether} != final intersection {trace.pairwise[i][k]} "
+                    f"Noether sum {noether[i][k]} != final intersection {trace.pairwise[i][k]} "
                     f"for ({branches[i].name}, {branches[k].name})"
                 )
     return DecoratedGerm(tuple(branches), trace.last_vertex, trace.pairwise)
+
+
+def _pair_sums(rows, nb: int) -> list[list[int]]:
+    """Sum of row[i] * row[k] over the rows, for each pair i != k of the nb
+    columns (0 on the diagonal); each row only pairs its nonzero entries."""
+    sums = [[0] * nb for _ in range(nb)]
+    for row in rows:
+        nz = [(i, m) for i, m in enumerate(row) if m]
+        for (i, a), (k, b) in itertools.combinations(nz, 2):
+            sums[i][k] += a * b
+            sums[k][i] += a * b
+    return sums
 
 
 def spinal_binding(germ: DecoratedGerm) -> list[tuple[str, int]]:
@@ -544,14 +572,7 @@ def germ_from_cluster(c: Cluster, weights=None) -> DecoratedGerm:
         f = c.points[chain[-1]]
         sits = f.parent if f.parent is not None else f.id
         branches.append(Branch(name, seq, sums[b], c.mults[chain[0]][b], delta(seq), sits))
-    nb = len(c.branches)
-    pairwise = tuple(
-        tuple(
-            0 if i == k else sum(c.mults[q][i] * c.mults[q][k] for q in range(len(c.points)))
-            for k in range(nb)
-        )
-        for i in range(nb)
-    )
+    pairwise = tuple(map(tuple, _pair_sums(c.mults, len(c.branches))))
     return DecoratedGerm(tuple(branches), root, pairwise)
 
 
@@ -868,8 +889,9 @@ def parse_germ(text: str) -> Cluster:
     for b in weights:
         if b not in branches:
             raise FormatError(f"weight for unknown branch {b}")
+    ids = {p[0] for p in points}
     for pid in mults:
-        if pid not in {p[0] for p in points}:
+        if pid not in ids:
             raise FormatError(f"mult for unknown point {pid}")
     w = tuple(weights.get(b, 0) for b in branches) if weights else None
     if w is not None and set(weights) != set(branches):

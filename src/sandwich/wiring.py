@@ -905,6 +905,8 @@ def factorization_json(fact: Factorization) -> dict:
         }
         if isinstance(item, HoleCurve):
             d["span"] = item.span
+        if item.twists:
+            d["twists"] = list(item.twists)
         items.append(d)
     return {"holes": fact.n, "items": items}
 
@@ -915,10 +917,11 @@ def factorization_from_json(data) -> Factorization:
         items = []
         for d in data["items"]:
             conj = tuple(int(x) for x in d.get("conjugator", ()))
+            twists = tuple(int(x) for x in d.get("twists", ()))
             if d["kind"] == "arc":
-                items.append(HoleArc(n, conj, int(d["start"])))
+                items.append(HoleArc(n, conj, int(d["start"]), twists))
             else:
-                items.append(HoleCurve(n, conj, int(d["start"]), int(d.get("span", 0))))
+                items.append(HoleCurve(n, conj, int(d["start"]), int(d.get("span", 0)), twists))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad factorization JSON: {exc}") from exc
     return Factorization(n, tuple(items))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sandwich
 from sandwich.cli import main, render
 from sandwich.plumbing import parse_plumb
 from sandwich.wiring import FreePoint, add_free_points, parse_wire, serialize_wire
@@ -16,6 +19,26 @@ FIG = (
 )
 
 E3_PLUMB = "vertex E -3\ncurvetta c on E\ncurvetta d on E\n"
+
+TWO_CUSP_PLUMB = """\
+vertex s1 -3
+vertex s2 -2
+vertex s3 -2
+vertex s4 -3
+vertex a1 -2
+vertex a2 -2
+vertex b1 -2
+vertex b2 -2
+edge s1 s3
+edge s2 s3
+edge s3 s4
+edge s4 a1
+edge a1 a2
+edge s4 b1
+edge b1 b2
+curvetta A on a2
+curvetta B on b2
+"""
 
 TWO_CUSP_GERM = """\
 branch A B
@@ -48,6 +71,7 @@ weight B 8
 def work(tmp_path):
     (tmp_path / "e3.plumb").write_text(E3_PLUMB)
     (tmp_path / "twocusp.germ").write_text(TWO_CUSP_GERM)
+    (tmp_path / "twocusp.plumb").write_text(TWO_CUSP_PLUMB)
     (tmp_path / "fig.wire").write_text(FIG)
     full = add_free_points(parse_wire(FIG), {"B": 1})
     (tmp_path / "figfull.wire").write_text(serialize_wire(full))
@@ -128,6 +152,19 @@ class TestExitCodes:
         code, out, _ = run(capsys, "scott", "--germ", work / "long.germ")
         assert code == 0
         assert parse_wire(out).events == (FreePoint(1),) * n
+
+    def test_uncaught_exception_is_two(self, work, capsys):
+        # automorphisms recurse once per tree level, past the interpreter's
+        # limit here; that is a failure to compute, not a "no"
+        n = 3000
+        lines = [f"vertex v{i} -2" for i in range(n)]
+        lines += [f"edge v{i} v{i + 1}" for i in range(n - 1)]
+        (work / "deep.plumb").write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "auts", "--graph", work / "deep.plumb")
+        assert code == 2 and out == ""
+        data = json.loads(err)
+        assert data["code"] == "internal" and data["location"] is None
+        assert data["message"].startswith("RecursionError: ")
 
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component
@@ -246,6 +283,37 @@ class TestUnexpected:
         assert code == 0
 
 
+class TestGermTrace:
+    def test_trace_file(self, work, capsys):
+        _, plain, _ = run(capsys, "germ", "--graph", work / "twocusp.plumb")
+        code, out, err = run(capsys, "germ", "--graph", work / "twocusp.plumb",
+                             "--trace", work / "trace.json")
+        assert code == 0 and err == "" and out == plain
+        trace = json.loads((work / "trace.json").read_text())
+        assert trace["formatVersion"] == 1 and trace["curvettas"] == ["A", "B"]
+        assert trace["lastVertex"] == json.loads(out)["rootVertex"] == "s1"
+        # replay the euler numbers: every step here meets each proximate
+        # curve once, and the smallest-named (-1) curve goes first
+        g, aug, _ = parse_plumb(TWO_CUSP_PLUMB)
+        euler = dict(g.vertices) | {"@" + c: -1 for c in aug.curvettas()}
+        for step in trace["steps"]:
+            assert step["curve"] == min(v for v, e in euler.items() if e == -1)
+            del euler[step["curve"]]
+            for v in step["proximateTo"]:
+                euler[v] += 1
+        assert not euler
+        weights = [b["weight"] for b in json.loads(out)["branches"]]
+        assert [sum(s["multiplicities"][i] for s in trace["steps"]) for i in range(2)] == weights
+        assert weights == [8, 8]
+
+    def test_no_trace_file_on_error(self, work, capsys):
+        (work / "bad.plumb").write_text("vertex E -3\ncurvetta c on E\n")
+        code, _, err = run(capsys, "germ", "--graph", work / "bad.plumb",
+                           "--trace", work / "trace.json")
+        assert code == 2 and json.loads(err)["code"] == "not-sandwiched"
+        assert not (work / "trace.json").exists()
+
+
 class TestAuts:
     def test_line_pair_graph(self, work, capsys):
         code, out, _ = run(capsys, "auts", "--graph", work / "e3.plumb")
@@ -301,9 +369,12 @@ class TestRender:
 
 class TestEntryPoint:
     def test_module_invocation(self, work):
+        # the child imports the package the tests import
+        path = [str(Path(sandwich.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "sandwich", "germ", "--graph", str(work / "e3.plumb")],
             capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rootVertex"] == "E"

@@ -6,11 +6,15 @@ import pytest
 from sandwich.errors import (
     FormatError,
     NotSandwichedError,
+    SandwichError,
     ProximityViolationError,
     RangeError,
     WeightMismatchError,
 )
 from sandwich.plumbing import (
+    ARROW_PREFIX,
+    BlowDownTrace,
+    BlowStep,
     Branch,
     Cluster,
     augmentation,
@@ -595,6 +599,135 @@ def test_random_spinal_binding_shape():
         assert len(binding) == len(germ.branches) + 1
         assert all(m >= 1 for _, m in binding)
 
+
+
+# ---------------------------------------------------------------------------
+# the scan-based blow-down and pairwise sum, kept as oracles
+
+
+def _key(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def reference_blow_down(g, aug, choose=None):
+    """Rescans every active curve at each step: O(V^2 log V)."""
+    euler = dict(g.vertices)
+    curvettas = aug.curvettas()
+    taken = set(euler) | set(curvettas)
+    for cname, vname in aug.arrows:
+        if vname not in euler:
+            raise RangeError(f"arrow for {cname} references unknown vertex {vname}")
+        if cname in euler:
+            raise RangeError(f"curvetta name {cname} collides with a vertex")
+        arrow_vertex = ARROW_PREFIX + cname
+        if arrow_vertex in taken:
+            raise RangeError(f"name {arrow_vertex} is reserved for an arrow vertex")
+        taken.add(arrow_vertex)
+
+    graph_names = set(euler)
+    table = {}
+    for a, b in g.edges:
+        table[_key(a, b)] = 1
+    for cname, vname in aug.arrows:
+        arrow_vertex = ARROW_PREFIX + cname
+        euler[arrow_vertex] = -1
+        table[_key(arrow_vertex, vname)] = 1
+        table[_key(cname, arrow_vertex)] = 1
+
+    active = set(euler)
+    objects = list(curvettas)
+    steps = []
+    last_vertex = None
+    while active:
+        avail = sorted(v for v in active if euler[v] == -1)
+        if not avail:
+            raise NotSandwichedError(
+                "no (-1) curve available; remaining: "
+                + ", ".join(f"{v}({euler[v]})" for v in sorted(active))
+            )
+        e = avail[0] if choose is None else choose(avail)
+        if e not in active or euler[e] != -1:
+            raise RangeError(f"chose {e}, which is not an available (-1) curve")
+        active.remove(e)
+        mults = tuple(table.get(_key(c, e), 0) for c in curvettas)
+        meet = [(v, table.get(_key(v, e), 0)) for v in active]
+        prox = tuple(sorted(v for v, i in meet if i >= 1))
+        simple = all(i <= 1 for _, i in meet)
+        neighbors = [x for x in itertools.chain(active, objects) if table.get(_key(x, e), 0) != 0]
+        for x in neighbors:
+            if x in active:
+                euler[x] += table[_key(x, e)] ** 2
+        for x, y in itertools.combinations(neighbors, 2):
+            table[_key(x, y)] = table.get(_key(x, y), 0) + table[_key(x, e)] * table[_key(y, e)]
+        steps.append(BlowStep(e, mults, prox, simple))
+        if e in graph_names:
+            last_vertex = e
+
+    pairwise = tuple(
+        tuple(0 if i == k else table.get(_key(a, b), 0) for k, b in enumerate(curvettas))
+        for i, a in enumerate(curvettas)
+    )
+    return BlowDownTrace(curvettas, tuple(steps), last_vertex, pairwise)
+
+
+def reference_pairwise(c):
+    """Sums over every point for every branch pair: O(B^2 P)."""
+    nb = len(c.branches)
+    return tuple(
+        tuple(
+            0 if i == k else sum(c.mults[q][i] * c.mults[q][k] for q in range(len(c.points)))
+            for k in range(nb)
+        )
+        for i in range(nb)
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except SandwichError as exc:
+        return type(exc), str(exc)
+
+
+CHOICES = (None, lambda avail: avail[-1], lambda avail: avail[len(avail) // 2])
+
+
+def test_blow_down_matches_reference():
+    # a square x-a-y-b: contracting a and b makes x and y meet twice
+    square = plumbing_graph({"x": -4, "y": -7, "a": -1, "b": -1},
+                            [("x", "a"), ("a", "y"), ("x", "b"), ("b", "y")])
+    cases = [(square, augmentation([("c", "x")]))]
+    assert not all(s.simple for s in blow_down(*cases[0]).steps)
+    rng = random.Random(11)
+    for _ in range(150):
+        c = rand_cluster(rng)
+        assert germ_from_cluster(c).pairwise == reference_pairwise(c)
+        g, aug = graph_from_cluster(c)
+        # nudged euler numbers reach stalls and the error paths as well as
+        # sandwiched graphs
+        vertices = [(v, e + rng.choice((-1, 0, 0, 0, 1))) for v, e in g.vertices]
+        cases += [(g, aug), (plumbing_graph(vertices, g.edges), aug)]
+    for h, aug in cases:
+        for choose in CHOICES:
+            assert outcome(blow_down, h, aug, choose) == outcome(reference_blow_down, h, aug, choose)
+
+
+def test_blow_down_checks_the_choice():
+    g, aug = two_cusp_graph()
+    for pick in ("A", "s1", "zz"):
+        with pytest.raises(RangeError, match=f"^chose {pick}, which is not an available"):
+            blow_down(g, aug, choose=lambda avail: pick)
+    seen = []
+    blow_down(g, aug, choose=lambda avail: seen.append(avail) or avail[0])
+    assert seen == [sorted(s) for s in seen] and seen[0] == ["@A", "@B"]
+
+
+def test_germ_of_long_chains():
+    # two -2 arms of 2000 vertices on a -3 vertex: weight 2002, untimed
+    g, aug = extend_chains(*line_pair(), {"c": 2000, "d": 2000})
+    germ = germ_from_augmentation(g, aug)
+    assert [b.weight for b in germ.branches] == [2002, 2002]
+    assert germ.pair("c", "d") == 1
 
 # ---------------------------------------------------------------------------
 # formats

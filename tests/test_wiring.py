@@ -12,6 +12,9 @@ from sandwich.errors import (
     UnknownComponentError,
 )
 from sandwich.mcg import (
+    Factorization,
+    HoleArc,
+    HoleCurve,
     braid_equal,
     canonical_curve,
     canonical_factorization,
@@ -303,6 +306,16 @@ class TestVanishing:
         fact = vanishing_data(figure())
         again = factorization_from_json(factorization_json(fact))
         assert canonical_factorization(again) == canonical_factorization(fact)
+
+    def test_factorization_json_keeps_twists(self):
+        plain = Factorization(3, (HoleCurve(3, (), 1, 0), HoleArc(3, (), 1)))
+        moved = hurwitz_move(plain, 1)
+        assert moved.items[0].twists == (-2, 2, 0, 0)
+        data = factorization_json(moved)
+        assert data["items"][0]["twists"] == [-2, 2, 0, 0]
+        assert "twists" not in data["items"][1]
+        assert factorization_from_json(data) == moved
+        assert all("twists" not in d for d in factorization_json(plain)["items"])
 
 
 # ---------------------------------------------------------------------------
