@@ -9,12 +9,10 @@ from pathlib import Path
 
 from .errors import FormatError, SandwichError
 from .fillings import incidence_canonical, incidence_equiv, unexpected_arrangement
-from .mcg import Factorization
 from .plumbing import (
     automorphisms,
     blow_down,
     extend_chains,
-    germ_from_augmentation,
     germ_from_cluster,
     germ_from_trace,
     germ_json,
@@ -25,11 +23,11 @@ from .plumbing import (
     trace_json,
 )
 from .wiring import (
-    FreePoint,
     Intersection,
     Tangency,
     WiringDiagram,
     enclosure_from_wiring,
+    event_window,
     factorization_from_json,
     factorization_json,
     incidence,
@@ -213,12 +211,8 @@ def render(w: WiringDiagram, version: int = 1) -> str:
                     horizontal(x0, x1, skip=(i, i + 1))
         else:
             ev = payload
-            if isinstance(ev, Tangency):
-                involved = (ev.pos, ev.pos + 1)
-            elif isinstance(ev, Intersection):
-                involved = tuple(range(ev.lo, ev.hi + 1))
-            else:
-                involved = (ev.pos,)
+            lo, hi = event_window(ev)
+            involved = range(lo, hi + 1)
             yc = sum(y(p) for p in involved) / len(involved)
             cx = x + 0.5
             for p in involved:
@@ -269,11 +263,9 @@ def _load_plumb(path: str):
 
 def _cmd_germ(args, version):
     g, aug = _load_plumb(args.graph)
-    if args.trace is None:
-        germ = germ_from_augmentation(g, aug)
-    else:
-        trace = blow_down(g, aug)
-        germ = germ_from_trace(trace, aug)
+    trace = blow_down(g, aug)
+    germ = germ_from_trace(trace, aug)
+    if args.trace is not None:
         _write_json(trace_json(trace), args.trace, version)
     _write_json(germ_json(germ), args.out, version)
     return 0
@@ -341,9 +333,7 @@ def _cmd_inside_out(args, version):
 
 
 def _cmd_extend(args, version):
-    g, aug, chains = parse_plumb(_read(args.graph))
-    if chains:
-        g, aug = extend_chains(g, aug, chains)
+    g, aug = _load_plumb(args.graph)
     lengths = {}
     for part in args.chains.split(","):
         name, sep, value = part.partition("=")

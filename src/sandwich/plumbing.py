@@ -411,6 +411,11 @@ def _index_cluster(c: Cluster) -> ClusterIndex:
     ids = [p.id for p in c.points]
     if len(set(ids)) != len(ids):
         raise ProximityViolationError("duplicate cluster point id")
+    seen: set[str] = set()
+    for b in c.branches:
+        if b in seen:
+            raise ProximityViolationError(f"duplicate branch name {b}")
+        seen.add(b)
     if not c.points:
         raise ProximityViolationError("empty cluster")
     row = {pid: i for i, pid in enumerate(ids)}
@@ -753,43 +758,33 @@ def automorphisms(g: PlumbingGraph) -> list[dict[str, str]]:
                 children[v].append(u)
                 order.append(u)
 
-    hashes: dict[int, tuple] = {}
+    # one integer per subtree shape: (label, sorted child shapes) -> id
+    shape = [0] * len(adj)
+    shapes: dict[tuple, int] = {}
+    classes: list[dict[int, list[int]]] = [{} for _ in adj]  # children by shape
     for v in reversed(order):
-        hashes[v] = (labels[v], tuple(sorted(hashes[u] for u in children[v])))
+        for u in children[v]:
+            classes[v].setdefault(shape[u], []).append(u)
+        key = (labels[v], tuple(sorted(shape[u] for u in children[v])))
+        shape[v] = shapes.setdefault(key, len(shapes))
 
-    def maps(u, v):
-        groups: dict[tuple, list[int]] = {}
-        for cu in children[u]:
-            groups.setdefault(hashes[cu], []).append(cu)
-        groups_v: dict[tuple, list[int]] = {}
-        for cv in children[v]:
-            groups_v.setdefault(hashes[cv], []).append(cv)
-        per_group = []
-        for h, lu in groups.items():
-            lv = groups_v[h]
-            options = []
-            for permuted in itertools.permutations(lv):
-                branch_maps = [maps(a, b) for a, b in zip(lu, permuted)]
-                for combo in itertools.product(*branch_maps):
-                    merged = {}
-                    for m in combo:
-                        merged.update(m)
-                    options.append(merged)
-            per_group.append(options)
-        out = []
-        for combo in itertools.product(*per_group):
-            merged = {u: v}
-            for m in combo:
-                merged.update(m)
-            out.append(merged)
-        return out
-
+    # an automorphism is one permutation of each class of same-shape
+    # children below each vertex, applied from the root down
+    slots = [(u, h) for u in order for h, members in classes[u].items() if len(members) > 1]
+    options = [itertools.permutations(range(len(classes[u][h]))) for u, h in slots]
     result = []
-    for m in maps(root, root):
-        named = {names[a]: names[b] for a, b in m.items() if a < n and b < n}
-        result.append(named)
-    uniq = {tuple(sorted(m.items())): m for m in result}
-    return [uniq[k] for k in sorted(uniq)]
+    for combo in itertools.product(*options):
+        pick = dict(zip(slots, combo))
+        image = [0] * len(adj)
+        image[root] = root
+        for u in order:
+            targets = classes[image[u]]
+            for h, members in classes[u].items():
+                perm = pick.get((u, h), (0,))
+                for j, x in enumerate(members):
+                    image[x] = targets[h][perm[j]]
+        result.append({names[a]: names[image[a]] for a in range(n)})
+    return sorted(result, key=lambda m: sorted(m.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ of one component and tie each d-strand component into a tree.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import (
     ArcAtOuterError,
@@ -74,10 +76,19 @@ def _check_event(ev: Singularity, n: int) -> None:
         raise RangeError(f"not a singularity: {ev!r}")
 
 
+def event_window(ev: Singularity) -> tuple[int, int]:
+    """Lowest and highest position the event touches."""
+    if isinstance(ev, Tangency):
+        return ev.pos, ev.pos + 1
+    if isinstance(ev, Intersection):
+        return ev.lo, ev.hi
+    return ev.pos, ev.pos
+
+
 def _check_braid(word: Word, n: int) -> Word:
     w = reduce_word(word)
     for a in w:
-        if a == 0 or abs(a) > n - 1:
+        if abs(a) > n - 1:
             raise RangeError(f"braid letter {a} outside strand range 1..{n - 1}")
     return w
 
@@ -100,10 +111,26 @@ class WiringDiagram:
             _check_event(ev, self.n)
         comp = tuple(self.components)
         if not comp:
-            comp = _infer_components(self.n, self.braids, self.events)
+            comp = _infer_components(self.n, self.events, self.walked[0])
         if len(comp) != self.n:
             raise RangeError("need one component label per strand")
         object.__setattr__(self, "components", comp)
+
+    @functools.cached_property
+    def walked(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(initial strand ids in each event's window, initial strand id at
+        each final position), from one walk over the braid letters per
+        diagram object."""
+        state = list(range(1, self.n + 1))  # state[p - 1] = strand at position p
+        ids = []
+        for word, ev in zip(self.braids, self.events + (None,)):
+            for a in reversed(word):
+                i = abs(a)
+                state[i - 1], state[i] = state[i], state[i - 1]
+            if ev is not None:
+                lo, hi = event_window(ev)
+                ids.append(tuple(state[lo - 1 : hi]))
+        return tuple(ids), tuple(state)
 
     def component_strands(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, list[int]] = {}
@@ -112,43 +139,13 @@ class WiringDiagram:
         return {k: tuple(v) for k, v in out.items()}
 
 
-def _apply_perm(state: list[int], word: Word, n: int) -> list[int]:
-    perm = braid_permutation(word, n)
-    out = [0] * n
-    for p in range(n):
-        out[perm[p] - 1] = state[p]
-    return out
-
-
-def _states(n: int, braids, events) -> list[list[int]]:
-    """Strand id at each position just before each event (and one final
-    state after the last braid)."""
-    state = list(range(1, n + 1))
-    out = []
-    for i, _ in enumerate(events):
-        state = _apply_perm(state, braids[i], n)
-        out.append(state)
-    out.append(_apply_perm(state, braids[-1], n))
-    return out
-
-
 def event_strands(w: WiringDiagram) -> list[tuple[Singularity, tuple[int, ...]]]:
     """Each event with the initial strand ids involved in it."""
-    states = _states(w.n, w.braids, w.events)
-    out = []
-    for ev, state in zip(w.events, states):
-        if isinstance(ev, Tangency):
-            ids = (state[ev.pos - 1], state[ev.pos])
-        elif isinstance(ev, Intersection):
-            ids = tuple(state[ev.lo - 1 : ev.hi])
-        else:
-            ids = (state[ev.pos - 1],)
-        out.append((ev, ids))
-    return out
+    return list(zip(w.events, w.walked[0]))
 
 
 def final_state(w: WiringDiagram) -> tuple[int, ...]:
-    return tuple(_states(w.n, w.braids, w.events)[-1])
+    return w.walked[1]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -166,13 +163,11 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return a != b
 
 
-def _infer_components(n: int, braids, events) -> tuple[str, ...]:
+def _infer_components(n: int, events, event_ids) -> tuple[str, ...]:
     parent = list(range(n + 1))
-    state = list(range(1, n + 1))
-    for i, ev in enumerate(events):
-        state = _apply_perm(state, braids[i], n)
+    for ev, ids in zip(events, event_ids):
         if isinstance(ev, Tangency):
-            _union(parent, state[ev.pos - 1], state[ev.pos])
+            _union(parent, *ids)
     roots = sorted({_find(parent, s) for s in range(1, n + 1)})
     names = {r: f"c{i}" for i, r in enumerate(roots, start=1)}
     return tuple(names[_find(parent, s)] for s in range(1, n + 1))
@@ -231,6 +226,15 @@ def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
     return ValidationReport(tuple(entries))
 
 
+def _component_counts(w: WiringDiagram, event_ids) -> list[tuple[Singularity, Counter]]:
+    """Each Intersection or FreePoint with its strand count per component."""
+    return [
+        (ev, Counter(w.components[s - 1] for s in ids))
+        for ev, ids in event_ids
+        if not isinstance(ev, Tangency)
+    ]
+
+
 def _component_summary(w: WiringDiagram, event_ids):
     """Per component: (strand count, row sum, self pair count); plus cross
     counts per unordered label pair."""
@@ -238,12 +242,7 @@ def _component_summary(w: WiringDiagram, event_ids):
     rows = {label: 0 for label in groups}
     self_pairs = {label: 0 for label in groups}
     cross: dict[tuple[str, str], int] = {}
-    for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
-            continue
-        counts: dict[str, int] = {}
-        for s in ids:
-            counts[w.components[s - 1]] = counts.get(w.components[s - 1], 0) + 1
+    for _, counts in _component_counts(w, event_ids):
         for label, k in counts.items():
             rows[label] += k
             self_pairs[label] += k * (k - 1) // 2
@@ -347,17 +346,12 @@ def incidence(w: WiringDiagram) -> IncidenceMatrix:
     FreePoint in seq order; entries count that component's strands there."""
     event_ids = event_strands(w)
     _check_tangency_components(w, event_ids)
-    labels = sorted(w.component_strands())
-    rows = {label: [] for label in labels}
-    kinds = []
-    for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
-            continue
-        kinds.append("free" if isinstance(ev, FreePoint) else "intersection")
-        for label in labels:
-            rows[label].append(sum(1 for s in ids if w.components[s - 1] == label))
+    labels = tuple(sorted(w.component_strands()))
+    counted = _component_counts(w, event_ids)
     return IncidenceMatrix(
-        tuple(labels), tuple(tuple(rows[label]) for label in labels), tuple(kinds)
+        labels,
+        tuple(tuple(counts[label] for _, counts in counted) for label in labels),
+        tuple("free" if isinstance(ev, FreePoint) else "intersection" for ev, _ in counted),
     )
 
 
@@ -467,62 +461,62 @@ def scott(c: Cluster) -> WiringDiagram:
     """
     check_cluster(c)
     ix = c.indexed
-    finals: dict[int, list[str]] = {}
+    finals: dict[int, list[int]] = {}
     for k, b in enumerate(c.branches):
         f = ix.chains[k][-1]
         if c.mults[f][k] != 1:
             raise ProximityViolationError(f"branch {b} ends with multiplicity {c.mults[f][k]}, not 1")
-        finals.setdefault(f, []).append(b)
+        finals.setdefault(f, []).append(k)
 
-    # branches in depth-first order of their final points
-    order: list[str] = []
+    # branch columns in depth-first order of their final points
+    order: list[int] = []
     stack = [0]
     while stack:
         i = stack.pop()
         order.extend(finals.get(i, ()))
         stack.extend(reversed(ix.children[i]))
 
-    block: dict[str, list[int]] = {}
+    block: dict[int, list[int]] = {}
     pos = 1
-    for b in order:
-        d = c.mults[0][c.branches.index(b)]
-        block[b] = list(range(pos, pos + d))
+    for k in order:
+        d = c.mults[0][k]
+        block[k] = list(range(pos, pos + d))
         pos += d
     n = pos - 1
 
-    # strand portions per (point, branch), walking parents first
-    portion: dict[tuple[str, str], list[int]] = {}
-    side: dict[str, str] = {b: "high" for b in order}
+    # strand portions per (point, branch column), walking parents first
+    portion: dict[tuple[str, int], list[int]] = {}
+    side: dict[int, str] = {k: "high" for k in order}
     depth: dict[str, int] = {}
     windows: dict[str, list[int]] = {}
     for i, p in enumerate(c.points):
         depth[p.id] = 0 if p.parent is None else depth[p.parent] + 1
-        bs = [b for b in order if c.mults[i][c.branches.index(b)] > 0]
+        bs = [k for k in order if c.mults[i][k] > 0]
         if not bs:
             raise ProximityViolationError(f"point {p.id} carries no branch")
         window: list[int] = []
-        for k, b in enumerate(bs):
-            m = c.mults[i][c.branches.index(b)]
+        for j, k in enumerate(bs):
+            m = c.mults[i][k]
             if p.parent is None:
-                part = block[b]
+                part = block[k]
             else:
-                pp = portion[(p.parent, b)]
+                pp = portion[(p.parent, k)]
                 if len(bs) == 1:
-                    part = pp[-m:] if side[b] == "high" else pp[:m]
-                elif k == 0:
+                    part = pp[-m:] if side[k] == "high" else pp[:m]
+                elif j == 0:
                     part = pp[-m:]
-                    side[b] = "high"
-                elif k == len(bs) - 1:
+                    side[k] = "high"
+                elif j == len(bs) - 1:
                     part = pp[:m]
-                    side[b] = "low"
+                    side[k] = "low"
                 else:
                     if m != len(pp):
                         raise InternalInconsistencyError(
-                            f"branch {b} shrinks inside the window at {p.id}; "
+                            f"branch {c.branches[k]} shrinks inside the window at {p.id}; "
                             "no unbraided layout exists"
                         )
                     part = pp
-            portion[(p.id, b)] = part
+            portion[(p.id, k)] = part
             window.extend(part)
         window.sort()
         if window != list(range(window[0], window[0] + len(window))):
@@ -530,12 +524,12 @@ def scott(c: Cluster) -> WiringDiagram:
         windows[p.id] = window
 
     events: list[Singularity] = []
-    for b in order:
+    for k in order:
         positions = []
-        chain = ix.chains[c.branches.index(b)]
+        chain = ix.chains[k]
         for prev, cur in zip(chain, chain[1:]):
-            old = portion[(c.points[prev].id, b)]
-            new = portion[(c.points[cur].id, b)]
+            old = portion[(c.points[prev].id, k)]
+            new = portion[(c.points[cur].id, k)]
             if len(new) == len(old):
                 continue
             lost = sorted(set(old) - set(new))
@@ -554,9 +548,9 @@ def scott(c: Cluster) -> WiringDiagram:
             events.append(Intersection(window[0], window[-1]))
 
     labels = [""] * n
-    for b in order:
-        for q in block[b]:
-            labels[q - 1] = b
+    for k in order:
+        for q in block[k]:
+            labels[q - 1] = c.branches[k]
     return WiringDiagram(n, ((),) * (len(events) + 1), tuple(events), tuple(labels))
 
 

@@ -153,18 +153,42 @@ class TestExitCodes:
         assert code == 0
         assert parse_wire(out).events == (FreePoint(1),) * n
 
-    def test_uncaught_exception_is_two(self, work, capsys):
-        # automorphisms recurse once per tree level, past the interpreter's
-        # limit here; that is a failure to compute, not a "no"
+    def test_uncaught_exception_is_two(self, work, capsys, monkeypatch):
+        # an exception that is no SandwichError is a failure to compute,
+        # not a "no"
+        def boom(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sandwich.cli, "automorphisms", boom)
+        code, out, err = run(capsys, "auts", "--graph", work / "e3.plumb")
+        assert code == 2 and out == ""
+        data = json.loads(err)
+        assert data["code"] == "internal" and data["location"] is None
+        assert data["message"].startswith("RuntimeError: ")
+
+    def test_deep_chain_automorphisms_are_zero(self, work, capsys):
+        # no recursion per tree level: a 3000-vertex -2 chain has its flip
         n = 3000
         lines = [f"vertex v{i} -2" for i in range(n)]
         lines += [f"edge v{i} v{i + 1}" for i in range(n - 1)]
         (work / "deep.plumb").write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "auts", "--graph", work / "deep.plumb")
+        code, out, _ = run(capsys, "auts", "--graph", work / "deep.plumb")
+        assert code == 0
+        maps = json.loads(out)["automorphisms"]
+        assert len(maps) == 2
+        assert {m["v0"] for m in maps} == {"v0", f"v{n - 1}"}
+
+    @pytest.mark.parametrize("command", ["scott", "graph"])
+    def test_repeated_branch_name_is_two(self, work, capsys, command):
+        (work / "twice.germ").write_text(
+            "branch A A\npoint q0 parent root\nmult q0 A=1\n"
+        )
+        code, out, err = run(capsys, command, "--germ", work / "twice.germ")
         assert code == 2 and out == ""
-        data = json.loads(err)
-        assert data["code"] == "internal" and data["location"] is None
-        assert data["message"].startswith("RecursionError: ")
+        assert json.loads(err) == {
+            "code": "proximity-violation", "location": None,
+            "message": "duplicate branch name A",
+        }
 
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandwich.errors import (
     ArcAtOuterError,
@@ -16,6 +18,7 @@ from sandwich.mcg import (
     HoleArc,
     HoleCurve,
     braid_equal,
+    braid_permutation,
     canonical_curve,
     canonical_factorization,
     cyclic_canonical,
@@ -27,9 +30,14 @@ from sandwich.plumbing import cluster, germ_from_cluster
 from sandwich.wiring import (
     EnclosureData,
     FreePoint,
+    IncidenceMatrix,
     Intersection,
     Tangency,
     WiringDiagram,
+    _check_tangency_components,
+    _component_summary,
+    _find,
+    _union,
     add_free_points,
     boundary_braid,
     check_exponent_law,
@@ -191,6 +199,177 @@ class TestStrands:
         bare = WiringDiagram(w.n, w.braids, w.events)
         got = strand_components(bare)
         assert got[1] == got[2] and got[0] == got[3] and got[0] != got[1]
+
+
+# ---------------------------------------------------------------------------
+# the earlier per-call strand walk, kept as an oracle
+
+
+def reference_apply_perm(state, word, n):
+    perm = braid_permutation(word, n)
+    out = [0] * n
+    for p in range(n):
+        out[perm[p] - 1] = state[p]
+    return out
+
+
+def reference_states(n, braids, events):
+    state = list(range(1, n + 1))
+    out = []
+    for i, _ in enumerate(events):
+        state = reference_apply_perm(state, braids[i], n)
+        out.append(state)
+    out.append(reference_apply_perm(state, braids[-1], n))
+    return out
+
+
+def reference_event_strands(w):
+    states = reference_states(w.n, w.braids, w.events)
+    out = []
+    for ev, state in zip(w.events, states):
+        if isinstance(ev, Tangency):
+            ids = (state[ev.pos - 1], state[ev.pos])
+        elif isinstance(ev, Intersection):
+            ids = tuple(state[ev.lo - 1 : ev.hi])
+        else:
+            ids = (state[ev.pos - 1],)
+        out.append((ev, ids))
+    return out
+
+
+def reference_final_state(w):
+    return tuple(reference_states(w.n, w.braids, w.events)[-1])
+
+
+def reference_infer_components(n, braids, events):
+    parent = list(range(n + 1))
+    state = list(range(1, n + 1))
+    for i, ev in enumerate(events):
+        state = reference_apply_perm(state, braids[i], n)
+        if isinstance(ev, Tangency):
+            _union(parent, state[ev.pos - 1], state[ev.pos])
+    roots = sorted({_find(parent, s) for s in range(1, n + 1)})
+    names = {r: f"c{i}" for i, r in enumerate(roots, start=1)}
+    return tuple(names[_find(parent, s)] for s in range(1, n + 1))
+
+
+def reference_incidence(w):
+    event_ids = reference_event_strands(w)
+    _check_tangency_components(w, event_ids)
+    labels = sorted(w.component_strands())
+    rows = {label: [] for label in labels}
+    kinds = []
+    for ev, ids in event_ids:
+        if isinstance(ev, Tangency):
+            continue
+        kinds.append("free" if isinstance(ev, FreePoint) else "intersection")
+        for label in labels:
+            rows[label].append(sum(1 for s in ids if w.components[s - 1] == label))
+    return IncidenceMatrix(
+        tuple(labels), tuple(tuple(rows[label]) for label in labels), tuple(kinds)
+    )
+
+
+def reference_component_summary(w, event_ids):
+    groups = w.component_strands()
+    rows = {label: 0 for label in groups}
+    self_pairs = {label: 0 for label in groups}
+    cross = {}
+    for ev, ids in event_ids:
+        if isinstance(ev, Tangency):
+            continue
+        counts = {}
+        for s in ids:
+            counts[w.components[s - 1]] = counts.get(w.components[s - 1], 0) + 1
+        for label, k in counts.items():
+            rows[label] += k
+            self_pairs[label] += k * (k - 1) // 2
+        items = sorted(counts.items())
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                key = (items[i][0], items[j][0])
+                cross[key] = cross.get(key, 0) + items[i][1] * items[j][1]
+    strands = {label: len(s) for label, s in groups.items()}
+    return strands, rows, self_pairs, cross
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def assert_matches_reference(w):
+    assert event_strands(w) == reference_event_strands(w)
+    assert final_state(w) == reference_final_state(w)
+    assert _outcome(incidence, w) == _outcome(reference_incidence, w)
+    got = _component_summary(w, event_strands(w))
+    want = reference_component_summary(w, reference_event_strands(w))
+    # dict order too: the cross entries are reported in this order
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+
+def declared_labels(rng, w):
+    """Component labels for ``w``: its inferred classes merged at random
+    (tangencies stay inside components) or, now and then, any labels."""
+    if rng.random() < 0.2:
+        return tuple(rng.choice("XY") for _ in range(w.n))
+    merged = {c: rng.choice("ABC") for c in set(w.components)}
+    return tuple(merged[c] for c in w.components)
+
+
+class TestStrandWalkOracle:
+    def test_random_inferred_components(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            w = rand_diagram(rng, max_n=7, max_events=10)
+            assert w.components == reference_infer_components(w.n, w.braids, w.events)
+            assert_matches_reference(w)
+
+    def test_random_declared_components(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            w = rand_diagram(rng, max_n=7, max_events=10)
+            x = WiringDiagram(w.n, w.braids, w.events, declared_labels(rng, w))
+            assert_matches_reference(x)
+
+    def test_figure(self):
+        for w in (figure(), add_free_points(figure(), {"A": 1, "B": 2})):
+            assert_matches_reference(w)
+
+
+@st.composite
+def diagrams(draw):
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        words = st.just(())
+        events = st.builds(FreePoint, st.just(1))
+    else:
+        letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+        words = st.lists(letter, max_size=5).map(tuple)
+        window = st.integers(1, n - 1).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n)))
+        events = st.one_of(
+            st.builds(FreePoint, st.integers(1, n)),
+            st.builds(Tangency, st.integers(1, n - 1)),
+            window.map(lambda t: Intersection(*t)),
+        )
+    evs = draw(st.lists(events, max_size=8))
+    braids = draw(st.lists(words, min_size=len(evs) + 1, max_size=len(evs) + 1))
+    labels = draw(st.one_of(
+        st.just(()), st.lists(st.sampled_from("AB"), min_size=n, max_size=n)
+    ))
+    return WiringDiagram(n, tuple(braids), tuple(evs), tuple(labels))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(diagrams())
+def test_strand_walk_properties(w):
+    bare = WiringDiagram(w.n, w.braids, w.events)
+    assert bare.components == reference_infer_components(w.n, w.braids, w.events)
+    for x in (w, bare):
+        assert_matches_reference(x)
+        assert parse_wire(serialize_wire(x)) == x
 
 
 # ---------------------------------------------------------------------------
