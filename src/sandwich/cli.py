@@ -77,74 +77,6 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems follow the same stderr JSON contract as parse errors
-    def error(self, message):
-        _emit_error("usage", message)
-        raise SystemExit(2)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="sandwich", description="plumbing graphs, wiring diagrams, fillings")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def cmd(name, wants_out=True, **kwargs):
-        q = sub.add_parser(name, **kwargs)
-        if wants_out:
-            q.add_argument("-o", "--out", help="output path (default stdout)")
-        return q
-
-    q = cmd("germ", help="decorated germ of a plumbing graph, as JSON")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--trace", metavar="PATH", help="also write the blow-down trace, as JSON")
-
-    q = cmd("graph", help="plumbing graph presenting a cluster")
-    q.add_argument("--germ", required=True)
-
-    q = cmd("scott", help="wiring diagram laid out straight from a cluster")
-    q.add_argument("--germ", required=True)
-
-    q = cmd("validate", help="check a wiring diagram, optionally against a cluster")
-    q.add_argument("--wire", required=True)
-    q.add_argument("--germ")
-
-    q = cmd("vanishing", help="vanishing-cycle factorization of a diagram, as JSON")
-    q.add_argument("--wire", required=True)
-
-    q = cmd("wire-from-vanishing", help="rebuild the diagram of a factorization")
-    q.add_argument("--fact", required=True)
-
-    q = cmd("incidence", help="canonical incidence matrix of a diagram, as JSON")
-    q.add_argument("--wire", required=True)
-
-    q = cmd("compare", help="exit 0 iff two diagrams have equivalent incidence data")
-    q.add_argument("--wire", action="append", required=True)
-    q.add_argument("--unlabeled", action="store_true", help="allow any row bijection")
-
-    q = cmd("inside-out", help="enclosure data re-read through one hole")
-    q.add_argument("--wire", required=True)
-    q.add_argument("--hole", type=int, required=True)
-
-    q = cmd("extend", help="insert -2 chains before the arrows of a graph")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--chains", required=True, help="comma list, e.g. c=3,d=4")
-
-    q = cmd("unexpected", wants_out=False,
-            help="star-extended arrangement: graph plus combined diagram")
-    q.add_argument("--graph", required=True)
-    q.add_argument("-N", type=int, required=True, dest="n")
-    q.add_argument("--wmax", type=int, required=True)
-    q.add_argument("-o", "--out", default="K", help="output prefix (default K)")
-
-    q = cmd("auts", help="graph automorphisms, as JSON")
-    q.add_argument("--graph", required=True)
-
-    q = cmd("render", help="SVG picture of a wiring diagram")
-    q.add_argument("--wire", required=True)
-
-    return p
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -374,32 +306,83 @@ def _cmd_render(args, version):
     return 0
 
 
+_OUT = (("-o", "--out"), {"help": "output path (default stdout)"})
+_GRAPH = (("--graph",), {"required": True})
+_GERM = (("--germ",), {"required": True})
+_WIRE = (("--wire",), {"required": True})
+
+# name -> (handler, help, arguments in the order --help lists them)
 _COMMANDS = {
-    "germ": _cmd_germ,
-    "graph": _cmd_graph,
-    "scott": _cmd_scott,
-    "validate": _cmd_validate,
-    "vanishing": _cmd_vanishing,
-    "wire-from-vanishing": _cmd_wire_from_vanishing,
-    "incidence": _cmd_incidence,
-    "compare": _cmd_compare,
-    "inside-out": _cmd_inside_out,
-    "extend": _cmd_extend,
-    "unexpected": _cmd_unexpected,
-    "auts": _cmd_auts,
-    "render": _cmd_render,
+    "germ": (_cmd_germ, "decorated germ of a plumbing graph, as JSON", (
+        _OUT, _GRAPH,
+        (("--trace",), {"metavar": "PATH", "help": "also write the blow-down trace, as JSON"}),
+    )),
+    "graph": (_cmd_graph, "plumbing graph presenting a cluster", (_OUT, _GERM)),
+    "scott": (_cmd_scott, "wiring diagram laid out straight from a cluster", (_OUT, _GERM)),
+    "validate": (_cmd_validate, "check a wiring diagram, optionally against a cluster", (
+        _OUT, _WIRE, (("--germ",), {}),
+    )),
+    "vanishing": (_cmd_vanishing, "vanishing-cycle factorization of a diagram, as JSON",
+                  (_OUT, _WIRE)),
+    "wire-from-vanishing": (_cmd_wire_from_vanishing, "rebuild the diagram of a factorization", (
+        _OUT, (("--fact",), {"required": True}),
+    )),
+    "incidence": (_cmd_incidence, "canonical incidence matrix of a diagram, as JSON",
+                  (_OUT, _WIRE)),
+    "compare": (_cmd_compare, "exit 0 iff two diagrams have equivalent incidence data", (
+        _OUT,
+        (("--wire",), {"action": "append", "required": True}),
+        (("--unlabeled",), {"action": "store_true", "help": "allow any row bijection"}),
+    )),
+    "inside-out": (_cmd_inside_out, "enclosure data re-read through one hole", (
+        _OUT, _WIRE, (("--hole",), {"type": int, "required": True}),
+    )),
+    "extend": (_cmd_extend, "insert -2 chains before the arrows of a graph", (
+        _OUT, _GRAPH,
+        (("--chains",), {"required": True, "help": "comma list, e.g. c=3,d=4"}),
+    )),
+    "unexpected": (_cmd_unexpected, "star-extended arrangement: graph plus combined diagram", (
+        _GRAPH,
+        (("-N",), {"type": int, "required": True, "dest": "n"}),
+        (("--wmax",), {"type": int, "required": True}),
+        (("-o", "--out"), {"default": "K", "help": "output prefix (default K)"}),
+    )),
+    "auts": (_cmd_auts, "graph automorphisms, as JSON", (_OUT, _GRAPH)),
+    "render": (_cmd_render, "SVG picture of a wiring diagram", (_OUT, _WIRE)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage problems follow the same stderr JSON contract as parse errors
+    def error(self, message):
+        _emit_error("usage", message)
+        raise SystemExit(2)
+
+
+def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in ``names`` (default
+    all); the subparsers it leaves out do not change how the others parse,
+    print help or report usage errors."""
+    p = _Parser(prog="sandwich", description="plumbing graphs, wiring diagrams, fillings")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
+        q = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            q.add_argument(*flags, **kwargs)
+    return p
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(names).parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:
         version = _format_version()
-        return _COMMANDS[args.command](args, version)
+        return _COMMANDS[args.command][0](args, version)
     except SandwichError as exc:
         _emit_error(exc.code, exc.message, exc.location)
         return 2

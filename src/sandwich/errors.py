@@ -67,9 +67,5 @@ class ArcAtOuterError(SandwichError):
     code = "arc-at-outer"
 
 
-class ArcHolesNotAdjacentError(SandwichError):
-    code = "arc-holes-not-adjacent"
-
-
 class UnknownComponentError(SandwichError):
     code = "unknown-component"

@@ -2,9 +2,9 @@
 data, exotic-handle counts, vanishing-cycle products, compatibility
 verdicts, and incidence-matrix equivalence."""
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
 
 from .errors import InternalInconsistencyError, RangeError, WeightMismatchError
 from .mcg import Factorization, MappingClass, braid_equal, mc_compose, mc_identity, mc_of_item
@@ -26,6 +26,7 @@ from .wiring import (
     IncidenceMatrix,
     Tangency,
     WiringDiagram,
+    bijection_exists,
     boundary_braid,
     combine,
     incidence,
@@ -126,21 +127,21 @@ def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
 
 def incidence_equiv(a: IncidenceMatrix, b: IncidenceMatrix, unlabeled: bool = False) -> bool:
     """Equal canonical forms, rows matched by component label; with
-    ``unlabeled`` any row bijection is allowed instead."""
+    ``unlabeled`` any row bijection is allowed instead, placed one row at a
+    time while the (kind, column over the placed rows) multisets agree."""
     if len(a.rows) != len(b.rows) or len(a.kinds) != len(b.kinds):
         return False
     ca, cb = incidence_canonical(a), incidence_canonical(b)
     if not unlabeled:
         return ca == cb
-    target = (cb.rows, cb.kinds)
-    for perm in permutations(range(len(ca.rows))):
-        shuffled = IncidenceMatrix(
-            cb.components, tuple(ca.rows[i] for i in perm), ca.kinds
-        )
-        canon = incidence_canonical(shuffled)
-        if (canon.rows, canon.kinds) == target:
-            return True
-    return False
+    if (ca.rows, ca.kinds) == (cb.rows, cb.kinds):
+        return True
+    placed = [Counter(zip(cb.kinds, *cb.rows[:k])) for k in range(len(cb.rows) + 1)]
+
+    def fits(p):
+        return Counter(zip(ca.kinds, *(ca.rows[i] for i in p))) == placed[len(p)]
+
+    return bijection_exists(len(ca.rows), fits)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,13 @@ def exponent_sum(w) -> int:
     return sum(1 if a > 0 else -1 for a in w)
 
 
-def _check_braid_word(w: Word, n: int) -> None:
+def check_braid_word(w: Word, n: int, error=StrandMismatchError) -> Word:
+    """``w``, once every letter lies in 1..n-1 (else ``error``); callers check
+    before reducing, so that no out-of-range pair cancels away unseen."""
     for a in w:
         if not 1 <= abs(a) <= n - 1:
-            raise StrandMismatchError(f"braid letter {a} needs {abs(a) + 1} strands, have {n}")
+            raise error(f"braid letter {a} outside strand range 1..{n - 1}")
+    return w
 
 
 def _check_free_word(w: Word, n: int) -> None:
@@ -103,7 +106,7 @@ def artin_act(b: Word, w: Word, n: int | None = None) -> Word:
     """Image of the free word ``w`` under the braid word ``b`` (rightmost
     braid letter applied first); result freely reduced."""
     if n is not None:
-        _check_braid_word(b, n)
+        check_braid_word(b, n)
         _check_free_word(w, n)
     w = reduce_word(w)
     for letter in reversed(b):
@@ -113,7 +116,7 @@ def artin_act(b: Word, w: Word, n: int | None = None) -> Word:
 
 def braid_permutation(word: Word, n: int) -> tuple[int, ...]:
     """perm[s-1] = final position of the strand starting at position s."""
-    _check_braid_word(word, n)
+    check_braid_word(word, n)
     strand_at = list(range(n + 1))  # strand_at[p] = strand currently at position p
     for letter in reversed(word):
         i = abs(letter)
@@ -142,8 +145,8 @@ def perm_inverse(p):
 
 def braid_equal(a: Word, b: Word, n: int) -> bool:
     """Semantic equality via the (faithful) Artin action."""
-    _check_braid_word(a, n)
-    _check_braid_word(b, n)
+    check_braid_word(a, n)
+    check_braid_word(b, n)
     return all(artin_act(a, (g,)) == artin_act(b, (g,)) for g in range(1, n + 1))
 
 
@@ -201,8 +204,7 @@ class HoleCurve:
     def __post_init__(self):
         if not 1 <= self.start <= self.start + self.span <= self.n:
             raise RangeError(f"curve base [{self.start}, {self.start + self.span}] outside 1..{self.n}")
-        _check_braid_word(self.conjugator, self.n)
-        object.__setattr__(self, "conjugator", reduce_word(self.conjugator))
+        object.__setattr__(self, "conjugator", reduce_word(check_braid_word(self.conjugator, self.n)))
         t = _normalize_twists(self.twists)
         if t and len(t) != self.n + 1:
             raise RangeError("twists vector must have one entry per hole plus the outer entry")
@@ -225,8 +227,7 @@ class HoleArc:
     def __post_init__(self):
         if not 1 <= self.start <= self.start + 1 <= self.n:
             raise RangeError(f"arc base ({self.start}, {self.start + 1}) outside 1..{self.n}")
-        _check_braid_word(self.conjugator, self.n)
-        object.__setattr__(self, "conjugator", reduce_word(self.conjugator))
+        object.__setattr__(self, "conjugator", reduce_word(check_braid_word(self.conjugator, self.n)))
         t = _normalize_twists(self.twists)
         if t and len(t) != self.n + 1:
             raise RangeError("twists vector must have one entry per hole plus the outer entry")
@@ -275,7 +276,7 @@ def _transport_offset(perm, offset: Word) -> Word:
 def act_on_curve(b: Word, c: Item) -> Item:
     """Image of the curve/arc under the braid b: conjugator g -> g b^{-1},
     so the canonical word transforms by artin_act(b, .)."""
-    _check_braid_word(b, c.n)
+    check_braid_word(b, c.n)
     conj = reduce_word(c.conjugator + inverse_word(b))
     twists = _transport_offset(braid_permutation(b, c.n), c.twists)
     return replace(c, conjugator=conj, twists=twists)
@@ -312,7 +313,7 @@ def item_offset(c: Item) -> Word:
     return tuple(off) if any(off) else ()
 
 
-def _vec_add(a: Word, b: Word, n: int) -> Word:
+def _vec_add(a: Word, b: Word) -> Word:
     if not a:
         return b
     if not b:
@@ -332,7 +333,7 @@ def conjugate_item(word: Word, offset: Word, c: Item) -> Item:
         delta = _transport_offset(p_w, tuple(delta))
         if delta:
             base = moved.twists if moved.twists else tuple(_zeros(n))
-            moved = replace(moved, twists=_normalize_twists(_vec_add(base, delta, n)))
+            moved = replace(moved, twists=_normalize_twists(_vec_add(base, delta)))
     return moved
 
 
@@ -360,7 +361,7 @@ def mc_identity(n: int) -> MappingClass:
 
 
 def mc_from_braid(word: Word, n: int, ledger=None) -> MappingClass:
-    _check_braid_word(word, n)
+    check_braid_word(word, n)
     images = tuple(artin_act(word, (g,)) for g in range(1, n + 1))
     led = tuple(ledger) if ledger else tuple([0] * (n + 1))
     return MappingClass(n, images, braid_permutation(word, n), led)

@@ -72,15 +72,6 @@ class PlumbingGraph:
     def names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.vertices)
 
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == name:
-                out.append(b)
-            elif b == name:
-                out.append(a)
-        return tuple(sorted(out))
-
 
 def plumbing_graph(vertices, edges=()) -> PlumbingGraph:
     """Build a graph from a {name: euler} mapping or (name, euler) pairs."""
@@ -260,15 +251,23 @@ class DecoratedGerm:
     root_vertex: str
     pairwise: tuple[tuple[int, ...], ...]
 
+    @functools.cached_property
+    def columns(self) -> dict[str, int]:
+        """Branch name -> index into ``branches`` and ``pairwise``, built
+        once per germ object."""
+        return {b.name: i for i, b in enumerate(self.branches)}
+
+    def _column(self, name: str) -> int:
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise RangeError(f"unknown branch {name}") from None
+
     def branch(self, name: str) -> Branch:
-        for b in self.branches:
-            if b.name == name:
-                return b
-        raise RangeError(f"unknown branch {name}")
+        return self.branches[self._column(name)]
 
     def pair(self, a: str, b: str) -> int:
-        names = [br.name for br in self.branches]
-        return self.pairwise[names.index(a)][names.index(b)]
+        return self.pairwise[self._column(a)][self._column(b)]
 
 
 def delta(branch) -> int:
@@ -492,14 +491,14 @@ def _index_cluster(c: Cluster) -> ClusterIndex:
     return ClusterIndex(row, children, proximate, chains, sums)
 
 
-def check_cluster(c: Cluster, weights=None) -> tuple[int, ...]:
+def check_cluster(c: Cluster) -> tuple[int, ...]:
     """Validate structure and proximity/weight invariants; returns the
     effective branch weights.  The structure is checked once per cluster
-    object, when ``c.indexed`` is built; each call compares the weights."""
+    object, when ``c.indexed`` is built; each call compares the declared
+    weights."""
     sums = c.indexed.sums
-    declared = tuple(weights) if weights is not None else c.weights
-    if declared is not None and tuple(declared) != sums:
-        raise WeightMismatchError(f"declared weights {tuple(declared)} != multiplicity sums {sums}")
+    if c.weights is not None and tuple(c.weights) != sums:
+        raise WeightMismatchError(f"declared weights {tuple(c.weights)} != multiplicity sums {sums}")
     return sums
 
 
@@ -508,7 +507,7 @@ def branch_chain(c: Cluster, b: int) -> list[int]:
     return list(c.indexed.chains[b])
 
 
-def graph_from_cluster(c: Cluster, weights=None) -> tuple[PlumbingGraph, Augmentation]:
+def graph_from_cluster(c: Cluster) -> tuple[PlumbingGraph, Augmentation]:
     """Dual graph of the embedded resolution: one vertex per non-final
     point with euler -1 - #(points proximate to it), one arrow per branch
     on the parent of the branch's final point.
@@ -517,7 +516,7 @@ def graph_from_cluster(c: Cluster, weights=None) -> tuple[PlumbingGraph, Augment
     weight-1 branches (final point = root) have no graph-plus-arrow
     presentation and raise WeightMismatchError.
     """
-    check_cluster(c, weights)
+    check_cluster(c)
     ix = c.indexed
     finals = []
     for b, chain in enumerate(ix.chains):
@@ -563,12 +562,12 @@ def graph_from_cluster(c: Cluster, weights=None) -> tuple[PlumbingGraph, Augment
     return plumbing_graph(vertices, edges), augmentation(arrows)
 
 
-def germ_from_cluster(c: Cluster, weights=None) -> DecoratedGerm:
+def germ_from_cluster(c: Cluster) -> DecoratedGerm:
     """Decorated germ computed directly from cluster data (multiplicities
     along each branch chain, Noether pairwise sums); independent of the
     blow-down path, and the one presentation that also covers weight-1
     branches."""
-    sums = check_cluster(c, weights)
+    sums = check_cluster(c)
     root = c.points[0].id
     branches = []
     for b, name in enumerate(c.branches):

@@ -33,6 +33,7 @@ from .mcg import (
     HoleCurve,
     Word,
     braid_permutation,
+    check_braid_word,
     curve_holes,
     exponent_sum,
     half_twist,
@@ -85,14 +86,6 @@ def event_window(ev: Singularity) -> tuple[int, int]:
     return ev.pos, ev.pos
 
 
-def _check_braid(word: Word, n: int) -> Word:
-    w = reduce_word(word)
-    for a in w:
-        if abs(a) > n - 1:
-            raise RangeError(f"braid letter {a} outside strand range 1..{n - 1}")
-    return w
-
-
 @dataclass(frozen=True)
 class WiringDiagram:
     n: int
@@ -105,7 +98,8 @@ class WiringDiagram:
             raise RangeError("need at least one strand")
         if len(self.braids) != len(self.events) + 1:
             raise RangeError("need exactly one braid word around every event")
-        object.__setattr__(self, "braids", tuple(_check_braid(b, self.n) for b in self.braids))
+        object.__setattr__(self, "braids", tuple(
+            reduce_word(check_braid_word(b, self.n, RangeError)) for b in self.braids))
         object.__setattr__(self, "events", tuple(self.events))
         for ev in self.events:
             _check_event(ev, self.n)
@@ -296,34 +290,49 @@ def _check_assignment(m, germ, strands, rows, self_pairs, cross) -> list[tuple[s
     return errs
 
 
-def _matching_exists(labels, names, germ, strands, rows, self_pairs, cross) -> bool:
-    """Whether some branch assignment passes ``_check_assignment``: ``fits``
-    checks the same invariants one label at a time."""
-
-    def fits(label, bname, chosen):
-        b = germ.branch(bname)
-        if (strands[label], rows[label], self_pairs[label]) != (
-            b.origin_multiplicity, b.weight, b.delta):
-            return False
-        for la, na in chosen.items():
-            key = (la, label) if la < label else (label, la)
-            if cross.get(key, 0) != germ.pair(na, bname):
-                return False
-        return True
-
-    def rec(i, chosen, used):
-        if i == len(labels):
-            return True
-        for bname in names:
-            if bname in used or not fits(labels[i], bname, chosen):
-                continue
-            chosen[labels[i]] = bname
-            if rec(i + 1, chosen, used | {bname}):
-                return True
-            del chosen[labels[i]]
+def bijection_exists(m: int, fits) -> bool:
+    """Whether some order p of range(m) has ``fits(p[:k])`` for k = 0..m.
+    Depth first with an explicit stack, candidates in index order, so the
+    identity is tried first; ``fits`` sees a prefix only once all shorter
+    prefixes fit, so it need only check the last element."""
+    if not fits(()):
         return False
+    prefix: list[int] = []
+    used: set[int] = set()
+    stack = [iter(range(m))]  # the untried candidates at each depth
+    while len(prefix) < m:
+        k = next((k for k in stack[-1] if k not in used and fits((*prefix, k))), None)
+        if k is not None:
+            prefix.append(k)
+            used.add(k)
+            stack.append(iter(range(m)))
+        elif prefix:
+            stack.pop()
+            used.remove(prefix.pop())
+        else:
+            return False
+    return True
 
-    return rec(0, {}, frozenset())
+
+def _matching_exists(labels, names, germ, strands, rows, self_pairs, cross) -> bool:
+    """Whether some branch assignment passes ``_check_assignment``: label i
+    goes to branch ``names[p[i]]``, checked one label at a time."""
+    branches = [germ.branch(name) for name in names]
+
+    def fits(p):
+        if not p:
+            return True
+        label, b = labels[len(p) - 1], branches[p[-1]]
+        if (strands[label], rows[label], self_pairs[label]) != (
+                b.origin_multiplicity, b.weight, b.delta):
+            return False
+        # labels are sorted, so an earlier label comes first in its cross key
+        return all(
+            cross.get((labels[j], label), 0) == germ.pair(names[q], b.name)
+            for j, q in enumerate(p[:-1])
+        )
+
+    return bijection_exists(len(labels), fits)
 
 
 @dataclass(frozen=True)
@@ -336,9 +345,6 @@ class IncidenceMatrix:
         for row in self.rows:
             if len(row) != len(self.kinds):
                 raise RangeError("ragged incidence matrix")
-
-    def row(self, label: str) -> tuple[int, ...]:
-        return self.rows[self.components.index(label)]
 
 
 def incidence(w: WiringDiagram) -> IncidenceMatrix:

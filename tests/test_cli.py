@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sandwich
-from sandwich.cli import main, render
+from sandwich.cli import _COMMANDS, build_parser, main, render
 from sandwich.plumbing import parse_plumb
 from sandwich.wiring import FreePoint, add_free_points, parse_wire, serialize_wire
 
@@ -190,12 +192,87 @@ class TestExitCodes:
             "message": "duplicate branch name A",
         }
 
+    def test_cancelling_out_of_range_letters_are_two(self, work, capsys):
+        (work / "cancel.wire").write_text("strands 2\nseq: s3 s3', T(1), 1\n")
+        code, out, err = run(capsys, "validate", "--wire", work / "cancel.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "range", "location": None,
+            "message": "braid letter 3 outside strand range 1..1",
+        }
+
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component
         (work / "w.wire").write_text("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")
         code, _, err = run(capsys, "inside-out", "--wire", work / "w.wire", "--hole", 1)
         assert code == 2
         assert json.loads(err)["code"] == "multiplicity-not-one"
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def valid_argv(command):
+    argv = [command]
+    for flags, kwargs in _COMMANDS[command][2]:
+        if kwargs.get("action") == "store_true":
+            argv.append(flags[-1])
+        elif kwargs.get("required"):
+            argv += [flags[-1], "1"]
+    return argv
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_one_subparser_parses_like_all(self, capsys, command):
+        full = valid_argv(command)
+        cases = [full, full + ["-o", "x"], full + ["--bogus"], full[:-1], full + [command],
+                 [command], [command, "--help"], [command, "-h", "x"], [command, "-o"]]
+        for argv in cases:
+            one = parse_outcome(build_parser([command]), argv, capsys)
+            assert one == parse_outcome(build_parser(), argv, capsys), argv
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: sandwich [-h]")
+        for name, (_, help_text, _) in _COMMANDS.items():
+            assert help_text in out and name in out
+
+    def test_main_builds_only_the_named_command(self, work, capsys, monkeypatch):
+        built = []
+
+        def spy(names=_COMMANDS):
+            built.append(list(names))
+            return build_parser(names)
+
+        monkeypatch.setattr(sandwich.cli, "build_parser", spy)
+        assert run(capsys, "germ", "--graph", work / "e3.plumb")[0] == 0
+        assert run(capsys, "frobnicate")[0] == 2
+        assert run(capsys)[0] == 2
+        assert built == [["germ"], list(_COMMANDS), list(_COMMANDS)]
+
+
+def test_traced_names_exist():
+    # perfbench wraps these functions by name; a rename or deletion in the
+    # package must not leave the harness silently tracing nothing
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"sandwich.{layer}")
+        assert [n for n in names if not callable(getattr(module, n, None))] == [], layer
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ class TestArtinAction:
         with pytest.raises(StrandMismatchError):
             artin_act((3,), (1,), 2)
 
+    def test_cancelling_letters_still_checked(self):
+        with pytest.raises(StrandMismatchError, match="braid letter 3 outside strand range 1..1"):
+            HoleCurve(2, (3, -3))
+        with pytest.raises(StrandMismatchError):
+            HoleArc(2, (1, 2, -2))
+
     def test_permutation_matches_action(self):
         # image of x_h is a conjugate of x_{perm[h]}
         rng = random.Random(9)

@@ -126,6 +126,17 @@ def test_germ_two_cusp():
     assert spinal_binding(germ) == [("s1", 1), ("a2", 2), ("b2", 2)]
 
 
+def test_germ_lookups_by_name():
+    g, aug = two_cusp_graph()
+    germ = germ_from_augmentation(g, aug)
+    assert germ.columns == {"A": 0, "B": 1}
+    assert germ.pair("B", "A") == germ.pairwise[1][0] == 7
+    assert germ.pair("A", "A") == 0
+    for lookup in (lambda: germ.branch("C"), lambda: germ.pair("A", "C"), lambda: germ.pair("C", "A")):
+        with pytest.raises(RangeError, match="unknown branch C"):
+            lookup()
+
+
 def test_germ_line_pair():
     g, aug = line_pair()
     germ = germ_from_augmentation(g, aug)

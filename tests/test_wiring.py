@@ -170,6 +170,13 @@ class TestWireFormat:
         with pytest.raises(RangeError):
             parse_wire("strands 2\nseq: s1 s3, T(1), 1\n")
 
+    def test_braid_letters_checked_before_reduction(self):
+        # s3 s3' cancels, but s3 needs four strands
+        with pytest.raises(RangeError, match="braid letter 3 outside strand range 1..1"):
+            parse_wire("strands 2\nseq: s3 s3', T(1), 1\n")
+        with pytest.raises(RangeError):
+            WiringDiagram(2, ((), (1, 2, -2)), (Tangency(1),))
+
     def test_random_roundtrips(self):
         rng = random.Random(20260815)
         for _ in range(60):
