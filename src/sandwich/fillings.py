@@ -4,10 +4,18 @@ verdicts, and incidence-matrix equivalence."""
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import InternalInconsistencyError, RangeError, WeightMismatchError
-from .mcg import Factorization, MappingClass, braid_equal, mc_compose, mc_identity, mc_of_item
+from .mcg import (
+    Factorization,
+    MappingClass,
+    braid_equal,
+    braid_permutation,
+    exponent_sum,
+    item_offset,
+    item_word,
+    mc_from_braid,
+)
 from .plumbing import (
     Augmentation,
     Branch,
@@ -80,11 +88,36 @@ def exotic_count(germ) -> int:
 def factorization_product(fact: Factorization) -> MappingClass:
     """Compose the item classes right to left (last item acts first); on
     the vanishing data of a diagram this telescopes to its boundary braid,
-    with boundary-parallel cycles landing in the twist ledger."""
-    classes = [mc_of_item(item) for item in fact.items]
-    if not classes:
-        return mc_identity(fact.n)
-    return reduce(mc_compose, classes)
+    with boundary-parallel cycles landing in the twist ledger.
+
+    The items are folded before any Artin action: their words concatenate,
+    and each ledger entry is carried through the item's hole permutation as
+    ``mc_compose`` would; the images come from one ``mc_from_braid``."""
+    n = fact.n
+    word: list[int] = []
+    ledger = [0] * (n + 1)
+    for item in fact.items:
+        w = item_word(item)
+        off = item_offset(item) or (0,) * (n + 1)
+        p = braid_permutation(w, n)
+        word.extend(w)
+        ledger = [off[h] + ledger[p[h] - 1] for h in range(n)] + [ledger[n] + off[n]]
+    return mc_from_braid(tuple(word), n, ledger)
+
+
+def _boundary_difference(a, b, n: int) -> str | None:
+    """The first invariant that separates two boundary braids, cheapest
+    first, with the value of ``a`` before that of ``b``; None when they are
+    the same braid."""
+    pa, pb = braid_permutation(a, n), braid_permutation(b, n)
+    if pa != pb:
+        return f"hole permutation ({','.join(map(str, pa))}) against ({','.join(map(str, pb))})"
+    ea, eb = exponent_sum(a), exponent_sum(b)
+    if ea != eb:
+        return f"exponent sum {ea} against {eb}"
+    if not braid_equal(a, b, n):
+        return "normal forms differ"
+    return None
 
 
 def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:
@@ -92,15 +125,16 @@ def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:
 
     True iff ``w`` validates against the cluster's germ and its boundary
     braid agrees, as a braid class, with the layout built straight from the
-    cluster (both use the same bottom-to-top strand convention).
+    cluster (both use the same bottom-to-top strand convention).  A
+    ``boundary-class`` entry names the first invariant that differs.
     """
     report = validate_wiring(w, germ=germ_from_cluster(c))
     entries = list(report.entries)
     if report.ok:
-        reference = scott(c)
-        if not braid_equal(boundary_braid(w), boundary_braid(reference), w.n):
+        why = _boundary_difference(boundary_braid(w), boundary_braid(scott(c)), w.n)
+        if why:
             entries.append(
-                ("boundary-class", "boundary braid differs from the cluster layout")
+                ("boundary-class", f"boundary braid differs from the cluster layout: {why}")
             )
     return (not entries), ValidationReport(tuple(entries))
 

@@ -12,15 +12,19 @@ Conventions used throughout the package:
   numbered bottom to top.
 - A curve (or arc) is stored as a conjugating braid ``g`` plus a convex
   base; the object denoted is ``g^{-1}`` applied to the base.  Braid words
-  are kept literal (only adjacent ``s s'`` pairs cancel); equality of the
-  underlying braids is semantic, via the Artin action.
+  are kept literal (only adjacent ``s s'`` pairs cancel).
+- Equality of braids is decided by the Garside left normal form
+  (``normal_form``), not by the Artin action.  The action (curves,
+  mapping classes) runs on the shorter of a word and its normal-form word;
+  both are the same braid, so the reduced images are the same.  The cost is
+  polynomial in the word length, and nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import RangeError, InternalInconsistencyError, StrandMismatchError
+from .errors import RangeError, StrandMismatchError
 
 Word = tuple[int, ...]
 
@@ -143,11 +147,129 @@ def perm_inverse(p):
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# Garside normal form
+#
+# A simple element (positive braid in which each pair of strands crosses at
+# most once) is stored as the permutation p = s_{a1} o ... o s_{ak} (values
+# 1..n) of any of its positive words a1..ak, so concatenation is composition.
+# Delta, the positive half twist on all strands, is the reversal, and
+# tau(A) = Delta^{-1} A Delta sends s_i to s_{n-i}.
+
+
+def _swap(p, i: int) -> tuple[int, ...]:
+    """p o s_i: entries i-1 and i of p exchanged."""
+    q = list(p)
+    q[i - 1], q[i] = q[i], q[i - 1]
+    return tuple(q)
+
+
+def _tau(p) -> tuple[int, ...]:
+    n = len(p)
+    return tuple(n + 1 - p[n - 1 - j] for j in range(n))
+
+
+def _left_weight(a, b):
+    """The left-weighted pair (a', b') with a'b' = ab: a letter s_i moves
+    from the front of b to the end of a while b can start with it (its
+    inverse has a descent at i) and a cannot end with it (no descent at i).
+    The result does not depend on the order of the moves."""
+    a, b = list(a), list(perm_inverse(b))
+    i = 1
+    while i < len(a):
+        if b[i - 1] > b[i] and a[i - 1] < a[i]:
+            a[i - 1], a[i] = a[i], a[i - 1]
+            b[i - 1], b[i] = b[i], b[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(a), perm_inverse(b)
+
+
+def normal_form(word: Word, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Garside left normal form ``(inf, factors)``: the braid is
+    Delta^inf A_1 ... A_k with each A_j a simple element other than Delta and
+    the identity, and each pair (A_j, A_{j+1}) left-weighted.  Equal braids
+    have equal normal forms.
+
+    Letters are taken left to right.  s_i^{-1} is Delta^{-1} (Delta s_i^{-1});
+    moving that Delta^{-1} to the front applies tau to every factor so far,
+    which is kept as one parity instead.  Each new factor is left-weighted
+    against its left neighbour, and so on leftwards until a pair is stable.
+    Polynomial in the word length; the pair memo lives for this call only."""
+    check_braid_word(word, n)
+    ident = perm_identity(n)
+    delta = ident[::-1]
+    memo: dict = {}
+    inf = 0
+    flip = False  # stored factors are tau^flip of the true ones
+    factors: list[tuple[int, ...]] = []
+    for a in reduce_word(word):
+        if a < 0:
+            flip = not flip
+            inf -= 1
+        # s_i or Delta s_i^{-1}, stored through tau: tau swaps s_i for s_{n-i}
+        factors.append(_swap(delta if a < 0 else ident, n - abs(a) if flip else abs(a)))
+        j = len(factors) - 1
+        while j:
+            pair = (factors[j - 1], factors[j])
+            out = memo.get(pair)
+            if out is None:
+                out = memo[pair] = _left_weight(*pair)
+            if out == pair:
+                break
+            factors[j - 1], factors[j] = out
+            j -= 1
+        while factors and factors[-1] == ident:
+            factors.pop()
+        while factors and factors[0] == delta:
+            factors.pop(0)
+            inf += 1
+    if flip:
+        factors = [_tau(f) for f in factors]
+    return inf, tuple(factors)
+
+
+def _simple_word(p) -> Word:
+    """Positive word of the simple element p (a sorting of p by adjacent
+    swaps, read backwards)."""
+    p = list(p)
+    tail: list[int] = []
+    i = 1
+    while i < len(p):
+        if p[i - 1] > p[i]:
+            p[i - 1], p[i] = p[i], p[i - 1]
+            tail.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(reversed(tail))
+
+
+def normal_form_word(word: Word, n: int) -> Word:
+    """The normal form written as a braid word: Delta^inf, then a positive
+    word per factor."""
+    inf, factors = normal_form(word, n)
+    delta = half_twist(1, n) if inf >= 0 else inverse_word(half_twist(1, n))
+    return delta * abs(inf) + tuple(a for f in factors for a in _simple_word(f))
+
+
+def _action_word(word: Word, n: int) -> Word:
+    """The shorter of the freely reduced word and its reduced normal-form
+    word, the word itself on a tie.  Both are the same braid, so the Artin
+    action gives the same reduced images either way."""
+    word = reduce_word(word)
+    if len(word) == abs(exponent_sum(word)):
+        return word  # no word for the braid is shorter than its exponent sum
+    short = reduce_word(normal_form_word(word, n))
+    return short if len(short) < len(word) else word
+
+
 def braid_equal(a: Word, b: Word, n: int) -> bool:
-    """Semantic equality via the (faithful) Artin action."""
+    """Semantic equality: equal Garside normal forms."""
     check_braid_word(a, n)
     check_braid_word(b, n)
-    return all(artin_act(a, (g,)) == artin_act(b, (g,)) for g in range(1, n + 1))
+    return normal_form(a, n) == normal_form(b, n)
 
 
 def half_twist(j: int, k: int, n: int | None = None) -> Word:
@@ -244,7 +366,8 @@ Item = HoleCurve | HoleArc
 def canonical_curve(c: Item) -> Word:
     """Free-homotopy canonical word: image of the base word under g^{-1},
     cyclically reduced, least rotation."""
-    return cyclic_canonical(artin_act(inverse_word(c.conjugator), c.base_word, c.n))
+    g_inv = _action_word(inverse_word(c.conjugator), c.n)
+    return cyclic_canonical(artin_act(g_inv, c.base_word, c.n))
 
 
 def canonical_item(c: Item):
@@ -253,12 +376,11 @@ def canonical_item(c: Item):
 
 
 def curve_holes(c: Item) -> frozenset[int]:
-    """Holes enclosed by the curve (or joined by the arc): generators with
-    exponent sum 1 in the canonical word."""
-    sums: dict[int, int] = {}
-    for a in canonical_curve(c):
-        sums[abs(a)] = sums.get(abs(a), 0) + (1 if a > 0 else -1)
-    return frozenset(g for g, s in sums.items() if s == 1)
+    """Holes enclosed by the curve (or joined by the arc): where g^{-1}
+    carries the base holes, since the image of x_h is a conjugate of
+    x_{perm[h]}."""
+    perm = braid_permutation(inverse_word(c.conjugator), c.n)
+    return frozenset(perm[h - 1] for h in c.base_word)
 
 
 def _transport_offset(perm, offset: Word) -> Word:
@@ -306,10 +428,8 @@ def item_offset(c: Item) -> Word:
     twists, plus 2 at the enclosed hole for a boundary-parallel cycle."""
     off = list(c.twists) if c.twists else _zeros(c.n)
     if isinstance(c, HoleCurve) and c.span == 0:
-        word = canonical_curve(c)
-        if len(word) != 1 or word[0] < 0:
-            raise InternalInconsistencyError("boundary-parallel cycle with non-generator canonical word")
-        off[word[0] - 1] += 2
+        (hole,) = curve_holes(c)
+        off[hole - 1] += 2
     return tuple(off) if any(off) else ()
 
 
@@ -362,7 +482,8 @@ def mc_identity(n: int) -> MappingClass:
 
 def mc_from_braid(word: Word, n: int, ledger=None) -> MappingClass:
     check_braid_word(word, n)
-    images = tuple(artin_act(word, (g,)) for g in range(1, n + 1))
+    short = _action_word(word, n)
+    images = tuple(artin_act(short, (g,)) for g in range(1, n + 1))
     led = tuple(ledger) if ledger else tuple([0] * (n + 1))
     return MappingClass(n, images, braid_permutation(word, n), led)
 

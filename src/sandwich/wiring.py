@@ -32,13 +32,11 @@ from .mcg import (
     HoleArc,
     HoleCurve,
     Word,
-    braid_permutation,
     check_braid_word,
     curve_holes,
     exponent_sum,
     half_twist,
     inverse_word,
-    perm_inverse,
     reduce_word,
 )
 from .plumbing import Cluster, ValidationReport, check_cluster
@@ -727,14 +725,10 @@ def enclosure_from_wiring(w: WiringDiagram) -> EnclosureData:
 def enclosure_from_factorization(fact: Factorization, components=None) -> EnclosureData:
     if components is None:
         components = tuple(f"h{i}" for i in range(1, fact.n + 1))
-    items = []
-    for item in fact.items:
-        if isinstance(item, HoleArc):
-            perm = perm_inverse(braid_permutation(item.conjugator, fact.n))
-            items.append(("arc", frozenset((perm[item.start - 1], perm[item.start]))))
-        else:
-            items.append(("cycle", curve_holes(item)))
-    return EnclosureData(fact.n, tuple(components), tuple(items))
+    items = tuple(
+        ("arc" if isinstance(item, HoleArc) else "cycle", curve_holes(item)) for item in fact.items
+    )
+    return EnclosureData(fact.n, tuple(components), items)
 
 
 def inside_out(e: EnclosureData, hole: int) -> EnclosureData:
@@ -822,6 +816,7 @@ def parse_wire(text: str) -> WiringDiagram:
 
     braids: list[Word] = []
     events: list[Singularity] = []
+    entries: list[Word | Singularity] = []  # entries[i] parsed from seq[i]
     pending: Word | None = None
     for chunk in seq_chunks:
         if not chunk:
@@ -836,12 +831,14 @@ def parse_wire(text: str) -> WiringDiagram:
                 events.append(Intersection(int(m.group(2)), int(m.group(3))))
             else:
                 events.append(FreePoint(int(m.group(4))))
+            entries.append(events[-1])
         else:
             if pending is not None:
                 raise FormatError(
                     f"two braid words in a row at {chunk!r}", location=f"line {seq_line}"
                 )
             pending = _parse_braid(chunk, seq_line)
+            entries.append(pending)
     braids.append(pending if pending is not None else ())
 
     labels: tuple[str, ...] = ()
@@ -855,7 +852,20 @@ def parse_wire(text: str) -> WiringDiagram:
         if len(assigned) != n:
             raise FormatError(f"components do not partition strands 1..{n}")
         labels = tuple(assigned[p] for p in range(1, n + 1))
-    return WiringDiagram(n, tuple(braids), tuple(events), labels)
+    try:
+        return WiringDiagram(n, tuple(braids), tuple(events), labels)
+    except RangeError:
+        # only now find the first seq entry out of range, so valid input is
+        # checked once, by WiringDiagram; with no strands that is the error
+        for i, entry in enumerate(entries if n >= 1 else ()):
+            try:
+                if isinstance(entry, tuple):
+                    check_braid_word(entry, n, RangeError)
+                else:
+                    _check_event(entry, n)
+            except RangeError as exc:
+                raise RangeError(exc.message, location=f"line {seq_line}, seq[{i}]") from None
+        raise
 
 
 def _braid_text(word: Word) -> str:

@@ -197,9 +197,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "validate", "--wire", work / "cancel.wire")
         assert code == 2 and out == ""
         assert json.loads(err) == {
-            "code": "range", "location": None,
+            "code": "range", "location": "line 2, seq[0]",
             "message": "braid letter 3 outside strand range 1..1",
         }
+
+    @pytest.mark.parametrize("n, seq, location, message", [
+        (3, "s5, I(1..2)", "line 2, seq[0]", "braid letter 5 outside strand range 1..2"),
+        (3, "T(3)", "line 2, seq[0]", "tangency at 3 outside 1..2"),
+        (3, "1, I(1..2), s1 s2', F(4), 1", "line 2, seq[3]", "free point at 4 outside 1..3"),
+        (0, "s1", None, "need at least one strand"),
+    ])
+    def test_range_errors_name_the_seq_entry(self, work, capsys, n, seq, location, message):
+        (work / "range.wire").write_text(f"strands {n}\nseq: {seq}\n")
+        code, out, err = run(capsys, "validate", "--wire", work / "range.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "range", "location": location, "message": message}
 
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component

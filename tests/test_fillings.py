@@ -6,6 +6,7 @@ import pytest
 from sandwich.errors import InternalInconsistencyError, RangeError, WeightMismatchError
 from sandwich.fillings import (
     FillingSummary,
+    _boundary_difference,
     SpinalOpenBook,
     combine_germs,
     compatible,
@@ -21,6 +22,7 @@ from sandwich.fillings import (
 from sandwich.mcg import (
     Factorization,
     braid_permutation,
+    exponent_sum,
     hurwitz_move,
     item_offset,
     item_word,
@@ -290,6 +292,25 @@ class TestCompatible:
         ok, report = compatible(fig, tc)
         assert not ok
         assert report.codes() == ("boundary-class",)
+
+    def test_boundary_class_names_the_separating_invariant(self):
+        # exponent sums agree (20 on both sides); the hole permutations do not
+        tc = two_cusp_cluster()
+        fig = figure()
+        assert exponent_sum(boundary_braid(fig)) == exponent_sum(boundary_braid(scott(tc))) == 20
+        _, report = compatible(fig, tc)
+        assert report.entries == ((
+            "boundary-class",
+            "boundary braid differs from the cluster layout: "
+            "hole permutation (4,3,2,1) against (2,1,4,3)",
+        ),)
+
+    def test_boundary_class_reasons_cheapest_first(self):
+        diff = _boundary_difference
+        assert diff((1, 2), (2, 1), 3) == "hole permutation (2,3,1) against (3,1,2)"
+        assert diff((1, 1), (), 2) == "exponent sum 2 against 0"
+        assert diff((1, 1, 2, -2), (2, 2), 3) == "normal forms differ"
+        assert diff((1, 2, 1), (2, 1, 2), 3) is None
 
     def test_wrong_row_sums_reported(self):
         tc = two_cusp_cluster()

@@ -1,0 +1,224 @@
+"""The Garside normal form of the braid layer, checked against the Artin
+action it replaced: braid equality, the words the action runs on, hole sets
+read off permutations, and the folded factorization product."""
+
+import random
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sandwich import fillings, mcg
+from sandwich.mcg import (
+    Factorization,
+    HoleArc,
+    HoleCurve,
+    artin_act,
+    braid_equal,
+    braid_permutation,
+    canonical_curve,
+    curve_holes,
+    cyclic_canonical,
+    half_twist,
+    inverse_word,
+    item_offset,
+    mc_compose,
+    mc_from_braid,
+    mc_identity,
+    mc_of_item,
+    normal_form,
+    normal_form_word,
+    perm_inverse,
+    reduce_word,
+)
+
+
+def reference_braid_equal(a, b, n):
+    """Equality through the (faithful) Artin action: equal images of every
+    generator.  Exponential in the word length; small inputs only."""
+    return all(artin_act(a, (g,), n) == artin_act(b, (g,), n) for g in range(1, n + 1))
+
+
+def reference_curve_holes(c):
+    """Holes of a curve or arc: generators with exponent sum 1 in its
+    canonical word."""
+    sums = {}
+    for a in cyclic_canonical(artin_act(inverse_word(c.conjugator), c.base_word, c.n)):
+        sums[abs(a)] = sums.get(abs(a), 0) + (1 if a > 0 else -1)
+    return frozenset(g for g, s in sums.items() if s == 1)
+
+
+def rand_word(rng, n, length):
+    return tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
+
+
+def with_trivial_inserts(rng, word, n, count):
+    """``word`` with ``count`` trivial words spliced in: s_i s_i' or s_i' s_i,
+    and (n >= 3) s_i s_{i+1} s_i s_{i+1}' s_i' s_{i+1}'."""
+    out = list(word)
+    for _ in range(count):
+        if n >= 3 and rng.random() < 0.5:
+            i = rng.randint(1, n - 2)
+            piece = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+        else:
+            i = rng.randint(1, n - 1)
+            piece = [i, -i] if rng.random() < 0.5 else [-i, i]
+        pos = rng.randint(0, len(out))
+        out[pos:pos] = piece
+    return tuple(out)
+
+
+def rand_item(rng, n):
+    g = rand_word(rng, n, rng.randint(0, 8))
+    kind = rng.choice(["cycle", "arc", "free"])
+    if kind == "arc":
+        return HoleArc(n, g, rng.randint(1, n - 1))
+    if kind == "free":
+        return HoleCurve(n, g, rng.randint(1, n), 0)
+    j = rng.randint(1, n - 1)
+    return HoleCurve(n, g, j, rng.randint(1, n - j))
+
+
+def left_weighted(a, b):
+    """No letter can move from the front of b to the end of a."""
+    inv = perm_inverse(b)
+    return not any(inv[i - 1] > inv[i] and a[i - 1] < a[i] for i in range(1, len(a)))
+
+
+class TestNormalForm:
+    def test_small_cases(self):
+        assert normal_form((), 3) == (0, ())
+        assert normal_form((1, -1), 3) == (0, ())
+        assert normal_form((1, 2, 1), 3) == (1, ())
+        assert normal_form((2, 1, 2), 3) == (1, ())
+        assert normal_form((-1,), 2) == (-1, ())
+        assert normal_form((1,), 3) == (0, ((2, 1, 3),))
+
+    def test_word_form(self):
+        assert normal_form_word((2, 1, 2), 3) == half_twist(1, 3)
+        assert normal_form_word((-2, -1, -2), 3) == inverse_word(half_twist(1, 3))
+        assert normal_form_word((1, 3), 4) == normal_form_word((3, 1), 4)
+
+    def test_factors_are_proper_and_left_weighted(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            inf, factors = normal_form(rand_word(rng, n, rng.randint(0, 14)), n)
+            ident = tuple(range(1, n + 1))
+            assert all(f not in (ident, ident[::-1]) for f in factors)
+            assert all(left_weighted(a, b) for a, b in zip(factors, factors[1:]))
+
+    def test_agrees_with_the_artin_action(self):
+        rng = random.Random(72)
+        equal = 0
+        for _ in range(1500):
+            n = rng.randint(2, 5)
+            a = rand_word(rng, n, rng.randint(0, 10))
+            if rng.random() < 0.5:
+                b = with_trivial_inserts(rng, a, n, rng.randint(1, 3))
+            else:
+                b = rand_word(rng, n, rng.randint(0, 10))
+            want = reference_braid_equal(a, b, n)
+            equal += want
+            assert braid_equal(a, b, n) == want, (a, b, n)
+        assert 600 < equal < 1400
+
+    def test_full_twist_is_not_trivial(self):
+        for n in range(2, 7):
+            delta = half_twist(1, n)
+            assert normal_form(delta + delta, n) == (2, ())
+            assert not braid_equal(delta + delta, (), n)
+            assert not reference_braid_equal(delta + delta, (), n)
+
+    def test_braid_equal_runs_no_artin_action(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("artin_act called")
+
+        monkeypatch.setattr(mcg, "artin_act", refuse)
+        assert braid_equal((1, 2, 1, -2, -1, -2), (), 3)
+        assert not braid_equal((1, 1), (), 2)
+
+    def test_range_checked(self):
+        with pytest.raises(mcg.StrandMismatchError):
+            normal_form((3, -3), 3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))), max_size=12),
+)))
+def test_normal_form_word_is_the_braid(case):
+    n, word = case
+    assert reference_braid_equal(normal_form_word(tuple(word), n), tuple(word), n)
+
+
+class TestShorterWord:
+    def test_canonical_curve_matches_the_raw_action(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            c = rand_item(rng, n)
+            raw = cyclic_canonical(artin_act(inverse_word(c.conjugator), c.base_word, n))
+            assert canonical_curve(c) == raw
+
+    def test_mc_from_braid_matches_the_raw_action(self):
+        rng = random.Random(74)
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            w = with_trivial_inserts(rng, rand_word(rng, n, rng.randint(0, 8)), n, 2)
+            mc = mc_from_braid(w, n)
+            assert mc.images == tuple(artin_act(w, (g,), n) for g in range(1, n + 1))
+            assert mc.perm == braid_permutation(w, n)
+
+    def test_trivial_insert_acts_as_nothing(self):
+        # P^k R P^-k with R = s1 s2 s1 s2' s1' s2' is trivial but not freely so
+        r = (1, 2, 1, -2, -1, -2)
+        word = (1, -2) * 6 + r + (2, -1) * 6
+        assert mc_from_braid(word, 3).images == mc_identity(3).images
+
+
+class TestHoleSets:
+    def test_matches_the_canonical_word(self):
+        rng = random.Random(75)
+        for _ in range(1000):
+            n = rng.randint(2, 6)
+            c = rand_item(rng, n)
+            assert curve_holes(c) == reference_curve_holes(c)
+
+    def test_free_cycle_offset(self):
+        rng = random.Random(76)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            c = HoleCurve(n, rand_word(rng, n, rng.randint(0, 8)), rng.randint(1, n), 0)
+            (hole,) = canonical_curve(c)
+            want = [0] * (n + 1)
+            want[hole - 1] = 2
+            assert item_offset(c) == tuple(want)
+
+
+class TestFoldedProduct:
+    def test_matches_the_composed_item_classes(self):
+        rng = random.Random(77)
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            fact = Factorization(n, tuple(rand_item(rng, n) for _ in range(rng.randint(0, 4))))
+            want = reduce(mc_compose, map(mc_of_item, fact.items), mc_identity(n))
+            got = fillings.factorization_product(fact)
+            assert (got.images, got.perm, got.ledger) == (want.images, want.perm, want.ledger)
+
+    def test_one_action_per_product(self, monkeypatch):
+        calls = []
+
+        def counted(word, n, ledger=None):
+            calls.append(word)
+            return mc_from_braid(word, n, ledger)
+
+        monkeypatch.setattr(fillings, "mc_from_braid", counted)
+        rng = random.Random(78)
+        fact = Factorization(4, tuple(rand_item(rng, 4) for _ in range(5)))
+        fillings.factorization_product(fact)
+        assert len(calls) == 1
+        assert reduce_word(calls[0]) == reduce_word(
+            tuple(a for item in fact.items for a in mcg.item_word(item)))
