@@ -83,95 +83,71 @@ def _read(path: str) -> str:
 _STRAND_STYLE = 'fill="none" stroke="black" stroke-width="0.05"'
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.3f}"
-
-
-def _seg(x0, y0, x1, y1) -> str:
-    return f"M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)}"
-
-
 def render(w: WiringDiagram, version: int = 1) -> str:
     """Strands as polylines left to right, position 1 at the bottom; one x
     unit per seq element, one y unit per strand position.  Crossings break
     the understrand; tangencies are filled diamonds, intersections filled
-    dots sized by strand count, free points open circles."""
+    dots sized by strand count, free points open circles.  Each coordinate
+    string is formatted once: ys[p] per position, x per letter or event."""
     n = w.n
-
-    def y(pos: int) -> float:
-        return n - pos + 1
-
+    ys = [f"{n - p + 1:.3f}" for p in range(n + 1)]
+    gap = 0.18
+    near, far = 0.5 - gap, 0.5 + gap
     paths: list[str] = []
     markers: list[str] = []
-    x = 0
-    positions = list(range(1, n + 1))  # positions currently in use, constant
 
-    def horizontal(x0, x1, skip=()):
-        for pos in positions:
-            if pos not in skip:
-                paths.append(_seg(x0, y(pos), x1, y(pos)))
+    def horizontal(a: str, b: str, lo: int, hi: int) -> None:
+        """Straight segments from x string a to b at positions outside lo..hi."""
+        paths.extend([f"M {a} {yp} L {b} {yp}" for yp in ys[1:lo] + ys[hi + 1 :]])
 
-    elements: list[tuple[str, object]] = []
-    for i, ev in enumerate(w.events):
-        elements.append(("braid", w.braids[i]))
-        elements.append(("event", ev))
-    elements.append(("braid", w.braids[len(w.events)]))
-
-    for kind, payload in elements:
-        if kind == "braid":
-            word = payload
-            if not word:
-                horizontal(x, x + 1)
-            else:
-                m = len(word)
-                # rightmost letter acts first, so it is drawn first
-                for t, letter in enumerate(reversed(word)):
-                    x0 = x + t / m
-                    x1 = x + (t + 1) / m
-                    i = abs(letter)
-                    ya, yb = y(i), y(i + 1)
-                    rising = _seg(x0, ya, x1, yb)
-                    falling = _seg(x0, yb, x1, ya)
-                    over = rising if letter > 0 else falling
-                    under = falling if letter > 0 else rising
-                    u0, u1 = (yb, ya) if letter > 0 else (ya, yb)
-                    xm, ym = (x0 + x1) / 2, (ya + yb) / 2
-                    gap = 0.18
-                    paths.append(over)
-                    paths.append(_seg(x0, u0, x0 + (0.5 - gap) * (x1 - x0), u0 + (0.5 - gap) * (u1 - u0)))
-                    paths.append(_seg(x0 + (0.5 + gap) * (x1 - x0), u0 + (0.5 + gap) * (u1 - u0), x1, u1))
-                    horizontal(x0, x1, skip=(i, i + 1))
-        else:
-            ev = payload
-            lo, hi = event_window(ev)
-            involved = range(lo, hi + 1)
-            yc = sum(y(p) for p in involved) / len(involved)
-            cx = x + 0.5
-            for p in involved:
-                paths.append(_seg(x, y(p), cx, yc))
-                paths.append(_seg(cx, yc, x + 1, y(p)))
-            horizontal(x, x + 1, skip=involved)
-            if isinstance(ev, Tangency):
-                r = 0.16
-                markers.append(
-                    f'<path class="tangency" fill="black" d="M {_fmt(cx)} {_fmt(yc - r)} '
-                    f'L {_fmt(cx + r)} {_fmt(yc)} L {_fmt(cx)} {_fmt(yc + r)} '
-                    f'L {_fmt(cx - r)} {_fmt(yc)} Z"/>'
-                )
-            elif isinstance(ev, Intersection):
-                r = 0.08 + 0.03 * len(involved)
-                markers.append(
-                    f'<circle class="intersection" fill="black" '
-                    f'cx="{_fmt(cx)}" cy="{_fmt(yc)}" r="{_fmt(r)}"/>'
-                )
-            else:
-                markers.append(
-                    f'<circle class="free" fill="white" stroke="black" stroke-width="0.04" '
-                    f'cx="{_fmt(cx)}" cy="{_fmt(yc)}" r="0.110"/>'
-                )
+    for j, (word, ev) in enumerate(zip(w.braids, w.events + (None,))):
+        x = 2 * j
+        m = len(word)
+        xf = [x + t / m for t in range(m + 1)] if m else [x, x + 1]
+        xs = [f"{v:.3f}" for v in xf]
+        if not m:
+            horizontal(xs[0], xs[1], 0, 0)
+        # rightmost letter acts first, so it is drawn first
+        for t, letter in enumerate(reversed(word)):
+            x0, x1 = xf[t], xf[t + 1]
+            i = abs(letter)
+            # the understrand runs from position p0 to p1, the overstrand back
+            p0, p1 = (i + 1, i) if letter > 0 else (i, i + 1)
+            u0, u1 = n - p0 + 1, n - p1 + 1
+            paths += (
+                f"M {xs[t]} {ys[p1]} L {xs[t + 1]} {ys[p0]}",
+                f"M {xs[t]} {ys[p0]} L {x0 + near * (x1 - x0):.3f} {u0 + near * (u1 - u0):.3f}",
+                f"M {x0 + far * (x1 - x0):.3f} {u0 + far * (u1 - u0):.3f} L {xs[t + 1]} {ys[p1]}",
+            )
+            horizontal(xs[t], xs[t + 1], i, i + 1)
+        if ev is None:
+            break
         x += 1
+        lo, hi = event_window(ev)
+        k = hi - lo + 1
+        cx, yc = x + 0.5, sum(n - p + 1 for p in range(lo, hi + 1)) / k
+        sx, sx1, scx, syc = f"{x:.3f}", f"{x + 1:.3f}", f"{cx:.3f}", f"{yc:.3f}"
+        for yp in ys[lo : hi + 1]:
+            paths += (f"M {sx} {yp} L {scx} {syc}", f"M {scx} {syc} L {sx1} {yp}")
+        horizontal(sx, sx1, lo, hi)
+        if isinstance(ev, Tangency):
+            r = 0.16
+            markers.append(
+                f'<path class="tangency" fill="black" d="M {scx} {yc - r:.3f} '
+                f'L {cx + r:.3f} {syc} L {scx} {yc + r:.3f} L {cx - r:.3f} {syc} Z"/>'
+            )
+        elif isinstance(ev, Intersection):
+            markers.append(
+                f'<circle class="intersection" fill="black" '
+                f'cx="{scx}" cy="{syc}" r="{0.08 + 0.03 * k:.3f}"/>'
+            )
+        else:
+            markers.append(
+                f'<circle class="free" fill="white" stroke="black" stroke-width="0.04" '
+                f'cx="{scx}" cy="{syc}" r="0.110"/>'
+            )
 
-    width = len(elements)
+    width = len(w.braids) + len(w.events)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.5 0 {width + 1} {n + 1}">',
         f"<!-- format {version} -->",

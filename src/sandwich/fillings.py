@@ -148,14 +148,12 @@ def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
     lexicographically; column kinds travel with their columns."""
     order = sorted(range(len(m.components)), key=lambda i: m.components[i])
     rows = [m.rows[i] for i in order]
-    cols = sorted(
-        ((tuple(row[j] for row in rows), m.kinds[j]) for j in range(len(m.kinds))),
-        reverse=True,
-    )
+    # zip(*rows) loses the shape of an empty matrix, so "or" restores it
+    cols = sorted(zip(list(zip(*rows)) or [()] * len(m.kinds), m.kinds), reverse=True)
     return IncidenceMatrix(
         tuple(m.components[i] for i in order),
-        tuple(tuple(col[0][i] for col in cols) for i in range(len(rows))),
-        tuple(col[1] for col in cols),
+        tuple(zip(*(col for col, _ in cols))) or ((),) * len(rows),
+        tuple(kind for _, kind in cols),
     )
 
 

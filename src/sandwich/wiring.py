@@ -350,11 +350,16 @@ def incidence(w: WiringDiagram) -> IncidenceMatrix:
     FreePoint in seq order; entries count that component's strands there."""
     event_ids = event_strands(w)
     _check_tangency_components(w, event_ids)
-    labels = tuple(sorted(w.component_strands()))
+    labels = tuple(sorted(set(w.components)))
+    row_of = {label: r for r, label in enumerate(labels)}
     counted = _component_counts(w, event_ids)
+    rows = [[0] * len(counted) for _ in labels]
+    for j, (_, counts) in enumerate(counted):
+        for label, count in counts.items():
+            rows[row_of[label]][j] = count
     return IncidenceMatrix(
         labels,
-        tuple(tuple(counts[label] for _, counts in counted) for label in labels),
+        tuple(map(tuple, rows)),
         tuple("free" if isinstance(ev, FreePoint) else "intersection" for ev, _ in counted),
     )
 
@@ -796,7 +801,7 @@ def parse_wire(text: str) -> WiringDiagram:
         elif stmt.startswith("components"):
             for group in stmt.split()[1:]:
                 label, _, positions = group.partition("=")
-                if not _ or not label:
+                if not _ or not label or not positions.strip(","):  # no position
                     raise FormatError(f"bad components group {group!r}", location=loc)
                 try:
                     components[label] = [int(x) for x in positions.split(",") if x]

@@ -41,9 +41,7 @@ from sandwich.plumbing import (
 )
 from sandwich.wiring import (
     EnclosureData,
-    FreePoint,
     IncidenceMatrix,
-    Intersection,
     Tangency,
     WiringDiagram,
     add_free_points,
@@ -64,6 +62,8 @@ from sandwich.fillings import (
     incidence_equiv,
     unexpected_arrangement,
 )
+
+from random_diagrams import rand_diagram
 
 FIG = (
     "strands 4\n"
@@ -95,28 +95,6 @@ def line_pair_graph():
 
 def tangency_count(w: WiringDiagram) -> int:
     return sum(1 for ev, _ in event_strands(w) if isinstance(ev, Tangency))
-
-
-def rand_diagram(rng, max_n=5, max_events=8) -> WiringDiagram:
-    n = rng.randint(1, max_n)
-    k = rng.randint(0, max_events)
-    events = []
-    braids = []
-    for _ in range(k):
-        braids.append(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                            for _ in range(rng.randint(0, 3))) if n > 1 else ())
-        kind = rng.random()
-        if n == 1 or kind < 0.25:
-            events.append(FreePoint(rng.randint(1, n)))
-        elif kind < 0.5:
-            events.append(Tangency(rng.randint(1, n - 1)))
-        else:
-            lo = rng.randint(1, n - 1)
-            hi = rng.randint(lo + 1, n)
-            events.append(Intersection(lo, hi))
-    braids.append(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                        for _ in range(rng.randint(0, 3))) if n > 1 else ())
-    return WiringDiagram(n, tuple(braids), tuple(events))
 
 
 def product_fingerprint(fact):

@@ -213,6 +213,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "range", "location": location, "message": message}
 
+    @pytest.mark.parametrize("group", ["B=", "B=,"])
+    def test_empty_components_group_is_two(self, work, capsys, group):
+        (work / "empty.wire").write_text(f"strands 2\ncomponents A=1,2 {group}\nseq: 1\n")
+        code, out, err = run(capsys, "incidence", "--wire", work / "empty.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "format", "location": "line 2",
+            "message": f"bad components group {group!r}",
+        }
+
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component
         (work / "w.wire").write_text("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")

@@ -45,11 +45,8 @@ from sandwich.plumbing import (
     plumbing_graph,
 )
 from sandwich.wiring import (
-    FreePoint,
     IncidenceMatrix,
-    Intersection,
     Tangency,
-    WiringDiagram,
     add_free_points,
     boundary_braid,
     combine,
@@ -60,6 +57,8 @@ from sandwich.wiring import (
     validate_wiring,
     vanishing_data,
 )
+
+from random_diagrams import rand_diagram
 
 FIG = (
     "strands 4\n"
@@ -96,28 +95,6 @@ def line_pair():
 def line_pair_cluster():
     g, aug = line_pair()
     return cluster_from_trace(blow_down(g, aug))
-
-
-def rand_diagram(rng, max_n=5, max_events=8):
-    n = rng.randint(1, max_n)
-    k = rng.randint(0, max_events)
-    events = []
-    braids = []
-    for _ in range(k):
-        braids.append(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                            for _ in range(rng.randint(0, 3))) if n > 1 else ())
-        kind = rng.random()
-        if n == 1 or kind < 0.25:
-            events.append(FreePoint(rng.randint(1, n)))
-        elif kind < 0.5:
-            events.append(Tangency(rng.randint(1, n - 1)))
-        else:
-            lo = rng.randint(1, n - 1)
-            hi = rng.randint(lo + 1, n)
-            events.append(Intersection(lo, hi))
-    braids.append(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                        for _ in range(rng.randint(0, 3))) if n > 1 else ())
-    return WiringDiagram(n, tuple(braids), tuple(events))
 
 
 def product_fingerprint(fact):

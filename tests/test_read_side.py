@@ -1,0 +1,282 @@
+"""The read side of a wiring diagram (`render`, `incidence`,
+`incidence_canonical`) against the implementations they replaced, kept here
+as oracles: the renderer that formatted every coordinate of every segment,
+rows built by looking every label up in every column's Counter, and columns
+transposed one generator at a time.  Output must agree byte for byte, and
+errors by class and message."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sandwich.cli import render
+from sandwich.errors import SandwichError
+from sandwich.fillings import incidence_canonical
+from sandwich.wiring import (
+    FreePoint,
+    IncidenceMatrix,
+    Intersection,
+    Tangency,
+    WiringDiagram,
+    _check_tangency_components,
+    _component_counts,
+    event_strands,
+    event_window,
+    incidence,
+)
+
+from random_diagrams import rand_diagram
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _fmt(v):
+    return f"{v:.3f}"
+
+
+def _seg(x0, y0, x1, y1):
+    return f"M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)}"
+
+
+def reference_render(w, version=1):
+    n = w.n
+
+    def y(pos):
+        return n - pos + 1
+
+    paths = []
+    markers = []
+    x = 0
+    positions = list(range(1, n + 1))
+
+    def horizontal(x0, x1, skip=()):
+        for pos in positions:
+            if pos not in skip:
+                paths.append(_seg(x0, y(pos), x1, y(pos)))
+
+    elements = []
+    for i, ev in enumerate(w.events):
+        elements.append(("braid", w.braids[i]))
+        elements.append(("event", ev))
+    elements.append(("braid", w.braids[len(w.events)]))
+
+    for kind, payload in elements:
+        if kind == "braid":
+            word = payload
+            if not word:
+                horizontal(x, x + 1)
+            else:
+                m = len(word)
+                for t, letter in enumerate(reversed(word)):
+                    x0 = x + t / m
+                    x1 = x + (t + 1) / m
+                    i = abs(letter)
+                    ya, yb = y(i), y(i + 1)
+                    rising = _seg(x0, ya, x1, yb)
+                    falling = _seg(x0, yb, x1, ya)
+                    over = rising if letter > 0 else falling
+                    u0, u1 = (yb, ya) if letter > 0 else (ya, yb)
+                    gap = 0.18
+                    paths.append(over)
+                    paths.append(_seg(x0, u0, x0 + (0.5 - gap) * (x1 - x0), u0 + (0.5 - gap) * (u1 - u0)))
+                    paths.append(_seg(x0 + (0.5 + gap) * (x1 - x0), u0 + (0.5 + gap) * (u1 - u0), x1, u1))
+                    horizontal(x0, x1, skip=(i, i + 1))
+        else:
+            ev = payload
+            lo, hi = event_window(ev)
+            involved = range(lo, hi + 1)
+            yc = sum(y(p) for p in involved) / len(involved)
+            cx = x + 0.5
+            for p in involved:
+                paths.append(_seg(x, y(p), cx, yc))
+                paths.append(_seg(cx, yc, x + 1, y(p)))
+            horizontal(x, x + 1, skip=involved)
+            if isinstance(ev, Tangency):
+                r = 0.16
+                markers.append(
+                    f'<path class="tangency" fill="black" d="M {_fmt(cx)} {_fmt(yc - r)} '
+                    f'L {_fmt(cx + r)} {_fmt(yc)} L {_fmt(cx)} {_fmt(yc + r)} '
+                    f'L {_fmt(cx - r)} {_fmt(yc)} Z"/>'
+                )
+            elif isinstance(ev, Intersection):
+                r = 0.08 + 0.03 * len(involved)
+                markers.append(
+                    f'<circle class="intersection" fill="black" '
+                    f'cx="{_fmt(cx)}" cy="{_fmt(yc)}" r="{_fmt(r)}"/>'
+                )
+            else:
+                markers.append(
+                    f'<circle class="free" fill="white" stroke="black" stroke-width="0.04" '
+                    f'cx="{_fmt(cx)}" cy="{_fmt(yc)}" r="0.110"/>'
+                )
+        x += 1
+
+    width = len(elements)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.5 0 {width + 1} {n + 1}">',
+        f"<!-- format {version} -->",
+        '<path class="strand" fill="none" stroke="black" stroke-width="0.05" '
+        f'd="{" ".join(paths)}"/>',
+    ]
+    lines.extend(markers)
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_incidence(w):
+    event_ids = event_strands(w)
+    _check_tangency_components(w, event_ids)
+    labels = tuple(sorted(w.component_strands()))
+    counted = _component_counts(w, event_ids)
+    return IncidenceMatrix(
+        labels,
+        tuple(tuple(counts[label] for _, counts in counted) for label in labels),
+        tuple("free" if isinstance(ev, FreePoint) else "intersection" for ev, _ in counted),
+    )
+
+
+def reference_incidence_canonical(m):
+    order = sorted(range(len(m.components)), key=lambda i: m.components[i])
+    rows = [m.rows[i] for i in order]
+    cols = sorted(
+        ((tuple(row[j] for row in rows), m.kinds[j]) for j in range(len(m.kinds))),
+        reverse=True,
+    )
+    return IncidenceMatrix(
+        tuple(m.components[i] for i in order),
+        tuple(tuple(col[0][i] for col in cols) for i in range(len(rows))),
+        tuple(col[1] for col in cols),
+    )
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def outcome(f, *args):
+    """repr of the value (types and all), or the error's class and message."""
+    try:
+        return "ok", repr(f(*args))
+    except SandwichError as exc:
+        return type(exc).__name__, exc.message
+
+
+def assert_read_side_agrees(w):
+    assert render(w, 1) == reference_render(w, 1)
+    got, want = outcome(incidence, w), outcome(reference_incidence, w)
+    assert got == want
+    if got[0] == "ok":
+        m = incidence(w)
+        assert outcome(incidence_canonical, m) == outcome(reference_incidence_canonical, m)
+
+
+def relabeled(w, rng, declared):
+    """w with declared components: ``declared`` merges the inferred
+    components under random labels (tangencies stay inside a component);
+    otherwise every strand gets a random label, often splitting a tangency."""
+    labels = "PQRS"
+    if declared:
+        names = {c: rng.choice(labels) for c in sorted(set(w.components))}
+        comps = tuple(names[c] for c in w.components)
+    else:
+        comps = tuple(rng.choice(labels) for _ in range(w.n))
+    return WiringDiagram(w.n, w.braids, w.events, comps)
+
+
+def arrangement(m, free_per_line=2, free_first=False):
+    """Generic arrangement of m lines, one strand each: every pair meets
+    once in I(q..q+1), the upper strand carried down by a conjugating braid
+    and back, and free points on every line."""
+    braids, events, pending = [], [], ()
+
+    def push(ev):
+        nonlocal pending
+        braids.append(pending)
+        events.append(ev)
+        pending = ()
+
+    free = [FreePoint(pos) for _ in range(free_per_line) for pos in range(1, m + 1)]
+    for ev in free if free_first else ():
+        push(ev)
+    for p in range(2, m + 1):
+        for q in range(1, p):
+            down = tuple(range(q + 1, p))
+            pending = down + pending
+            push(Intersection(q, q + 1))
+            pending = tuple(-a for a in reversed(down)) + pending
+    for ev in () if free_first else free:
+        push(ev)
+    braids.append(pending)
+    return WiringDiagram(m, tuple(braids), tuple(events), tuple(f"L{i:02d}" for i in range(m, 0, -1)))
+
+
+def test_random_diagrams_inferred_and_declared_components():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(1200):
+        w = rand_diagram(rng, max_n=7, max_events=10)
+        declared, scrambled = relabeled(w, rng, declared=True), relabeled(w, rng, declared=False)
+        for v in (w, declared, scrambled):
+            assert_read_side_agrees(v)
+        seen.update(type(ev).__name__ for ev in w.events)
+        seen.update("inverse" if a < 0 else "positive" for b in w.braids for a in b)
+        seen.update("empty braid" for b in w.braids if not b)
+        if w.n == 1:
+            seen.add("one strand")
+        seen.add(outcome(incidence, scrambled)[0])
+    # the set reaches every kind of event and letter, and rejected labels
+    assert seen >= {
+        "FreePoint", "Tangency", "Intersection", "inverse", "positive", "empty braid",
+        "one strand", "ok", "TangencyComponentMismatchError",
+    }
+
+
+def test_arrangements():
+    for m in range(8, 41, 4):
+        a, copy = arrangement(m), arrangement(m, free_first=True)
+        assert_read_side_agrees(a)
+        assert_read_side_agrees(copy)
+        assert incidence_canonical(incidence(a)) == incidence_canonical(incidence(copy))
+
+
+def test_canonical_form_of_built_matrices():
+    # shapes no diagram gives: no rows, and rows out of label order
+    rng = random.Random(8)
+    cases = [
+        IncidenceMatrix((), (), ()),
+        IncidenceMatrix((), (), ("free", "intersection")),
+        IncidenceMatrix(("b", "a"), ((), ()), ()),
+    ]
+    for _ in range(300):
+        r, c = rng.randint(0, 4), rng.randint(0, 5)
+        cases.append(IncidenceMatrix(
+            tuple(rng.sample("abcdef", r)),
+            tuple(tuple(rng.randint(0, 2) for _ in range(c)) for _ in range(r)),
+            tuple(rng.choice(("free", "intersection")) for _ in range(c)),
+        ))
+    for m in cases:
+        assert repr(incidence_canonical(m)) == repr(reference_incidence_canonical(m))
+
+
+@st.composite
+def diagrams(draw):
+    n = draw(st.integers(1, 6))
+    words, event_kinds = st.just(()), [st.integers(1, n).map(FreePoint)]
+    if n > 1:
+        letters = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+        words = st.lists(letters, max_size=4).map(tuple)
+        event_kinds.append(st.integers(1, n - 1).map(Tangency))
+        event_kinds.append(st.tuples(st.integers(1, n), st.integers(1, n))
+                           .filter(lambda t: t[0] < t[1]).map(lambda t: Intersection(*t)))
+    events = draw(st.lists(st.one_of(event_kinds), max_size=8))
+    braids = draw(st.lists(words, min_size=len(events) + 1, max_size=len(events) + 1))
+    labels = draw(st.none() | st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    return WiringDiagram(n, tuple(braids), tuple(events), tuple(labels or ()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(diagrams())
+def test_read_side_matches_oracles(w):
+    assert_read_side_agrees(w)

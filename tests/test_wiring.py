@@ -62,6 +62,8 @@ from sandwich.wiring import (
     wiring_from_vanishing,
 )
 
+from random_diagrams import rand_diagram
+
 FIG = """
 strands 4
 components A=2,3 B=1,4
@@ -89,28 +91,6 @@ def two_cusp_cluster():
         "b1": {"B": 1}, "b2": {"B": 1}, "fB": {"B": 1},
     }
     return cluster(["A", "B"], points, mults, weights=(8, 8))
-
-
-def rand_diagram(rng, max_n=5, max_events=8):
-    n = rng.randint(1, max_n)
-    k = rng.randint(0, max_events)
-    events = []
-    braids = []
-    for _ in range(k):
-        braids.append(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                            for _ in range(rng.randint(0, 3))) if n > 1 else ())
-        kind = rng.random()
-        if n == 1 or kind < 0.25:
-            events.append(FreePoint(rng.randint(1, n)))
-        elif kind < 0.5:
-            events.append(Tangency(rng.randint(1, n - 1)))
-        else:
-            lo = rng.randint(1, n - 1)
-            hi = rng.randint(lo + 1, n)
-            events.append(Intersection(lo, hi))
-    braids.append(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                        for _ in range(rng.randint(0, 3))) if n > 1 else ())
-    return WiringDiagram(n, tuple(braids), tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +139,13 @@ class TestWireFormat:
     def test_components_must_partition(self):
         with pytest.raises(FormatError):
             parse_wire("strands 2\ncomponents A=1\nseq: 1, T(1), 1\n")
+
+    def test_empty_components_group(self):
+        with pytest.raises(FormatError) as ei:
+            parse_wire("# header\nstrands 2\ncomponents A=1,2 B=\nseq: 1, T(1), 1\n")
+        assert (ei.value.message, ei.value.location) == ("bad components group 'B='", "line 3")
+        # empty entries between positions are still skipped
+        assert parse_wire("strands 2\ncomponents A=1,,2\nseq: 1\n").components == ("A", "A")
 
     def test_event_out_of_range(self):
         with pytest.raises(RangeError):
