@@ -67,10 +67,36 @@ def _write(text: str, out) -> None:
         Path(out).write_text(text)
 
 
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _dumps(x, indent: str = "") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte.  A list or
+    dict of scalars only goes to the C encoder, which ``indent`` would turn
+    off, with the newline and indent in its item separator; its brackets are
+    then re-wrapped.  Anything else recurses."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict) and x:
+        if _SCALARS.issuperset(map(type, x.values())):
+            body = json.dumps(x, separators=(sep, ": "), sort_keys=True)[1:-1]
+        else:
+            # json.dumps({k: 0})[1:-4] is the key as json writes it, whatever its type
+            body = sep.join([f"{json.dumps({k: 0})[1:-4]}: {_dumps(x[k], inner)}" for k in sorted(x)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(x, (list, tuple)) and x:
+        if _SCALARS.issuperset(map(type, x)):
+            body = json.dumps(x, separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join([_dumps(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(x)
+
+
 def _write_json(data: dict, out, version: int) -> None:
     payload = {"formatVersion": version}
     payload.update(data)
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _write(_dumps(payload) + "\n", out)
 
 
 def _read(path: str) -> str:
@@ -88,17 +114,23 @@ def render(w: WiringDiagram, version: int = 1) -> str:
     unit per seq element, one y unit per strand position.  Crossings break
     the understrand; tangencies are filled diamonds, intersections filled
     dots sized by strand count, free points open circles.  Each coordinate
-    string is formatted once: ys[p] per position, x per letter or event."""
+    string is formatted once: ys[p] per position, x per letter or event.
+    The straight segments outside each window are one template per call."""
     n = w.n
     ys = [f"{n - p + 1:.3f}" for p in range(n + 1)]
     gap = 0.18
     near, far = 0.5 - gap, 0.5 + gap
     paths: list[str] = []
     markers: list[str] = []
+    runs: dict[tuple[int, int], str] = {}  # straight segments per window, x as \0 and \1
 
     def horizontal(a: str, b: str, lo: int, hi: int) -> None:
         """Straight segments from x string a to b at positions outside lo..hi."""
-        paths.extend([f"M {a} {yp} L {b} {yp}" for yp in ys[1:lo] + ys[hi + 1 :]])
+        run = runs.get((lo, hi))
+        if run is None:
+            run = runs[lo, hi] = " ".join([f"M \0 {yp} L \1 {yp}" for yp in ys[1:lo] + ys[hi + 1 :]])
+        if run:  # an empty string would add a stray space to the path
+            paths.append(run.replace("\0", a).replace("\1", b))
 
     for j, (word, ev) in enumerate(zip(w.braids, w.events + (None,))):
         x = 2 * j

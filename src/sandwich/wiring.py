@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -96,8 +95,10 @@ class WiringDiagram:
             raise RangeError("need at least one strand")
         if len(self.braids) != len(self.events) + 1:
             raise RangeError("need exactly one braid word around every event")
-        object.__setattr__(self, "braids", tuple(
-            reduce_word(check_braid_word(b, self.n, RangeError)) for b in self.braids))
+        # each distinct word is checked and reduced once, in order of first use
+        reduced = {b: reduce_word(check_braid_word(b, self.n, RangeError))
+                   for b in dict.fromkeys(self.braids)}
+        object.__setattr__(self, "braids", tuple(map(reduced.__getitem__, self.braids)))
         object.__setattr__(self, "events", tuple(self.events))
         for ev in self.events:
             _check_event(ev, self.n)
@@ -218,13 +219,17 @@ def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
     return ValidationReport(tuple(entries))
 
 
-def _component_counts(w: WiringDiagram, event_ids) -> list[tuple[Singularity, Counter]]:
-    """Each Intersection or FreePoint with its strand count per component."""
-    return [
-        (ev, Counter(w.components[s - 1] for s in ids))
-        for ev, ids in event_ids
-        if not isinstance(ev, Tangency)
-    ]
+def _component_counts(w: WiringDiagram, event_ids) -> list[tuple[Singularity, dict[str, int]]]:
+    """Each Intersection or FreePoint with its strand count per component
+    present there, in order of first strand."""
+    comps, out = w.components, []
+    for ev, ids in event_ids:
+        if not isinstance(ev, Tangency):
+            counts: dict[str, int] = {}
+            for s in ids:
+                counts[comps[s - 1]] = counts.get(comps[s - 1], 0) + 1
+            out.append((ev, counts))
+    return out
 
 
 def _component_summary(w: WiringDiagram, event_ids):
@@ -780,6 +785,23 @@ def _parse_braid(chunk: str, lineno: int) -> Word:
     return tuple(letters)
 
 
+def _parse_entry(chunk: str, lineno: int, after_braid: bool) -> Word | Singularity:
+    """One seq entry: an event, or a braid word where none came just before
+    (that error is raised before the chunk is tokenized)."""
+    if not chunk:
+        raise FormatError("empty seq entry", location=f"line {lineno}")
+    m = _EVENT_RE.match(chunk)
+    if m is None:
+        if after_braid:
+            raise FormatError(f"two braid words in a row at {chunk!r}", location=f"line {lineno}")
+        return _parse_braid(chunk, lineno)
+    if m.group(1):
+        return Tangency(int(m.group(1)))
+    if m.group(2):
+        return Intersection(int(m.group(2)), int(m.group(3)))
+    return FreePoint(int(m.group(4)))
+
+
 def parse_wire(text: str) -> WiringDiagram:
     n = None
     components: dict[str, list[int]] = {}
@@ -793,13 +815,16 @@ def parse_wire(text: str) -> WiringDiagram:
                 statements.append((lineno, part.strip()))
     for lineno, stmt in statements:
         loc = f"line {lineno}"
-        if stmt.startswith("strands"):
+        words = stmt.split()
+        if words[0] == "strands":
+            if n is not None:
+                raise FormatError("duplicate strands", location=loc)
             try:
-                n = int(stmt.split()[1])
-            except (IndexError, ValueError) as exc:
+                (n,) = map(int, words[1:])
+            except ValueError as exc:
                 raise FormatError(f"bad strands line {stmt!r}", location=loc) from exc
-        elif stmt.startswith("components"):
-            for group in stmt.split()[1:]:
+        elif words[0] == "components":
+            for group in words[1:]:
                 label, _, positions = group.partition("=")
                 if not _ or not label or not positions.strip(","):  # no position
                     raise FormatError(f"bad components group {group!r}", location=loc)
@@ -823,27 +848,18 @@ def parse_wire(text: str) -> WiringDiagram:
     events: list[Singularity] = []
     entries: list[Word | Singularity] = []  # entries[i] parsed from seq[i]
     pending: Word | None = None
+    parsed: dict[str, Word | Singularity] = {}  # each distinct chunk is read once
     for chunk in seq_chunks:
-        if not chunk:
-            raise FormatError("empty seq entry", location=f"line {seq_line}")
-        m = _EVENT_RE.match(chunk)
-        if m:
+        entry = parsed.get(chunk)
+        if entry is None or (pending is not None and isinstance(entry, tuple)):
+            entry = parsed[chunk] = _parse_entry(chunk, seq_line, pending is not None)
+        if isinstance(entry, tuple):
+            pending = entry
+        else:
             braids.append(pending if pending is not None else ())
             pending = None
-            if m.group(1):
-                events.append(Tangency(int(m.group(1))))
-            elif m.group(2):
-                events.append(Intersection(int(m.group(2)), int(m.group(3))))
-            else:
-                events.append(FreePoint(int(m.group(4))))
-            entries.append(events[-1])
-        else:
-            if pending is not None:
-                raise FormatError(
-                    f"two braid words in a row at {chunk!r}", location=f"line {seq_line}"
-                )
-            pending = _parse_braid(chunk, seq_line)
-            entries.append(pending)
+            events.append(entry)
+        entries.append(entry)
     braids.append(pending if pending is not None else ())
 
     labels: tuple[str, ...] = ()

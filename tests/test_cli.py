@@ -223,6 +223,18 @@ class TestExitCodes:
             "message": f"bad components group {group!r}",
         }
 
+    @pytest.mark.parametrize("header, message, location", [
+        ("strandsfoo 2", "unrecognized statement 'strandsfoo 2'", "line 1"),
+        ("strands 2\ncomponentsX A=1,2", "unrecognized statement 'componentsX A=1,2'", "line 2"),
+        ("strands 2 4", "bad strands line 'strands 2 4'", "line 1"),
+        ("strands 2\nstrands 3", "duplicate strands", "line 2"),
+    ])
+    def test_inexact_header_is_two(self, work, capsys, header, message, location):
+        (work / "head.wire").write_text(f"{header}\nseq: 1, T(1), 1\n")
+        code, out, err = run(capsys, "validate", "--wire", work / "head.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component
         (work / "w.wire").write_text("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")

@@ -1,29 +1,38 @@
-"""The read side of a wiring diagram (`render`, `incidence`,
+"""The read side of a wiring diagram (`parse_wire`, `render`, `incidence`,
 `incidence_canonical`) against the implementations they replaced, kept here
-as oracles: the renderer that formatted every coordinate of every segment,
-rows built by looking every label up in every column's Counter, and columns
+as oracles: the parser that read every seq chunk and checked every braid
+word, the renderer that formatted every coordinate of every segment, rows
+built by looking every label up in every column's Counter, and columns
 transposed one generator at a time.  Output must agree byte for byte, and
-errors by class and message."""
+errors by class and message (and location, for the parser)."""
 
 import random
+import re
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandwich.cli import render
-from sandwich.errors import SandwichError
+from sandwich.errors import FormatError, RangeError, SandwichError
 from sandwich.fillings import incidence_canonical
+from sandwich.mcg import check_braid_word
 from sandwich.wiring import (
+    _BRAID_RE,
+    _EVENT_RE,
     FreePoint,
     IncidenceMatrix,
     Intersection,
     Tangency,
     WiringDiagram,
+    _check_event,
     _check_tangency_components,
-    _component_counts,
     event_strands,
     event_window,
     incidence,
+    parse_wire,
+    serialize_wire,
 )
 
 from random_diagrams import rand_diagram
@@ -129,7 +138,8 @@ def reference_incidence(w):
     event_ids = event_strands(w)
     _check_tangency_components(w, event_ids)
     labels = tuple(sorted(w.component_strands()))
-    counted = _component_counts(w, event_ids)
+    counted = [(ev, Counter(w.components[s - 1] for s in ids))
+               for ev, ids in event_ids if not isinstance(ev, Tangency)]
     return IncidenceMatrix(
         labels,
         tuple(tuple(counts[label] for _, counts in counted) for label in labels),
@@ -151,6 +161,114 @@ def reference_incidence_canonical(m):
     )
 
 
+def reference_parse_braid(chunk, lineno):
+    if chunk == "1":
+        return ()
+    letters = []
+    for tok in chunk.split():
+        m = _BRAID_RE.match(tok)
+        if not m:
+            raise FormatError(f"bad braid token {tok!r}", location=f"line {lineno}")
+        i = int(m.group(1))
+        letters.append(-i if m.group(2) else i)
+    return tuple(letters)
+
+
+def reference_parse_wire(text):
+    """The parser that read every seq chunk in turn and checked every braid
+    word in seq order.  Its headers matched keywords by prefix; the corpus
+    below only ever mutates the seq line, where that does not matter."""
+    n = None
+    components = {}
+    seq_chunks = None
+    seq_line = 0
+    statements = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for part in line.split(";"):
+            if part.strip():
+                statements.append((lineno, part.strip()))
+    for lineno, stmt in statements:
+        loc = f"line {lineno}"
+        if stmt.startswith("strands"):
+            try:
+                n = int(stmt.split()[1])
+            except (IndexError, ValueError) as exc:
+                raise FormatError(f"bad strands line {stmt!r}", location=loc) from exc
+        elif stmt.startswith("components"):
+            for group in stmt.split()[1:]:
+                label, _, positions = group.partition("=")
+                if not _ or not label or not positions.strip(","):
+                    raise FormatError(f"bad components group {group!r}", location=loc)
+                try:
+                    components[label] = [int(x) for x in positions.split(",") if x]
+                except ValueError as exc:
+                    raise FormatError(f"bad components group {group!r}", location=loc) from exc
+        elif stmt.startswith("seq:"):
+            if seq_chunks is not None:
+                raise FormatError("duplicate seq", location=loc)
+            seq_chunks = [c.strip() for c in stmt[4:].split(",")]
+            seq_line = lineno
+        else:
+            raise FormatError(f"unrecognized statement {stmt!r}", location=loc)
+    if n is None:
+        raise FormatError("missing strands header")
+    if seq_chunks is None:
+        raise FormatError("missing seq")
+
+    braids, events, entries = [], [], []
+    pending = None
+    for chunk in seq_chunks:
+        if not chunk:
+            raise FormatError("empty seq entry", location=f"line {seq_line}")
+        m = _EVENT_RE.match(chunk)
+        if m:
+            braids.append(pending if pending is not None else ())
+            pending = None
+            if m.group(1):
+                events.append(Tangency(int(m.group(1))))
+            elif m.group(2):
+                events.append(Intersection(int(m.group(2)), int(m.group(3))))
+            else:
+                events.append(FreePoint(int(m.group(4))))
+            entries.append(events[-1])
+        else:
+            if pending is not None:
+                raise FormatError(
+                    f"two braid words in a row at {chunk!r}", location=f"line {seq_line}"
+                )
+            pending = reference_parse_braid(chunk, seq_line)
+            entries.append(pending)
+    braids.append(pending if pending is not None else ())
+
+    labels = ()
+    if components:
+        assigned = {}
+        for label, positions in components.items():
+            for p in positions:
+                if not 1 <= p <= n or p in assigned:
+                    raise FormatError(f"components do not partition strands 1..{n}")
+                assigned[p] = label
+        if len(assigned) != n:
+            raise FormatError(f"components do not partition strands 1..{n}")
+        labels = tuple(assigned[p] for p in range(1, n + 1))
+    try:
+        if n >= 1:
+            for b in braids:  # every word, in seq order
+                check_braid_word(b, n, RangeError)
+        return WiringDiagram(n, tuple(braids), tuple(events), labels)
+    except RangeError:
+        for i, entry in enumerate(entries if n >= 1 else ()):
+            try:
+                if isinstance(entry, tuple):
+                    check_braid_word(entry, n, RangeError)
+                else:
+                    _check_event(entry, n)
+            except RangeError as exc:
+                raise RangeError(exc.message, location=f"line {seq_line}, seq[{i}]") from None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -161,6 +279,14 @@ def outcome(f, *args):
         return "ok", repr(f(*args))
     except SandwichError as exc:
         return type(exc).__name__, exc.message
+
+
+def parse_outcome(f, text):
+    """repr of the diagram, or the error's class, message and location."""
+    try:
+        return "ok", repr(f(text))
+    except SandwichError as exc:
+        return type(exc).__name__, exc.message, exc.location
 
 
 def assert_read_side_agrees(w):
@@ -280,3 +406,79 @@ def diagrams(draw):
 @given(diagrams())
 def test_read_side_matches_oracles(w):
     assert_read_side_agrees(w)
+
+
+# ---------------------------------------------------------------------------
+# parse_wire
+
+
+_NOISE = "s123'TIF().,; x"
+
+
+def mutated(text, rng):
+    """text with one to three random edits to its seq line: a character
+    dropped, inserted or changed, or a chunk repeated or swapped with the
+    next, so chunks read before come round again in new places."""
+    head, _, seq = text.rpartition("seq:")
+    for _ in range(rng.randint(1, 3)):
+        chunks = seq.split(",")
+        kind = rng.randrange(5)
+        i = rng.randrange(len(seq) + 1)
+        if kind == 0:
+            seq = seq[:i] + seq[i + 1 :]
+        elif kind == 1:
+            seq = seq[:i] + rng.choice(_NOISE) + seq[i:]
+        elif kind == 2 and seq:
+            i = min(i, len(seq) - 1)
+            seq = seq[:i] + rng.choice(_NOISE) + seq[i + 1 :]
+        elif kind == 3:
+            j = rng.randrange(len(chunks))
+            seq = ",".join(chunks[: j + 1] + chunks[j:])
+        elif len(chunks) > 1:
+            j = rng.randrange(len(chunks) - 1)
+            chunks[j], chunks[j + 1] = chunks[j + 1], chunks[j]
+            seq = ",".join(chunks)
+    return head + "seq:" + seq
+
+
+def test_parse_wire_matches_reference_on_random_and_mutated_texts():
+    rng = random.Random(9)
+    texts = [serialize_wire(rand_diagram(rng, max_n=6, max_events=12)) for _ in range(3000)]
+    texts += [serialize_wire(arrangement(m)) for m in range(8, 41, 8)]
+    texts += [mutated(t, rng) for t in texts for _ in range(3)]
+    seen = Counter()
+    for text in texts:
+        got = parse_outcome(parse_wire, text)
+        assert got == parse_outcome(reference_parse_wire, text), text
+        seen[got[0] if got[0] != "FormatError" else re.sub(r" ['\"].*", "", got[1])] += 1
+    # valid diagrams and every kind of seq error occur, not just one
+    assert seen["ok"] >= 3000 and sum(seen.values()) - seen["ok"] >= 3000
+    assert {"bad braid token", "two braid words in a row at", "empty seq entry",
+            "RangeError"} <= set(seen), seen
+
+
+@pytest.mark.parametrize("seq, message", [
+    # a non-event chunk after a braid word is not tokenized
+    ("s1, x(3)", "two braid words in a row at 'x(3)'"),
+    # nor is a chunk read before, when it comes round again after a braid word
+    ("s1, T(1), s1, s1", "two braid words in a row at 's1'"),
+    ("1, T(1), 1, 1", "two braid words in a row at '1'"),
+    ("s1, T(1), , T(1)", "empty seq entry"),
+    ("x(3), s1", "bad braid token 'x(3)'"),
+])
+def test_seq_error_precedence(seq, message):
+    text = f"strands 2\nseq: {seq}\n"
+    want = ("FormatError", message, "line 2")
+    assert parse_outcome(parse_wire, text) == parse_outcome(reference_parse_wire, text) == want
+
+
+def test_repeated_chunks_check_each_word_once_in_order_of_first_use():
+    # the first bad word in seq order is the one reported, with its entry
+    text = "strands 2\nseq: s1, T(1), s4, T(1), s1, T(1), s3, T(1), s4\n"
+    want = ("RangeError", "braid letter 4 outside strand range 1..1", "line 2, seq[2]")
+    assert parse_outcome(parse_wire, text) == parse_outcome(reference_parse_wire, text) == want
+    w = parse_wire("strands 3\nseq: s1 s2 s2', T(1), s1 s2 s2', I(1..3), s1\n")
+    assert w.braids == ((1,), (1,), (1,))
+    # built directly, the diagram reports its first bad word in seq order
+    with pytest.raises(RangeError, match="braid letter 4 outside"):
+        WiringDiagram(2, ((1,), (4,), (1,), (3,), (4,)), (Tangency(1),) * 4)

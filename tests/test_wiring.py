@@ -147,6 +147,29 @@ class TestWireFormat:
         # empty entries between positions are still skipped
         assert parse_wire("strands 2\ncomponents A=1,,2\nseq: 1\n").components == ("A", "A")
 
+    @pytest.mark.parametrize("text, message, location", [
+        # header keywords match whole words, not prefixes
+        ("strandsfoo 3\nseq: 1\n", "unrecognized statement 'strandsfoo 3'", "line 1"),
+        ("strands 3\ncomponentsX A=1,2,3\nseq: 1\n",
+         "unrecognized statement 'componentsX A=1,2,3'", "line 2"),
+        # exactly one integer after strands
+        ("strands 3 4\nseq: 1\n", "bad strands line 'strands 3 4'", "line 1"),
+        ("strands\nseq: 1\n", "bad strands line 'strands'", "line 1"),
+        ("strands x\nseq: 1\n", "bad strands line 'strands x'", "line 1"),
+        # a second strands line is rejected like a second seq
+        ("strands 2\nstrands 3\nseq: 1\n", "duplicate strands", "line 2"),
+        ("strands 2; strands 2\nseq: 1\n", "duplicate strands", "line 1"),
+        ("strands 2\nseq: 1\nseq: 1\n", "duplicate seq", "line 3"),
+    ])
+    def test_header_keywords_are_exact(self, text, message, location):
+        with pytest.raises(FormatError) as ei:
+            parse_wire(text)
+        assert (ei.value.message, ei.value.location) == (message, location)
+
+    def test_header_keywords_still_split_on_whitespace(self):
+        w = parse_wire("strands\t3\ncomponents  A=1,2\tB=3\nseq: 1\n")
+        assert w.n == 3 and w.components == ("A", "A", "B")
+
     def test_event_out_of_range(self):
         with pytest.raises(RangeError):
             parse_wire("strands 2\nseq: 1, I(2..1), 1\n")

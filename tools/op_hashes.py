@@ -1,0 +1,69 @@
+"""One sha256 per benchmark op, to check that a change keeps every output.
+
+    python3 tools/op_hashes.py CHECKOUT > hashes.txt
+
+Imports ``perfbench/workloads.py`` and the package under ``src/`` of the
+git checkout CHECKOUT, and writes nothing inside it.  Every op of the three
+workload plans runs once at seed 7, in a fixed work directory under the
+system's temporary directory: ``unexpected`` echoes its output paths, so a
+fresh temporary name would make every run differ.  Each line is
+``workload<TAB>op label<TAB>sha256``; the hash covers the exit code,
+stdout, stderr and the files the op writes (a library op: the repr of its
+result, or its exception).  Run it once per checkout and diff the lines.
+"""
+
+import hashlib
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 7
+WORK = Path(tempfile.gettempdir()) / "sandwich-op-hashes"
+
+
+def op_digest(op, workloads) -> str:
+    try:
+        result = op.run()
+    except Exception as exc:  # an op that raises is hashed by its error
+        result = f"raised {type(exc).__name__}: {exc}"
+    h = hashlib.sha256()
+    if isinstance(result, workloads.CliResult):
+        for part in (str(result.code), result.stdout, result.stderr):
+            h.update(part.encode() + b"\0")
+        for path in op.outputs:
+            h.update(path.read_bytes() if path.exists() else b"(missing)")
+            h.update(b"\0")
+    else:
+        h.update(repr(result).encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]).resolve()
+    if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
+        print(f"no src/sandwich in {checkout}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workloads
+
+    for name, build in workloads.WORKLOADS.items():
+        shutil.rmtree(WORK, ignore_errors=True)
+        WORK.mkdir(parents=True)
+        api = workloads.Api()
+        if checkout not in Path(api.cli.__file__).resolve().parents:
+            print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
+            return 2
+        plan = build(api, workloads.Names(SEED), WORK)
+        for op in plan.setup_checks + plan.ops:
+            print(f"{name}\t{op.label}\t{op_digest(op, workloads)}", flush=True)
+    shutil.rmtree(WORK, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
