@@ -140,7 +140,7 @@ def validate_graph(g: PlumbingGraph) -> ValidationReport:
 @dataclass(frozen=True)
 class BlowStep:
     curve: str
-    mults: tuple[int, ...]
+    mults: tuple[tuple[int, int], ...]  # (curvetta column, multiplicity), nonzero only
     prox: tuple[str, ...]
     simple: bool
 
@@ -166,6 +166,7 @@ def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace
     curve enters it at most once and leaves it for good."""
     euler = dict(g.vertices)
     curvettas = aug.curvettas()
+    col = {c: k for k, c in enumerate(curvettas)}
     taken = set(euler) | set(curvettas)
     for cname, vname in aug.arrows:
         if vname not in euler:
@@ -211,7 +212,7 @@ def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace
         around = meet.pop(e)
         for x in around:
             del meet[x][e]
-        mults = tuple(around.get(c, 0) for c in curvettas)
+        mults = tuple(sorted((col[x], m) for x, m in around.items() if x in col))
         prox = tuple(sorted(x for x in around if x in euler))
         simple = all(around[x] <= 1 for x in prox)
         for x in prox:
@@ -297,15 +298,19 @@ def germ_from_trace(trace: BlowDownTrace, aug: Augmentation) -> DecoratedGerm:
     ``germ_from_augmentation``."""
     if not trace.steps:
         raise RangeError("empty configuration has no germ")
+    seqs: list[list[int]] = [[] for _ in aug.arrows]
+    for s in trace.steps:
+        for i, m in s.mults:
+            seqs[i].append(m)
+    last = dict(trace.steps[-1].mults)
     branches = []
     for i, (cname, vname) in enumerate(aug.arrows):
-        seq = tuple(s.mults[i] for s in trace.steps if s.mults[i] > 0)
+        seq = tuple(seqs[i])
         if not seq:
             raise InternalInconsistencyError(f"curvetta {cname} never met a contracted curve")
-        d = trace.steps[-1].mults[i]
-        if d <= 0:
+        if i not in last:
             raise InternalInconsistencyError(f"branch {cname} missed the final blow-down step")
-        branches.append(Branch(cname, seq, sum(seq), d, delta(seq), vname))
+        branches.append(Branch(cname, seq, sum(seq), last[i], delta(seq), vname))
     noether = _pair_sums((s.mults for s in trace.steps), len(branches))
     for i in range(len(branches)):
         for k in range(i + 1, len(branches)):
@@ -318,12 +323,12 @@ def germ_from_trace(trace: BlowDownTrace, aug: Augmentation) -> DecoratedGerm:
 
 
 def _pair_sums(rows, nb: int) -> list[list[int]]:
-    """Sum of row[i] * row[k] over the rows, for each pair i != k of the nb
-    columns (0 on the diagonal); each row only pairs its nonzero entries."""
+    """Sum of a * b over the rows, for each pair i != k of the nb columns
+    (0 on the diagonal); each row is an iterable of its nonzero (column,
+    multiplicity) pairs."""
     sums = [[0] * nb for _ in range(nb)]
     for row in rows:
-        nz = [(i, m) for i, m in enumerate(row) if m]
-        for (i, a), (k, b) in itertools.combinations(nz, 2):
+        for (i, a), (k, b) in itertools.combinations(row, 2):
             sums[i][k] += a * b
             sums[k][i] += a * b
     return sums
@@ -359,12 +364,13 @@ class ClusterIndex:
 
 @dataclass(frozen=True)
 class Cluster:
-    """Points in row order, with one multiplicity per (point, branch).  The
+    """Points in row order; each point's row maps the column of every
+    branch through it to its multiplicity, and holds no zeros.  The
     structure is validated and indexed once per object, by ``indexed``."""
 
     branches: tuple[str, ...]
     points: tuple[ClusterPoint, ...]
-    mults: tuple[tuple[int, ...], ...]  # aligned points x branches
+    mults: tuple[dict[int, int], ...]  # aligned with points
     weights: tuple[int, ...] | None = None
 
     def index(self, pid: str) -> int:
@@ -374,7 +380,7 @@ class Cluster:
         raise RangeError(f"unknown cluster point {pid}")
 
     def mult(self, pid: str, branch: str) -> int:
-        return self.mults[self.index(pid)][self.branches.index(branch)]
+        return self.mults[self.index(pid)].get(self.branches.index(branch), 0)
 
     @functools.cached_property
     def indexed(self) -> ClusterIndex:
@@ -394,10 +400,11 @@ def cluster(branches, points, mults, weights=None) -> Cluster:
         if parent in (None, "root"):
             parent = None
         pts.append(ClusterPoint(pid, parent, prox))
+    col = {b: k for k, b in enumerate(branches)}
     rows = []
     for p in pts:
-        row = mults.get(p.id, {})
-        rows.append(tuple(int(row.get(b, 0)) for b in branches))
+        row = {col[b]: int(m) for b, m in mults.get(p.id, {}).items() if b in col}
+        rows.append({k: m for k, m in row.items() if m})
     w = tuple(weights) if weights is not None else None
     return Cluster(branches, tuple(pts), tuple(rows), w)
 
@@ -458,21 +465,30 @@ def _index_cluster(c: Cluster) -> ClusterIndex:
         for q in _prox_set(p):
             proximate[row[q]].append(i)
 
-    nb = len(c.branches)
+    # each row is summed into the (at most two) rows it is proximate to;
+    # columns are checked in column order, so the failure reported is the
+    # lowest column's at the first failing point
+    chains: list[list[int]] = [[] for _ in c.branches]
+    sums = [0] * len(c.branches)
     for i, p in enumerate(c.points):
-        for b in range(nb):
-            if c.mults[i][b] < 0:
+        mine, total = c.mults[i], {}
+        for r in proximate[i]:
+            for b, m in c.mults[r].items():
+                total[b] = total.get(b, 0) + m
+        for b in sorted(mine.keys() | total.keys()):
+            m = mine.get(b, 0)
+            if m < 0:
                 raise ProximityViolationError(f"negative multiplicity at {p.id}")
-            total = sum(c.mults[r][b] for r in proximate[i])
-            if c.mults[i][b] < total:
+            if m < total.get(b, 0):
                 raise ProximityViolationError(
                     f"proximity inequality fails for branch {c.branches[b]} at {p.id}: "
-                    f"{c.mults[i][b]} < {total}"
+                    f"{m} < {total[b]}"
                 )
+        for b, m in mine.items():
+            chains[b].append(i)
+            sums[b] += m
 
-    chains = []
-    for b in range(nb):
-        support = [i for i in range(len(ids)) if c.mults[i][b] > 0]
+    for b, support in enumerate(chains):
         if not support:
             raise ProximityViolationError(f"branch {c.branches[b]} has no points")
         if c.points[support[0]].parent is not None:
@@ -485,10 +501,7 @@ def _index_cluster(c: Cluster) -> ClusterIndex:
                 )
         if len({c.points[i].parent for i in support[1:]}) < len(support) - 1:
             raise ProximityViolationError(f"branch {c.branches[b]} support forks")
-        chains.append(support)
-
-    sums = tuple(sum(c.mults[i][b] for i in range(len(ids))) for b in range(nb))
-    return ClusterIndex(row, children, proximate, chains, sums)
+    return ClusterIndex(row, children, proximate, chains, tuple(sums))
 
 
 def check_cluster(c: Cluster) -> tuple[int, ...]:
@@ -527,7 +540,7 @@ def graph_from_cluster(c: Cluster) -> tuple[PlumbingGraph, Augmentation]:
                 f"branch {c.branches[b]} has weight 1; a single free point cannot "
                 "be presented as a plumbing graph with an arrow"
             )
-        if c.mults[f][b] != 1 or any(c.mults[f][k] > 0 for k in range(len(c.branches)) if k != b):
+        if c.mults[f] != {b: 1}:
             raise ProximityViolationError(
                 f"final point {fp.id} of branch {c.branches[b]} must be simple and private"
             )
@@ -539,7 +552,7 @@ def graph_from_cluster(c: Cluster) -> tuple[PlumbingGraph, Augmentation]:
         # blow-down multiplicities are the proximity closure of the final
         # point, so slack anywhere else has no graph presentation
         for i in chain[:-1]:
-            total = sum(c.mults[r][b] for r in ix.proximate[i])
+            total = sum(c.mults[r].get(b, 0) for r in ix.proximate[i])
             if c.mults[i][b] != total:
                 raise ProximityViolationError(
                     f"branch {c.branches[b]} has multiplicity {c.mults[i][b]} at "
@@ -576,7 +589,7 @@ def germ_from_cluster(c: Cluster) -> DecoratedGerm:
         f = c.points[chain[-1]]
         sits = f.parent if f.parent is not None else f.id
         branches.append(Branch(name, seq, sums[b], c.mults[chain[0]][b], delta(seq), sits))
-    pairwise = tuple(map(tuple, _pair_sums(c.mults, len(c.branches))))
+    pairwise = tuple(map(tuple, _pair_sums(map(dict.items, c.mults), len(c.branches))))
     return DecoratedGerm(tuple(branches), root, pairwise)
 
 
@@ -586,7 +599,6 @@ def cluster_from_trace(trace: BlowDownTrace) -> Cluster:
     it met when contracted, with the earliest-contracted one as parent."""
     order = {s.curve: j for j, s in enumerate(trace.steps)}
     points = []
-    rows = []
     for s in reversed(trace.steps):
         if not s.simple:
             raise ProximityViolationError(
@@ -597,19 +609,20 @@ def cluster_from_trace(trace: BlowDownTrace) -> Cluster:
             extra = tuple(sorted((v for v in s.prox if v != parent), key=lambda v: order[v]))
         else:
             parent, extra = None, ()
-        points.append((s.curve, parent, extra))
-        rows.append(s.mults)
-    mults = {pid: dict(zip(trace.curvettas, row)) for (pid, _, _), row in zip(points, rows)}
-    return cluster(trace.curvettas, points, mults)
+        points.append(ClusterPoint(s.curve, parent, extra))
+    rows = tuple(dict(s.mults) for s in reversed(trace.steps))
+    return Cluster(trace.curvettas, tuple(points), rows)
 
 
 def subcluster(c: Cluster, branch_names) -> Cluster:
-    """Restrict to a subset of branches: keep points where the subset has
-    positive total multiplicity."""
+    """Restrict to a subset of distinct branches: keep points where the
+    subset has positive multiplicity."""
     keep_b = [c.branches.index(b) for b in branch_names]
     if not keep_b:
         raise RangeError("empty branch subset")
-    keep_p = [i for i in range(len(c.points)) if any(c.mults[i][b] > 0 for b in keep_b)]
+    new = {b: k for k, b in enumerate(keep_b)}  # old column -> new column
+    rows = [{new[b]: m for b, m in row.items() if b in new} for row in c.mults]
+    keep_p = [i for i, row in enumerate(rows) if any(m > 0 for m in row.values())]
     kept_ids = {c.points[i].id for i in keep_p}
     points = []
     for i in keep_p:
@@ -617,7 +630,7 @@ def subcluster(c: Cluster, branch_names) -> Cluster:
         if p.parent is not None and p.parent not in kept_ids:
             raise InternalInconsistencyError(f"point {p.id} lost its parent in the subcluster")
         points.append(ClusterPoint(p.id, p.parent, tuple(q for q in p.prox if q in kept_ids)))
-    mults = tuple(tuple(c.mults[i][b] for b in keep_b) for i in keep_p)
+    mults = tuple(rows[i] for i in keep_p)
     weights = tuple(c.weights[b] for b in keep_b) if c.weights is not None else None
     return Cluster(tuple(c.branches[b] for b in keep_b), tuple(points), mults, weights)
 
@@ -901,7 +914,7 @@ def serialize_germ(c: Cluster) -> str:
             line += " prox " + ",".join(p.prox)
         out.append(line)
     for i, p in enumerate(c.points):
-        parts = [f"{b}={c.mults[i][k]}" for k, b in enumerate(c.branches) if c.mults[i][k] > 0]
+        parts = [f"{c.branches[k]}={m}" for k, m in sorted(c.mults[i].items()) if m > 0]
         if parts:
             out.append(f"mult {p.id} " + " ".join(parts))
     if c.weights is not None:
@@ -933,11 +946,13 @@ def germ_json(germ: DecoratedGerm) -> dict:
 
 
 def trace_json(trace: BlowDownTrace) -> dict:
+    columns = range(len(trace.curvettas))
     return {
         "curvettas": list(trace.curvettas),
         "steps": [
-            {"curve": s.curve, "multiplicities": list(s.mults), "proximateTo": list(s.prox)}
+            {"curve": s.curve, "multiplicities": [m.get(k, 0) for k in columns], "proximateTo": list(s.prox)}
             for s in trace.steps
+            for m in [dict(s.mults)]
         ],
         "lastVertex": trace.last_vertex,
         "pairwise": [list(row) for row in trace.pairwise],

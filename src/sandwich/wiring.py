@@ -13,6 +13,7 @@ of one component and tie each d-strand component into a tree.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -243,11 +244,8 @@ def _component_summary(w: WiringDiagram, event_ids):
         for label, k in counts.items():
             rows[label] += k
             self_pairs[label] += k * (k - 1) // 2
-        items = sorted(counts.items())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                key = (items[i][0], items[j][0])
-                cross[key] = cross.get(key, 0) + items[i][1] * items[j][1]
+        for (la, a), (lb, b) in itertools.combinations(sorted(counts.items()), 2):
+            cross[la, lb] = cross.get((la, lb), 0) + a * b
     strands = {label: len(s) for label, s in groups.items()}
     return strands, rows, self_pairs, cross
 
@@ -394,11 +392,9 @@ def pushoffs(w: WiringDiagram) -> tuple[Word, Word]:
     tangency.  Later parts act later (leftmost in the word)."""
     top: Word = ()
     bottom: Word = ()
-    for i, ev in enumerate(w.events):
-        bottom = w.braids[i] + bottom
-        top = w.braids[i] + top
-        bottom = _event_bottom(ev) + bottom
-        top = _event_top(ev) + top
+    for b, ev in zip(w.braids, w.events):
+        bottom = _event_bottom(ev) + b + bottom
+        top = _event_top(ev) + b + top
     bottom = reduce_word(w.braids[-1] + bottom)
     top = reduce_word(w.braids[-1] + top)
     return top, bottom
@@ -416,8 +412,8 @@ def vanishing_data(w: WiringDiagram) -> Factorization:
     items = []
     prefix: Word = ()
     lam: Word = ()
-    for i, ev in enumerate(w.events):
-        prefix = reduce_word(w.braids[i] + lam + prefix)
+    for b, ev in zip(w.braids, w.events):
+        prefix = reduce_word(b + lam + prefix)
         if isinstance(ev, Intersection):
             items.append(HoleCurve(w.n, prefix, ev.lo, ev.hi - ev.lo))
         elif isinstance(ev, Tangency):
@@ -505,7 +501,8 @@ def scott(c: Cluster) -> WiringDiagram:
     windows: dict[str, list[int]] = {}
     for i, p in enumerate(c.points):
         depth[p.id] = 0 if p.parent is None else depth[p.parent] + 1
-        bs = [k for k in order if c.mults[i][k] > 0]
+        # block starts increase along ``order``: the point's branches in that order
+        bs = sorted(c.mults[i], key=lambda k: block[k][0])
         if not bs:
             raise ProximityViolationError(f"point {p.id} carries no branch")
         window: list[int] = []
@@ -555,7 +552,7 @@ def scott(c: Cluster) -> WiringDiagram:
 
     for p in sorted(c.points, key=lambda p: (-depth[p.id], windows[p.id][0])):
         window = windows[p.id]
-        total = sum(c.mults[ix.row[p.id]])
+        total = sum(c.mults[ix.row[p.id]].values())
         if total == 1:
             events.append(FreePoint(window[0]))
         else:
@@ -684,9 +681,8 @@ def add_free_points(w: WiringDiagram, counts) -> WiringDiagram:
     final position)."""
     groups = w.component_strands()
     state = final_state(w)
-    slot = {}
-    for label in groups:
-        slot[label] = min(p for p, s in enumerate(state, start=1) if w.components[s - 1] == label)
+    slot = {label: min(p for p, s in enumerate(state, start=1) if w.components[s - 1] == label)
+            for label in groups}
     events = list(w.events)
     braids = list(w.braids)
     for label in sorted(counts):
@@ -804,7 +800,7 @@ def _parse_entry(chunk: str, lineno: int, after_braid: bool) -> Word | Singulari
 
 def parse_wire(text: str) -> WiringDiagram:
     n = None
-    components: dict[str, list[int]] = {}
+    components: dict[str, list[int]] | None = None
     seq_chunks: list[str] | None = None
     seq_line = 0
     statements = []
@@ -824,10 +820,15 @@ def parse_wire(text: str) -> WiringDiagram:
             except ValueError as exc:
                 raise FormatError(f"bad strands line {stmt!r}", location=loc) from exc
         elif words[0] == "components":
+            if components is not None:
+                raise FormatError("duplicate components", location=loc)
+            components = {}
             for group in words[1:]:
                 label, _, positions = group.partition("=")
                 if not _ or not label or not positions.strip(","):  # no position
                     raise FormatError(f"bad components group {group!r}", location=loc)
+                if label in components:
+                    raise FormatError(f"duplicate component label {label}", location=loc)
                 try:
                     components[label] = [int(x) for x in positions.split(",") if x]
                 except ValueError as exc:

@@ -1,17 +1,32 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sandwich
 from sandwich.cli import _COMMANDS, build_parser, main, render
-from sandwich.plumbing import parse_plumb
-from sandwich.wiring import FreePoint, add_free_points, parse_wire, serialize_wire
+from sandwich.plumbing import (
+    Cluster,
+    check_cluster,
+    graph_from_cluster,
+    parse_germ,
+    parse_plumb,
+    serialize_germ,
+)
+from sandwich.wiring import FreePoint, add_free_points, parse_wire, scott, serialize_wire
+
+from random_clusters import rand_cluster
 
 FIG = (
     "strands 4\n"
@@ -235,12 +250,96 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "format", "location": location, "message": message}
 
+    @pytest.mark.parametrize("header, message, location", [
+        # an out-of-range group used to be replaced by a later one
+        ("strands 1\ncomponents A=5 A=1", "duplicate component label A", "line 2"),
+        ("strands 2\ncomponents A=1 A=2", "duplicate component label A", "line 2"),
+        ("strands 3\ncomponents A=1,2 B=3\ncomponents A=3 B=1,2", "duplicate components", "line 3"),
+        ("strands 2\ncomponents\ncomponents A=1,2", "duplicate components", "line 3"),
+    ])
+    def test_repeated_components_are_two(self, work, capsys, header, message, location):
+        (work / "comp.wire").write_text(f"{header}\nseq: 1\n")
+        code, out, err = run(capsys, "validate", "--wire", work / "comp.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component
         (work / "w.wire").write_text("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")
         code, _, err = run(capsys, "inside-out", "--wire", work / "w.wire", "--hole", 1)
         assert code == 2
         assert json.loads(err)["code"] == "multiplicity-not-one"
+
+
+# ---------------------------------------------------------------------------
+# exit codes on mutated .germ input
+
+# small numbers only: a huge root multiplicity makes scott lay out that
+# many strands
+_GERM_WORDS = ("0", "1", "2", "3", "-1", "root", "parent", "prox", "mult", "weight",
+               "branch", "point", "q0", "q1", "c0", "c1", "c0=1", "c1=2", "c0=-1",
+               "c2=0", "q0,q1", "=", ",", "x")
+
+
+@st.composite
+def germ_texts(draw):
+    """serialize_germ of a random cluster (weights declared or not), with
+    up to four edits: a line dropped, repeated or moved, a word replaced or
+    inserted, a multiplicity or weight changed, or a character dropped."""
+    c = rand_cluster(random.Random(draw(st.integers(0, 10**6))))
+    if draw(st.booleans()):
+        c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
+    lines = serialize_germ(c).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        kind = draw(st.integers(0, 6))
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == 2:
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif kind == 3 and words:
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_GERM_WORDS))
+            lines[i] = " ".join(words)
+        elif kind == 4:
+            words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_GERM_WORDS)))
+            lines[i] = " ".join(words)
+        elif kind == 5 and words and words[0] in ("mult", "weight"):
+            j = draw(st.integers(2, len(words) - 1))
+            head = words[j].rpartition("=")[0] + "=" if "=" in words[j] else ""
+            words[j] = head + str(draw(st.integers(-1, 3)))
+            lines[i] = " ".join(words)
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:j] + lines[i][j + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(germ_texts(), st.sampled_from(("graph", "scott")))
+def test_mutated_germ_keeps_the_exit_code_contract(text, command):
+    # exit 0 with output that re-parses to the library's answer, or exit 2
+    # with error JSON that names an input problem, never a crash
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.germ"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--germ", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        c = parse_germ(text)
+        if command == "graph":
+            assert parse_plumb(out.getvalue())[:2] == graph_from_cluster(c)
+        else:
+            assert parse_wire(out.getvalue()) == scott(c)
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert json.loads(err.getvalue())["code"] != "internal"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from sandwich.errors import (
     FormatError,
+    InternalInconsistencyError,
     NotSandwichedError,
     SandwichError,
     ProximityViolationError,
@@ -17,6 +18,10 @@ from sandwich.plumbing import (
     BlowStep,
     Branch,
     Cluster,
+    ClusterIndex,
+    ClusterPoint,
+    _index_cluster,
+    _prox_set,
     augmentation,
     automorphisms,
     blow_down,
@@ -40,6 +45,8 @@ from sandwich.plumbing import (
     subcluster,
     validate_graph,
 )
+
+from random_clusters import rand_cluster
 
 
 def two_cusp_graph():
@@ -88,7 +95,7 @@ def test_blow_down_two_cusp_order_and_trace():
     assert t.last_vertex == "s1"
     assert t.pairwise == ((0, 7), (7, 0))
     # branch A multiplicities per step
-    assert tuple(s.mults[0] for s in t.steps) == (1, 0, 1, 1, 0, 0, 1, 1, 1, 2)
+    assert tuple(dict(s.mults).get(0, 0) for s in t.steps) == (1, 0, 1, 1, 0, 0, 1, 1, 1, 2)
     assert t.steps[7].prox == ("s1", "s2")
     assert all(s.simple for s in t.steps)
 
@@ -97,7 +104,7 @@ def test_blow_down_line_pair():
     g, aug = line_pair()
     t = blow_down(g, aug)
     assert [s.curve for s in t.steps] == ["@c", "@d", "E"]
-    assert t.steps[-1].mults == (1, 1)
+    assert t.steps[-1].mults == ((0, 1), (1, 1))
     assert t.pairwise == ((0, 1), (1, 0))
 
 
@@ -327,6 +334,14 @@ def test_cluster_from_trace_two_cusp():
     assert aug2.arrows == aug.arrows
 
 
+def test_cluster_from_trace_keeps_a_vertex_named_root():
+    # "root" is the .germ word for no parent, not a reserved vertex name
+    g, aug = plumbing_graph({"root": -3}), augmentation([("c", "root"), ("d", "root")])
+    c = cluster_from_trace(blow_down(g, aug))
+    assert [(p.id, p.parent) for p in c.points] == [("root", None), ("@d", "root"), ("@c", "root")]
+    assert germ_from_cluster(c) == germ_from_augmentation(g, aug)
+
+
 def test_subcluster_single_cusp():
     sub = subcluster(two_cusp_cluster(), ["A"])
     assert {p.id for p in sub.points} == {"s1", "s2", "s3", "s4", "a1", "a2", "fA"}
@@ -475,46 +490,6 @@ def test_automorphisms_match_brute_force():
 # random cluster properties
 
 
-def rand_cluster(rng):
-    branches = [f"c{i}" for i in range(rng.randint(1, 3))]
-    counter = itertools.count()
-    points = []
-
-    def grow(parent, extra, bset, depth):
-        pid = f"q{next(counter)}"
-        points.append((pid, parent, extra, frozenset(bset)))
-        if depth <= 0 or (len(bset) == 1 and rng.random() < 0.5):
-            for b in sorted(bset):
-                points.append((f"f{b}.{next(counter)}", pid, (), frozenset([b])))
-            return
-        parts = {}
-        for b in bset:
-            parts.setdefault(rng.randrange(min(len(bset), 2)), set()).add(b)
-        # children may sit where this point's curve meets an older one,
-        # but each such slot holds at most one point
-        pool = list((((parent,) if parent is not None else ()) + extra))
-        rng.shuffle(pool)
-        for _, part in sorted(parts.items()):
-            child_extra = ()
-            if pool and rng.random() < 0.35:
-                child_extra = (pool.pop(),)
-            grow(pid, child_extra, part, depth - 1)
-
-    grow(None, (), set(branches), rng.randint(1, 3))
-
-    mults = {pid: {} for pid, _, _, _ in points}
-    for pid, _, _, bset in reversed(points):
-        for b in bset:
-            below = sum(
-                mults[rid].get(b, 0)
-                for rid, rparent, rextra, _ in points
-                if pid == rparent or pid in rextra
-            )
-            mults[pid][b] = max(below, 1)
-    triples = [(pid, parent, extra) for pid, parent, extra, _ in points]
-    return cluster(branches, triples, mults)
-
-
 def test_random_cluster_paths_agree():
     rng = random.Random(5)
     for _ in range(60):
@@ -526,7 +501,7 @@ def test_random_cluster_paths_agree():
 
 def proximate_sum(c, mults, i, b):
     pid = c.points[i].id
-    return sum(mults[r][b] for r, p in enumerate(c.points) if pid == p.parent or pid in p.prox)
+    return sum(mults[r].get(b, 0) for r, p in enumerate(c.points) if pid == p.parent or pid in p.prox)
 
 
 def test_random_cluster_mutations():
@@ -537,19 +512,23 @@ def test_random_cluster_mutations():
         i = rng.choice(branch_chain(c, b)[:-1])
         name, pid, total = c.branches[b], c.points[i].id, proximate_sum(c, c.mults, i, b)
 
-        lowered = [list(row) for row in c.mults]
+        lowered = [dict(row) for row in c.mults]
         lowered[i][b] = total - 1
+        if not lowered[i][b]:
+            del lowered[i][b]  # rows hold no zeros
         with pytest.raises(ProximityViolationError,
                            match=f"^proximity inequality fails for branch {name} at {pid}: "):
-            check_cluster(Cluster(c.branches, c.points, tuple(map(tuple, lowered))))
+            check_cluster(Cluster(c.branches, c.points, tuple(lowered)))
 
         # slack at i, carried up to the points that then need more
-        slack = [list(row) for row in c.mults]
+        slack = [dict(row) for row in c.mults]
         slack[i][b] += 1
         for r in reversed(range(i)):
-            slack[r][b] = max(slack[r][b], proximate_sum(c, slack, r, b))
-        s = Cluster(c.branches, c.points, tuple(map(tuple, slack)))
-        assert germ_from_cluster(s).branch(name).weight == sum(row[b] for row in slack)
+            need = max(slack[r].get(b, 0), proximate_sum(c, slack, r, b))
+            if need:
+                slack[r][b] = need
+        s = Cluster(c.branches, c.points, tuple(slack))
+        assert germ_from_cluster(s).branch(name).weight == sum(row.get(b, 0) for row in slack)
         with pytest.raises(ProximityViolationError,
                            match=f"^branch {name} has multiplicity {total + 1} at {pid} but "):
             graph_from_cluster(s)
@@ -574,7 +553,7 @@ def test_random_cluster_trace_roundtrip():
             q = new[renamed.get(pid, pid)]
             assert (p.parent, p.prox) == (q.parent, q.prox)
             for k, b in enumerate(c.branches):
-                assert c.mults[c.index(pid)][k] == back.mult(q.id, b)
+                assert c.mults[c.index(pid)].get(k, 0) == back.mult(q.id, b)
 
 
 def test_random_germ_determinism():
@@ -647,6 +626,7 @@ def reference_blow_down(g, aug, choose=None):
 
     active = set(euler)
     objects = list(curvettas)
+    col = {c: k for k, c in enumerate(curvettas)}
     steps = []
     last_vertex = None
     while active:
@@ -660,7 +640,7 @@ def reference_blow_down(g, aug, choose=None):
         if e not in active or euler[e] != -1:
             raise RangeError(f"chose {e}, which is not an available (-1) curve")
         active.remove(e)
-        mults = tuple(table.get(_key(c, e), 0) for c in curvettas)
+        mults = tuple((col[c], table[_key(c, e)]) for c in curvettas if table.get(_key(c, e), 0))
         meet = [(v, table.get(_key(v, e), 0)) for v in active]
         prox = tuple(sorted(v for v, i in meet if i >= 1))
         simple = all(i <= 1 for _, i in meet)
@@ -686,11 +666,194 @@ def reference_pairwise(c):
     nb = len(c.branches)
     return tuple(
         tuple(
-            0 if i == k else sum(c.mults[q][i] * c.mults[q][k] for q in range(len(c.points)))
+            0 if i == k else sum(row.get(i, 0) * row.get(k, 0) for row in c.mults)
             for k in range(nb)
         )
         for i in range(nb)
     )
+
+
+# ---------------------------------------------------------------------------
+# the dense-row cluster index and subcluster, kept as oracles
+
+
+def dense(c):
+    """The same cluster with one multiplicity per (point, branch column)."""
+    nb = len(c.branches)
+    rows = tuple(tuple(row.get(b, 0) for b in range(nb)) for row in c.mults)
+    return Cluster(c.branches, c.points, rows, c.weights)
+
+
+def reference_index_cluster(c):
+    """Scans every (point, branch) entry of dense rows: O(P * B)."""
+    ids = [p.id for p in c.points]
+    if len(set(ids)) != len(ids):
+        raise ProximityViolationError("duplicate cluster point id")
+    seen = set()
+    for b in c.branches:
+        if b in seen:
+            raise ProximityViolationError(f"duplicate branch name {b}")
+        seen.add(b)
+    if not c.points:
+        raise ProximityViolationError("empty cluster")
+    row = {pid: i for i, pid in enumerate(ids)}
+    roots = [p.id for p in c.points if p.parent is None]
+    if len(roots) != 1:
+        raise ProximityViolationError(f"expected one root point, found {roots}")
+
+    children = [[] for _ in ids]
+    proximate = [[] for _ in ids]
+    satellite_slots = set()
+    for i, p in enumerate(c.points):
+        if p.parent is not None:
+            if row.get(p.parent, i) >= i:
+                raise ProximityViolationError(f"point {p.id} lists a parent that does not precede it")
+            children[row[p.parent]].append(i)
+        if len(p.prox) > 1:
+            raise ProximityViolationError(f"point {p.id} is proximate to more than two points")
+        for q in p.prox:
+            if row.get(q, i) >= i:
+                raise ProximityViolationError(f"point {p.id} lists proximity to {q}, which does not precede it")
+            if q == p.parent:
+                raise ProximityViolationError(f"point {p.id} repeats its parent in prox")
+            parent = c.points[row[p.parent]]
+            if q not in _prox_set(parent):
+                a = parent.parent
+                while a is not None and a != q:
+                    a = c.points[row[a]].parent
+                if a is None:
+                    raise ProximityViolationError(f"point {p.id} proximate to non-ancestor {q}")
+                raise ProximityViolationError(
+                    f"point {p.id} proximate to {q}, but its parent {parent.id} is not"
+                )
+            if (p.parent, q) in satellite_slots:
+                raise ProximityViolationError(
+                    f"two points share the satellite position over ({p.parent}, {q})"
+                )
+            satellite_slots.add((p.parent, q))
+        for q in _prox_set(p):
+            proximate[row[q]].append(i)
+
+    nb = len(c.branches)
+    for i, p in enumerate(c.points):
+        for b in range(nb):
+            if c.mults[i][b] < 0:
+                raise ProximityViolationError(f"negative multiplicity at {p.id}")
+            total = sum(c.mults[r][b] for r in proximate[i])
+            if c.mults[i][b] < total:
+                raise ProximityViolationError(
+                    f"proximity inequality fails for branch {c.branches[b]} at {p.id}: "
+                    f"{c.mults[i][b]} < {total}"
+                )
+
+    chains = []
+    for b in range(nb):
+        support = [i for i in range(len(ids)) if c.mults[i][b] > 0]
+        if not support:
+            raise ProximityViolationError(f"branch {c.branches[b]} has no points")
+        if c.points[support[0]].parent is not None:
+            raise ProximityViolationError(f"branch {c.branches[b]} does not pass through the root")
+        sup = {ids[i] for i in support}
+        for i in support[1:]:
+            if c.points[i].parent not in sup:
+                raise ProximityViolationError(
+                    f"branch {c.branches[b]} support is not a chain at {ids[i]}"
+                )
+        if len({c.points[i].parent for i in support[1:]}) < len(support) - 1:
+            raise ProximityViolationError(f"branch {c.branches[b]} support forks")
+        chains.append(support)
+
+    sums = tuple(sum(c.mults[i][b] for i in range(len(ids))) for b in range(nb))
+    return ClusterIndex(row, children, proximate, chains, sums)
+
+
+def reference_subcluster(c, branch_names):
+    """Dense rows, every kept column read at every point: O(P * B)."""
+    keep_b = [c.branches.index(b) for b in branch_names]
+    if not keep_b:
+        raise RangeError("empty branch subset")
+    keep_p = [i for i in range(len(c.points)) if any(c.mults[i][b] > 0 for b in keep_b)]
+    kept_ids = {c.points[i].id for i in keep_p}
+    points = []
+    for i in keep_p:
+        p = c.points[i]
+        if p.parent is not None and p.parent not in kept_ids:
+            raise InternalInconsistencyError(f"point {p.id} lost its parent in the subcluster")
+        points.append(ClusterPoint(p.id, p.parent, tuple(q for q in p.prox if q in kept_ids)))
+    mults = tuple(tuple(c.mults[i][b] for b in keep_b) for i in keep_p)
+    weights = tuple(c.weights[b] for b in keep_b) if c.weights is not None else None
+    return Cluster(tuple(c.branches[b] for b in keep_b), tuple(points), mults, weights)
+
+
+def mutate_rows(c, rng):
+    """Copies of c whose rows are lowered, raised, negative, zeroed or
+    forked at one random entry, plus one with a branch on no point.  A
+    carried change also raises the earlier points to their proximity sums,
+    so it reaches the chain checks."""
+    out = [Cluster(c.branches + ("z",), c.points, c.mults)]
+    nb = len(c.branches)
+
+    def with_entry(i, b, m, carry=False):
+        rows = [dict(row) for row in c.mults]
+        rows[i].pop(b, None)
+        if m:
+            rows[i][b] = m
+        for r in reversed(range(i) if carry else ()):
+            need = max(rows[r].get(b, 0), proximate_sum(c, rows, r, b))
+            if need:
+                rows[r][b] = need
+        return Cluster(c.branches, c.points, tuple(rows), c.weights)
+
+    for _ in range(2):
+        i = rng.randrange(len(c.points))
+        b = rng.randrange(nb)
+        m = c.mults[i].get(b, 0)
+        out += [
+            with_entry(i, b, m - rng.randint(1, 2)),  # lowered, maybe to 0 or below
+            with_entry(i, b, m + rng.randint(1, 2)),  # raised, maybe off the chain
+            with_entry(i, b, m + 1, carry=True),  # raised, and the points above with it
+            with_entry(i, b, -rng.randint(1, 3)),  # negative
+            with_entry(i, b, 0),  # zeroed
+        ]
+    # forked: the branch also passes through a point beside its chain
+    b = rng.randrange(nb)
+    chain = set(_index_cluster(c).chains[b])
+    beside = [i for i, p in enumerate(c.points)
+              if i not in chain and p.parent is not None and c.index(p.parent) in chain]
+    if beside:
+        i = rng.choice(beside)
+        out += [with_entry(i, b, 1), with_entry(i, b, 1, carry=True)]
+    return out
+
+
+def test_sparse_rows_match_dense_oracles():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(500):
+        c = rand_cluster(rng)
+        if rng.random() < 0.3:
+            c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
+        for mutant in [c] + mutate_rows(c, rng):
+            assert outcome(_index_cluster, mutant) == outcome(reference_index_cluster, dense(mutant))
+            names = rng.sample(c.branches, rng.randint(1, len(c.branches)))
+            sub = outcome(subcluster, mutant, names)
+            ref = outcome(reference_subcluster, dense(mutant), names)
+            if isinstance(sub, Cluster):
+                assert dense(sub) == ref
+                assert outcome(_index_cluster, sub) == outcome(reference_index_cluster, ref)
+            else:
+                assert sub == ref
+            checked += 1
+    assert checked > 3000
+
+
+def test_random_germ_text_roundtrip():
+    rng = random.Random(13)
+    for _ in range(200):
+        c = rand_cluster(rng)
+        if rng.random() < 0.5:
+            c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
+        assert parse_germ(serialize_germ(c)) == c
 
 
 def outcome(fn, *args, **kwargs):

@@ -10,6 +10,11 @@ fresh temporary name would make every run differ.  Each line is
 ``workload<TAB>op label<TAB>sha256``; the hash covers the exit code,
 stdout, stderr and the files the op writes (a library op: the repr of its
 result, or its exception).  Run it once per checkout and diff the lines.
+
+After the workload plans come the ops of ``extra_ops`` (workload column
+``extra``), larger than any benchmark rung: ``unexpected`` on the pair and
+the triple of smooth branches at N = 20 and 30, and ``germ --trace`` on two
+-2 chains of 4000 vertices.  Together they take a few seconds.
 """
 
 import hashlib
@@ -20,6 +25,8 @@ from pathlib import Path
 
 SEED = 7
 WORK = Path(tempfile.gettempdir()) / "sandwich-op-hashes"
+EXTRA_N = (20, 30)
+EXTRA_CHAIN_L = 4000
 
 
 def op_digest(op, workloads) -> str:
@@ -37,6 +44,27 @@ def op_digest(op, workloads) -> str:
     else:
         h.update(repr(result).encode())
     return h.hexdigest()
+
+
+def extra_ops(api, workloads, work: Path) -> list:
+    """CLI ops past the benchmark rungs, on inputs written into ``work``."""
+    ops = []
+    for tag, k in (("pair", 2), ("triple", 3)):
+        graph = work / f"{tag}.plumb"
+        graph.write_text(f"vertex v {-(k + 1)}\n" + "".join(f"curvetta c{i} on v\n" for i in range(k)))
+        for n in EXTRA_N:
+            prefix = work / f"K_{tag}_{n}"
+            argv = ("unexpected", "--graph", graph, "-N", n, "--wmax", workloads.WMAX, "-o", prefix)
+            ops.append(workloads.Op("unexpected", f"unexpected {tag} N={n}",
+                                    lambda argv=argv: api.run_cli(*argv), {}, None,
+                                    (Path(f"{prefix}.plumb"), Path(f"{prefix}.wire"))))
+    graph, trace = work / "chains.plumb", work / "trace.json"
+    graph.write_text("vertex v -3\ncurvetta c on v\ncurvetta d on v\n"
+                     f"chains c={EXTRA_CHAIN_L},d={EXTRA_CHAIN_L}\n")
+    ops.append(workloads.Op("germ", f"germ --trace chains L={EXTRA_CHAIN_L}",
+                            lambda: api.run_cli("germ", "--graph", graph, "--trace", trace),
+                            {}, None, (trace,)))
+    return ops
 
 
 def main(argv=None) -> int:
@@ -61,6 +89,10 @@ def main(argv=None) -> int:
         plan = build(api, workloads.Names(SEED), WORK)
         for op in plan.setup_checks + plan.ops:
             print(f"{name}\t{op.label}\t{op_digest(op, workloads)}", flush=True)
+    shutil.rmtree(WORK, ignore_errors=True)
+    WORK.mkdir(parents=True)
+    for op in extra_ops(api, workloads, WORK):
+        print(f"extra\t{op.label}\t{op_digest(op, workloads)}", flush=True)
     shutil.rmtree(WORK, ignore_errors=True)
     return 0
 
