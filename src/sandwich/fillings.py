@@ -3,7 +3,6 @@ data, exotic-handle counts, vanishing-cycle products, compatibility
 verdicts, and incidence-matrix equivalence."""
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, RangeError, WeightMismatchError
 from .mcg import (
@@ -42,13 +41,14 @@ from .wiring import (
     scott,
     validate_wiring,
 )
+from .records import frozen
 
 
 # ---------------------------------------------------------------------------
 # spinal open book data
 
 
-@dataclass(frozen=True)
+@frozen
 class SpinalOpenBook:
     """Page = disk with one hole per strand; each non-outer binding covers
     the page boundary with its multiplicity, the outer binding once."""
@@ -180,7 +180,7 @@ def incidence_equiv(a: IncidenceMatrix, b: IncidenceMatrix, unlabeled: bool = Fa
 # summaries
 
 
-@dataclass(frozen=True)
+@frozen
 class FillingSummary:
     lefschetz_count: int
     exotic_count: int
@@ -251,7 +251,7 @@ def combine_germs(a: DecoratedGerm, b: DecoratedGerm) -> DecoratedGerm:
     return DecoratedGerm(branches, a.root_vertex, pairwise)
 
 
-@dataclass(frozen=True)
+@frozen
 class UnexpectedArrangement:
     graph: PlumbingGraph
     arrows: Augmentation

@@ -22,9 +22,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import RangeError, StrandMismatchError
+from .records import frozen, replace
 
 Word = tuple[int, ...]
 
@@ -306,7 +305,7 @@ def _normalize_twists(twists) -> Word:
     return t if any(t) else ()
 
 
-@dataclass(frozen=True)
+@frozen
 class HoleCurve:
     """g^{-1} of the convex curve around holes start..start+span.
 
@@ -337,7 +336,7 @@ class HoleCurve:
         return tuple(range(self.start, self.start + self.span + 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class HoleArc:
     """g^{-1} of the straight arc between adjacent holes start, start+1."""
 
@@ -461,7 +460,7 @@ def conjugate_item(word: Word, offset: Word, c: Item) -> Item:
 # mapping classes
 
 
-@dataclass(frozen=True)
+@frozen
 class MappingClass:
     """(faithful braid image, hole permutation, boundary-twist ledger).
 
@@ -560,7 +559,7 @@ def half_boundary_twist(h: int, n: int) -> MappingClass:
 # factorizations and Hurwitz moves
 
 
-@dataclass(frozen=True)
+@frozen
 class Factorization:
     n: int
     items: tuple[Item, ...]

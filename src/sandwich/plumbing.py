@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     FormatError,
@@ -23,11 +22,12 @@ from .errors import (
     RangeError,
     WeightMismatchError,
 )
+from .records import frozen
 
 ARROW_PREFIX = "@"
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     entries: tuple[tuple[str, str], ...] = ()
 
@@ -43,7 +43,7 @@ class ValidationReport:
 # graphs
 
 
-@dataclass(frozen=True)
+@frozen
 class PlumbingGraph:
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
@@ -82,7 +82,7 @@ def plumbing_graph(vertices, edges=()) -> PlumbingGraph:
     return PlumbingGraph(vs, tuple(tuple(e) for e in edges))
 
 
-@dataclass(frozen=True)
+@frozen
 class Augmentation:
     arrows: tuple[tuple[str, str], ...]
 
@@ -137,7 +137,7 @@ def validate_graph(g: PlumbingGraph) -> ValidationReport:
 # blow-down
 
 
-@dataclass(frozen=True)
+@frozen
 class BlowStep:
     curve: str
     mults: tuple[tuple[int, int], ...]  # (curvetta column, multiplicity), nonzero only
@@ -145,7 +145,7 @@ class BlowStep:
     simple: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class BlowDownTrace:
     curvettas: tuple[str, ...]
     steps: tuple[BlowStep, ...]
@@ -236,7 +236,7 @@ def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace
 # decorated germs
 
 
-@dataclass(frozen=True)
+@frozen
 class Branch:
     name: str
     multiplicity_seq: tuple[int, ...]
@@ -246,7 +246,7 @@ class Branch:
     sits_on: str
 
 
-@dataclass(frozen=True)
+@frozen
 class DecoratedGerm:
     branches: tuple[Branch, ...]
     root_vertex: str
@@ -343,14 +343,14 @@ def spinal_binding(germ: DecoratedGerm) -> list[tuple[str, int]]:
 # clusters
 
 
-@dataclass(frozen=True)
+@frozen
 class ClusterPoint:
     id: str
     parent: str | None
     prox: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class ClusterIndex:
     """Validated structure of a cluster, by point row.  Row 0 is the root
     and parents precede children, so each chain lists rows in order."""
@@ -362,7 +362,7 @@ class ClusterIndex:
     sums: tuple[int, ...]  # multiplicity sum of each branch
 
 
-@dataclass(frozen=True)
+@frozen
 class Cluster:
     """Points in row order; each point's row maps the column of every
     branch through it to its multiplicity, and holds no zeros.  The

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 
 from .errors import (
     ArcAtOuterError,
@@ -24,6 +23,7 @@ from .errors import (
     MultiplicityNotOneError,
     ProximityViolationError,
     RangeError,
+    SandwichError,
     TangencyComponentMismatchError,
     UnknownComponentError,
 )
@@ -40,20 +40,21 @@ from .mcg import (
     reduce_word,
 )
 from .plumbing import Cluster, ValidationReport, check_cluster
+from .records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Tangency:
     pos: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Intersection:
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
+@frozen
 class FreePoint:
     pos: int
 
@@ -84,7 +85,7 @@ def event_window(ev: Singularity) -> tuple[int, int]:
     return ev.pos, ev.pos
 
 
-@dataclass(frozen=True)
+@frozen
 class WiringDiagram:
     n: int
     braids: tuple[Word, ...]
@@ -336,7 +337,7 @@ def _matching_exists(labels, names, germ, strands, rows, self_pairs, cross) -> b
     return bijection_exists(len(labels), fits)
 
 
-@dataclass(frozen=True)
+@frozen
 class IncidenceMatrix:
     components: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -700,7 +701,7 @@ def add_free_points(w: WiringDiagram, counts) -> WiringDiagram:
 # enclosure data and inside-out
 
 
-@dataclass(frozen=True)
+@frozen
 class EnclosureData:
     """Which holes each monodromy item wraps: ("cycle", S) for curves,
     ("arc", {a, b}) for interchange arcs.  Hole h carries the component of
@@ -944,18 +945,24 @@ def factorization_json(fact: Factorization) -> dict:
 
 
 def factorization_from_json(data) -> Factorization:
+    """Errors raised while reading ``items[i]`` carry that location."""
+    where = None
     try:
         n = int(data["holes"])
         items = []
-        for d in data["items"]:
+        for i, d in enumerate(data["items"]):
+            where = f"items[{i}]"
             conj = tuple(int(x) for x in d.get("conjugator", ()))
             twists = tuple(int(x) for x in d.get("twists", ()))
             if d["kind"] == "arc":
                 items.append(HoleArc(n, conj, int(d["start"]), twists))
             else:
                 items.append(HoleCurve(n, conj, int(d["start"]), int(d.get("span", 0)), twists))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad factorization JSON: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad factorization JSON: {exc}", where) from exc
+    except SandwichError as exc:
+        exc.location = where
+        raise
     return Factorization(n, tuple(items))
 
 

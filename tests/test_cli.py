@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,17 +17,35 @@ from hypothesis import strategies as st
 
 import sandwich
 from sandwich.cli import _COMMANDS, build_parser, main, render
+from sandwich.fillings import incidence_canonical
 from sandwich.plumbing import (
     Cluster,
     check_cluster,
+    extend_chains,
+    germ_from_augmentation,
+    germ_json,
     graph_from_cluster,
     parse_germ,
     parse_plumb,
     serialize_germ,
+    serialize_plumb,
 )
-from sandwich.wiring import FreePoint, add_free_points, parse_wire, scott, serialize_wire
+from sandwich.wiring import (
+    FreePoint,
+    add_free_points,
+    factorization_from_json,
+    factorization_json,
+    incidence,
+    incidence_json,
+    parse_wire,
+    scott,
+    serialize_wire,
+    vanishing_data,
+    wiring_from_vanishing,
+)
 
 from random_clusters import rand_cluster
+from random_diagrams import rand_diagram
 
 FIG = (
     "strands 4\n"
@@ -263,6 +282,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "format", "location": location, "message": message}
 
+    @pytest.mark.parametrize("data, error", [
+        ({"holes": 3, "items": [{"kind": "arc", "start": 3}]},
+         {"code": "range", "location": "items[0]", "message": "arc base (3, 4) outside 1..3"}),
+        ({"holes": 3, "items": [{"kind": "cycle", "start": 1},
+                                {"kind": "arc", "start": 1, "conjugator": [2, 5]}]},
+         {"code": "strand-mismatch", "location": "items[1]",
+          "message": "braid letter 5 outside strand range 1..2"}),
+        ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "cycle"}, "x"]},
+         {"code": "format", "location": "items[1]", "message": "bad factorization JSON: 'start'"}),
+        ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, "x"]},
+         {"code": "format", "location": "items[1]",
+          "message": "bad factorization JSON: 'str' object has no attribute 'get'"}),
+        # the shape of the whole document has no item to name
+        ([{"holes": 3}], {"code": "format", "location": None,
+                          "message": "bad factorization JSON: list indices must be integers or slices, not str"}),
+        ({"holes": "x", "items": []}, {"code": "format", "location": None,
+                                       "message": "bad factorization JSON: invalid literal for int() with base 10: 'x'"}),
+    ])
+    def test_factorization_errors_name_the_item(self, work, capsys, data, error):
+        (work / "f.json").write_text(json.dumps(data))
+        code, out, err = run(capsys, "wire-from-vanishing", "--fact", work / "f.json")
+        assert code == 2 and out == ""
+        assert json.loads(err) == error
+
     def test_semantic_error_in_input_is_two(self, work, capsys):
         # inside-out through a hole on a two-strand component
         (work / "w.wire").write_text("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")
@@ -272,29 +315,31 @@ class TestExitCodes:
 
 
 # ---------------------------------------------------------------------------
-# exit codes on mutated .germ input
+# exit codes on mutated input
 
 # small numbers only: a huge root multiplicity makes scott lay out that
-# many strands
+# many strands, and a huge strand count as many strands
 _GERM_WORDS = ("0", "1", "2", "3", "-1", "root", "parent", "prox", "mult", "weight",
                "branch", "point", "q0", "q1", "c0", "c1", "c0=1", "c1=2", "c0=-1",
                "c2=0", "q0,q1", "=", ",", "x")
+_WIRE_WORDS = ("0", "1", "2", "-1", "strands", "components", "seq:", "T(1)", "I(1..2)",
+               "I(2..1)", "F(1)", "F(0)", "s1", "s2'", "s0", "c1=1", "c1=1,2", "c2=",
+               ",", ",,", "1,", "x")
+_PLUMB_WORDS = ("0", "1", "-1", "-2", "vertex", "edge", "curvetta", "on", "chains",
+                "q0", "q1", "c0", "c1", "c0=1", "c1=0", "c0=-1", "x")
+_NUMBER = re.compile(r"-?\d+(?!.*\d)")
 
 
-@st.composite
-def germ_texts(draw):
-    """serialize_germ of a random cluster (weights declared or not), with
-    up to four edits: a line dropped, repeated or moved, a word replaced or
-    inserted, a multiplicity or weight changed, or a character dropped."""
-    c = rand_cluster(random.Random(draw(st.integers(0, 10**6))))
-    if draw(st.booleans()):
-        c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
-    lines = serialize_germ(c).splitlines()
+def edit_lines(draw, lines, words):
+    """Up to four edits of ``lines``: one dropped, repeated or moved, a word
+    replaced or inserted, the last number in a word changed (to -1..3), or a
+    character dropped."""
+    lines = list(lines)
     for _ in range(draw(st.integers(0, 4))):
         if not lines:
             break
         i = draw(st.integers(0, len(lines) - 1))
-        words = lines[i].split()
+        split = lines[i].split()
         kind = draw(st.integers(0, 6))
         if kind == 0:
             del lines[i]
@@ -302,44 +347,149 @@ def germ_texts(draw):
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
         elif kind == 2:
             lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
-        elif kind == 3 and words:
-            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_GERM_WORDS))
-            lines[i] = " ".join(words)
+        elif kind == 3 and split:
+            split[draw(st.integers(0, len(split) - 1))] = draw(st.sampled_from(words))
+            lines[i] = " ".join(split)
         elif kind == 4:
-            words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_GERM_WORDS)))
-            lines[i] = " ".join(words)
-        elif kind == 5 and words and words[0] in ("mult", "weight"):
-            j = draw(st.integers(2, len(words) - 1))
-            head = words[j].rpartition("=")[0] + "=" if "=" in words[j] else ""
-            words[j] = head + str(draw(st.integers(-1, 3)))
-            lines[i] = " ".join(words)
+            split.insert(draw(st.integers(0, len(split))), draw(st.sampled_from(words)))
+            lines[i] = " ".join(split)
+        elif kind == 5 and any(_NUMBER.search(w) for w in split):
+            j = draw(st.sampled_from([j for j, w in enumerate(split) if _NUMBER.search(w)]))
+            split[j] = _NUMBER.sub(str(draw(st.integers(-1, 3))), split[j])
+            lines[i] = " ".join(split)
         elif lines[i]:
             j = draw(st.integers(0, len(lines[i]) - 1))
             lines[i] = lines[i][:j] + lines[i][j + 1 :]
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(germ_texts(), st.sampled_from(("graph", "scott")))
-def test_mutated_germ_keeps_the_exit_code_contract(text, command):
-    # exit 0 with output that re-parses to the library's answer, or exit 2
-    # with error JSON that names an input problem, never a crash
+@st.composite
+def germ_texts(draw):
+    """serialize_germ of a random cluster (weights declared or not), edited."""
+    c = rand_cluster(random.Random(draw(st.integers(0, 10**6))))
+    if draw(st.booleans()):
+        c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
+    return edit_lines(draw, serialize_germ(c).splitlines(), _GERM_WORDS)
+
+
+@st.composite
+def wire_texts(draw):
+    """serialize_wire of a random diagram, edited."""
+    w = rand_diagram(random.Random(draw(st.integers(0, 10**6))))
+    return edit_lines(draw, serialize_wire(w).splitlines(), _WIRE_WORDS)
+
+
+@st.composite
+def plumb_texts(draw):
+    """serialize_plumb of the graph of a random cluster, edited."""
+    c = rand_cluster(random.Random(draw(st.integers(0, 10**6))))
+    return edit_lines(draw, serialize_plumb(*graph_from_cluster(c)).splitlines(), _PLUMB_WORDS)
+
+
+_JSON_VALUES = (0, 1, 2, -1, 1.5, True, None, "x", "arc", "cycle", [], [1], [1, -1], {})
+
+
+@st.composite
+def factorization_texts(draw):
+    """factorization_json of a random diagram's vanishing data with up to
+    three edits (a value replaced, a key or list entry dropped, a list entry
+    repeated), and sometimes a character dropped from the JSON text."""
+    w = rand_diagram(random.Random(draw(st.integers(0, 10**6))))
+    root = [factorization_json(vanishing_data(w))]
+    for _ in range(draw(st.integers(0, 3))):
+        slots, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            slots += [(node, k) for k in keys]
+            stack += [node[k] for k in keys if isinstance(node[k], (dict, list))]
+        node, key = draw(st.sampled_from(slots))
+        kind = draw(st.integers(0, 2))
+        if kind == 0 or node is root:
+            node[key] = draw(st.sampled_from(_JSON_VALUES))
+        elif kind == 1:
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, json.loads(json.dumps(node[key])))
+    text = json.dumps(root[0])
+    if draw(st.integers(0, 9)) == 0:
+        j = draw(st.integers(0, len(text) - 1))
+        text = text[:j] + text[j + 1 :]
+    return text
+
+
+def keeps_the_contract(argv, name, text):
+    """Run ``main`` on ``text`` saved as ``name``: exit 0 or 1 with output
+    and nothing on stderr, or exit 2 with error JSON that names an input
+    problem, never a crash.  Returns (code, stdout)."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.germ"
+        path = Path(tmp) / name
         path.write_text(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--germ", str(path)])
-    if code == 0:
-        assert err.getvalue() == ""
-        c = parse_germ(text)
-        if command == "graph":
-            assert parse_plumb(out.getvalue())[:2] == graph_from_cluster(c)
-        else:
-            assert parse_wire(out.getvalue()) == scott(c)
+            code = main([a if a != "FILE" else str(path) for a in argv])
+    if code in (0, 1):
+        assert err.getvalue() == "" and out.getvalue()
     else:
         assert code == 2 and out.getvalue() == ""
         assert json.loads(err.getvalue())["code"] != "internal"
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(germ_texts(), st.sampled_from(("graph", "scott")))
+def test_mutated_germ_keeps_the_exit_code_contract(text, command):
+    # on exit 0 the output re-parses to the library's answer
+    code, out = keeps_the_contract([command, "--germ", "FILE"], "c.germ", text)
+    if code == 0:
+        c = parse_germ(text)
+        if command == "graph":
+            assert parse_plumb(out)[:2] == graph_from_cluster(c)
+        else:
+            assert parse_wire(out) == scott(c)
+    assert code != 1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(wire_texts(), st.sampled_from(("validate", "incidence", "render")))
+def test_mutated_wire_keeps_the_exit_code_contract(text, command):
+    code, out = keeps_the_contract([command, "--wire", "FILE"], "w.wire", text)
+    if command == "validate" and code != 2:
+        assert json.loads(out)["ok"] == (code == 0)
+    elif command == "render" and code != 2:
+        assert code == 0 and out == render(parse_wire(text))
+    elif code != 2:
+        assert code == 0
+        m = incidence_canonical(incidence(parse_wire(text)))
+        assert json.loads(out) == {"formatVersion": 1, **incidence_json(m)}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(plumb_texts(), st.sampled_from(("", "c0=1", "c1=2,c0=0", "c0=-1", "x=1", "c0")))
+def test_mutated_plumb_keeps_the_exit_code_contract(text, chains):
+    argv = ["extend", "--graph", "FILE", "--chains", chains] if chains else ["germ", "--graph", "FILE"]
+    code, out = keeps_the_contract(argv, "g.plumb", text)
+    assert code != 1
+    if code == 0:
+        # the output re-parses to the library's answer
+        g, aug, file_chains = parse_plumb(text)
+        if file_chains:
+            g, aug = extend_chains(g, aug, file_chains)
+        if chains:
+            lengths = {k: int(v) for k, v in (p.split("=") for p in chains.split(","))}
+            assert parse_plumb(out)[:2] == extend_chains(g, aug, lengths)
+        else:
+            germ = germ_json(germ_from_augmentation(g, aug))
+            assert json.loads(out) == json.loads(json.dumps({"formatVersion": 1, **germ}))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(factorization_texts())
+def test_mutated_factorization_keeps_the_exit_code_contract(text):
+    code, out = keeps_the_contract(["wire-from-vanishing", "--fact", "FILE"], "f.json", text)
+    if code == 0:
+        assert parse_wire(out) == wiring_from_vanishing(factorization_from_json(json.loads(text)))
+    assert code != 1
 
 
 # ---------------------------------------------------------------------------
