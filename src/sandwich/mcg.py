@@ -18,6 +18,11 @@ Conventions used throughout the package:
   mapping classes) runs on the shorter of a word and its normal-form word;
   both are the same braid, so the reduced images are the same.  The cost is
   polynomial in the word length, and nothing is kept between calls.
+- The Artin action goes through an image table: the reduced images of
+  x_1..x_n and their inverses, built by reading the braid word left to
+  right.  Each letter replaces two images by reduced products, whose
+  cancellation is found by comparing tuple slices.  A free word's image is
+  its letters' images joined the same way.
 """
 
 from __future__ import annotations
@@ -76,45 +81,74 @@ def _check_free_word(w: Word, n: int) -> None:
 # sigma_i^{-1}: x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}.
 
 
-def _act_letter(letter: int, w: Word) -> Word:
-    i = abs(letter)
-    out: list[int] = []
-    for a in w:
-        g = abs(a)
-        if letter > 0:
-            if g == i:
-                img = (i, i + 1, -i)
-            elif g == i + 1:
-                img = (i,)
-            else:
-                img = (g,)
+def _join(u: Word, ui: Word, v: Word, vi: Word) -> tuple[Word, Word]:
+    """The reduced product ``u v`` and its inverse, for reduced ``u`` and
+    ``v`` with inverses ``ui`` and ``vi``.  The letters that cancel are the
+    longest common suffix of ``u`` and ``vi``: galloping, then bisection,
+    by slice equality."""
+    if not u or not v or u[-1] != vi[-1]:
+        return u + v, vi + ui
+    top = min(len(u), len(v))
+    lo, hi = 1, 2  # a common suffix of length lo; none of length hi, if hi <= top
+    while hi <= top and u[-hi:] == vi[-hi:]:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, top + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u[-mid:] == vi[-mid:]:
+            lo = mid
         else:
-            if g == i:
-                img = (i + 1,)
-            elif g == i + 1:
-                img = (-(i + 1), i, i + 1)
-            else:
-                img = (g,)
-        if a < 0:
-            img = tuple(-x for x in reversed(img))
-        for x in img:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+            hi = mid
+    return u[: len(u) - lo] + v[lo:], vi[: len(vi) - lo] + ui[lo:]
+
+
+def _image_table(b: Word, n: int) -> tuple[list[Word], list[Word]]:
+    """Images of x_1..x_n under the braid ``b`` and their inverses, as two
+    lists indexed by generator (entry 0 unused).  Appending s_i to the braid
+    read so far substitutes sigma_i into the images: x_i gets
+    T(x_i) T(x_{i+1}) T(x_i)^{-1} and x_{i+1} gets T(x_i).  Appending
+    s_i^{-1} instead gives x_i the image T(x_{i+1}) and x_{i+1} the image
+    T(x_{i+1})^{-1} T(x_i) T(x_{i+1})."""
+    img = [()] + [(g,) for g in range(1, n + 1)]
+    inv = [()] + [(-g,) for g in range(1, n + 1)]
+    for a in b:
+        i = abs(a)
+        j = i + 1
+        x, xi, y, yi = img[i], inv[i], img[j], inv[j]
+        if a > 0:
+            u, ui = _join(x, xi, y, yi)
+            img[i], inv[i] = _join(u, ui, xi, x)
+            img[j], inv[j] = x, xi
+        else:
+            u, ui = _join(yi, y, x, xi)
+            img[j], inv[j] = _join(u, ui, y, yi)
+            img[i], inv[i] = y, yi
+    return img, inv
+
+
+def _substitute(w: Word, img: list[Word], inv: list[Word]) -> Word:
+    """Reduced image of the word ``w`` under the table: the letter images
+    are joined pairwise in rounds, about log2 len(w) of them, rather than
+    onto one growing prefix."""
+    parts = [(img[a], inv[a]) if a > 0 else (inv[-a], img[-a]) for a in w]
+    while len(parts) > 1:
+        parts = [_join(*u, *v) for u, v in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
+    return parts[0][0] if parts else ()
 
 
 def artin_act(b: Word, w: Word, n: int | None = None) -> Word:
     """Image of the free word ``w`` under the braid word ``b`` (rightmost
-    braid letter applied first); result freely reduced."""
+    braid letter applied first); result freely reduced.  The partial
+    products are the images of pieces of ``w``, so a long word with a short
+    image costs as much as its pieces' images."""
     if n is not None:
         check_braid_word(b, n)
         _check_free_word(w, n)
     w = reduce_word(w)
-    for letter in reversed(b):
-        w = _act_letter(letter, w)
-    return w
+    if not b:
+        return w
+    m = max(max(map(abs, b)) + 1, max(map(abs, w), default=0))
+    return _substitute(w, *_image_table(b, m))
 
 
 def braid_permutation(word: Word, n: int) -> tuple[int, ...]:
@@ -481,22 +515,9 @@ def mc_identity(n: int) -> MappingClass:
 
 def mc_from_braid(word: Word, n: int, ledger=None) -> MappingClass:
     check_braid_word(word, n)
-    short = _action_word(word, n)
-    images = tuple(artin_act(short, (g,)) for g in range(1, n + 1))
+    images = tuple(_image_table(_action_word(word, n), n)[0][1:])
     led = tuple(ledger) if ledger else tuple([0] * (n + 1))
     return MappingClass(n, images, braid_permutation(word, n), led)
-
-
-def _subst(word: Word, images) -> Word:
-    out: list[int] = []
-    for a in word:
-        img = images[abs(a) - 1] if a > 0 else inverse_word(images[abs(a) - 1])
-        for x in img:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
 
 
 def mc_compose(f: MappingClass, g: MappingClass) -> MappingClass:
@@ -504,7 +525,9 @@ def mc_compose(f: MappingClass, g: MappingClass) -> MappingClass:
     if f.n != g.n:
         raise StrandMismatchError("mapping classes over different hole counts")
     n = f.n
-    images = tuple(_subst(g.images[i], f.images) for i in range(n))
+    img = [()] + list(f.images)
+    inv = [inverse_word(w) for w in img]
+    images = tuple(_substitute(w, img, inv) for w in g.images)
     perm = perm_compose(f.perm, g.perm)
     ledger = [g.ledger[h] + f.ledger[g.perm[h] - 1] for h in range(n)]
     ledger.append(f.ledger[n] + g.ledger[n])

@@ -34,7 +34,6 @@ from .mcg import (
     Word,
     check_braid_word,
     curve_holes,
-    exponent_sum,
     half_twist,
     inverse_word,
     reduce_word,
@@ -944,20 +943,29 @@ def factorization_json(fact: Factorization) -> dict:
     return {"holes": fact.n, "items": items}
 
 
+def _json_int(x) -> int:
+    if type(x) is not int:  # not isinstance: true and false are no integers here
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def factorization_from_json(data) -> Factorization:
-    """Errors raised while reading ``items[i]`` carry that location."""
+    """Errors raised while reading ``items[i]`` carry that location.  Every
+    number must be a JSON integer, and ``items`` a list of objects."""
     where = None
     try:
-        n = int(data["holes"])
+        n = _json_int(data["holes"])
+        if not isinstance(data["items"], list):
+            raise TypeError("items must be a list")
         items = []
         for i, d in enumerate(data["items"]):
             where = f"items[{i}]"
-            conj = tuple(int(x) for x in d.get("conjugator", ()))
-            twists = tuple(int(x) for x in d.get("twists", ()))
+            conj = tuple(map(_json_int, d.get("conjugator", ())))
+            twists = tuple(map(_json_int, d.get("twists", ())))
             if d["kind"] == "arc":
-                items.append(HoleArc(n, conj, int(d["start"]), twists))
+                items.append(HoleArc(n, conj, _json_int(d["start"]), twists))
             else:
-                items.append(HoleCurve(n, conj, int(d["start"]), int(d.get("span", 0)), twists))
+                items.append(HoleCurve(n, conj, _json_int(d["start"]), _json_int(d.get("span", 0)), twists))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad factorization JSON: {exc}", where) from exc
     except SandwichError as exc:
@@ -972,20 +980,3 @@ def incidence_json(m: IncidenceMatrix) -> dict:
         "kinds": list(m.kinds),
         "rows": [list(r) for r in m.rows],
     }
-
-
-def exponent_law_terms(w: WiringDiagram) -> int:
-    """Expected exponent sum of the boundary braid: s(s-1) per
-    intersection on s strands, 1 per tangency."""
-    total = 0
-    for ev in w.events:
-        if isinstance(ev, Intersection):
-            s = ev.hi - ev.lo + 1
-            total += s * (s - 1)
-        elif isinstance(ev, Tangency):
-            total += 1
-    return total
-
-
-def check_exponent_law(w: WiringDiagram) -> bool:
-    return exponent_sum(boundary_braid(w)) == exponent_law_terms(w)

@@ -298,7 +298,22 @@ class TestExitCodes:
         ([{"holes": 3}], {"code": "format", "location": None,
                           "message": "bad factorization JSON: list indices must be integers or slices, not str"}),
         ({"holes": "x", "items": []}, {"code": "format", "location": None,
-                                       "message": "bad factorization JSON: invalid literal for int() with base 10: 'x'"}),
+                                       "message": "bad factorization JSON: expected an integer, got 'x'"}),
+        # a number that is not a JSON integer, or an items string, is a format error
+        ({"holes": 2.9, "items": [{"kind": "cycle", "start": True, "span": 0.5, "conjugator": [1.7]}]},
+         {"code": "format", "location": None, "message": "bad factorization JSON: expected an integer, got 2.9"}),
+        ({"holes": "3", "items": []},
+         {"code": "format", "location": None, "message": "bad factorization JSON: expected an integer, got '3'"}),
+        ({"holes": 3, "items": "ab"},
+         {"code": "format", "location": None, "message": "bad factorization JSON: items must be a list"}),
+        ({"holes": 2, "items": [{"kind": "cycle", "start": True}]},
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: expected an integer, got True"}),
+        ({"holes": 2, "items": [{"kind": "cycle", "start": 1, "span": 0.5}]},
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: expected an integer, got 0.5"}),
+        ({"holes": 2, "items": [{"kind": "arc", "start": 1, "conjugator": [1.7]}]},
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: expected an integer, got 1.7"}),
+        ({"holes": 2, "items": [{"kind": "cycle", "start": 1}, {"kind": "cycle", "start": 1, "twists": [0, 0, False]}]},
+         {"code": "format", "location": "items[1]", "message": "bad factorization JSON: expected an integer, got False"}),
     ])
     def test_factorization_errors_name_the_item(self, work, capsys, data, error):
         (work / "f.json").write_text(json.dumps(data))

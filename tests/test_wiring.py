@@ -40,7 +40,6 @@ from sandwich.wiring import (
     _union,
     add_free_points,
     boundary_braid,
-    check_exponent_law,
     combine,
     enclosure_from_factorization,
     enclosure_from_wiring,
@@ -76,6 +75,23 @@ FIG_BOUNDARY = (2, 3, 1, 2, 1, 1, 1, 3, 2, 2, 1, -2, 1, 2, 1, 1, 2, 1,
 
 def figure():
     return parse_wire(FIG)
+
+
+def exponent_law_terms(w: WiringDiagram) -> int:
+    """Expected exponent sum of the boundary braid: s(s-1) per
+    intersection on s strands, 1 per tangency."""
+    total = 0
+    for ev in w.events:
+        if isinstance(ev, Intersection):
+            s = ev.hi - ev.lo + 1
+            total += s * (s - 1)
+        elif isinstance(ev, Tangency):
+            total += 1
+    return total
+
+
+def check_exponent_law(w: WiringDiagram) -> bool:
+    return exponent_sum(boundary_braid(w)) == exponent_law_terms(w)
 
 
 def two_cusp_cluster():
