@@ -145,9 +145,7 @@ def artin_act(b: Word, w: Word, n: int | None = None) -> Word:
         check_braid_word(b, n)
         _check_free_word(w, n)
     w = reduce_word(w)
-    if not b:
-        return w
-    m = max(max(map(abs, b)) + 1, max(map(abs, w), default=0))
+    m = max(map(abs, (*b, *w)), default=0) + 1
     return _substitute(w, *_image_table(b, m))
 
 

@@ -1,6 +1,6 @@
 """In-process times of the braid layer on the unequal braid-ladder rungs.
 
-    python3 tools/ladder_time.py CHECKOUT [--kmax 3]
+    python3 tools/ladder_time.py CHECKOUT
 
 Imports ``perfbench/workloads.py`` and the package under ``src/`` of the
 git checkout CHECKOUT, and writes nothing inside it (no bytecode cache
@@ -27,6 +27,7 @@ from pathlib import Path
 SEED = 7
 BUDGET_S = 1.0
 MAX_CALLS = 51
+KMAX = 3
 
 
 def median_ms(call) -> tuple[float, object]:
@@ -43,7 +44,6 @@ def median_ms(call) -> tuple[float, object]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
-    parser.add_argument("--kmax", type=int, default=3)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     n, slot = 4, len(events) // 2
     print("| k | `factorization_product` | longest image | `canonicalWord` | `factorization_json` |")
     print("| --- | --- | --- | --- | --- |")
-    for k in range(args.kmax + 1):
+    for k in range(KMAX + 1):
         braids = [()] * (len(events) + 1)
         braids[slot] = workloads.ladder_insert(k, workloads.PURE_S1_SQUARED)
         diagram = api.wiring.parse_wire(workloads.wire_text(n, components, braids, events))
