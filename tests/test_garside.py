@@ -1,9 +1,11 @@
 """The Garside normal form of the braid layer, checked against the Artin
 action it replaced: braid equality, the words the action runs on, hole sets
-read off permutations, and the folded factorization product."""
+read off permutations, and the folded factorization product.  The kernel
+itself is checked against its first version, kept here as an oracle."""
 
 import random
 from functools import reduce
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from sandwich.mcg import (
     braid_equal,
     braid_permutation,
     canonical_curve,
+    check_braid_word,
     curve_holes,
     cyclic_canonical,
     half_twist,
@@ -29,6 +32,7 @@ from sandwich.mcg import (
     mc_of_item,
     normal_form,
     normal_form_word,
+    perm_identity,
     perm_inverse,
     reduce_word,
 )
@@ -38,6 +42,59 @@ def reference_braid_equal(a, b, n):
     """Equality through the (faithful) Artin action: equal images of every
     generator.  Exponential in the word length; small inputs only."""
     return all(artin_act(a, (g,), n) == artin_act(b, (g,), n) for g in range(1, n + 1))
+
+
+def reference_left_weight(a, b):
+    """The left-weighted pair (a', b') with a'b' = ab: a letter s_i moves
+    from the front of b to the end of a while b can start with it (its
+    inverse has a descent at i) and a cannot end with it (no descent at i).
+    The result does not depend on the order of the moves."""
+    a, b = list(a), list(perm_inverse(b))
+    i = 1
+    while i < len(a):
+        if b[i - 1] > b[i] and a[i - 1] < a[i]:
+            a[i - 1], a[i] = a[i], a[i - 1]
+            b[i - 1], b[i] = b[i], b[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(a), perm_inverse(b)
+
+
+def reference_normal_form(word, n):
+    """The first kernel: every letter becomes a factor that is left-weighted
+    leftwards through a pair memo that lives for one call."""
+    check_braid_word(word, n)
+    ident = perm_identity(n)
+    delta = ident[::-1]
+    memo: dict = {}
+    inf = 0
+    flip = False  # stored factors are tau^flip of the true ones
+    factors = []
+    for a in reduce_word(word):
+        if a < 0:
+            flip = not flip
+            inf -= 1
+        # s_i or Delta s_i^{-1}, stored through tau: tau swaps s_i for s_{n-i}
+        factors.append(mcg._swap(delta if a < 0 else ident, n - abs(a) if flip else abs(a)))
+        j = len(factors) - 1
+        while j:
+            pair = (factors[j - 1], factors[j])
+            out = memo.get(pair)
+            if out is None:
+                out = memo[pair] = reference_left_weight(*pair)
+            if out == pair:
+                break
+            factors[j - 1], factors[j] = out
+            j -= 1
+        while factors and factors[-1] == ident:
+            factors.pop()
+        while factors and factors[0] == delta:
+            factors.pop(0)
+            inf += 1
+    if flip:
+        factors = [mcg._tau(f) for f in factors]
+    return inf, tuple(factors)
 
 
 def reference_curve_holes(c):
@@ -142,6 +199,42 @@ class TestNormalForm:
     def test_range_checked(self):
         with pytest.raises(mcg.StrandMismatchError):
             normal_form((3, -3), 3)
+
+
+def signed_words(seed, count):
+    """(n, word) on 2..7 strands, 0..40 letters, each word drawn with a
+    positive share of 0.1, 0.5 or 0.9 in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 7)
+        positive = (0.1, 0.5, 0.9)[k % 3]
+        yield n, tuple((1 if rng.random() < positive else -1) * rng.randint(1, n - 1)
+                       for _ in range(rng.randint(0, 40)))
+
+
+class TestAgainstTheFirstKernel:
+    def test_random_words(self):
+        for n, word in signed_words(79, 3000):
+            assert normal_form(word, n) == reference_normal_form(word, n), (word, n)
+
+    def test_every_pair_of_simple_elements(self):
+        for n in range(2, 6):
+            simple = list(permutations(range(1, n + 1)))
+            for a, b in product(simple, simple):
+                assert mcg._left_weight(a, b) == reference_left_weight(a, b), (a, b)
+
+    def test_the_memo_changes_no_result_and_stays_bounded(self):
+        cache = mcg._left_weight
+        words = list(signed_words(80, 600))
+        before = [normal_form(word, n) for n, word in words]
+        cache.cache_clear()
+        after = []
+        for n, word in words:
+            after.append(normal_form(word, n))
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+        assert after == before
+        info = cache.cache_info()
+        assert info.misses > info.maxsize == info.currsize  # the bound was reached
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

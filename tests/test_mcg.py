@@ -7,9 +7,9 @@ from sandwich.mcg import (
     Factorization,
     HoleArc,
     HoleCurve,
+    MappingClass,
     act_on_curve,
     artin_act,
-    boundary_twists,
     braid_equal,
     braid_permutation,
     canonical_curve,
@@ -19,7 +19,6 @@ from sandwich.mcg import (
     curve_holes,
     cyclic_canonical,
     exponent_sum,
-    half_boundary_twist,
     half_twist,
     hurwitz_move,
     interchange_of,
@@ -51,6 +50,21 @@ def rand_item(rng, n):
     j = rng.randint(1, n - 1)
     k = rng.randint(1, n - j)
     return HoleCurve(n, g, j, k)
+
+
+def boundary_twists(n, offset):
+    """Boundary twists only: the identity braid class with ledger ``offset``."""
+    ident = mc_identity(n)
+    return MappingClass(n, ident.images, ident.perm, tuple(offset)) if offset else ident
+
+
+def half_boundary_twist(h, n):
+    """Half twist on one boundary hole: identity braid class, ledger +1."""
+    if not 1 <= h <= n:
+        raise RangeError(f"hole {h} outside 1..{n}")
+    off = [0] * (n + 1)
+    off[h - 1] = 1
+    return boundary_twists(n, tuple(off))
 
 
 def mc_of_braid_offset(word, offset, n):
@@ -233,6 +247,19 @@ class TestMappingClasses:
     def test_ledger_addition(self):
         two = mc_compose(half_boundary_twist(1, 3), half_boundary_twist(1, 3))
         assert mc_equal(two, twist_of(HoleCurve(3, (), 1, 0)))
+
+    def test_lengths_checked_at_construction(self):
+        with pytest.raises(RangeError):
+            mc_from_braid((), 3, ledger=[1])
+        ident = mc_identity(3)
+        for bad in ((3, ident.images[:2], ident.perm, ident.ledger),
+                    (3, ident.images, ident.perm + (4,), ident.ledger),
+                    (3, ident.images, ident.perm, ident.ledger + (0,)),
+                    (2, ident.images, ident.perm, ident.ledger)):
+            with pytest.raises(RangeError):
+                MappingClass(*bad)
+        with pytest.raises(RangeError):
+            boundary_twists(3, (1, 0))
 
     def test_ledger_transport(self):
         # interchange moves hole 1 to 2, so a later twist at 1 lands at 2
