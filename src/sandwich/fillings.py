@@ -98,7 +98,7 @@ def factorization_product(fact: Factorization) -> MappingClass:
     ledger = [0] * (n + 1)
     for item in fact.items:
         w = item_word(item)
-        off = item_offset(item) or (0,) * (n + 1)
+        off = item_offset(item)
         p = braid_permutation(w, n)
         word.extend(w)
         ledger = [off[h] + ledger[p[h] - 1] for h in range(n)] + [ledger[n] + off[n]]

@@ -352,36 +352,37 @@ def cyclic_canonical(w: Word) -> Word:
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 
-def _normalize_twists(twists) -> Word:
-    t = tuple(twists) if twists else ()
-    return t if any(t) else ()
+def _check_item(c) -> None:
+    # shared tail of the item constructors: reduce the conjugator, and fill
+    # in or check the n+1 twist entries
+    object.__setattr__(c, "conjugator", reduce_word(check_braid_word(c.conjugator, c.n)))
+    t = (0,) * (c.n + 1) if c.twists is None else tuple(c.twists)
+    if len(t) != c.n + 1:
+        raise RangeError("twists vector must have one entry per hole plus the outer entry")
+    object.__setattr__(c, "twists", t)
 
 
 @frozen
 class HoleCurve:
     """g^{-1} of the convex curve around holes start..start+span.
 
-    ``twists`` is an optional boundary-twist offset (one entry per hole
-    plus a final outer entry): extra full boundary twists composed after
-    the core twist.  It is zero for every curve extracted from a diagram
-    and only becomes nonzero through Hurwitz moves, which need it to stay
-    closed under conjugation.
+    ``twists`` is a boundary-twist offset, one entry per hole plus a final
+    outer entry (all zero when not given): extra full boundary twists
+    composed after the core twist.  It is zero for every curve extracted
+    from a diagram and only becomes nonzero through Hurwitz moves, which
+    need it to stay closed under conjugation.
     """
 
     n: int
     conjugator: Word = ()
     start: int = 1
     span: int = 0
-    twists: Word = ()
+    twists: Word | None = None
 
     def __post_init__(self):
         if not 1 <= self.start <= self.start + self.span <= self.n:
             raise RangeError(f"curve base [{self.start}, {self.start + self.span}] outside 1..{self.n}")
-        object.__setattr__(self, "conjugator", reduce_word(check_braid_word(self.conjugator, self.n)))
-        t = _normalize_twists(self.twists)
-        if t and len(t) != self.n + 1:
-            raise RangeError("twists vector must have one entry per hole plus the outer entry")
-        object.__setattr__(self, "twists", t)
+        _check_item(self)
 
     @property
     def base_word(self) -> Word:
@@ -390,21 +391,18 @@ class HoleCurve:
 
 @frozen
 class HoleArc:
-    """g^{-1} of the straight arc between adjacent holes start, start+1."""
+    """g^{-1} of the straight arc between adjacent holes start, start+1,
+    with twists as for ``HoleCurve``."""
 
     n: int
     conjugator: Word = ()
     start: int = 1
-    twists: Word = ()
+    twists: Word | None = None
 
     def __post_init__(self):
         if not 1 <= self.start <= self.start + 1 <= self.n:
             raise RangeError(f"arc base ({self.start}, {self.start + 1}) outside 1..{self.n}")
-        object.__setattr__(self, "conjugator", reduce_word(check_braid_word(self.conjugator, self.n)))
-        t = _normalize_twists(self.twists)
-        if t and len(t) != self.n + 1:
-            raise RangeError("twists vector must have one entry per hole plus the outer entry")
-        object.__setattr__(self, "twists", t)
+        _check_item(self)
 
     @property
     def base_word(self) -> Word:
@@ -436,14 +434,10 @@ def curve_holes(c: Item) -> frozenset[int]:
 
 def _transport_offset(perm, offset: Word) -> Word:
     # offset entry at hole h moves to hole perm[h]; the outer entry stays
-    if not offset:
-        return ()
-    n = len(perm)
-    out = [0] * (n + 1)
-    for h in range(1, n + 1):
-        out[perm[h - 1] - 1] = offset[h - 1]
-    out[n] = offset[n]
-    return _normalize_twists(out)
+    out = list(offset)
+    for h, p in enumerate(perm):
+        out[p - 1] = offset[h]
+    return tuple(out)
 
 
 def act_on_curve(b: Word, c: Item) -> Item:
@@ -470,42 +464,26 @@ def item_word(c: Item) -> Word:
     return reduce_word(inverse_word(g) + core + g)
 
 
-def _zeros(n: int) -> list[int]:
-    return [0] * (n + 1)
-
-
 def item_offset(c: Item) -> Word:
     """Total boundary-twist offset of the item's mapping class: the stored
     twists, plus 2 at the enclosed hole for a boundary-parallel cycle."""
-    off = list(c.twists) if c.twists else _zeros(c.n)
+    off = list(c.twists)
     if isinstance(c, HoleCurve) and c.span == 0:
         (hole,) = curve_holes(c)
         off[hole - 1] += 2
-    return tuple(off) if any(off) else ()
-
-
-def _vec_add(a: Word, b: Word) -> Word:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(off)
 
 
 def conjugate_item(word: Word, offset: Word, c: Item) -> Item:
     """Item representing M (item) M^{-1}, where M is the mapping class
-    with braid word ``word`` followed by boundary twists ``offset``."""
-    n = c.n
-    moved = act_on_curve(word, c)
-    if offset:
-        p_w = braid_permutation(word, n)
-        p_item = braid_permutation(item_word(c), n)
-        delta = [x - y for x, y in zip(_transport_offset(perm_inverse(p_item), offset) or _zeros(n), offset)]
-        delta = _transport_offset(p_w, tuple(delta))
-        if delta:
-            base = moved.twists if moved.twists else tuple(_zeros(n))
-            moved = replace(moved, twists=_normalize_twists(_vec_add(base, delta)))
-    return moved
+    with braid word ``word`` followed by boundary twists ``offset``: the
+    twists shift by the offset carried back through the item's hole
+    permutation, less the offset, and the whole then moves by ``word``."""
+    if len(offset) != c.n + 1:
+        raise RangeError("offset vector must have one entry per hole plus the outer entry")
+    back = _transport_offset(perm_inverse(braid_permutation(item_word(c), c.n)), offset)
+    shifted = tuple(t + x - y for t, x, y in zip(c.twists, back, offset))
+    return act_on_curve(word, replace(c, twists=shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +517,7 @@ def mc_identity(n: int) -> MappingClass:
 def mc_from_braid(word: Word, n: int, ledger=None) -> MappingClass:
     check_braid_word(word, n)
     images = tuple(_image_table(_action_word(word, n), n)[0][1:])
-    led = tuple(ledger) if ledger else tuple([0] * (n + 1))
+    led = (0,) * (n + 1) if ledger is None else tuple(ledger)
     return MappingClass(n, images, braid_permutation(word, n), led)
 
 
@@ -562,10 +540,7 @@ def mc_equal(f: MappingClass, g: MappingClass) -> bool:
 
 
 def mc_of_item(c: Item) -> MappingClass:
-    word = item_word(c)
-    off = item_offset(c)
-    led = off if off else None
-    return mc_from_braid(word, c.n, ledger=led)
+    return mc_from_braid(item_word(c), c.n, ledger=item_offset(c))
 
 
 def twist_of(c: HoleCurve) -> MappingClass:
@@ -622,8 +597,7 @@ def hurwitz_move(fact: Factorization, i: int, direction: str = "forward") -> Fac
     elif direction == "backward":
         w = item_word(b)
         p = braid_permutation(w, fact.n)
-        off = item_offset(b)
-        inv_off = tuple(-x for x in _transport_offset(p, off)) if off else ()
+        inv_off = tuple(-x for x in _transport_offset(p, item_offset(b)))
         items[i - 1] = b
         items[i] = conjugate_item(inverse_word(w), inv_off, a)
     else:

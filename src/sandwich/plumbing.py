@@ -50,9 +50,9 @@ class PlumbingGraph:
 
     def __post_init__(self):
         names = [v for v, _ in self.vertices]
-        if len(set(names)) != len(names):
-            raise RangeError("duplicate vertex name")
         known = set(names)
+        if len(known) != len(names):
+            raise RangeError("duplicate vertex name")
         norm = set()
         for a, b in self.edges:
             if a == b:
@@ -75,10 +75,7 @@ class PlumbingGraph:
 
 def plumbing_graph(vertices, edges=()) -> PlumbingGraph:
     """Build a graph from a {name: euler} mapping or (name, euler) pairs."""
-    if hasattr(vertices, "items"):
-        vs = tuple(vertices.items())
-    else:
-        vs = tuple(vertices)
+    vs = tuple(vertices.items() if hasattr(vertices, "items") else vertices)
     return PlumbingGraph(vs, tuple(tuple(e) for e in edges))
 
 
@@ -100,32 +97,27 @@ def augmentation(arrows) -> Augmentation:
     return Augmentation(tuple(tuple(a) for a in arrows))
 
 
-def _is_tree(g: PlumbingGraph) -> bool:
-    names = g.names()
-    if not names:
+def _is_tree(adj) -> bool:
+    """Whether the adjacency lists of ``_adjacency`` form a tree."""
+    if not adj:
         return True
-    if len(g.edges) != len(names) - 1:
+    if sum(map(len, adj)) != 2 * len(adj) - 2:
         return False
-    seen = {names[0]}
-    frontier = [names[0]]
-    adj: dict[str, list[str]] = {v: [] for v in names}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    seen = {0}
+    frontier = [0]
     while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
+        for u in adj[frontier.pop()]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
-    return len(seen) == len(names)
+    return len(seen) == len(adj)
 
 
 def validate_graph(g: PlumbingGraph) -> ValidationReport:
     """Report tree and euler violations; empty report iff the graph is a
     candidate minimal good graph (tree, all euler <= -2)."""
     entries = []
-    if not _is_tree(g):
+    if not _is_tree(_adjacency(g)[1]):
         entries.append(("not-tree", "graph is not a tree"))
     for v, e in g.vertices:
         if e > -2:
@@ -742,9 +734,9 @@ def _centroids(adj) -> list[int]:
 
 def automorphisms(g: PlumbingGraph) -> list[dict[str, str]]:
     """All euler-preserving tree automorphisms (identity included)."""
-    if not _is_tree(g):
-        raise RangeError("automorphisms requires a tree")
     names, adj = _adjacency(g)
+    if not _is_tree(adj):
+        raise RangeError("automorphisms requires a tree")
     n = len(names)
     if n == 0:
         return [{}]
@@ -864,6 +856,7 @@ def parse_germ(text: str) -> Cluster:
     branches: list[str] = []
     points: list[tuple] = []
     mults: dict[str, dict[str, int]] = {}
+    mult_at: dict[str, str] = {}  # branch -> line of its first multiplicity
     weights: dict[str, int] = {}
     for lineno, line in _content_lines(text):
         tok = line.split()
@@ -884,7 +877,10 @@ def parse_germ(text: str) -> Cluster:
                     b, _, v = part.partition("=")
                     if not _:
                         raise ValueError(part)
+                    if b in row:
+                        raise FormatError(f"duplicate multiplicity {tok[1]} {b}", location=loc)
                     row[b] = int(v)
+                    mult_at.setdefault(b, loc)
             elif tok[0] == "weight" and len(tok) == 3:
                 weights[tok[1]] = int(tok[2])
             else:
@@ -896,6 +892,9 @@ def parse_germ(text: str) -> Cluster:
     for b in weights:
         if b not in branches:
             raise FormatError(f"weight for unknown branch {b}")
+    for b, at in mult_at.items():
+        if b not in branches:
+            raise FormatError(f"mult for unknown branch {b}", location=at)
     ids = {p[0] for p in points}
     for pid in mults:
         if pid not in ids:

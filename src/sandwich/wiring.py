@@ -32,6 +32,7 @@ from .mcg import (
     HoleArc,
     HoleCurve,
     Word,
+    canonical_curve,
     check_braid_word,
     curve_holes,
     half_twist,
@@ -82,6 +83,13 @@ def event_window(ev: Singularity) -> tuple[int, int]:
     if isinstance(ev, Intersection):
         return ev.lo, ev.hi
     return ev.pos, ev.pos
+
+
+def _event_at(ev: Singularity, lo: int, hi: int) -> Singularity:
+    """An event of the same kind as ``ev`` with window lo..hi."""
+    if isinstance(ev, Intersection):
+        return Intersection(lo, hi)
+    return ev.__class__(lo)
 
 
 @frozen
@@ -414,12 +422,11 @@ def vanishing_data(w: WiringDiagram) -> Factorization:
     lam: Word = ()
     for b, ev in zip(w.braids, w.events):
         prefix = reduce_word(b + lam + prefix)
-        if isinstance(ev, Intersection):
-            items.append(HoleCurve(w.n, prefix, ev.lo, ev.hi - ev.lo))
-        elif isinstance(ev, Tangency):
-            items.append(HoleArc(w.n, prefix, ev.pos))
+        lo, hi = event_window(ev)
+        if isinstance(ev, Tangency):
+            items.append(HoleArc(w.n, prefix, lo))
         else:
-            items.append(HoleCurve(w.n, prefix, ev.pos, 0))
+            items.append(HoleCurve(w.n, prefix, lo, hi - lo))
         lam = _event_bottom(ev)
     return Factorization(w.n, tuple(items))
 
@@ -433,13 +440,11 @@ def wiring_from_vanishing(fact: Factorization, components=None) -> WiringDiagram
     prefix: Word = ()
     lam: Word = ()
     for item in fact.items:
-        if item.twists:
+        if any(item.twists):
             raise RangeError("items carrying boundary-twist offsets have no diagram form")
         b = reduce_word(item.conjugator + inverse_word(prefix) + inverse_word(lam))
         braids.append(b)
         if isinstance(item, HoleArc):
-            if item.start + 1 > fact.n:
-                raise ArcAtOuterError(f"arc endpoints {item.start}, {item.start + 1} out of range")
             events.append(Tangency(item.start))
         elif item.span == 0:
             events.append(FreePoint(item.start))
@@ -573,14 +578,6 @@ def _shift_word(word: Word, k: int) -> Word:
     return tuple(a + k if a > 0 else a - k for a in word)
 
 
-def _shift_event(ev: Singularity, k: int) -> Singularity:
-    if isinstance(ev, Tangency):
-        return Tangency(ev.pos + k)
-    if isinstance(ev, Intersection):
-        return Intersection(ev.lo + k, ev.hi + k)
-    return FreePoint(ev.pos + k)
-
-
 def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
     """Stack wa above wb and prepend one transverse double point for every
     (strand of wa, strand of wb) pair, each conjugated by the positive
@@ -615,7 +612,8 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
     push_braid(wb.braids[-1])
     for i, ev in enumerate(wa.events):
         push_braid(_shift_word(wa.braids[i], nb))
-        push_event(_shift_event(ev, nb))
+        lo, hi = event_window(ev)
+        push_event(_event_at(ev, lo + nb, hi + nb))
     push_braid(_shift_word(wa.braids[-1], nb))
     braids.append(pending)
     return WiringDiagram(n, tuple(braids), tuple(events), wb.components + wa.components)
@@ -623,54 +621,43 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
 
 def subarrangement(w: WiringDiagram, keep_components) -> WiringDiagram:
     """Delete the strands of every component not in ``keep_components``.
-    Intersections survive only while two strands remain; marked points
-    survive with their strand; tangencies of deleted strands drop."""
-    keep_labels = set(keep_components)
-    known = set(w.components)
-    for label in keep_labels:
-        if label not in known:
-            raise UnknownComponentError(f"unknown component {label}")
-    kept = {s for s in range(1, w.n + 1) if w.components[s - 1] in keep_labels}
+    Tangencies and intersections survive while two of their strands
+    remain, marked points with their strand, each on the window of the
+    strands it keeps."""
+    keep = set(keep_components)
+    unknown = sorted(keep - set(w.components))
+    if unknown:
+        raise UnknownComponentError(f"unknown component {unknown[0]}")
+    kept = {s for s in range(1, w.n + 1) if w.components[s - 1] in keep}
     if not kept:
         raise RangeError("empty component subset")
 
-    state = list(range(1, w.n + 1))
+    state = list(range(1, w.n + 1))  # state[p - 1] = strand at position p
     braids: list[Word] = []
     events: list[Singularity] = []
     pending: list[int] = []  # chronological letters
 
-    def flush():
-        braids.append(reduce_word(tuple(reversed(pending))))
-        pending.clear()
+    def rank(p: int) -> int:
+        """How many kept strands sit at positions 1..p."""
+        return sum(1 for s in state[:p] if s in kept)
 
-    def run_braid(word: Word):
+    for word, ev in zip(w.braids, w.events + (None,)):
         for a in reversed(word):
             j = abs(a)
             x, y = state[j - 1], state[j]
             if x in kept and y in kept:
-                below = sum(1 for s in state[: j - 1] if s in kept)
-                pending.append(below + 1 if a > 0 else -(below + 1))
+                b = rank(j - 1) + 1
+                pending.append(b if a > 0 else -b)
             state[j - 1], state[j] = y, x
-
-    for i, ev in enumerate(w.events):
-        run_braid(w.braids[i])
-        if isinstance(ev, Tangency):
-            ids = [state[ev.pos - 1], state[ev.pos]]
-            if all(s in kept for s in ids):
-                flush()
-                events.append(Tangency(sum(1 for s in state[: ev.pos - 1] if s in kept) + 1))
-        elif isinstance(ev, Intersection):
-            ids = [s for s in state[ev.lo - 1 : ev.hi] if s in kept]
-            below = sum(1 for s in state[: ev.lo - 1] if s in kept)
-            if len(ids) >= 2:
-                flush()
-                events.append(Intersection(below + 1, below + len(ids)))
-        else:
-            if state[ev.pos - 1] in kept:
-                flush()
-                events.append(FreePoint(sum(1 for s in state[: ev.pos - 1] if s in kept) + 1))
-    run_braid(w.braids[-1])
-    flush()
+        if ev is not None:
+            lo, hi = event_window(ev)
+            below = rank(lo - 1)
+            count = rank(hi) - below
+            if count < 1 + (hi > lo):
+                continue
+            events.append(_event_at(ev, below + 1, below + count))
+        braids.append(reduce_word(tuple(reversed(pending))))
+        pending.clear()
     labels = tuple(w.components[s - 1] for s in sorted(kept))
     return WiringDiagram(len(kept), tuple(braids), tuple(events), labels)
 
@@ -925,8 +912,6 @@ def serialize_wire(w: WiringDiagram) -> str:
 
 
 def factorization_json(fact: Factorization) -> dict:
-    from .mcg import canonical_curve
-
     items = []
     for item in fact.items:
         d = {
@@ -937,7 +922,7 @@ def factorization_json(fact: Factorization) -> dict:
         }
         if isinstance(item, HoleCurve):
             d["span"] = item.span
-        if item.twists:
+        if any(item.twists):
             d["twists"] = list(item.twists)
         items.append(d)
     return {"holes": fact.n, "items": items}
@@ -961,7 +946,7 @@ def factorization_from_json(data) -> Factorization:
         for i, d in enumerate(data["items"]):
             where = f"items[{i}]"
             conj = tuple(map(_json_int, d.get("conjugator", ())))
-            twists = tuple(map(_json_int, d.get("twists", ())))
+            twists = tuple(map(_json_int, d["twists"])) if "twists" in d else None
             if d["kind"] == "arc":
                 items.append(HoleArc(n, conj, _json_int(d["start"]), twists))
             else:

@@ -226,6 +226,18 @@ class TestExitCodes:
             "message": "duplicate branch name A",
         }
 
+    @pytest.mark.parametrize("mults, location, message", [
+        (["mult q0 A=2 B=5"], "line 3", "mult for unknown branch B"),
+        (["mult q0 A=1 A=3"], "line 3", "duplicate multiplicity q0 A"),
+        (["mult q0 A=1", "mult q0 A=3"], "line 4", "duplicate multiplicity q0 A"),
+    ])
+    @pytest.mark.parametrize("command", ["scott", "graph"])
+    def test_bad_multiplicity_is_two(self, work, capsys, command, mults, location, message):
+        (work / "bad.germ").write_text("branch A\npoint q0 parent root\n" + "\n".join(mults) + "\n")
+        code, out, err = run(capsys, command, "--germ", work / "bad.germ")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
     def test_cancelling_out_of_range_letters_are_two(self, work, capsys):
         (work / "cancel.wire").write_text("strands 2\nseq: s3 s3', T(1), 1\n")
         code, out, err = run(capsys, "validate", "--wire", work / "cancel.wire")
@@ -314,6 +326,13 @@ class TestExitCodes:
          {"code": "format", "location": "items[0]", "message": "bad factorization JSON: expected an integer, got 1.7"}),
         ({"holes": 2, "items": [{"kind": "cycle", "start": 1}, {"kind": "cycle", "start": 1, "twists": [0, 0, False]}]},
          {"code": "format", "location": "items[1]", "message": "bad factorization JSON: expected an integer, got False"}),
+        # a twists vector of the wrong length, zero or not
+        ({"holes": 2, "items": [{"kind": "cycle", "start": 1, "twists": [0, 0]}]},
+         {"code": "range", "location": "items[0]",
+          "message": "twists vector must have one entry per hole plus the outer entry"}),
+        ({"holes": 2, "items": [{"kind": "cycle", "start": 1, "twists": [0, 1]}]},
+         {"code": "range", "location": "items[0]",
+          "message": "twists vector must have one entry per hole plus the outer entry"}),
     ])
     def test_factorization_errors_name_the_item(self, work, capsys, data, error):
         (work / "f.json").write_text(json.dumps(data))

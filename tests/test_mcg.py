@@ -207,6 +207,14 @@ class TestCurves:
         with pytest.raises(RangeError):
             HoleCurve(3, (), 2, 2)
 
+    def test_twists_hold_one_entry_per_hole_and_the_outer_one(self):
+        assert HoleCurve(3, (), 1, 1).twists == (0, 0, 0, 0)
+        assert HoleArc(3, (), 2).twists == (0, 0, 0, 0)
+        assert HoleArc(2, (), 1, [1, 0, -1]).twists == (1, 0, -1)
+        for twists in ((), (0, 0), (0, 1), (0, 0, 0, 0)):
+            with pytest.raises(RangeError, match="one entry per hole plus the outer entry"):
+                HoleCurve(2, (), 1, 0, twists)
+
 
 class TestMappingClasses:
     def test_twist_convex_pair(self):
@@ -249,8 +257,9 @@ class TestMappingClasses:
         assert mc_equal(two, twist_of(HoleCurve(3, (), 1, 0)))
 
     def test_lengths_checked_at_construction(self):
-        with pytest.raises(RangeError):
-            mc_from_braid((), 3, ledger=[1])
+        for ledger in ([1], ()):
+            with pytest.raises(RangeError):
+                mc_from_braid((), 3, ledger=ledger)
         ident = mc_identity(3)
         for bad in ((3, ident.images[:2], ident.perm, ident.ledger),
                     (3, ident.images, ident.perm + (4,), ident.ledger),
@@ -280,16 +289,20 @@ class TestConjugateItem:
             mx = mc_of_item(x)
             w = item_word(x)
             off = item_offset(x)
-            inv_off = ()
-            if off:
-                p = braid_permutation(w, n)
-                moved = [0] * (n + 1)
-                for h in range(1, n + 1):
-                    moved[p[h - 1] - 1] = off[h - 1]
-                moved[n] = off[n]
-                inv_off = tuple(-v for v in moved)
+            p = braid_permutation(w, n)
+            moved = [0] * (n + 1)
+            for h in range(1, n + 1):
+                moved[p[h - 1] - 1] = off[h - 1]
+            moved[n] = off[n]
+            inv_off = tuple(-v for v in moved)
             mx_inv = mc_of_braid_offset(inverse_word(w), inv_off, n)
             assert mc_equal(mc_of_item(z), mc_compose(mx, mc_compose(mc_of_item(y), mx_inv)))
+
+    def test_offset_of_the_wrong_length(self):
+        c = HoleCurve(3, (1,), 1, 1)
+        for offset in ((), (0, 0, 0), (0, 1, 0, 0, 0)):
+            with pytest.raises(RangeError, match="one entry per hole plus the outer entry"):
+                conjugate_item((2,), offset, c)
 
 
 class TestHurwitz:

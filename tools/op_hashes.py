@@ -14,7 +14,11 @@ result, or its exception).  Run it once per checkout and diff the lines.
 After the workload plans come the ops of ``extra_ops`` (workload column
 ``extra``), larger than any benchmark rung: ``unexpected`` on the pair and
 the triple of smooth branches at N = 20 and 30, and ``germ --trace`` on two
--2 chains of 4000 vertices.  Together they take a few seconds.
+-2 chains of 4000 vertices.  Three small ones cover the commands no
+workload runs: ``extend`` on the pair graph, ``auts`` on the extended
+graph, and ``inside-out`` at one hole of the generic arrangement of
+EXTRA_ARRANGEMENT_M lines, one strand each.  Together they take a few
+seconds.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ SEED = 7
 WORK = Path(tempfile.gettempdir()) / "sandwich-op-hashes"
 EXTRA_N = (20, 30)
 EXTRA_CHAIN_L = 4000
+EXTRA_ARRANGEMENT_M = 8
 
 
 def op_digest(op, workloads) -> str:
@@ -64,6 +69,19 @@ def extra_ops(api, workloads, work: Path) -> list:
     ops.append(workloads.Op("germ", f"germ --trace chains L={EXTRA_CHAIN_L}",
                             lambda: api.run_cli("germ", "--graph", graph, "--trace", trace),
                             {}, None, (trace,)))
+    extended = work / "pair_extended.plumb"
+    ops.append(workloads.Op("extend", "extend pair c0=4,c1=4",
+                            lambda: api.run_cli("extend", "--graph", work / "pair.plumb",
+                                                "--chains", "c0=4,c1=4", "-o", extended),
+                            {}, None, (extended,)))
+    ops.append(workloads.Op("auts", "auts extended pair",
+                            lambda: api.run_cli("auts", "--graph", extended), {}, None))
+    m = EXTRA_ARRANGEMENT_M
+    wire = work / f"arr_{m}.wire"
+    wire.write_text(workloads.arrangement(workloads.Names(SEED).take(m)))
+    ops.append(workloads.Op("inside-out", f"inside-out m={m} hole {m // 2}",
+                            lambda: api.run_cli("inside-out", "--wire", wire, "--hole", m // 2),
+                            {}, None))
     return ops
 
 
