@@ -115,22 +115,23 @@ def render(w: WiringDiagram, version: int = 1) -> str:
     the understrand; tangencies are filled diamonds, intersections filled
     dots sized by strand count, free points open circles.  Each coordinate
     string is formatted once: ys[p] per position, x per letter or event.
-    The straight segments outside each window are one template per call."""
+    The straight segments outside each window are one template per call,
+    and the document is one join of the path pieces."""
     n = w.n
     ys = [f"{n - p + 1:.3f}" for p in range(n + 1)]
     gap = 0.18
     near, far = 0.5 - gap, 0.5 + gap
     paths: list[str] = []
     markers: list[str] = []
-    runs: dict[tuple[int, int], str] = {}  # straight segments per window, x as \0 and \1
+    runs: dict[tuple[int, int], list[str]] = {}  # straight segments per window, split at x0; x1 is \1
 
     def horizontal(a: str, b: str, lo: int, hi: int) -> None:
         """Straight segments from x string a to b at positions outside lo..hi."""
-        run = runs.get((lo, hi))
-        if run is None:
-            run = runs[lo, hi] = " ".join([f"M \0 {yp} L \1 {yp}" for yp in ys[1:lo] + ys[hi + 1 :]])
-        if run:  # an empty string would add a stray space to the path
-            paths.append(run.replace("\0", a).replace("\1", b))
+        parts = runs.get((lo, hi))
+        if parts is None:
+            parts = runs[lo, hi] = " ".join([f"M \0 {yp} L \1 {yp}" for yp in ys[1:lo] + ys[hi + 1 :]]).split("\0")
+        if len(parts) > 1:  # no segments would add a stray space to the path
+            paths.append(a.join(parts).replace("\1", b))
 
     for j, (word, ev) in enumerate(zip(w.braids, w.events + (None,))):
         x = 2 * j
@@ -166,28 +167,25 @@ def render(w: WiringDiagram, version: int = 1) -> str:
             r = 0.16
             markers.append(
                 f'<path class="tangency" fill="black" d="M {scx} {yc - r:.3f} '
-                f'L {cx + r:.3f} {syc} L {scx} {yc + r:.3f} L {cx - r:.3f} {syc} Z"/>'
+                f'L {cx + r:.3f} {syc} L {scx} {yc + r:.3f} L {cx - r:.3f} {syc} Z"/>\n'
             )
         elif isinstance(ev, Intersection):
             markers.append(
                 f'<circle class="intersection" fill="black" '
-                f'cx="{scx}" cy="{syc}" r="{0.08 + 0.03 * k:.3f}"/>'
+                f'cx="{scx}" cy="{syc}" r="{0.08 + 0.03 * k:.3f}"/>\n'
             )
         else:
             markers.append(
                 f'<circle class="free" fill="white" stroke="black" stroke-width="0.04" '
-                f'cx="{scx}" cy="{syc}" r="0.110"/>'
+                f'cx="{scx}" cy="{syc}" r="0.110"/>\n'
             )
 
     width = len(w.braids) + len(w.events)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.5 0 {width + 1} {n + 1}">',
-        f"<!-- format {version} -->",
-        f'<path class="strand" {_STRAND_STYLE} d="{" ".join(paths)}"/>',
-    ]
-    lines.extend(markers)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # n >= 1 and the first braid slot always draws, so paths is never empty
+    paths[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.5 0 {width + 1} {n + 1}">\n'
+                f'<!-- format {version} -->\n<path class="strand" {_STRAND_STYLE} d="{paths[0]}')
+    paths[-1] += '"/>\n' + "".join(markers) + "</svg>\n"
+    return " ".join(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,12 @@ def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
     order = sorted(range(len(m.components)), key=lambda i: m.components[i])
     rows = [m.rows[i] for i in order]
     # zip(*rows) loses the shape of an empty matrix, so "or" restores it
-    cols = sorted(zip(list(zip(*rows)) or [()] * len(m.kinds), m.kinds), reverse=True)
+    cols = list(zip(*rows)) or [()] * len(m.kinds)
+    try:  # equal-length bytes order as their tuples of 0..255 do, by memcmp
+        cols = list(map(bytes, cols))
+    except (TypeError, ValueError):  # an entry not an int in 0..255: keep the tuples
+        pass
+    cols = sorted(zip(cols, m.kinds), reverse=True)
     return IncidenceMatrix(
         tuple(m.components[i] for i in order),
         tuple(zip(*(col for col, _ in cols))) or ((),) * len(rows),

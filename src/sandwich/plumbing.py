@@ -856,7 +856,7 @@ def parse_germ(text: str) -> Cluster:
     branches: list[str] = []
     points: list[tuple] = []
     mults: dict[str, dict[str, int]] = {}
-    mult_at: dict[str, str] = {}  # branch -> line of its first multiplicity
+    named: dict[tuple[str, str], str] = {}  # ("weight" or "mult", branch) -> line of its first use
     weights: dict[str, int] = {}
     for lineno, line in _content_lines(text):
         tok = line.split()
@@ -880,29 +880,28 @@ def parse_germ(text: str) -> Cluster:
                     if b in row:
                         raise FormatError(f"duplicate multiplicity {tok[1]} {b}", location=loc)
                     row[b] = int(v)
-                    mult_at.setdefault(b, loc)
+                    named.setdefault(("mult", b), loc)
             elif tok[0] == "weight" and len(tok) == 3:
+                if tok[1] in weights:
+                    raise FormatError(f"duplicate weight {tok[1]}", location=loc)
                 weights[tok[1]] = int(tok[2])
+                named["weight", tok[1]] = loc
             else:
                 raise ValueError(line)
         except ValueError as exc:
             raise FormatError(f"bad .germ line: {line!r}", location=loc) from exc
     if not branches:
         raise FormatError("no branch line")
-    for b in weights:
+    for (kind, b), at in sorted(named.items(), key=lambda item: item[0][0] == "mult"):  # weights first
         if b not in branches:
-            raise FormatError(f"weight for unknown branch {b}")
-    for b, at in mult_at.items():
-        if b not in branches:
-            raise FormatError(f"mult for unknown branch {b}", location=at)
+            raise FormatError(f"{kind} for unknown branch {b}", location=at)
     ids = {p[0] for p in points}
     for pid in mults:
         if pid not in ids:
             raise FormatError(f"mult for unknown point {pid}")
-    w = tuple(weights.get(b, 0) for b in branches) if weights else None
-    if w is not None and set(weights) != set(branches):
+    if weights and set(weights) != set(branches):
         raise FormatError("weights given for some branches but not all")
-    return cluster(branches, points, mults, w)
+    return cluster(branches, points, mults, tuple(weights[b] for b in branches) if weights else None)
 
 
 def serialize_germ(c: Cluster) -> str:

@@ -359,20 +359,19 @@ class IncidenceMatrix:
 def incidence(w: WiringDiagram) -> IncidenceMatrix:
     """Rows = components (sorted by label), one column per Intersection or
     FreePoint in seq order; entries count that component's strands there."""
-    event_ids = event_strands(w)
-    _check_tangency_components(w, event_ids)
     labels = tuple(sorted(set(w.components)))
     row_of = {label: r for r, label in enumerate(labels)}
-    counted = _component_counts(w, event_ids)
-    rows = [[0] * len(counted) for _ in labels]
-    for j, (_, counts) in enumerate(counted):
-        for label, count in counts.items():
-            rows[row_of[label]][j] = count
-    return IncidenceMatrix(
-        labels,
-        tuple(map(tuple, rows)),
-        tuple("free" if isinstance(ev, FreePoint) else "intersection" for ev, _ in counted),
-    )
+    rows = [[0] * len(w.events) for _ in labels]
+    row_of_strand = [None, *(rows[row_of[label]] for label in w.components)]
+    kinds = []
+    for ev, ids in zip(w.events, w.walked[0]):
+        if isinstance(ev, Tangency):
+            _check_tangency_components(w, ((ev, ids),))
+            continue
+        for s in ids:
+            row_of_strand[s][len(kinds)] += 1
+        kinds.append("free" if isinstance(ev, FreePoint) else "intersection")
+    return IncidenceMatrix(labels, tuple(tuple(row[: len(kinds)]) for row in rows), tuple(kinds))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "format", "location": location, "message": message}
 
+    @pytest.mark.parametrize("tail, location, message", [
+        (["weight A 9", "weight A 2"], "line 6", "duplicate weight A"),
+        (["weight A 9", "weight B 2"], "line 6", "weight for unknown branch B"),
+        # an unknown weight branch is reported before an unknown mult branch
+        (["mult q0 B=1", "weight A 9", "weight B 2"], "line 7", "weight for unknown branch B"),
+    ])
+    @pytest.mark.parametrize("command", ["scott", "graph"])
+    def test_bad_weight_is_two(self, work, capsys, command, tail, location, message):
+        (work / "bad.germ").write_text(
+            "branch A\npoint q0 parent root\npoint q1 parent q0\nmult q0 A=1\n" + "\n".join(tail) + "\n"
+        )
+        code, out, err = run(capsys, command, "--germ", work / "bad.germ")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
     def test_cancelling_out_of_range_letters_are_two(self, work, capsys):
         (work / "cancel.wire").write_text("strands 2\nseq: s3 s3', T(1), 1\n")
         code, out, err = run(capsys, "validate", "--wire", work / "cancel.wire")

@@ -4,10 +4,13 @@ as oracles: the parser that read every seq chunk and checked every braid
 word, the renderer that formatted every coordinate of every segment, rows
 built by looking every label up in every column's Counter, and columns
 transposed one generator at a time.  Output must agree byte for byte, and
-errors by class and message (and location, for the parser)."""
+errors by class and message (and location, for the parser).  The columns
+are sorted as bytes or, with an entry outside 0..255, as tuples; both keys
+are compared with the oracle.  ``render``'s peak memory is pinned too."""
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -368,13 +371,21 @@ def test_arrangements():
 
 
 def test_canonical_form_of_built_matrices():
-    # shapes no diagram gives: no rows, and rows out of label order
+    # shapes no diagram gives: no rows, rows out of label order, and entries
+    # outside 0..255, which sort as tuples: 256 > 255 > 1 and -1 < 0, where
+    # bytes wrapped modulo 256 would order them otherwise
     rng = random.Random(8)
     cases = [
         IncidenceMatrix((), (), ()),
         IncidenceMatrix((), (), ("free", "intersection")),
         IncidenceMatrix(("b", "a"), ((), ()), ()),
+        IncidenceMatrix(("a", "b"), ((256, 1, 255, 0), (0, 2, 0, 7)), ("free", "intersection", "free", "free")),
+        IncidenceMatrix(("b", "a"), ((-1, 0, 1), (3, 3, 3)), ("intersection", "free", "free")),
     ]
+    # equal columns of both kinds, in either order, sorted as bytes and as tuples
+    for kinds in (("free", "intersection", "free"), ("intersection", "free", "free")):
+        for last in (0, 300, -4):
+            cases.append(IncidenceMatrix(("a", "b"), ((1, 1, last), (2, 2, 1)), kinds))
     for _ in range(300):
         r, c = rng.randint(0, 4), rng.randint(0, 5)
         cases.append(IncidenceMatrix(
@@ -384,6 +395,19 @@ def test_canonical_form_of_built_matrices():
         ))
     for m in cases:
         assert repr(incidence_canonical(m)) == repr(reference_incidence_canonical(m))
+
+
+@pytest.mark.parametrize("m", [24, 40])
+def test_render_builds_one_copy_of_the_document(m):
+    # the pieces and the joined document, not four copies of it at once
+    a = arrangement(m)
+    tracemalloc.start()
+    try:
+        svg = render(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * len(svg), peak / len(svg)
 
 
 @st.composite
