@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .errors import FormatError, SandwichError
 from .fillings import incidence_canonical, incidence_equiv, unexpected_arrangement
+from .lines import Ledger
 from .plumbing import (
     automorphisms,
     blow_down,
@@ -272,17 +273,14 @@ def _cmd_inside_out(args, version):
 
 def _cmd_extend(args, version):
     g, aug = _load_plumb(args.graph)
-    lengths = {}
-    for part in args.chains.split(","):
-        name, sep, value = part.partition("=")
-        if not sep or not name:
-            raise FormatError(f"bad chain spec {part!r}", location="--chains")
-        try:
-            lengths[name.strip()] = int(value)
-        except ValueError:
-            raise FormatError(f"bad chain length in {part!r}", location="--chains")
-    g, aug = extend_chains(g, aug, lengths)
-    _write(serialize_plumb(g, aug), args.out)
+    names, lengths = Ledger("chains", where="--chains"), {}
+    names.defined.update(("curvetta", c) for c in aug.curvettas())
+    try:
+        names.pairs(args.chains.split(","), lengths, "chains", "curvetta", "chain")
+    except ValueError:
+        raise names.error(f"bad chain spec {args.chains!r}")
+    names.check()
+    _write(serialize_plumb(*extend_chains(g, aug, lengths)), args.out)
     return 0
 
 

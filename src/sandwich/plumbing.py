@@ -22,6 +22,7 @@ from .errors import (
     RangeError,
     WeightMismatchError,
 )
+from .lines import Ledger
 from .records import frozen
 
 ARROW_PREFIX = "@"
@@ -795,44 +796,35 @@ def automorphisms(g: PlumbingGraph) -> list[dict[str, str]]:
 # text formats
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def parse_plumb(text: str) -> tuple[PlumbingGraph, Augmentation, dict[str, int]]:
     """Parse the ``.plumb`` format: ``vertex <name> <euler>``,
     ``edge <a> <b>``, ``curvetta <c> on <v>``, ``chains c=3,d=4``."""
-    vertices: list[tuple[str, int]] = []
-    edges: list[tuple[str, str]] = []
-    arrows: list[tuple[str, str]] = []
-    chains: dict[str, int] = {}
-    for lineno, line in _content_lines(text):
+    names, vertices, edges, arrows, chains = Ledger("edge", "curvetta", "chains"), [], [], [], {}
+    for line in names.statements(text):
         tok = line.split()
-        loc = f"line {lineno}"
         try:
             if tok[0] == "vertex" and len(tok) == 3:
+                names.define("vertex", tok[1])
                 vertices.append((tok[1], int(tok[2])))
             elif tok[0] == "edge" and len(tok) == 3:
-                edges.append((tok[1], tok[2]))
+                a, b = (tok[1], tok[2]) if tok[1] < tok[2] else (tok[2], tok[1])
+                if a == b:
+                    raise names.error(f"self-loop at {a}")
+                names.define("edge", a, b)
+                names.use("edge", "vertex", tok[1])
+                names.use("edge", "vertex", tok[2])
+                edges.append((a, b))
             elif tok[0] == "curvetta" and len(tok) == 4 and tok[2] == "on":
+                names.define("curvetta", tok[1])
+                names.use("curvetta", "vertex", tok[3])
                 arrows.append((tok[1], tok[3]))
             elif tok[0] == "chains" and len(tok) == 2:
-                for part in tok[1].split(","):
-                    c, _, v = part.partition("=")
-                    if not _ or not c:
-                        raise ValueError(part)
-                    chains[c.strip()] = int(v)
+                names.pairs(tok[1].split(","), chains, "chains", "curvetta", "chain")
             else:
                 raise ValueError(line)
         except ValueError as exc:
-            raise FormatError(f"bad .plumb line: {line!r}", location=loc) from exc
-    try:
-        return plumbing_graph(vertices, edges), augmentation(arrows), chains
-    except RangeError as exc:
-        raise FormatError(str(exc)) from exc
+            raise names.error(f"bad .plumb line: {line!r}") from exc
+    return plumbing_graph(vertices, edges), augmentation(arrows), chains
 
 
 def serialize_plumb(g: PlumbingGraph, aug: Augmentation | None = None, chains=None) -> str:
@@ -853,16 +845,13 @@ def parse_germ(text: str) -> Cluster:
     """Parse the ``.germ`` cluster format: ``branch <names...>``,
     ``point <id> parent <id|root> [prox <id>,...]``,
     ``mult <id> <branch>=<k> ...``, ``weight <branch> <w>``."""
-    branches: list[str] = []
-    points: list[tuple] = []
-    mults: dict[str, dict[str, int]] = {}
-    named: dict[tuple[str, str], str] = {}  # ("weight" or "mult", branch) -> line of its first use
-    weights: dict[str, int] = {}
-    for lineno, line in _content_lines(text):
+    names, branches, points, mults, weights = Ledger("weight", "mult"), [], [], {}, {}
+    for line in names.statements(text):
         tok = line.split()
-        loc = f"line {lineno}"
         try:
             if tok[0] == "branch":
+                for b in tok[1:]:
+                    names.define("branch", b)
                 branches.extend(tok[1:])
             elif tok[0] == "point" and len(tok) >= 4 and tok[2] == "parent":
                 prox: tuple[str, ...] = ()
@@ -870,35 +859,21 @@ def parse_germ(text: str) -> Cluster:
                     prox = tuple(x for x in tok[5].split(",") if x)
                 elif len(tok) != 4:
                     raise ValueError(line)
+                names.define("point", tok[1])
                 points.append((tok[1], tok[3], prox))
             elif tok[0] == "mult" and len(tok) >= 3:
-                row = mults.setdefault(tok[1], {})
-                for part in tok[2:]:
-                    b, _, v = part.partition("=")
-                    if not _:
-                        raise ValueError(part)
-                    if b in row:
-                        raise FormatError(f"duplicate multiplicity {tok[1]} {b}", location=loc)
-                    row[b] = int(v)
-                    named.setdefault(("mult", b), loc)
+                names.use("mult", "point", tok[1])
+                names.pairs(tok[2:], mults.setdefault(tok[1], {}), "mult", "branch", "multiplicity", tok[1])
             elif tok[0] == "weight" and len(tok) == 3:
-                if tok[1] in weights:
-                    raise FormatError(f"duplicate weight {tok[1]}", location=loc)
+                names.define("weight", tok[1])
+                names.use("weight", "branch", tok[1])
                 weights[tok[1]] = int(tok[2])
-                named["weight", tok[1]] = loc
             else:
                 raise ValueError(line)
         except ValueError as exc:
-            raise FormatError(f"bad .germ line: {line!r}", location=loc) from exc
+            raise names.error(f"bad .germ line: {line!r}") from exc
     if not branches:
         raise FormatError("no branch line")
-    for (kind, b), at in sorted(named.items(), key=lambda item: item[0][0] == "mult"):  # weights first
-        if b not in branches:
-            raise FormatError(f"{kind} for unknown branch {b}", location=at)
-    ids = {p[0] for p in points}
-    for pid in mults:
-        if pid not in ids:
-            raise FormatError(f"mult for unknown point {pid}")
     if weights and set(weights) != set(branches):
         raise FormatError("weights given for some branches but not all")
     return cluster(branches, points, mults, tuple(weights[b] for b in branches) if weights else None)

@@ -27,6 +27,7 @@ from .errors import (
     TangencyComponentMismatchError,
     UnknownComponentError,
 )
+from .lines import Ledger
 from .mcg import (
     Factorization,
     HoleArc,
@@ -785,47 +786,35 @@ def _parse_entry(chunk: str, lineno: int, after_braid: bool) -> Word | Singulari
 
 
 def parse_wire(text: str) -> WiringDiagram:
-    n = None
-    components: dict[str, list[int]] | None = None
-    seq_chunks: list[str] | None = None
-    seq_line = 0
-    statements = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for part in line.split(";"):
-            if part.strip():
-                statements.append((lineno, part.strip()))
-    for lineno, stmt in statements:
-        loc = f"line {lineno}"
+    """Parse ``.wire``, statements read by ``sandwich.lines`` with ``;`` also ending one:
+    ``strands <n>``, ``components <label>=<p>,<q>,... ...`` (optional: a partition of 1..n)
+    and ``seq: <b_0>, <S_1>, ..., <S_N>, <b_N>``, each once.  A braid word is ``1`` or letters
+    ``s<i>``, ``s<i>'`` (inverse); an event is ``T(p)``, ``I(lo..hi)`` or ``F(p)``."""
+    names, n, components, seq_chunks = Ledger(), None, {}, None
+    for stmt in names.statements(text, ";"):
         words = stmt.split()
         if words[0] == "strands":
-            if n is not None:
-                raise FormatError("duplicate strands", location=loc)
+            names.define("strands")
             try:
                 (n,) = map(int, words[1:])
             except ValueError as exc:
-                raise FormatError(f"bad strands line {stmt!r}", location=loc) from exc
+                raise names.error(f"bad strands line {stmt!r}") from exc
         elif words[0] == "components":
-            if components is not None:
-                raise FormatError("duplicate components", location=loc)
-            components = {}
+            names.define("components")
             for group in words[1:]:
                 label, _, positions = group.partition("=")
-                if not _ or not label or not positions.strip(","):  # no position
-                    raise FormatError(f"bad components group {group!r}", location=loc)
-                if label in components:
-                    raise FormatError(f"duplicate component label {label}", location=loc)
                 try:
+                    if not _ or not label or not positions.strip(","):  # no position
+                        raise ValueError
+                    names.define("component label", label)
                     components[label] = [int(x) for x in positions.split(",") if x]
                 except ValueError as exc:
-                    raise FormatError(f"bad components group {group!r}", location=loc) from exc
+                    raise names.error(f"bad components group {group!r}") from exc
         elif stmt.startswith("seq:"):
-            if seq_chunks is not None:
-                raise FormatError("duplicate seq", location=loc)
-            seq_chunks = [c.strip() for c in stmt[4:].split(",")]
-            seq_line = lineno
+            names.define("seq")
+            seq_chunks, seq_line = [c.strip() for c in stmt[4:].split(",")], names.line
         else:
-            raise FormatError(f"unrecognized statement {stmt!r}", location=loc)
+            raise names.error(f"unrecognized statement {stmt!r}")
     if n is None:
         raise FormatError("missing strands header")
     if seq_chunks is None:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import sandwich
 from sandwich.cli import _COMMANDS, build_parser, main, render
+from sandwich.errors import FormatError
 from sandwich.fillings import incidence_canonical
 from sandwich.plumbing import (
     Cluster,
@@ -221,10 +222,7 @@ class TestExitCodes:
         )
         code, out, err = run(capsys, command, "--germ", work / "twice.germ")
         assert code == 2 and out == ""
-        assert json.loads(err) == {
-            "code": "proximity-violation", "location": None,
-            "message": "duplicate branch name A",
-        }
+        assert json.loads(err) == {"code": "format", "location": "line 1", "message": "duplicate branch A"}
 
     @pytest.mark.parametrize("mults, location, message", [
         (["mult q0 A=2 B=5"], "line 3", "mult for unknown branch B"),
@@ -252,6 +250,40 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--germ", work / "bad.germ")
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
+    @pytest.mark.parametrize("suffix, text, location, message", [
+        ("plumb", "vertex v -2\nvertex v -3\n", "line 2", "duplicate vertex v"),
+        ("plumb", "vertex v -1\ncurvetta a on v\ncurvetta a on v\n", "line 3", "duplicate curvetta a"),
+        ("plumb", "vertex v -2\nvertex w -2\nedge v w\nedge v w\n", "line 4", "duplicate edge v w"),
+        ("plumb", "vertex v -2\nvertex w -2\nedge v w\nedge w v\n", "line 4", "duplicate edge v w"),
+        ("plumb", "vertex v -2\nedge v v\n", "line 2", "self-loop at v"),
+        ("plumb", "vertex v -1\ncurvetta a on v\nchains a=2,a=3\n", "line 3", "duplicate chain a"),
+        ("plumb", "vertex v -1\ncurvetta a on v\nchains a=2\nchains a=3\n", "line 4", "duplicate chain a"),
+        ("plumb", "vertex v -2\nedge v w\n", "line 2", "edge for unknown vertex w"),
+        ("plumb", "vertex v -1\ncurvetta a on x\n", "line 2", "curvetta for unknown vertex x"),
+        ("plumb", "vertex v -1\ncurvetta a on v\nchains z=2\n", "line 3", "chains for unknown curvetta z"),
+        ("germ", "branch A\npoint q0 parent root\nmult q0 A=1\nmult q9 A=1\n", "line 4",
+         "mult for unknown point q9"),
+        ("germ", "branch A\npoint q0 parent root\npoint q0 parent root\nmult q0 A=1\n", "line 3",
+         "duplicate point q0"),
+        ("germ", "branch A\nbranch A\npoint q0 parent root\nmult q0 A=1\n", "line 2", "duplicate branch A"),
+    ])
+    def test_name_errors_are_located(self, work, capsys, suffix, text, location, message):
+        # every duplicate or unknown name is a format error at the line of the offending statement
+        (work / f"bad.{suffix}").write_text(text)
+        command = ("germ", "--graph") if suffix == "plumb" else ("scott", "--germ")
+        code, out, err = run(capsys, *command, work / f"bad.{suffix}")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
+    @pytest.mark.parametrize("chains, message", [
+        ("c=2,c=3", "duplicate chain c"),
+        ("z=2", "chains for unknown curvetta z"),
+    ])
+    def test_bad_chains_option_is_two(self, work, capsys, chains, message):
+        code, out, err = run(capsys, "extend", "--graph", work / "e3.plumb", "--chains", chains)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": "--chains", "message": message}
 
     def test_cancelling_out_of_range_letters_are_two(self, work, capsys):
         (work / "cancel.wire").write_text("strands 2\nseq: s3 s3', T(1), 1\n")
@@ -539,6 +571,42 @@ def test_mutated_factorization_keeps_the_exit_code_contract(text):
     if code == 0:
         assert parse_wire(out) == wiring_from_vanishing(factorization_from_json(json.loads(text)))
     assert code != 1
+
+
+def valid_texts(rng):
+    """(parser, text) for a serialized random cluster (its weights given or
+    not), the graph of that cluster with a ``chains`` line, and a random
+    diagram."""
+    c = rand_cluster(rng)
+    if rng.random() < 0.5:
+        c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
+    g, aug = graph_from_cluster(c)
+    curvettas = aug.curvettas()
+    chains = {name: rng.randint(0, 3) for name in rng.sample(curvettas, rng.randint(1, len(curvettas)))}
+    return [(parse_germ, serialize_germ(c)), (parse_plumb, serialize_plumb(g, aug, chains)),
+            (parse_wire, serialize_wire(rand_diagram(rng)))]
+
+
+def test_a_copied_line_reads_the_same_or_is_named_at_the_copy():
+    # a copy of any line of a valid file, put anywhere after it, is either
+    # harmless or a format error located at the copy
+    rng = random.Random(16)
+    probes = 0
+    for _ in range(200):
+        for parse, text in valid_texts(rng):
+            lines = text.splitlines()
+            want = parse(text)
+            for i, line in enumerate(lines):
+                j = rng.randint(i + 1, len(lines))
+                copied = "\n".join(lines[:j] + [line] + lines[j:]) + "\n"
+                try:
+                    got = parse(copied)
+                except FormatError as exc:
+                    assert exc.location == f"line {j + 1}", (copied, exc.message, exc.location)
+                else:
+                    assert got == want, copied
+                probes += 1
+    assert probes >= 4000
 
 
 # ---------------------------------------------------------------------------

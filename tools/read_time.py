@@ -1,4 +1,5 @@
-"""In-process times of the diagram read side on diagram-read's arrangements.
+"""In-process times of the read side: diagram-read's arrangements, then
+the ``.germ`` and ``.plumb`` readers.
 
     python3 tools/read_time.py CHECKOUT
 
@@ -17,6 +18,14 @@ the component labels of seed 7, and prints one markdown table row:
 - ``render peak``: the ``tracemalloc`` peak of one ``render`` call as a
   multiple of the length of the SVG it returns.
 
+A second table has one row per text read by a parser: each star and cusp
+cluster that graph-pipeline writes at seed 7 (its ``graph`` and ``scott``
+ops each parse the file once per pass), timed through ``parse_germ``, and
+a -2 chain of ``CHAIN_VERTICES`` vertices with one arrow, timed through
+``parse_plumb``.  Each row gives the content lines, milliseconds per call
+and microseconds per line; the last row sums the clusters' times, twice
+each, which is what one graph-pipeline pass spends parsing them.
+
 Each time is the median of as many calls as fit in ``BUDGET_S`` seconds, at
 least one, after one untimed call.  The peak is taken with tracing on only
 around that one call, so the times are not slowed by it.
@@ -25,6 +34,7 @@ around that one call, so the times are not slowed by it.
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -32,6 +42,7 @@ from pathlib import Path
 SEED = 7
 BUDGET_S = 0.5
 MAX_CALLS = 51
+CHAIN_VERTICES = 2000
 
 
 def median_ms(call) -> tuple[float, object]:
@@ -56,6 +67,26 @@ def peak_ratio(call) -> float:
     finally:
         tracemalloc.stop()
     return peak / len(result)
+
+
+def chain_plumb(length: int) -> str:
+    """A -2 chain of ``length`` vertices with a curvetta on its last."""
+    lines = [f"vertex v{i} -2" for i in range(length)]
+    lines += [f"edge v{i} v{i + 1}" for i in range(length - 1)]
+    return "\n".join(lines + [f"curvetta c on v{length - 1}"]) + "\n"
+
+
+def parse_rows(workloads, api):
+    """(label, text, parser) per text of the second table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.graph_pipeline(api, workloads.Names(SEED), Path(tmp))
+        germs = sorted(Path(tmp).glob("cluster_*.germ"), key=lambda p: int(p.stem.split("_")[1]))
+        texts = [p.read_text() for p in germs]
+    labels = [f"star m={m} t={t}" for m, t in workloads.STAR_CLUSTERS]
+    labels += [f"cusp t={t}" for t in workloads.CUSP_TAILS]
+    rows = [(label, text, api.plumbing.parse_germ) for label, text in zip(labels, texts, strict=True)]
+    rows.append((f"-2 chain of {CHAIN_VERTICES}", chain_plumb(CHAIN_VERTICES), api.plumbing.parse_plumb))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -89,6 +120,18 @@ def main(argv=None) -> int:
         peak = peak_ratio(lambda: cli.render(w))
         print(f"| {m} | {len(svg):,} | {parse_ms:,.2f} ms | {walk_ms:,.2f} ms | {incidence_ms:,.2f} ms "
               f"| {canonical_ms:,.2f} ms | {render_ms:,.2f} ms | {peak:.2f}× |", flush=True)
+    print()
+    print("| text | parser | lines | ms per call | µs per line |")
+    print("| --- | --- | --- | --- | --- |")
+    pass_ms = pass_lines = 0
+    for label, text, parse in parse_rows(workloads, api):
+        ms, _ = median_ms(lambda: parse(text))
+        lines = sum(1 for line in text.splitlines() if line.split("#", 1)[0].strip())
+        if parse is api.plumbing.parse_germ:
+            pass_ms, pass_lines = pass_ms + 2 * ms, pass_lines + 2 * lines
+        print(f"| {label} | `{parse.__name__}` | {lines:,} | {ms:,.3f} | {1000 * ms / lines:.2f} |", flush=True)
+    print(f"| clusters, one graph-pipeline pass | `parse_germ` | {pass_lines:,} | {pass_ms:,.3f} "
+          f"| {1000 * pass_ms / pass_lines:.2f} |")
     return 0
 
 
