@@ -20,6 +20,7 @@ from .plumbing import (
     graph_from_cluster,
     parse_germ,
     parse_plumb,
+    read_chains,
     serialize_plumb,
     trace_json,
 )
@@ -276,7 +277,7 @@ def _cmd_extend(args, version):
     names, lengths = Ledger("chains", where="--chains"), {}
     names.defined.update(("curvetta", c) for c in aug.curvettas())
     try:
-        names.pairs(args.chains.split(","), lengths, "chains", "curvetta", "chain")
+        read_chains(names, args.chains, lengths)
     except ValueError:
         raise names.error(f"bad chain spec {args.chains!r}")
     names.check()
@@ -299,7 +300,7 @@ def _cmd_unexpected(args, version):
 
 
 def _cmd_auts(args, version):
-    g, aug, _ = parse_plumb(_read(args.graph))
+    g, _ = _load_plumb(args.graph)
     _write_json({"automorphisms": automorphisms(g)}, args.out, version)
     return 0
 

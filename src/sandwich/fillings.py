@@ -71,13 +71,11 @@ def spinal_open_book(germ: DecoratedGerm) -> SpinalOpenBook:
     return SpinalOpenBook(sum(d for _, d in rest), tuple(rest), tuple(outer), marking)
 
 
-def exotic_count(germ) -> int:
+def exotic_count(germ: DecoratedGerm) -> int:
     """Arc-type handles forced by multi-sheeted branches: d - 1 apiece.
 
     Equals the tangency count of every diagram compatible with the germ.
     """
-    if isinstance(germ, Cluster):
-        germ = germ_from_cluster(germ)
     return sum(b.origin_multiplicity - 1 for b in germ.branches)
 
 

@@ -318,14 +318,12 @@ def _action_word(word: Word, n: int) -> Word:
 
 def braid_equal(a: Word, b: Word, n: int) -> bool:
     """Semantic equality: equal Garside normal forms."""
-    check_braid_word(a, n)
-    check_braid_word(b, n)
     return normal_form(a, n) == normal_form(b, n)
 
 
-def half_twist(j: int, k: int, n: int | None = None) -> Word:
+def half_twist(j: int, k: int) -> Word:
     """Positive half twist on strands j..k; empty word when j == k."""
-    if j < 1 or k < j or (n is not None and k > n):
+    if j < 1 or k < j:
         raise RangeError(f"half_twist range [{j}, {k}] invalid")
     word: list[int] = []
     for t in range(j + 1, k + 1):
@@ -510,10 +508,6 @@ class MappingClass:
                              f"{self.n} and a ledger of {self.n + 1} entries")
 
 
-def mc_identity(n: int) -> MappingClass:
-    return MappingClass(n, tuple((g,) for g in range(1, n + 1)), perm_identity(n), tuple([0] * (n + 1)))
-
-
 def mc_from_braid(word: Word, n: int, ledger=None) -> MappingClass:
     check_braid_word(word, n)
     images = tuple(_image_table(_action_word(word, n), n)[0][1:])
@@ -541,21 +535,6 @@ def mc_equal(f: MappingClass, g: MappingClass) -> bool:
 
 def mc_of_item(c: Item) -> MappingClass:
     return mc_from_braid(item_word(c), c.n, ledger=item_offset(c))
-
-
-def twist_of(c: HoleCurve) -> MappingClass:
-    """Positive Dehn twist about the curve; boundary-parallel curves give
-    the identity braid class with ledger +2 at their hole."""
-    if not isinstance(c, HoleCurve):
-        raise RangeError("twist_of expects a closed curve")
-    return mc_of_item(c)
-
-
-def interchange_of(a: HoleArc) -> MappingClass:
-    """Boundary interchange (half twist) along the arc."""
-    if not isinstance(a, HoleArc):
-        raise RangeError("interchange_of expects an arc")
-    return mc_of_item(a)
 
 
 # ---------------------------------------------------------------------------

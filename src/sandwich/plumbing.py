@@ -50,7 +50,7 @@ class PlumbingGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        names = [v for v, _ in self.vertices]
+        names = self.names()
         known = set(names)
         if len(known) != len(names):
             raise RangeError("duplicate vertex name")
@@ -63,12 +63,6 @@ class PlumbingGraph:
             norm.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "vertices", tuple((v, int(e)) for v, e in self.vertices))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-
-    def euler(self, name: str) -> int:
-        for v, e in self.vertices:
-            if v == name:
-                return e
-        raise RangeError(f"unknown vertex {name}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.vertices)
@@ -85,7 +79,7 @@ class Augmentation:
     arrows: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        names = [c for c, _ in self.arrows]
+        names = self.curvettas()
         if len(set(names)) != len(names):
             raise RangeError("duplicate curvetta name")
         object.__setattr__(self, "arrows", tuple((c, v) for c, v in self.arrows))
@@ -112,18 +106,6 @@ def _is_tree(adj) -> bool:
                 seen.add(u)
                 frontier.append(u)
     return len(seen) == len(adj)
-
-
-def validate_graph(g: PlumbingGraph) -> ValidationReport:
-    """Report tree and euler violations; empty report iff the graph is a
-    candidate minimal good graph (tree, all euler <= -2)."""
-    entries = []
-    if not _is_tree(_adjacency(g)[1]):
-        entries.append(("not-tree", "graph is not a tree"))
-    for v, e in g.vertices:
-        if e > -2:
-            entries.append(("euler", f"vertex {v} has euler {e} > -2"))
-    return ValidationReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +246,16 @@ class DecoratedGerm:
         return self.pairwise[self._column(a)][self._column(b)]
 
 
-def delta(branch) -> int:
+def delta(seq) -> int:
     """Sum of m(m-1)/2 over the multiplicity sequence."""
-    seq = branch.multiplicity_seq if isinstance(branch, Branch) else tuple(branch)
     if not seq or any(m <= 0 for m in seq):
         raise RangeError("multiplicity sequence must be nonempty and positive")
     return sum(m * (m - 1) // 2 for m in seq)
 
 
-def cap_framing(branch) -> int:
+def cap_framing(branch: Branch) -> int:
     """Self-intersection of the capped branch surface: -w - 2*delta."""
-    if isinstance(branch, Branch):
-        return -branch.weight - 2 * branch.delta
-    w, d = branch
-    return -w - 2 * d
+    return -branch.weight - 2 * branch.delta
 
 
 def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation, choose=None) -> DecoratedGerm:
@@ -365,15 +343,6 @@ class Cluster:
     points: tuple[ClusterPoint, ...]
     mults: tuple[dict[int, int], ...]  # aligned with points
     weights: tuple[int, ...] | None = None
-
-    def index(self, pid: str) -> int:
-        for i, p in enumerate(self.points):
-            if p.id == pid:
-                return i
-        raise RangeError(f"unknown cluster point {pid}")
-
-    def mult(self, pid: str, branch: str) -> int:
-        return self.mults[self.index(pid)].get(self.branches.index(branch), 0)
 
     @functools.cached_property
     def indexed(self) -> ClusterIndex:
@@ -819,12 +788,21 @@ def parse_plumb(text: str) -> tuple[PlumbingGraph, Augmentation, dict[str, int]]
                 names.use("curvetta", "vertex", tok[3])
                 arrows.append((tok[1], tok[3]))
             elif tok[0] == "chains" and len(tok) == 2:
-                names.pairs(tok[1].split(","), chains, "chains", "curvetta", "chain")
+                read_chains(names, tok[1], chains)
             else:
                 raise ValueError(line)
         except ValueError as exc:
             raise names.error(f"bad .plumb line: {line!r}") from exc
     return plumbing_graph(vertices, edges), augmentation(arrows), chains
+
+
+def read_chains(names: Ledger, spec: str, into: dict):
+    """Read ``c=3,d=4`` into ``into`` (else ``ValueError``); a negative
+    length is a ``FormatError`` at the ledger's place."""
+    names.pairs(spec.split(","), into, "chains", "curvetta", "chain")
+    for c, k in into.items():
+        if k < 0:
+            raise names.error(f"negative chain length for {c}")
 
 
 def serialize_plumb(g: PlumbingGraph, aug: Augmentation | None = None, chains=None) -> str:

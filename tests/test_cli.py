@@ -262,6 +262,7 @@ class TestExitCodes:
         ("plumb", "vertex v -2\nedge v w\n", "line 2", "edge for unknown vertex w"),
         ("plumb", "vertex v -1\ncurvetta a on x\n", "line 2", "curvetta for unknown vertex x"),
         ("plumb", "vertex v -1\ncurvetta a on v\nchains z=2\n", "line 3", "chains for unknown curvetta z"),
+        ("plumb", "vertex v -1\ncurvetta a on v\nchains a=-1\n", "line 3", "negative chain length for a"),
         ("germ", "branch A\npoint q0 parent root\nmult q0 A=1\nmult q9 A=1\n", "line 4",
          "mult for unknown point q9"),
         ("germ", "branch A\npoint q0 parent root\npoint q0 parent root\nmult q0 A=1\n", "line 3",
@@ -279,6 +280,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("chains, message", [
         ("c=2,c=3", "duplicate chain c"),
         ("z=2", "chains for unknown curvetta z"),
+        ("c=-2", "negative chain length for c"),
     ])
     def test_bad_chains_option_is_two(self, work, capsys, chains, message):
         code, out, err = run(capsys, "extend", "--graph", work / "e3.plumb", "--chains", chains)
@@ -820,6 +822,17 @@ class TestAuts:
         code, out, _ = run(capsys, "auts", "--graph", work / "e3.plumb")
         assert code == 0
         assert json.loads(out)["automorphisms"] == [{"E": "E"}]
+
+    def test_chains_line_is_applied(self, work, capsys):
+        # the chain on E's arrow breaks the E <-> F swap, as in the graph extend writes
+        (work / "ef.plumb").write_text(
+            "vertex E -3\nvertex F -3\nedge E F\ncurvetta c on E\ncurvetta d on F\nchains c=1\n"
+        )
+        assert run(capsys, "extend", "--graph", work / "ef.plumb", "--chains", "c=0",
+                   "-o", work / "extended.plumb")[0] == 0
+        maps = [json.loads(run(capsys, "auts", "--graph", work / name)[1])["automorphisms"]
+                for name in ("ef.plumb", "extended.plumb")]
+        assert maps[0] == maps[1] == [{"E": "E", "F": "F", "c.1": "c.1"}]
 
 
 # ---------------------------------------------------------------------------

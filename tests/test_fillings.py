@@ -28,7 +28,6 @@ from sandwich.mcg import (
     item_word,
     mc_equal,
     mc_from_braid,
-    mc_identity,
     perm_compose,
     perm_identity,
     reduce_word,
@@ -152,7 +151,7 @@ class TestExoticCount:
         assert exotic_count(smooth_germ(3)) == 0
 
     def test_two_cusp(self):
-        assert exotic_count(two_cusp_cluster()) == 2
+        assert exotic_count(germ_from_cluster(two_cusp_cluster())) == 2
 
     def test_single_triple_branch(self):
         germ = DecoratedGerm((Branch("x", (3, 1, 1, 1), 6, 3, 3, "r"),), "r", ((0,),))
@@ -160,7 +159,7 @@ class TestExoticCount:
 
     def test_matches_tangency_count_of_layouts(self):
         tc = two_cusp_cluster()
-        want = exotic_count(tc)
+        want = exotic_count(germ_from_cluster(tc))
         layouts = [scott(tc), figure()]
         layouts.append(combine(scott(tc), scott(line_pair_cluster())))
         for w in layouts:
@@ -180,7 +179,7 @@ class TestExoticCount:
 
 class TestFactorizationProduct:
     def test_empty_is_identity(self):
-        assert mc_equal(factorization_product(Factorization(3, ())), mc_identity(3))
+        assert mc_equal(factorization_product(Factorization(3, ())), mc_from_braid((), 3))
 
     def test_single_tangency_is_a_half_twist(self):
         w = parse_wire("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")

@@ -28,7 +28,6 @@ from sandwich.mcg import (
     item_offset,
     mc_compose,
     mc_from_braid,
-    mc_identity,
     mc_of_item,
     normal_form,
     normal_form_word,
@@ -269,7 +268,7 @@ class TestShorterWord:
         # P^k R P^-k with R = s1 s2 s1 s2' s1' s2' is trivial but not freely so
         r = (1, 2, 1, -2, -1, -2)
         word = (1, -2) * 6 + r + (2, -1) * 6
-        assert mc_from_braid(word, 3).images == mc_identity(3).images
+        assert mc_from_braid(word, 3).images == mc_from_braid((), 3).images
 
 
 class TestHoleSets:
@@ -297,7 +296,7 @@ class TestFoldedProduct:
         for _ in range(150):
             n = rng.randint(2, 4)
             fact = Factorization(n, tuple(rand_item(rng, n) for _ in range(rng.randint(0, 4))))
-            want = reduce(mc_compose, map(mc_of_item, fact.items), mc_identity(n))
+            want = reduce(mc_compose, map(mc_of_item, fact.items), mc_from_braid((), n))
             got = fillings.factorization_product(fact)
             assert (got.images, got.perm, got.ledger) == (want.images, want.perm, want.ledger)
 

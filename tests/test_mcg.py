@@ -21,18 +21,15 @@ from sandwich.mcg import (
     exponent_sum,
     half_twist,
     hurwitz_move,
-    interchange_of,
     inverse_word,
     item_offset,
     item_word,
     mc_compose,
     mc_equal,
     mc_from_braid,
-    mc_identity,
     mc_of_item,
     perm_inverse,
     reduce_word,
-    twist_of,
 )
 
 
@@ -54,7 +51,7 @@ def rand_item(rng, n):
 
 def boundary_twists(n, offset):
     """Boundary twists only: the identity braid class with ledger ``offset``."""
-    ident = mc_identity(n)
+    ident = mc_from_braid((), n)
     return MappingClass(n, ident.images, ident.perm, tuple(offset)) if offset else ident
 
 
@@ -161,7 +158,7 @@ class TestHalfTwist:
     def test_square_fixes_enclosing_class(self):
         for (j, k, n) in [(1, 3, 3), (2, 4, 5), (1, 2, 4)]:
             c = HoleCurve(n, (), j, k - j)
-            d = half_twist(j, k, n)
+            d = half_twist(j, k)
             assert canonical_curve(act_on_curve(d + d, c)) == canonical_curve(c)
 
     def test_permutation_reverses(self):
@@ -218,17 +215,17 @@ class TestCurves:
 
 class TestMappingClasses:
     def test_twist_convex_pair(self):
-        t = twist_of(HoleCurve(2, (), 1, 1))
+        t = mc_of_item(HoleCurve(2, (), 1, 1))
         assert mc_equal(t, mc_from_braid((1, 1), 2))
         assert t.ledger == (0, 0, 0)
 
     def test_interchange_is_half_twist(self):
-        m = interchange_of(HoleArc(2, (), 1))
+        m = mc_of_item(HoleArc(2, (), 1))
         assert mc_equal(m, mc_from_braid((1,), 2))
 
     def test_boundary_parallel(self):
-        t = twist_of(HoleCurve(3, (), 2, 0))
-        assert t.images == mc_identity(3).images
+        t = mc_of_item(HoleCurve(3, (), 2, 0))
+        assert t.images == mc_from_braid((), 3).images
         assert t.ledger == (0, 2, 0, 0)
 
     def test_inverse_composes_to_identity(self):
@@ -238,7 +235,7 @@ class TestMappingClasses:
             b = rand_word(rng, n, 5)
             f = mc_from_braid(b, n)
             g = mc_from_braid(inverse_word(b), n)
-            assert mc_equal(mc_compose(f, g), mc_identity(n))
+            assert mc_equal(mc_compose(f, g), mc_from_braid((), n))
 
     def test_conjugation_identity(self):
         rng = random.Random(12)
@@ -254,13 +251,13 @@ class TestMappingClasses:
 
     def test_ledger_addition(self):
         two = mc_compose(half_boundary_twist(1, 3), half_boundary_twist(1, 3))
-        assert mc_equal(two, twist_of(HoleCurve(3, (), 1, 0)))
+        assert mc_equal(two, mc_of_item(HoleCurve(3, (), 1, 0)))
 
     def test_lengths_checked_at_construction(self):
         for ledger in ([1], ()):
             with pytest.raises(RangeError):
                 mc_from_braid((), 3, ledger=ledger)
-        ident = mc_identity(3)
+        ident = mc_from_braid((), 3)
         for bad in ((3, ident.images[:2], ident.perm, ident.ledger),
                     (3, ident.images, ident.perm + (4,), ident.ledger),
                     (3, ident.images, ident.perm, ident.ledger + (0,)),

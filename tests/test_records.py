@@ -27,11 +27,11 @@ from sandwich.fillings import (
 )
 from sandwich.mcg import conjugate_item, hurwitz_move, mc_from_braid
 from sandwich.plumbing import (
+    ValidationReport,
     blow_down,
     cluster_from_trace,
     germ_from_trace,
     parse_plumb,
-    validate_graph,
 )
 from sandwich.records import frozen, replace
 from sandwich.wiring import (
@@ -106,7 +106,7 @@ def harvest():
     moved = hurwitz_move(fact, 2)
     arr = unexpected_arrangement(g, aug, 1, 2)
     roots = [
-        g, aug, validate_graph(g), trace, germ, c, c.indexed, scott(c), fig, fact, moved,
+        g, aug, ValidationReport(), trace, germ, c, c.indexed, scott(c), fig, fact, moved,
         add_free_points(fig, {"A": 1}), incidence(fig), validate_wiring(fig, germ=germ),
         enclosure_from_wiring(fig), factorization_product(fact), mc_from_braid((1, -2, 3), 4),
         conjugate_item((1, 2), (1, 0, 0, 0, -1), fact.items[3]), arr,

@@ -46,7 +46,6 @@ from sandwich.wiring import (
     event_strands,
     factorization_from_json,
     factorization_json,
-    final_state,
     incidence,
     incidence_json,
     inside_out,
@@ -216,7 +215,7 @@ class TestWireFormat:
 
 class TestStrands:
     def test_figure_final_state(self):
-        assert final_state(figure()) == (2, 1, 4, 3)
+        assert figure().walked[1] == (2, 1, 4, 3)
 
     def test_figure_event_strands_first_tangency(self):
         ev, ids = event_strands(figure())[0]
@@ -335,7 +334,7 @@ def _outcome(f, *args):
 
 def assert_matches_reference(w):
     assert event_strands(w) == reference_event_strands(w)
-    assert final_state(w) == reference_final_state(w)
+    assert w.walked[1] == reference_final_state(w)
     assert _outcome(incidence, w) == _outcome(reference_incidence, w)
     got = _component_summary(w, event_strands(w))
     want = reference_component_summary(w, reference_event_strands(w))
