@@ -225,7 +225,7 @@ class TestMappingClasses:
 
     def test_boundary_parallel(self):
         t = mc_of_item(HoleCurve(3, (), 2, 0))
-        assert t.images == mc_from_braid((), 3).images
+        assert t.images == ((1,), (2,), (3,))
         assert t.ledger == (0, 2, 0, 0)
 
     def test_inverse_composes_to_identity(self):
