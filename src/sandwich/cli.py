@@ -13,6 +13,7 @@ from .lines import Ledger
 from .plumbing import (
     automorphisms,
     blow_down,
+    chain_collision,
     extend_chains,
     germ_from_cluster,
     germ_from_trace,
@@ -73,26 +74,35 @@ _SCALARS = frozenset({int, float, str, bool, type(None)})
 
 
 def _dumps(x, indent: str = "") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte.  A list or
-    dict of scalars only goes to the C encoder, which ``indent`` would turn
-    off, with the newline and indent in its item separator; its brackets are
-    then re-wrapped.  Anything else recurses."""
+    """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte, with as
+    few encoders built as it can: json.dumps builds one per call unless it
+    writes a bare str with default options.  So a str key is
+    ``json.dumps(k)``, an exact-int leaf its repr and a list of exact ints one
+    join of its repr.  Any other list, or a dict, of scalars only goes to the
+    C encoder, which ``indent`` would turn off, with the newline and indent in
+    its item separator; its brackets are then re-wrapped.  Anything else
+    recurses."""
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(x, dict) and x:
         if _SCALARS.issuperset(map(type, x.values())):
             body = json.dumps(x, separators=(sep, ": "), sort_keys=True)[1:-1]
         else:
-            # json.dumps({k: 0})[1:-4] is the key as json writes it, whatever its type
-            body = sep.join([f"{json.dumps({k: 0})[1:-4]}: {_dumps(x[k], inner)}" for k in sorted(x)])
+            # json.dumps({k: 0})[1:-4] is a key of any other type than str as json writes it
+            body = sep.join([f"{json.dumps(k) if type(k) is str else json.dumps({k: 0})[1:-4]}: "
+                             f"{_dumps(x[k], inner)}" for k in sorted(x)])
         return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(x, (list, tuple)) and x:
-        if _SCALARS.issuperset(map(type, x)):
+        types = set(map(type, x))
+        if types == {int}:
+            # list(x): a one-item tuple's repr ends in ",)"
+            body = repr(list(x))[1:-1].replace(", ", sep)
+        elif _SCALARS.issuperset(types):
             body = json.dumps(x, separators=(sep, ": "))[1:-1]
         else:
             body = sep.join([_dumps(v, inner) for v in x])
         return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(x)
+    return repr(x) if type(x) is int else json.dumps(x)
 
 
 def _write_json(data: dict, out, version: int) -> None:
@@ -281,6 +291,8 @@ def _cmd_extend(args, version):
     except ValueError:
         raise names.error(f"bad chain spec {args.chains!r}")
     names.check()
+    if hit := chain_collision(set(g.names()), aug.arrows, lengths):
+        raise names.error(f"chain vertex name {hit[1]} collides")
     _write(serialize_plumb(*extend_chains(g, aug, lengths)), args.out)
     return 0
 
@@ -364,30 +376,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each command in ``names`` (default
-    all); the subparsers it leaves out do not change how the others parse,
-    print help or report usage errors."""
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flags, kwargs in _COMMANDS[name][2]:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with a subparser for each command."""
     p = _Parser(prog="sandwich", description="plumbing graphs, wiring diagrams, fillings")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in names:
-        _, help_text, arguments = _COMMANDS[name]
-        q = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
-            q.add_argument(*flags, **kwargs)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    name = argv[0] if argv else None
     try:
-        args = build_parser(names).parse_args(argv)
+        if name in _COMMANDS:
+            # the parser add_parser builds for the command, alone: it parses,
+            # prints help and reports usage errors as it does under build_parser
+            args = _add_arguments(_Parser(prog=f"sandwich {name}"), name).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+            name = args.command
     except SystemExit as exc:
         return exc.code or 0
     try:
         version = _format_version()
-        return _COMMANDS[args.command][0](args, version)
+        return _COMMANDS[name][0](args, version)
     except SandwichError as exc:
         _emit_error(exc.code, exc.message, exc.location)
         return 2

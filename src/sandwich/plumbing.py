@@ -601,6 +601,16 @@ def subcluster(c: Cluster, branch_names) -> Cluster:
 # graph surgeries
 
 
+def chain_collision(names, arrows, lengths):
+    """The curvetta and name of the first chain vertex of ``extend_chains``
+    already in ``names``, in arrow order then i ascending; else None."""
+    for c, _ in arrows:
+        for i in range(1, int(lengths.get(c, 0)) + 1):
+            if (u := f"{c}.{i}") in names:
+                return c, u
+    return None
+
+
 def extend_chains(g: PlumbingGraph, aug: Augmentation, lengths) -> tuple[PlumbingGraph, Augmentation]:
     """Insert a chain of ``lengths[c]`` euler -2 vertices before each
     arrow; the germ keeps its shape with weight_c increased by lengths[c]."""
@@ -608,23 +618,18 @@ def extend_chains(g: PlumbingGraph, aug: Augmentation, lengths) -> tuple[Plumbin
     for c in lengths:
         if c not in known:
             raise RangeError(f"chain length given for unknown curvetta {c}")
+    for c in aug.curvettas():
+        if int(lengths.get(c, 0)) < 0:
+            raise RangeError(f"negative chain length for {c}")
+    if hit := chain_collision(set(g.names()), aug.arrows, lengths):
+        raise RangeError(f"chain vertex name {hit[1]} collides")
     vertices = list(g.vertices)
     edges = list(g.edges)
-    names = set(g.names())
     arrows = []
     for c, v in aug.arrows:
-        n = int(lengths.get(c, 0))
-        if n < 0:
-            raise RangeError(f"negative chain length for {c}")
-        if n == 0:
-            arrows.append((c, v))
-            continue
         prev = v
-        for i in range(1, n + 1):
+        for i in range(1, int(lengths.get(c, 0)) + 1):
             u = f"{c}.{i}"
-            if u in names:
-                raise RangeError(f"chain vertex name {u} collides")
-            names.add(u)
             vertices.append((u, -2))
             edges.append((prev, u))
             prev = u
@@ -793,6 +798,8 @@ def parse_plumb(text: str) -> tuple[PlumbingGraph, Augmentation, dict[str, int]]
                 raise ValueError(line)
         except ValueError as exc:
             raise names.error(f"bad .plumb line: {line!r}") from exc
+    if hit := chain_collision({v for v, _ in vertices}, arrows, chains):
+        raise names.error(f"chain vertex name {hit[1]} collides", names.used["chains"]["curvetta", hit[0]])
     return plumbing_graph(vertices, edges), augmentation(arrows), chains
 
 

@@ -1,6 +1,4 @@
 import contextlib
-import importlib
-import importlib.util
 import io
 import json
 import os
@@ -263,6 +261,8 @@ class TestExitCodes:
         ("plumb", "vertex v -1\ncurvetta a on x\n", "line 2", "curvetta for unknown vertex x"),
         ("plumb", "vertex v -1\ncurvetta a on v\nchains z=2\n", "line 3", "chains for unknown curvetta z"),
         ("plumb", "vertex v -1\ncurvetta a on v\nchains a=-1\n", "line 3", "negative chain length for a"),
+        ("plumb", "vertex v -1\ncurvetta a on v\nchains a=2\nvertex a.2 -2\nedge v a.2\n", "line 3",
+         "chain vertex name a.2 collides"),
         ("germ", "branch A\npoint q0 parent root\nmult q0 A=1\nmult q9 A=1\n", "line 4",
          "mult for unknown point q9"),
         ("germ", "branch A\npoint q0 parent root\npoint q0 parent root\nmult q0 A=1\n", "line 3",
@@ -281,9 +281,12 @@ class TestExitCodes:
         ("c=2,c=3", "duplicate chain c"),
         ("z=2", "chains for unknown curvetta z"),
         ("c=-2", "negative chain length for c"),
+        ("d=1,c=2", "chain vertex name c.1 collides"),
     ])
     def test_bad_chains_option_is_two(self, work, capsys, chains, message):
-        code, out, err = run(capsys, "extend", "--graph", work / "e3.plumb", "--chains", chains)
+        # the file's own chain c.1 is in the graph that --chains extends
+        (work / "e3c.plumb").write_text(E3_PLUMB + "chains c=1\n")
+        code, out, err = run(capsys, "extend", "--graph", work / "e3c.plumb", "--chains", chains)
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "format", "location": "--chains", "message": message}
 
@@ -636,13 +639,27 @@ def valid_argv(command):
 
 class TestParser:
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
-    def test_one_subparser_parses_like_all(self, capsys, command):
+    def test_one_subparser_parses_like_all(self, capsys, monkeypatch, command):
+        # main parses a named command with that command's parser alone
+        parsed = []
+        _, help_text, arguments = _COMMANDS[command]
+        monkeypatch.setitem(_COMMANDS, command, (lambda args, version: parsed.append(vars(args)) or 0,
+                                                 help_text, arguments))
         full = valid_argv(command)
+        abbreviated = [a[:-1] if a.startswith("--") else a for a in full]
         cases = [full, full + ["-o", "x"], full + ["--bogus"], full[:-1], full + [command],
-                 [command], [command, "--help"], [command, "-h", "x"], [command, "-o"]]
+                 [command], [command, "--help"], [command, "-h", "x"], [command, "-o"],
+                 [command, "--", "x"], [command, "--wir", "1"], abbreviated]
         for argv in cases:
-            one = parse_outcome(build_parser([command]), argv, capsys)
-            assert one == parse_outcome(build_parser(), argv, capsys), argv
+            code = main(argv)
+            out = capsys.readouterr()
+            result, out_all, err_all = parse_outcome(build_parser(), argv, capsys)
+            if isinstance(result, dict):
+                assert result.pop("command") == command
+                assert (code, parsed.pop()) == (0, result), argv
+            else:
+                assert (code, parsed) == (result, []), argv
+            assert (out.out, out.err) == (out_all, err_all), argv
 
     def test_help_lists_every_command(self, capsys):
         assert main(["--help"]) == 0
@@ -654,27 +671,19 @@ class TestParser:
     def test_main_builds_only_the_named_command(self, work, capsys, monkeypatch):
         built = []
 
-        def spy(names=_COMMANDS):
-            built.append(list(names))
-            return build_parser(names)
+        class Spy(sandwich.cli._Parser):
+            def __init__(self, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(**kwargs)
 
-        monkeypatch.setattr(sandwich.cli, "build_parser", spy)
+        monkeypatch.setattr(sandwich.cli, "_Parser", Spy)
         assert run(capsys, "germ", "--graph", work / "e3.plumb")[0] == 0
-        assert run(capsys, "frobnicate")[0] == 2
-        assert run(capsys)[0] == 2
-        assert built == [["germ"], list(_COMMANDS), list(_COMMANDS)]
-
-
-def test_traced_names_exist():
-    # perfbench wraps these functions by name; a rename or deletion in the
-    # package must not leave the harness silently tracing nothing
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for layer, names in tracing.TRACED.items():
-        module = importlib.import_module(f"sandwich.{layer}")
-        assert [n for n in names if not callable(getattr(module, n, None))] == [], layer
+        assert built == ["sandwich germ"]
+        for argv in (["frobnicate"], []):
+            built.clear()
+            assert run(capsys, *argv)[0] == 2
+            # the full parser: its own, then one per command from add_parser
+            assert built == ["sandwich"] + [f"sandwich {name}" for name in _COMMANDS]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ class Level(IntEnum):
     {"x": [[1, 2], [3]], "y": [{"z": "w"}, [{}]]},
     # keys that are no strings are written as json writes them
     {2: [1], 10: {}}, {1.5: [None], 0.25: [1]}, {None: [[]]}, {True: [{}]},
+    # a list of exact ints is one join of its repr, a one-item tuple's too
+    [5], (5,), [-1, 10**30, 0], [True, 1], [1, 1.0],
+    # str keys as json.dumps writes them; scalar leaves beside a container
+    {"é": 1, "\n": [2], '"': {"k": 3}}, {"a": "é", "b": [1], "c": 10**20},
 ])
 def test_dumps_edge_cases(x):
     assert _dumps(x) == reference_dumps(x)

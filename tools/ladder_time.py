@@ -1,4 +1,4 @@
-"""In-process times of the braid layer on the unequal braid-ladder rungs.
+"""In-process times of the braid layer and the CLI on the unequal braid-ladder rungs.
 
     python3 tools/ladder_time.py CHECKOUT
 
@@ -16,7 +16,14 @@ seed 7, takes its vanishing data and prints one markdown table row:
 - ``canonicalWord``: letters in the longest canonical word of the items;
 - ``json first``: the first ``factorization_json`` call, timed the same
   way as ``product first`` after a fresh import of its own;
-- ``factorization_json``: milliseconds per call.
+- ``factorization_json``: milliseconds per call;
+- ``vanishing``, ``wire-from-vanishing``: milliseconds per ``cli.main``
+  call of the command, the first on the rung's diagram and the second on
+  the first's output, both files in a temporary directory outside CHECKOUT.
+
+Last it prints the milliseconds per ``cli.main(["vanishing"])`` call, a
+usage error (``--wire`` missing), so the parser of one command alone with
+the fixed cost of ``main`` around it.
 
 The per-call times are the median of as many calls as fit in ``BUDGET_S``
 seconds, at least one; after the first call they run on warm memos, as
@@ -28,6 +35,7 @@ pays.  The parent of a change to the Artin action at k = 3 takes about
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,12 +57,25 @@ def median_ms(call) -> tuple[float, object]:
     return 1000 * statistics.median(times), result
 
 
-def ladder_factorization(api, k: int):
-    """Vanishing data of the unequal rung k, built with the modules of ``api``."""
+def ladder_wire(k: int) -> str:
+    """The ``.wire`` text of the unequal rung k."""
     components, events = workloads.two_cusp_layout(workloads.cusp_cluster(workloads.Names(SEED), 3, weights=True))
     braids = [()] * (len(events) + 1)
     braids[len(events) // 2] = workloads.ladder_insert(k, workloads.PURE_S1_SQUARED)
-    return api.wiring.vanishing_data(api.wiring.parse_wire(workloads.wire_text(N, components, braids, events)))
+    return workloads.wire_text(N, components, braids, events)
+
+
+def ladder_factorization(api, k: int):
+    """Vanishing data of the unequal rung k, built with the modules of ``api``."""
+    return api.wiring.vanishing_data(api.wiring.parse_wire(ladder_wire(k)))
+
+
+def cli_ms(api, *argv, code: int = 0) -> float:
+    """Milliseconds per ``cli.main(argv)`` call, which must exit with ``code``."""
+    ms, result = median_ms(lambda: api.run_cli(*argv))
+    if result.code != code:
+        raise SystemExit(f"{' '.join(map(str, argv))} exited {result.code}: {result.stderr}")
+    return ms
 
 
 def first_call_ms(k: int, call) -> float:
@@ -85,8 +106,8 @@ def main(argv=None) -> int:
         print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
         return 2
     print("| k | product first | `factorization_product` | longest image | `canonicalWord` "
-          "| json first | `factorization_json` |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+          "| json first | `factorization_json` | `vanishing` | `wire-from-vanishing` |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for k in range(KMAX + 1):
         product_first = first_call_ms(k, lambda api, fact: api.fillings.factorization_product(fact))
         json_first = first_call_ms(k, lambda api, fact: api.wiring.factorization_json(fact))
@@ -96,8 +117,16 @@ def main(argv=None) -> int:
         json_ms, data = median_ms(lambda: api.wiring.factorization_json(fact))
         image = max(map(len, mc.images))
         canonical = max(len(d["canonicalWord"]) for d in data["items"])
+        with tempfile.TemporaryDirectory() as tmp:
+            wire, fact, rebuilt = (Path(tmp) / name for name in ("ladder.wire", "fact.json", "rebuilt.wire"))
+            wire.write_text(ladder_wire(k))
+            vanishing_ms = cli_ms(api, "vanishing", "--wire", wire, "-o", fact)
+            rebuild_ms = cli_ms(api, "wire-from-vanishing", "--fact", fact, "-o", rebuilt)
         print(f"| {k} | {product_first:,.2f} ms | {product_ms:,.2f} ms | {image:,} | {canonical:,} "
-              f"| {json_first:,.2f} ms | {json_ms:,.2f} ms |", flush=True)
+              f"| {json_first:,.2f} ms | {json_ms:,.2f} ms | {vanishing_ms:,.2f} ms | {rebuild_ms:,.2f} ms |",
+              flush=True)
+    print(f"\nparser of one command, `main([\"vanishing\"])` (a usage error): "
+          f"{cli_ms(api, 'vanishing', code=2):.3f} ms")
     return 0
 
 
