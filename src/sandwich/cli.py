@@ -71,20 +71,24 @@ def _write(text: str, out) -> None:
 
 
 _SCALARS = frozenset({int, float, str, bool, type(None)})
+_BYTE_TEXT = {i: str(i) for i in range(256)}
 
 
 def _dumps(x, indent: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte, with as
     few encoders built as it can: json.dumps builds one per call unless it
     writes a bare str with default options.  So a str key is
-    ``json.dumps(k)``, an exact-int leaf its repr and a list of exact ints one
-    join of its repr.  Any other list, or a dict, of scalars only goes to the
-    C encoder, which ``indent`` would turn off, with the newline and indent in
-    its item separator; its brackets are then re-wrapped.  Anything else
-    recurses."""
+    ``json.dumps(k)``, an exact-int leaf its repr, a list of exact ints one
+    join (from ``_BYTE_TEXT`` when each is in 0..255, else of its repr), and
+    an empty container, true, false and null their literals.  Any other
+    list, or a dict, of scalars only goes to the C encoder, which ``indent``
+    would turn off, with the newline and indent in its item separator; its
+    brackets are then re-wrapped.  Anything else recurses."""
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(x, dict) and x:
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
         if _SCALARS.issuperset(map(type, x.values())):
             body = json.dumps(x, separators=(sep, ": "), sort_keys=True)[1:-1]
         else:
@@ -92,17 +96,25 @@ def _dumps(x, indent: str = "") -> str:
             body = sep.join([f"{json.dumps(k) if type(k) is str else json.dumps({k: 0})[1:-4]}: "
                              f"{_dumps(x[k], inner)}" for k in sorted(x)])
         return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(x, (list, tuple)) and x:
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
         types = set(map(type, x))
         if types == {int}:
-            # list(x): a one-item tuple's repr ends in ",)"
-            body = repr(list(x))[1:-1].replace(", ", sep)
+            try:
+                body = sep.join(map(_BYTE_TEXT.__getitem__, x))
+            except KeyError:  # an int outside 0..255; list(x): a one-item tuple's repr ends in ",)"
+                body = repr(list(x))[1:-1].replace(", ", sep)
         elif _SCALARS.issuperset(types):
             body = json.dumps(x, separators=(sep, ": "))[1:-1]
         else:
             body = sep.join([_dumps(v, inner) for v in x])
         return "[\n" + inner + body + "\n" + indent + "]"
-    return repr(x) if type(x) is int else json.dumps(x)
+    if type(x) is int:
+        return repr(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    return json.dumps(x)
 
 
 def _write_json(data: dict, out, version: int) -> None:

@@ -141,9 +141,10 @@ def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:
 # incidence-matrix equivalence
 
 
-def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
-    """Rows ordered by component label, then columns sorted descending
-    lexicographically; column kinds travel with their columns."""
+def _sorted_columns(m: IncidenceMatrix) -> tuple[list[int], list]:
+    """The row order by component label, and the (column over those rows,
+    kind) pairs sorted descending: a column is ``bytes`` when every entry is
+    an int in 0..255, else a tuple."""
     order = sorted(range(len(m.components)), key=lambda i: m.components[i])
     rows = [m.rows[i] for i in order]
     # zip(*rows) loses the shape of an empty matrix, so "or" restores it
@@ -152,10 +153,16 @@ def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
         cols = list(map(bytes, cols))
     except (TypeError, ValueError):  # an entry not an int in 0..255: keep the tuples
         pass
-    cols = sorted(zip(cols, m.kinds), reverse=True)
+    return order, sorted(zip(cols, m.kinds), reverse=True)
+
+
+def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
+    """Rows ordered by component label, then columns sorted descending
+    lexicographically; column kinds travel with their columns."""
+    order, cols = _sorted_columns(m)
     return IncidenceMatrix(
         tuple(m.components[i] for i in order),
-        tuple(zip(*(col for col, _ in cols))) or ((),) * len(rows),
+        tuple(zip(*(col for col, _ in cols))) or ((),) * len(order),
         tuple(kind for _, kind in cols),
     )
 
@@ -166,9 +173,11 @@ def incidence_equiv(a: IncidenceMatrix, b: IncidenceMatrix, unlabeled: bool = Fa
     time while the (kind, column over the placed rows) multisets agree."""
     if len(a.rows) != len(b.rows) or len(a.kinds) != len(b.kinds):
         return False
-    ca, cb = incidence_canonical(a), incidence_canonical(b)
     if not unlabeled:
-        return ca == cb
+        # equal sorted labels and sorted columns are equal canonical forms
+        (oa, ka), (ob, kb) = _sorted_columns(a), _sorted_columns(b)
+        return [a.components[i] for i in oa] == [b.components[i] for i in ob] and ka == kb
+    ca, cb = incidence_canonical(a), incidence_canonical(b)
     if (ca.rows, ca.kinds) == (cb.rows, cb.kinds):
         return True
     placed = [Counter(zip(cb.kinds, *cb.rows[:k])) for k in range(len(cb.rows) + 1)]

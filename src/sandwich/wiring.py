@@ -738,41 +738,52 @@ _EVENT_RE = re.compile(r"^(?:T\((\d+)\)|I\((\d+)\.\.(\d+)\)|F\((\d+)\))$")
 _BRAID_RE = re.compile(r"^s(\d+)(')?$")
 
 
-def _parse_braid(chunk: str, lineno: int) -> Word:
-    if chunk == "1":
-        return ()
-    letters = []
-    for tok in chunk.split():
-        m = _BRAID_RE.match(tok)
-        if not m:
-            raise FormatError(f"bad braid token {tok!r}", location=f"line {lineno}")
-        i = int(m.group(1))
-        letters.append(-i if m.group(2) else i)
-    return tuple(letters)
-
-
-def _parse_entry(chunk: str, lineno: int, after_braid: bool) -> Word | Singularity:
-    """One seq entry: an event, or a braid word where none came just before
-    (that error is raised before the chunk is tokenized)."""
-    if not chunk:
-        raise FormatError("empty seq entry", location=f"line {lineno}")
-    m = _EVENT_RE.match(chunk)
-    if m is None:
+def _raise_seq_error(chunks: list[str], lineno: int) -> None:
+    """Raise the error of the first bad seq entry, reading the chunks in
+    order: an empty one, one that is no event right after a braid word
+    (raised before it is tokenized), or a braid word with a bad token."""
+    after_braid = False
+    for chunk in chunks:
+        if not chunk:
+            raise FormatError("empty seq entry", location=f"line {lineno}")
+        if _EVENT_RE.match(chunk):
+            after_braid = False
+            continue
         if after_braid:
             raise FormatError(f"two braid words in a row at {chunk!r}", location=f"line {lineno}")
-        return _parse_braid(chunk, lineno)
-    if m.group(1):
-        return Tangency(int(m.group(1)))
-    if m.group(2):
-        return Intersection(int(m.group(2)), int(m.group(3)))
-    return FreePoint(int(m.group(4)))
+        for tok in chunk.split() if chunk != "1" else ():
+            if not _BRAID_RE.match(tok):
+                raise FormatError(f"bad braid token {tok!r}", location=f"line {lineno}")
+        after_braid = True
+
+
+def _seq_entries(chunks: list[str], lineno: int) -> tuple[list[Word | Singularity], str]:
+    """Each seq entry (an event or a braid word) and the string of their
+    kinds, ``e`` or ``b``.  Each distinct chunk, and each distinct braid
+    token, is read once; when one is bad, or two words meet, the chunks are
+    read again in order, so the error is that of the first bad entry."""
+    matches = {chunk: _EVENT_RE.match(chunk) for chunk in dict.fromkeys(chunks)}
+    words = [chunk for chunk, m in matches.items() if m is None and chunk != "1"]
+    tokens = {tok: _BRAID_RE.match(tok) for tok in set(" ".join(words).split())}
+    kinds = "".join(map({chunk: "e" if m else "b" for chunk, m in matches.items()}.__getitem__, chunks))
+    if "" in matches or "bb" in kinds or None in tokens.values():
+        _raise_seq_error(chunks, lineno)
+    letters = {tok: -int(m[1]) if m[2] else int(m[1]) for tok, m in tokens.items()}
+    parsed: dict[str, Word | Singularity] = dict.fromkeys(matches, ())
+    for chunk, m in matches.items():
+        if m:
+            t, lo, hi, f = m.groups()
+            parsed[chunk] = Tangency(int(t)) if t else Intersection(int(lo), int(hi)) if lo else FreePoint(int(f))
+    parsed.update((chunk, tuple(map(letters.__getitem__, chunk.split()))) for chunk in words)
+    return list(map(parsed.__getitem__, chunks)), kinds
 
 
 def parse_wire(text: str) -> WiringDiagram:
     """Parse ``.wire``, statements read by ``sandwich.lines`` with ``;`` also ending one:
     ``strands <n>``, ``components <label>=<p>,<q>,... ...`` (optional: a partition of 1..n)
     and ``seq: <b_0>, <S_1>, ..., <S_N>, <b_N>``, each once.  A braid word is ``1`` or letters
-    ``s<i>``, ``s<i>'`` (inverse); an event is ``T(p)``, ``I(lo..hi)`` or ``F(p)``."""
+    ``s<i>``, ``s<i>'`` (inverse); an event is ``T(p)``, ``I(lo..hi)`` or ``F(p)``.  A braid
+    word left out (before the first event, after the last or between two) is ``1``."""
     names, n, components, seq_chunks = Ledger(), None, {}, None
     for stmt in names.statements(text, ";"):
         words = stmt.split()
@@ -782,6 +793,8 @@ def parse_wire(text: str) -> WiringDiagram:
                 (n,) = map(int, words[1:])
             except ValueError as exc:
                 raise names.error(f"bad strands line {stmt!r}") from exc
+            if n < 1:
+                raise RangeError("need at least one strand", location=f"line {names.line}")
         elif words[0] == "components":
             names.define("components")
             for group in words[1:]:
@@ -795,7 +808,7 @@ def parse_wire(text: str) -> WiringDiagram:
                     raise names.error(f"bad components group {group!r}") from exc
         elif stmt.startswith("seq:"):
             names.define("seq")
-            seq_chunks, seq_line = [c.strip() for c in stmt[4:].split(",")], names.line
+            seq_chunks, seq_line = list(map(str.strip, stmt[4:].split(","))), names.line
         else:
             raise names.error(f"unrecognized statement {stmt!r}")
     if n is None:
@@ -803,23 +816,17 @@ def parse_wire(text: str) -> WiringDiagram:
     if seq_chunks is None:
         raise FormatError("missing seq")
 
-    braids: list[Word] = []
-    events: list[Singularity] = []
-    entries: list[Word | Singularity] = []  # entries[i] parsed from seq[i]
-    pending: Word | None = None
-    parsed: dict[str, Word | Singularity] = {}  # each distinct chunk is read once
-    for chunk in seq_chunks:
-        entry = parsed.get(chunk)
-        if entry is None or (pending is not None and isinstance(entry, tuple)):
-            entry = parsed[chunk] = _parse_entry(chunk, seq_line, pending is not None)
-        if isinstance(entry, tuple):
-            pending = entry
-        else:
-            braids.append(pending if pending is not None else ())
-            pending = None
-            events.append(entry)
-        entries.append(entry)
-    braids.append(pending if pending is not None else ())
+    entries, kinds = _seq_entries(seq_chunks, seq_line)  # entries[i] parsed from seq[i]
+    full = entries
+    if not kinds[0] == kinds[-1] == "b" or "ee" in kinds:
+        # an empty braid word wherever one was left out, so braids and events alternate
+        full = []
+        for entry, kind, before in zip(entries, kinds, "e" + kinds):
+            if kind == before == "e":
+                full.append(())
+            full.append(entry)
+        if kinds[-1] == "e":
+            full.append(())
 
     labels: tuple[str, ...] = ()
     if components:
@@ -833,11 +840,11 @@ def parse_wire(text: str) -> WiringDiagram:
             raise FormatError(f"components do not partition strands 1..{n}")
         labels = tuple(assigned[p] for p in range(1, n + 1))
     try:
-        return WiringDiagram(n, tuple(braids), tuple(events), labels)
+        return WiringDiagram(n, tuple(full[::2]), tuple(full[1::2]), labels)
     except RangeError:
         # only now find the first seq entry out of range, so valid input is
-        # checked once, by WiringDiagram; with no strands that is the error
-        for i, entry in enumerate(entries if n >= 1 else ()):
+        # checked once, by WiringDiagram
+        for i, entry in enumerate(entries):
             try:
                 if isinstance(entry, tuple):
                     check_braid_word(entry, n, RangeError)

@@ -303,7 +303,9 @@ class TestExitCodes:
         (3, "s5, I(1..2)", "line 2, seq[0]", "braid letter 5 outside strand range 1..2"),
         (3, "T(3)", "line 2, seq[0]", "tangency at 3 outside 1..2"),
         (3, "1, I(1..2), s1 s2', F(4), 1", "line 2, seq[3]", "free point at 4 outside 1..3"),
-        (0, "s1", None, "need at least one strand"),
+        # a strand count below 1 is an error of the strands line itself
+        (0, "s1", "line 1", "need at least one strand"),
+        (-3, "s1", "line 1", "need at least one strand"),
     ])
     def test_range_errors_name_the_seq_entry(self, work, capsys, n, seq, location, message):
         (work / "range.wire").write_text(f"strands {n}\nseq: {seq}\n")

@@ -55,6 +55,10 @@ class Level(IntEnum):
     [5], (5,), [-1, 10**30, 0], [True, 1], [1, 1.0],
     # str keys as json.dumps writes them; scalar leaves beside a container
     {"é": 1, "\n": [2], '"': {"k": 3}}, {"a": "é", "b": [1], "c": 10**20},
+    # literals at the top level and as leaves: no encoder is built for them
+    True, None, (), {"ok": True, "problems": []},
+    # ints in 0..255 come from a table; one outside it falls back to the repr
+    [0, 255, 7], [0, 256], [3, -1], (255,),
 ])
 def test_dumps_edge_cases(x):
     assert _dumps(x) == reference_dumps(x)

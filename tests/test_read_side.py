@@ -6,7 +6,9 @@ built by looking every label up in every column's Counter, and columns
 transposed one generator at a time.  Output must agree byte for byte, and
 errors by class and message (and location, for the parser).  The columns
 are sorted as bytes or, with an entry outside 0..255, as tuples; both keys
-are compared with the oracle.  ``render``'s peak memory is pinned too."""
+are compared with the oracle.  The labelled ``incidence_equiv``, which reads
+the sorted columns, must agree with comparing two canonical matrices.
+``render``'s peak memory is pinned too."""
 
 import random
 import re
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from sandwich.cli import render
 from sandwich.errors import FormatError, RangeError, SandwichError
-from sandwich.fillings import incidence_canonical
+from sandwich.fillings import incidence_canonical, incidence_equiv
 from sandwich.mcg import check_braid_word
 from sandwich.wiring import (
     _BRAID_RE,
@@ -370,7 +372,7 @@ def test_arrangements():
         assert incidence_canonical(incidence(a)) == incidence_canonical(incidence(copy))
 
 
-def test_canonical_form_of_built_matrices():
+def built_matrices():
     # shapes no diagram gives: no rows, rows out of label order, and entries
     # outside 0..255, which sort as tuples: 256 > 255 > 1 and -1 < 0, where
     # bytes wrapped modulo 256 would order them otherwise
@@ -393,8 +395,52 @@ def test_canonical_form_of_built_matrices():
             tuple(tuple(rng.randint(0, 2) for _ in range(c)) for _ in range(r)),
             tuple(rng.choice(("free", "intersection")) for _ in range(c)),
         ))
-    for m in cases:
+    return cases
+
+
+def test_canonical_form_of_built_matrices():
+    for m in built_matrices():
         assert repr(incidence_canonical(m)) == repr(reference_incidence_canonical(m))
+
+
+def shuffled(m, rng):
+    """m with its rows (labels alongside) and its columns (kinds alongside)
+    in random order: the same matrix up to the order incidence_equiv ignores."""
+    rows, cols = list(range(len(m.rows))), list(range(len(m.kinds)))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return IncidenceMatrix(tuple(m.components[i] for i in rows),
+                           tuple(tuple(m.rows[i][j] for j in cols) for i in rows),
+                           tuple(m.kinds[j] for j in cols))
+
+
+def changed(m, rng):
+    """m with one label, one entry or one kind changed, where it has one."""
+    comps, rows, kinds = list(m.components), [list(r) for r in m.rows], list(m.kinds)
+    what = rng.randrange(3)
+    if what == 0 and comps:
+        comps[rng.randrange(len(comps))] = rng.choice("abcdefz")
+    elif what == 1 and kinds and rows:
+        rows[rng.randrange(len(rows))][rng.randrange(len(kinds))] += rng.choice((1, -1, 256))
+    elif kinds:
+        j = rng.randrange(len(kinds))
+        kinds[j] = "free" if kinds[j] == "intersection" else "intersection"
+    return IncidenceMatrix(tuple(comps), tuple(map(tuple, rows)), tuple(kinds))
+
+
+def test_labeled_equivalence_is_equality_of_canonical_forms():
+    # the labelled compare reads the sorted columns, not two canonical
+    # matrices; it must agree with comparing those matrices
+    rng = random.Random(10)
+    cases = built_matrices()
+    seen = Counter()
+    for a in cases:
+        for b in (a, shuffled(a, rng), changed(a, rng), changed(shuffled(a, rng), rng),
+                  rng.choice(cases)):
+            want = incidence_canonical(a) == incidence_canonical(b)
+            assert incidence_equiv(a, b) == incidence_equiv(b, a) == want, (a, b)
+            seen[want] += 1
+    assert seen[True] >= 600 and seen[False] >= 300, seen
 
 
 @pytest.mark.parametrize("m", [24, 40])
@@ -506,3 +552,52 @@ def test_repeated_chunks_check_each_word_once_in_order_of_first_use():
     # built directly, the diagram reports its first bad word in seq order
     with pytest.raises(RangeError, match="braid letter 4 outside"):
         WiringDiagram(2, ((1,), (4,), (1,), (3,), (4,)), (Tangency(1),) * 4)
+
+
+@pytest.mark.parametrize("seq, braids, events", [
+    # a braid word left out is an empty one: before the first event, after
+    # the last, and between two events in a row
+    ("T(1), s1", ((), (1,)), (Tangency(1),)),
+    ("s1, T(1)", ((1,), ()), (Tangency(1),)),
+    ("T(1), F(2), I(1..3), 1", ((), (), (), ()), (Tangency(1), FreePoint(2), Intersection(1, 3))),
+    ("F(1)", ((), ()), (FreePoint(1),)),
+    ("s2, T(1), T(1), s1' s2", ((2,), (), (-1, 2)), (Tangency(1), Tangency(1))),
+    # spellings the token pattern accepts beside s<i>: a leading zero and
+    # any Unicode decimal digit, read as the integer they spell
+    ("s01 s01', T(1), s\u0661", ((), (1,)), (Tangency(1),)),
+    ("s02 s\u0661', F(3)", ((2, -1), ()), (FreePoint(3),)),
+])
+def test_left_out_braids_and_token_spellings(seq, braids, events):
+    text = f"strands 3\nseq: {seq}\n"
+    w = parse_wire(text)
+    assert (w.braids, w.events) == (braids, events)
+    assert parse_outcome(parse_wire, text) == parse_outcome(reference_parse_wire, text)
+
+
+@pytest.mark.parametrize("seq, want", [
+    ("1, T(1), s1 s9, F(1), s2", ("RangeError", "braid letter 9 outside strand range 1..2", "line 2, seq[2]")),
+    ("T(1), T(1), s9", ("RangeError", "braid letter 9 outside strand range 1..2", "line 2, seq[2]")),
+    ("s1, T(1), T(4), s9", ("RangeError", "tangency at 4 outside 1..2", "line 2, seq[2]")),
+    ("s1, T(1), s1 s01 s9x", ("FormatError", "bad braid token 's9x'", "line 2")),
+    ("T(1), T(1), s1, s1", ("FormatError", "two braid words in a row at 's1'", "line 2")),
+    ("T(1), , s1 x", ("FormatError", "empty seq entry", "line 2")),
+])
+def test_first_bad_entry_is_reported(seq, want):
+    text = f"strands 3\nseq: {seq}\n"
+    assert parse_outcome(parse_wire, text) == parse_outcome(reference_parse_wire, text) == want
+
+
+def test_repeated_event_object_checks_the_first_bad_event_in_seq_order():
+    # parse_wire hands the diagram one object per distinct event chunk; when
+    # objects repeat, the first bad event in seq order is the one reported
+    good, bad_t, bad_f = Tangency(1), Tangency(5), FreePoint(9)
+    for events, message in [
+        ((good, good, bad_t, good, bad_f), "tangency at 5 outside 1..2"),
+        ((good, bad_f, good, bad_t, bad_f), "free point at 9 outside 1..3"),
+        ((bad_t, good, bad_t), "tangency at 5 outside 1..2"),
+    ]:
+        with pytest.raises(RangeError) as exc:
+            WiringDiagram(3, ((),) * (len(events) + 1), events)
+        assert exc.value.message == message
+    w = WiringDiagram(3, ((1,), (), (2,), ()), (good, Intersection(1, 3), good))
+    assert w.walked == (((2, 1), (2, 1, 3), (2, 3)), (2, 3, 1))

@@ -9,6 +9,8 @@ either).  For each m of diagram-read's arrangement rungs (m = 8, 12, ..., 40)
 it builds the generic arrangement of m lines as that workload does, with
 the component labels of seed 7, and prints one markdown table row:
 
+- ``seq``: the entries of its ``seq`` line against the distinct chunks
+  among them (``parse_wire`` reads each distinct chunk once);
 - ``parse_wire``: milliseconds to parse the ``.wire`` text;
 - ``walk``: milliseconds of the strand walk (``WiringDiagram.walked``,
   computed anew on each call instead of read from its cache);
@@ -16,7 +18,10 @@ the component labels of seed 7, and prints one markdown table row:
 - ``incidence_canonical``: milliseconds per call on that matrix;
 - ``render``: milliseconds per call of the SVG renderer;
 - ``render peak``: the ``tracemalloc`` peak of one ``render`` call as a
-  multiple of the length of the SVG it returns.
+  multiple of the length of the SVG it returns;
+- ``compare``: milliseconds per ``cli.main`` call of ``compare`` of the
+  arrangement against its copy with the free points first (two parses, two
+  walks and one labelled equivalence), on files in a temporary directory.
 
 A second table has one row per text read by a parser: each star and cusp
 cluster that graph-pipeline writes at seed 7 (its ``graph`` and ``scott``
@@ -107,19 +112,28 @@ def main(argv=None) -> int:
         return 2
     wiring, fillings, cli = api.wiring, api.fillings, api.cli
     labels_all = workloads.Names(SEED).take(max(workloads.ARRANGEMENT_M))
-    print("| m | svg bytes | `parse_wire` | walk | `incidence` | `incidence_canonical` "
-          "| `render` | render peak |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| m | `seq` entries / distinct | svg bytes | `parse_wire` | walk | `incidence` "
+          "| `incidence_canonical` | `render` | render peak | `compare` |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for m in workloads.ARRANGEMENT_M:
         text = workloads.arrangement(labels_all[:m])
+        chunks = [c.strip() for c in text.partition("seq:")[2].split(",")]
         parse_ms, w = median_ms(lambda: wiring.parse_wire(text))
         walk_ms, _ = median_ms(lambda: type(w).walked.func(w))
         incidence_ms, matrix = median_ms(lambda: wiring.incidence(w))
         canonical_ms, _ = median_ms(lambda: fillings.incidence_canonical(matrix))
         render_ms, svg = median_ms(lambda: cli.render(w))
         peak = peak_ratio(lambda: cli.render(w))
-        print(f"| {m} | {len(svg):,} | {parse_ms:,.2f} ms | {walk_ms:,.2f} ms | {incidence_ms:,.2f} ms "
-              f"| {canonical_ms:,.2f} ms | {render_ms:,.2f} ms | {peak:.2f}× |", flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, copy = Path(tmp) / "a.wire", Path(tmp) / "copy.wire"
+            a.write_text(text)
+            copy.write_text(workloads.arrangement(labels_all[:m], free_first=True))
+            compare_ms, result = median_ms(lambda: api.run_cli("compare", "--wire", a, "--wire", copy))
+        if result.code != 0:
+            raise SystemExit(f"compare m={m} exited {result.code}: {result.stderr}")
+        print(f"| {m} | {len(chunks):,} / {len(set(chunks)):,} | {len(svg):,} | {parse_ms:,.2f} ms "
+              f"| {walk_ms:,.2f} ms | {incidence_ms:,.2f} ms | {canonical_ms:,.2f} ms "
+              f"| {render_ms:,.2f} ms | {peak:.2f}× | {compare_ms:,.2f} ms |", flush=True)
     print()
     print("| text | parser | lines | ms per call | µs per line |")
     print("| --- | --- | --- | --- | --- |")
