@@ -238,28 +238,17 @@ def combine_germs(a: DecoratedGerm, b: DecoratedGerm) -> DecoratedGerm:
     shared = {x.name for x in a.branches} & {x.name for x in b.branches}
     if shared:
         raise RangeError(f"branch names on both sides: {sorted(shared)}")
-    na = sum(x.origin_multiplicity for x in a.branches)
-    nb = sum(x.origin_multiplicity for x in b.branches)
+    da = [x.origin_multiplicity for x in a.branches]
+    db = [x.origin_multiplicity for x in b.branches]
     branches = tuple(
         Branch(x.name, x.multiplicity_seq, x.weight + x.origin_multiplicity * other,
                x.origin_multiplicity, x.delta, x.sits_on)
-        for part, other in ((a, nb), (b, na))
+        for part, other in ((a, sum(db)), (b, sum(da)))
         for x in part.branches
     )
-    d = {x.name: x.origin_multiplicity for x in branches}
-    names = [x.name for x in branches]
-    own = {x.name for x in a.branches}
-
-    def pair(p: str, q: str) -> int:
-        if p == q:
-            return 0
-        if p in own and q in own:
-            return a.pair(p, q)
-        if p not in own and q not in own:
-            return b.pair(p, q)
-        return d[p] * d[q]
-
-    pairwise = tuple(tuple(pair(p, q) for q in names) for p in names)
+    # one block per part: its own pairings, then d_i * d_j against the other part
+    pairwise = tuple((*row, *(i * j for j in db)) for i, row in zip(da, a.pairwise))
+    pairwise += tuple((*(i * j for j in da), *row) for i, row in zip(db, b.pairwise))
     return DecoratedGerm(branches, a.root_vertex, pairwise)
 
 

@@ -641,6 +641,8 @@ def build_unexpected(g: PlumbingGraph, aug: Augmentation, N: int, wmax: int) -> 
     """Attach the m-leg star (m = 2N+5, center euler -m-2, legs of m-1
     euler -2 vertices) to the germ's root vertex, put one line arrow at
     each leg end, then extend every arrow by wmax."""
+    if not aug.arrows:
+        raise RangeError("the star construction needs a curvetta: the graph has none")
     if N < 1 or wmax < 1:
         raise RangeError("N and wmax must be positive")
     m = 2 * N + 5
@@ -687,8 +689,6 @@ def _adjacency(g: PlumbingGraph):
 
 def _centroids(adj) -> list[int]:
     n = len(adj)
-    if n == 0:
-        return []
     deg = [len(a) for a in adj]
     removed = [False] * n
     layer = [v for v in range(n) if deg[v] <= 1]

@@ -476,83 +476,52 @@ def scott(c: Cluster) -> WiringDiagram:
         order.extend(finals.get(i, ()))
         stack.extend(reversed(ix.children[i]))
 
-    block: dict[int, list[int]] = {}
-    pos = 1
+    block: dict[int, range] = {}
+    n = 0
     for k in order:
-        d = c.mults[0][k]
-        block[k] = list(range(pos, pos + d))
-        pos += d
-    n = pos - 1
+        block[k] = range(n + 1, n + 1 + c.mults[0][k])
+        n += c.mults[0][k]
 
-    # strand portions per (point, branch column), walking parents first
-    portion: dict[tuple[str, int], list[int]] = {}
-    side: dict[int, str] = {k: "high" for k in order}
-    depth: dict[str, int] = {}
-    windows: dict[str, list[int]] = {}
+    # per row: each branch's strand range, the depth and the window (lo, hi)
+    parts: list[dict[int, range]] = []
+    depth: list[int] = []
+    windows: list[tuple[int, int]] = []
+    high = [True] * len(c.branches)  # whether a branch kept the high end of its range last
+    lost: list[list[int]] = [[] for _ in c.branches]  # tangency positions per branch
     for i, p in enumerate(c.points):
-        depth[p.id] = 0 if p.parent is None else depth[p.parent] + 1
+        up = None if p.parent is None else ix.row[p.parent]
+        depth.append(0 if up is None else depth[up] + 1)
         # block starts increase along ``order``: the point's branches in that order
-        bs = sorted(c.mults[i], key=lambda k: block[k][0])
+        bs = sorted(c.mults[i], key=lambda k: block[k].start)
         if not bs:
             raise ProximityViolationError(f"point {p.id} carries no branch")
-        window: list[int] = []
+        row = {}
         for j, k in enumerate(bs):
-            m = c.mults[i][k]
-            if p.parent is None:
-                part = block[k]
-            else:
-                pp = portion[(p.parent, k)]
-                if len(bs) == 1:
-                    part = pp[-m:] if side[k] == "high" else pp[:m]
-                elif j == 0:
-                    part = pp[-m:]
-                    side[k] = "high"
-                elif j == len(bs) - 1:
-                    part = pp[:m]
-                    side[k] = "low"
-                else:
-                    if m != len(pp):
-                        raise InternalInconsistencyError(
-                            f"branch {c.branches[k]} shrinks inside the window at {p.id}; "
-                            "no unbraided layout exists"
-                        )
-                    part = pp
-            portion[(p.id, k)] = part
-            window.extend(part)
-        window.sort()
-        if window != list(range(window[0], window[0] + len(window))):
-            raise InternalInconsistencyError(f"window at {p.id} is not contiguous")
-        windows[p.id] = window
-
-    events: list[Singularity] = []
-    for k in order:
-        positions = []
-        chain = ix.chains[k]
-        for prev, cur in zip(chain, chain[1:]):
-            old = portion[(c.points[prev].id, k)]
-            new = portion[(c.points[cur].id, k)]
-            if len(new) == len(old):
+            if up is None:
+                row[k] = block[k]
                 continue
-            lost = sorted(set(old) - set(new))
-            if lost and lost[0] < new[0]:
-                positions.extend(lost)
-            else:
-                positions.extend([new[-1]] + lost[:-1])
-        events.extend(Tangency(p) for p in sorted(positions))
+            old, m = parts[up][k], c.mults[i][k]
+            if j == 0 < len(bs) - 1 or 0 < j == len(bs) - 1:
+                high[k] = j == 0  # the lowest branch keeps its high end, the highest its low end
+            elif j and m != len(old):
+                raise InternalInconsistencyError(
+                    f"branch {c.branches[k]} shrinks inside the window at {p.id}; "
+                    "no unbraided layout exists"
+                )
+            row[k] = new = old[-m:] if high[k] else old[:m]
+            # a tangency ties each lost strand to its neighbour on the kept side
+            lost[k] += range(old.start, new.start) if high[k] else range(new.stop - 1, old.stop - 1)
+        first, last = row[bs[0]], row[bs[-1]]
+        if sum(map(len, row.values())) != last.stop - first.start:
+            raise InternalInconsistencyError(f"window at {p.id} is not contiguous")
+        parts.append(row)
+        windows.append((first.start, last.stop - 1))
 
-    for p in sorted(c.points, key=lambda p: (-depth[p.id], windows[p.id][0])):
-        window = windows[p.id]
-        total = sum(c.mults[ix.row[p.id]].values())
-        if total == 1:
-            events.append(FreePoint(window[0]))
-        else:
-            events.append(Intersection(window[0], window[-1]))
-
-    labels = [""] * n
-    for k in order:
-        for q in block[k]:
-            labels[q - 1] = c.branches[k]
-    return WiringDiagram(n, ((),) * (len(events) + 1), tuple(events), tuple(labels))
+    events = [Tangency(q) for k in order for q in sorted(lost[k])]
+    for i in sorted(range(len(c.points)), key=lambda i: (-depth[i], windows[i][0])):
+        events.append(_event(False, *windows[i]))
+    labels = tuple(c.branches[k] for k in order for _ in block[k])
+    return WiringDiagram(n, ((),) * (len(events) + 1), tuple(events), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +532,26 @@ def _shift_word(word: Word, k: int) -> Word:
     return tuple(a + k if a > 0 else a - k for a in word)
 
 
+def _assemble(n: int, timeline, labels) -> WiringDiagram:
+    """The diagram of the braid words (tuples) and events of ``timeline``,
+    in time order.  Words that meet between two events compose, the later
+    one on the left, and are reduced once; a lone word is passed on as
+    given, so that ``WiringDiagram`` checks each of its letters before any
+    cancels; a slot given no word is empty."""
+    braids: list[Word] = []
+    events: list[Singularity] = []
+    slot: list[Word] = []
+    for x in (*timeline, None):
+        if isinstance(x, tuple):
+            slot.append(x)
+            continue
+        braids.append(slot[0] if len(slot) == 1 else reduce_word(itertools.chain.from_iterable(reversed(slot))))
+        slot = []
+        if x is not None:
+            events.append(x)
+    return WiringDiagram(n, tuple(braids), tuple(events), labels)
+
+
 def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
     """Stack wa above wb and prepend one transverse double point for every
     (strand of wa, strand of wb) pair, each conjugated by the positive
@@ -571,37 +560,19 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
         raise RangeError("component labels collide")
     nb = wb.n
     n = wa.n + nb
-    braids: list[Word] = []
-    events: list[Singularity] = []
-    pending: Word = ()
-
-    def push_braid(word: Word):
-        nonlocal pending
-        pending = reduce_word(word + pending)
-
-    def push_event(ev: Singularity):
-        nonlocal pending
-        braids.append(pending)
-        events.append(ev)
-        pending = ()
-
+    timeline: list[Word | Singularity] = []
     for p in range(nb + 1, n + 1):
         for q in range(1, nb + 1):
             down = tuple(range(q + 1, p))
-            push_braid(down)
-            push_event(Intersection(q, q + 1))
-            push_braid(inverse_word(down))
-    for i, ev in enumerate(wb.events):
-        push_braid(wb.braids[i])
-        push_event(ev)
-    push_braid(wb.braids[-1])
-    for i, ev in enumerate(wa.events):
-        push_braid(_shift_word(wa.braids[i], nb))
+            timeline += (down, Intersection(q, q + 1), inverse_word(down))
+    for word, ev in zip(wb.braids, wb.events):
+        timeline += (word, ev)
+    timeline.append(wb.braids[-1])
+    for word, ev in zip(wa.braids, wa.events):
         lo, hi = event_window(ev)
-        push_event(_event(isinstance(ev, Tangency), lo + nb, hi + nb))
-    push_braid(_shift_word(wa.braids[-1], nb))
-    braids.append(pending)
-    return WiringDiagram(n, tuple(braids), tuple(events), wb.components + wa.components)
+        timeline += (_shift_word(word, nb), _event(isinstance(ev, Tangency), lo + nb, hi + nb))
+    timeline.append(_shift_word(wa.braids[-1], nb))
+    return _assemble(n, timeline, wb.components + wa.components)
 
 
 def subarrangement(w: WiringDiagram, keep_components) -> WiringDiagram:
@@ -618,9 +589,7 @@ def subarrangement(w: WiringDiagram, keep_components) -> WiringDiagram:
         raise RangeError("empty component subset")
 
     state = list(range(1, w.n + 1))  # state[p - 1] = strand at position p
-    braids: list[Word] = []
-    events: list[Singularity] = []
-    pending: list[int] = []  # chronological letters
+    timeline: list[Word | Singularity] = []  # kept letters, one word each, and surviving events
 
     def rank(p: int) -> int:
         """How many kept strands sit at positions 1..p."""
@@ -632,19 +601,15 @@ def subarrangement(w: WiringDiagram, keep_components) -> WiringDiagram:
             x, y = state[j - 1], state[j]
             if x in kept and y in kept:
                 b = rank(j - 1) + 1
-                pending.append(b if a > 0 else -b)
+                timeline.append((b if a > 0 else -b,))
             state[j - 1], state[j] = y, x
         if ev is not None:
             lo, hi = event_window(ev)
             below = rank(lo - 1)
             count = rank(hi) - below
-            if count < 1 + (hi > lo):
-                continue
-            events.append(_event(isinstance(ev, Tangency), below + 1, below + count))
-        braids.append(reduce_word(tuple(reversed(pending))))
-        pending.clear()
-    labels = tuple(w.components[s - 1] for s in sorted(kept))
-    return WiringDiagram(len(kept), tuple(braids), tuple(events), labels)
+            if count >= 1 + (hi > lo):
+                timeline.append(_event(isinstance(ev, Tangency), below + 1, below + count))
+    return _assemble(len(kept), timeline, tuple(w.components[s - 1] for s in sorted(kept)))
 
 
 def add_free_points(w: WiringDiagram, counts) -> WiringDiagram:
@@ -817,17 +782,6 @@ def parse_wire(text: str) -> WiringDiagram:
         raise FormatError("missing seq")
 
     entries, kinds = _seq_entries(seq_chunks, seq_line)  # entries[i] parsed from seq[i]
-    full = entries
-    if not kinds[0] == kinds[-1] == "b" or "ee" in kinds:
-        # an empty braid word wherever one was left out, so braids and events alternate
-        full = []
-        for entry, kind, before in zip(entries, kinds, "e" + kinds):
-            if kind == before == "e":
-                full.append(())
-            full.append(entry)
-        if kinds[-1] == "e":
-            full.append(())
-
     labels: tuple[str, ...] = ()
     if components:
         assigned = {}
@@ -840,7 +794,9 @@ def parse_wire(text: str) -> WiringDiagram:
             raise FormatError(f"components do not partition strands 1..{n}")
         labels = tuple(assigned[p] for p in range(1, n + 1))
     try:
-        return WiringDiagram(n, tuple(full[::2]), tuple(full[1::2]), labels)
+        if kinds[0] == kinds[-1] == "b" and "ee" not in kinds:
+            return WiringDiagram(n, tuple(entries[::2]), tuple(entries[1::2]), labels)
+        return _assemble(n, entries, labels)  # a braid word left out is empty
     except RangeError:
         # only now find the first seq entry out of range, so valid input is
         # checked once, by WiringDiagram

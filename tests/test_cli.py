@@ -706,6 +706,41 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["problems"] == []
 
+    # per-component entries of a germ check whose labels are the branch names
+    AB = ("branch A B\npoint r parent root\npoint a1 parent r\npoint b1 parent r\n"
+          "mult r A=1 B=1\nmult a1 A=1\nmult b1 B=1\n")
+
+    @pytest.mark.parametrize("germ, wire, problems", [
+        (AB, "strands 2\ncomponents A=1 B=2\nseq: 1, I(1..2), 1, I(1..2), 1, F(1), 1, F(2), 1\n", [
+            ("weight", "component A: row sum 3 != weight 2"),
+            ("weight", "component B: row sum 3 != weight 2"),
+            ("cross", "components A,B: cross count 2 != pairwise 1"),
+        ]),
+        (AB, "strands 2\ncomponents A=1 B=2\nseq: 1, F(1), 1, F(1), 1, F(2), 1, F(2), 1\n", [
+            ("cross", "components A,B: cross count 0 != pairwise 1"),
+        ]),
+        ("branch A\npoint r parent root\npoint q parent r\nmult r A=2\nmult q A=1\n",
+         "strands 2\ncomponents A=1,2\nseq: T(1), 1, F(1), 1, F(2), 1, F(1)\n", [
+             ("self", "component A: self count 0 != delta 1"),
+         ]),
+        # the strand totals agree (3 and 2 + 1), the components' counts do not
+        (AB.replace("r A=1", "r A=2"),
+         "strands 3\ncomponents A=1 B=2,3\nseq: 1, T(2), 1, I(1..3), 1, F(1), 1, F(2), 1\n", [
+             ("strand-count", "component A: 1 strands != d 2"),
+             ("weight", "component A: row sum 2 != weight 3"),
+             ("self", "component A: self count 0 != delta 1"),
+             ("strand-count", "component B: 2 strands != d 1"),
+             ("weight", "component B: row sum 3 != weight 2"),
+             ("self", "component B: self count 1 != delta 0"),
+         ]),
+    ])
+    def test_germ_entries_per_component(self, work, capsys, germ, wire, problems):
+        (work / "g.germ").write_text(germ)
+        (work / "w.wire").write_text(wire)
+        code, out, err = run(capsys, "validate", "--wire", work / "w.wire", "--germ", work / "g.germ")
+        assert (code, err) == (1, "")
+        assert [(p["code"], p["message"]) for p in json.loads(out)["problems"]] == problems
+
 
 class TestCompare:
     def test_reflexive(self, work, capsys):
@@ -795,6 +830,16 @@ class TestUnexpected:
         assert sum(1 for a, b in g.edges if "vstar" in (a, b)) == 8
         code, *_ = run(capsys, "validate", "--wire", work / "K.wire")
         assert code == 0
+
+    @pytest.mark.parametrize("text", ["", "vertex a -1\n"])
+    def test_graph_without_curvetta_is_two(self, work, capsys, text):
+        (work / "bare.plumb").write_text(text)
+        code, out, err = run(capsys, "unexpected", "--graph", work / "bare.plumb",
+                             "-N", 1, "--wmax", 3, "-o", work / "K")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"code": "range", "location": None,
+                                   "message": "the star construction needs a curvetta: the graph has none"}
+        assert not (work / "K.plumb").exists()
 
 
 class TestGermTrace:

@@ -355,6 +355,12 @@ def test_extend_chains():
     assert germ.pair("c", "d") == 1
     with pytest.raises(RangeError):
         extend_chains(g, aug, {"nope": 1})
+    # the two errors kept for library callers
+    with pytest.raises(RangeError, match="^negative chain length for c$"):
+        extend_chains(g, aug, {"c": -1})
+    taken = plumbing_graph({"E": -3, "c.1": -2}, [("E", "c.1")])
+    with pytest.raises(RangeError, match=r"^chain vertex name c\.1 collides$"):
+        extend_chains(taken, aug, {"c": 1})
 
 
 def test_extend_chains_keeps_shape():

@@ -4,22 +4,27 @@
 
 Imports ``perfbench/workloads.py`` and the package under ``src/`` of the
 git checkout CHECKOUT, and writes nothing inside it.  Every op of the three
-workload plans runs once at seed 7, in a fixed work directory under the
-system's temporary directory: ``unexpected`` echoes its output paths, so a
-fresh temporary name would make every run differ.  Each line is
-``workload<TAB>op label<TAB>sha256``; the hash covers the exit code,
+workload plans runs once at seed 7, each workload in its own subdirectory
+of a fresh temporary directory, removed at the end, so two runs (say parent
+and change) can go side by side.  ``unexpected`` echoes its output paths,
+so the work directory's path is replaced by one fixed placeholder, WORK,
+in stdout, stderr and the written files before they are hashed.  Each line
+is ``workload<TAB>op label<TAB>sha256``; the hash covers the exit code,
 stdout, stderr and the files the op writes (a library op: the repr of its
 result, or its exception).  Run it once per checkout and diff the lines.
 
 After the workload plans come the ops of ``extra_ops`` (workload column
 ``extra``), larger than any benchmark rung: ``unexpected`` on the pair and
 the triple of smooth branches at N = 20 and 30, and ``germ --trace`` on two
--2 chains of 4000 vertices.  Three small ones cover the commands no
-workload runs: ``extend`` on the pair graph, ``auts`` on the extended
-graph, and ``inside-out`` at one hole of the generic arrangement of
-EXTRA_ARRANGEMENT_M lines, one strand each.  Together they take a few
-seconds.
-"""
+-2 chains of 4000 vertices.  Small ones cover code no workload runs:
+``extend`` on the pair graph, ``auts`` on the extended graph,
+``inside-out`` at one hole of the generic arrangement of
+EXTRA_ARRANGEMENT_M lines, one strand each, ``validate`` on a ``.wire``
+whose ``seq`` leaves braid words out (it starts with an event, has two
+events in a row and ends with one), and the library op
+``subarrangement(combine(scott(a), scott(b)), keep)`` on graph-pipeline's
+cusp t=20 and star m=3 t=10 clusters, keeping one branch of each.
+Together they take a few seconds."""
 
 import hashlib
 import shutil
@@ -28,26 +33,25 @@ import tempfile
 from pathlib import Path
 
 SEED = 7
-WORK = Path(tempfile.gettempdir()) / "sandwich-op-hashes"
+WORK = b"WORK"  # stands for the work directory in every hashed output
 EXTRA_N = (20, 30)
 EXTRA_CHAIN_L = 4000
 EXTRA_ARRANGEMENT_M = 8
 
 
-def op_digest(op, workloads) -> str:
+def op_digest(op, workloads, work: Path) -> str:
     try:
         result = op.run()
     except Exception as exc:  # an op that raises is hashed by its error
         result = f"raised {type(exc).__name__}: {exc}"
-    h = hashlib.sha256()
     if isinstance(result, workloads.CliResult):
-        for part in (str(result.code), result.stdout, result.stderr):
-            h.update(part.encode() + b"\0")
-        for path in op.outputs:
-            h.update(path.read_bytes() if path.exists() else b"(missing)")
-            h.update(b"\0")
+        parts = [str(result.code).encode(), result.stdout.encode(), result.stderr.encode()]
+        parts += [path.read_bytes() if path.exists() else b"(missing)" for path in op.outputs]
     else:
-        h.update(repr(result).encode())
+        parts = [repr(result).encode()]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.replace(str(work).encode(), WORK) + b"\0")
     return h.hexdigest()
 
 
@@ -82,6 +86,19 @@ def extra_ops(api, workloads, work: Path) -> list:
     ops.append(workloads.Op("inside-out", f"inside-out m={m} hole {m // 2}",
                             lambda: api.run_cli("inside-out", "--wire", wire, "--hole", m // 2),
                             {}, None))
+    gaps = work / "gaps.wire"
+    gaps.write_text("strands 3\ncomponents a=1,2 b=3\n"
+                    "seq: T(1), I(1..3), F(3), s2 s1, I(2..3), s1' s1 s2, F(1), F(2)\n")
+    ops.append(workloads.Op("validate", "validate left-out braid words",
+                            lambda: api.run_cli("validate", "--wire", gaps), {}, None))
+    names = workloads.Names(SEED)
+    a, b = (api.plumbing.parse_germ(case.text)
+            for case in (workloads.cusp_cluster(names, 20), workloads.star_cluster(names, 3, 10)))
+    keep = (a.branches[0], b.branches[0])
+    ops.append(workloads.Op("subarrangement", "subarrangement of combined cusp t=20 and star m=3",
+                            lambda: api.wiring.subarrangement(
+                                api.wiring.combine(api.wiring.scott(a), api.wiring.scott(b)), keep),
+                            {}, None))
     return ops
 
 
@@ -97,21 +114,22 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
 
-    for name, build in workloads.WORKLOADS.items():
-        shutil.rmtree(WORK, ignore_errors=True)
-        WORK.mkdir(parents=True)
-        api = workloads.Api()
-        if checkout not in Path(api.cli.__file__).resolve().parents:
-            print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
-            return 2
-        plan = build(api, workloads.Names(SEED), WORK)
-        for op in plan.setup_checks + plan.ops:
-            print(f"{name}\t{op.label}\t{op_digest(op, workloads)}", flush=True)
-    shutil.rmtree(WORK, ignore_errors=True)
-    WORK.mkdir(parents=True)
-    for op in extra_ops(api, workloads, WORK):
-        print(f"extra\t{op.label}\t{op_digest(op, workloads)}", flush=True)
-    shutil.rmtree(WORK, ignore_errors=True)
+    work = Path(tempfile.mkdtemp(prefix="sandwich-op-hashes-"))
+    try:
+        for name, build in workloads.WORKLOADS.items():
+            (work / name).mkdir()
+            api = workloads.Api()
+            if checkout not in Path(api.cli.__file__).resolve().parents:
+                print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
+                return 2
+            plan = build(api, workloads.Names(SEED), work / name)
+            for op in plan.setup_checks + plan.ops:
+                print(f"{name}\t{op.label}\t{op_digest(op, workloads, work)}", flush=True)
+        (work / "extra").mkdir()
+        for op in extra_ops(api, workloads, work / "extra"):
+            print(f"extra\t{op.label}\t{op_digest(op, workloads, work)}", flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 
