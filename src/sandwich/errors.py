@@ -65,7 +65,3 @@ class MultiplicityNotOneError(SandwichError):
 
 class ArcAtOuterError(SandwichError):
     code = "arc-at-outer"
-
-
-class UnknownComponentError(SandwichError):
-    code = "unknown-component"

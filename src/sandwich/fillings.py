@@ -26,7 +26,6 @@ from .plumbing import (
     build_unexpected,
     cluster_from_trace,
     germ_from_cluster,
-    spinal_binding,
     subcluster,
 )
 from .wiring import (
@@ -66,9 +65,11 @@ class SpinalOpenBook:
 
 
 def spinal_open_book(germ: DecoratedGerm) -> SpinalOpenBook:
-    outer, *rest = spinal_binding(germ)
-    marking = tuple((b.name, b.sits_on) for b in germ.branches)
-    return SpinalOpenBook(sum(d for _, d in rest), tuple(rest), tuple(outer), marking)
+    """One binding per branch, on the vertex it sits on with its multiplicity,
+    and the outer binding on the root vertex."""
+    bindings = tuple((b.sits_on, b.origin_multiplicity) for b in germ.branches)
+    return SpinalOpenBook(sum(d for _, d in bindings), bindings, (germ.root_vertex, 1),
+                          tuple((b.name, b.sits_on) for b in germ.branches))
 
 
 def exotic_count(germ: DecoratedGerm) -> int:
@@ -127,14 +128,13 @@ def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:
     ``boundary-class`` entry names the first invariant that differs.
     """
     report = validate_wiring(w, germ=germ_from_cluster(c))
-    entries = list(report.entries)
     if report.ok:
         why = _boundary_difference(boundary_braid(w), boundary_braid(scott(c)), w.n)
         if why:
-            entries.append(
-                ("boundary-class", f"boundary braid differs from the cluster layout: {why}")
+            report = ValidationReport(
+                (("boundary-class", f"boundary braid differs from the cluster layout: {why}"),)
             )
-    return (not entries), ValidationReport(tuple(entries))
+    return report.ok, report
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,13 @@ def unexpected_arrangement(
 ) -> UnexpectedArrangement:
     """Attach the star of generic lines to the germ of ``(g, aug)``, lay
     out the original branches and the new lines separately, and merge the
-    two layouts; the result is checked against the generic-union germ."""
+    two layouts; the result is checked against the generic-union germ.
+
+    That germ, ``combine_germs`` of the two layouts' germs, is the one
+    returned.  It is not the germ of the returned graph: for ``vertex v -3``
+    with curvettas ``a`` and ``b``, N = 1 and wmax = 5, every branch here
+    has weight 15, while the graph's germ (``germ --graph``) gives 8 to
+    ``a`` and ``b`` and 13 to each line (ROADMAP item 1)."""
     graph, arrows = build_unexpected(g, aug, N, wmax)
     full = cluster_from_trace(blow_down(graph, arrows))
     original = set(aug.curvettas())

@@ -1,6 +1,6 @@
 """Braid words, the Artin action on a free group, curves and arcs on a
-disk with holes, mapping classes with a boundary-twist ledger, and Hurwitz
-moves on factorizations.
+disk with holes, mapping classes with a boundary-twist ledger, and
+factorizations into curve and arc items.
 
 Conventions used throughout the package:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import RangeError, StrandMismatchError
-from .records import frozen, replace
+from .records import frozen
 
 Word = tuple[int, ...]
 
@@ -173,13 +173,6 @@ def perm_identity(n: int) -> tuple[int, ...]:
 def perm_compose(p, q):
     """(p after q): h -> p[q[h]]."""
     return tuple(p[q[h] - 1] for h in range(len(q)))
-
-
-def perm_inverse(p):
-    out = [0] * len(p)
-    for h, v in enumerate(p, start=1):
-        out[v - 1] = h
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +360,9 @@ class HoleCurve:
     ``twists`` is a boundary-twist offset, one entry per hole plus a final
     outer entry (all zero when not given): extra full boundary twists
     composed after the core twist.  It is zero for every curve extracted
-    from a diagram and only becomes nonzero through Hurwitz moves, which
-    need it to stay closed under conjugation.
+    from a diagram; in the package it is nonzero only when read from the
+    ``twists`` of a factorization JSON.  Items stay closed under
+    conjugation (Hurwitz moves) only with it.
     """
 
     n: int
@@ -417,34 +411,12 @@ def canonical_curve(c: Item) -> Word:
     return cyclic_canonical(artin_act(g_inv, c.base_word, c.n))
 
 
-def canonical_item(c: Item):
-    kind = "arc" if isinstance(c, HoleArc) else "cycle"
-    return (kind, canonical_curve(c), c.twists)
-
-
 def curve_holes(c: Item) -> frozenset[int]:
     """Holes enclosed by the curve (or joined by the arc): where g^{-1}
     carries the base holes, since the image of x_h is a conjugate of
     x_{perm[h]}."""
     perm = braid_permutation(inverse_word(c.conjugator), c.n)
     return frozenset(perm[h - 1] for h in c.base_word)
-
-
-def _transport_offset(perm, offset: Word) -> Word:
-    # offset entry at hole h moves to hole perm[h]; the outer entry stays
-    out = list(offset)
-    for h, p in enumerate(perm):
-        out[p - 1] = offset[h]
-    return tuple(out)
-
-
-def act_on_curve(b: Word, c: Item) -> Item:
-    """Image of the curve/arc under the braid b: conjugator g -> g b^{-1},
-    so the canonical word transforms by artin_act(b, .)."""
-    check_braid_word(b, c.n)
-    conj = reduce_word(c.conjugator + inverse_word(b))
-    twists = _transport_offset(braid_permutation(b, c.n), c.twists)
-    return replace(c, conjugator=conj, twists=twists)
 
 
 def item_word(c: Item) -> Word:
@@ -470,18 +442,6 @@ def item_offset(c: Item) -> Word:
         (hole,) = curve_holes(c)
         off[hole - 1] += 2
     return tuple(off)
-
-
-def conjugate_item(word: Word, offset: Word, c: Item) -> Item:
-    """Item representing M (item) M^{-1}, where M is the mapping class
-    with braid word ``word`` followed by boundary twists ``offset``: the
-    twists shift by the offset carried back through the item's hole
-    permutation, less the offset, and the whole then moves by ``word``."""
-    if len(offset) != c.n + 1:
-        raise RangeError("offset vector must have one entry per hole plus the outer entry")
-    back = _transport_offset(perm_inverse(braid_permutation(item_word(c), c.n)), offset)
-    shifted = tuple(t + x - y for t, x, y in zip(c.twists, back, offset))
-    return act_on_curve(word, replace(c, twists=shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +489,12 @@ def mc_compose(f: MappingClass, g: MappingClass) -> MappingClass:
     return MappingClass(n, images, perm, tuple(ledger))
 
 
-def mc_equal(f: MappingClass, g: MappingClass) -> bool:
-    return f.n == g.n and f.images == g.images and f.ledger == g.ledger
-
-
 def mc_of_item(c: Item) -> MappingClass:
     return mc_from_braid(item_word(c), c.n, ledger=item_offset(c))
 
 
 # ---------------------------------------------------------------------------
-# factorizations and Hurwitz moves
+# factorizations
 
 
 @frozen
@@ -550,35 +506,3 @@ class Factorization:
         for c in self.items:
             if c.n != self.n:
                 raise StrandMismatchError("factorization item over a different hole count")
-
-
-def canonical_factorization(fact: Factorization):
-    return tuple(canonical_item(c) for c in fact.items)
-
-
-def hurwitz_move(fact: Factorization, i: int, direction: str = "forward") -> Factorization:
-    """Hurwitz move at adjacent positions (i, i+1), 1-based.
-
-    forward:  (A, B) -> (A B A^{-1}, A)
-    backward: (A, B) -> (B, B^{-1} A B)
-
-    Conjugation is exact at the representation level (conjugator words and
-    twist offsets), so forward then backward restores the original values.
-    """
-    if not 1 <= i < len(fact.items):
-        raise RangeError(f"move position {i} outside 1..{len(fact.items) - 1}")
-    items = list(fact.items)
-    a, b = items[i - 1], items[i]
-    if direction == "forward":
-        w = item_word(a)
-        items[i - 1] = conjugate_item(w, item_offset(a), b)
-        items[i] = a
-    elif direction == "backward":
-        w = item_word(b)
-        p = braid_permutation(w, fact.n)
-        inv_off = tuple(-x for x in _transport_offset(p, item_offset(b)))
-        items[i - 1] = b
-        items[i] = conjugate_item(inverse_word(w), inv_off, a)
-    else:
-        raise RangeError(f"unknown direction {direction!r}")
-    return Factorization(fact.n, tuple(items))

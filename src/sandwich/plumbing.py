@@ -1,6 +1,6 @@
 """Plumbing graphs with curvetta arrows: blow-down with intersection
 tracking, decorated-germ extraction, point clusters, graph surgeries,
-automorphisms, and binding data.
+and automorphisms.
 
 Vertex names are opaque strings.  A blow-down adds one (-1) vertex per
 arrow (named ``@<curvetta>``) and repeatedly contracts a (-1) curve,
@@ -253,11 +253,6 @@ def delta(seq) -> int:
     return sum(m * (m - 1) // 2 for m in seq)
 
 
-def cap_framing(branch: Branch) -> int:
-    """Self-intersection of the capped branch surface: -w - 2*delta."""
-    return -branch.weight - 2 * branch.delta
-
-
 def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation, choose=None) -> DecoratedGerm:
     """Blow down and assemble the decorated germ, cross-checking the final
     curvetta intersections against the Noether sums over shared steps."""
@@ -303,11 +298,6 @@ def _pair_sums(rows, nb: int) -> list[list[int]]:
             sums[i][k] += a * b
             sums[k][i] += a * b
     return sums
-
-
-def spinal_binding(germ: DecoratedGerm) -> list[tuple[str, int]]:
-    """[(root vertex, 1)] plus one (vertex, multiplicity) entry per branch."""
-    return [(germ.root_vertex, 1)] + [(b.sits_on, b.origin_multiplicity) for b in germ.branches]
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,3 @@ def frozen(cls):
     cls.__init__, cls.__eq__, cls.__hash__ = scope["__init__"], __eq__, lambda self: hash(key(self))
     cls.__repr__, cls.__setattr__, cls.__delattr__, cls._fields = __repr__, _refuse, _refuse, names
     return cls
-
-
-def replace(record, **changes):
-    """A copy of ``record`` with some fields changed, built (and checked by
-    ``__post_init__``) through the constructor."""
-    return record.__class__(**{f: getattr(record, f) for f in record._fields} | changes)

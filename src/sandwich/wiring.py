@@ -25,7 +25,6 @@ from .errors import (
     RangeError,
     SandwichError,
     TangencyComponentMismatchError,
-    UnknownComponentError,
 )
 from .lines import Ledger
 from .mcg import (
@@ -525,7 +524,7 @@ def scott(c: Cluster) -> WiringDiagram:
 
 
 # ---------------------------------------------------------------------------
-# combine / subarrangement / padding
+# combine
 
 
 def _shift_word(word: Word, k: int) -> Word:
@@ -573,64 +572,6 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
         timeline += (_shift_word(word, nb), _event(isinstance(ev, Tangency), lo + nb, hi + nb))
     timeline.append(_shift_word(wa.braids[-1], nb))
     return _assemble(n, timeline, wb.components + wa.components)
-
-
-def subarrangement(w: WiringDiagram, keep_components) -> WiringDiagram:
-    """Delete the strands of every component not in ``keep_components``.
-    Tangencies and intersections survive while two of their strands
-    remain, marked points with their strand, each on the window of the
-    strands it keeps."""
-    keep = set(keep_components)
-    unknown = sorted(keep - set(w.components))
-    if unknown:
-        raise UnknownComponentError(f"unknown component {unknown[0]}")
-    kept = {s for s in range(1, w.n + 1) if w.components[s - 1] in keep}
-    if not kept:
-        raise RangeError("empty component subset")
-
-    state = list(range(1, w.n + 1))  # state[p - 1] = strand at position p
-    timeline: list[Word | Singularity] = []  # kept letters, one word each, and surviving events
-
-    def rank(p: int) -> int:
-        """How many kept strands sit at positions 1..p."""
-        return sum(1 for s in state[:p] if s in kept)
-
-    for word, ev in zip(w.braids, w.events + (None,)):
-        for a in reversed(word):
-            j = abs(a)
-            x, y = state[j - 1], state[j]
-            if x in kept and y in kept:
-                b = rank(j - 1) + 1
-                timeline.append((b if a > 0 else -b,))
-            state[j - 1], state[j] = y, x
-        if ev is not None:
-            lo, hi = event_window(ev)
-            below = rank(lo - 1)
-            count = rank(hi) - below
-            if count >= 1 + (hi > lo):
-                timeline.append(_event(isinstance(ev, Tangency), below + 1, below + count))
-    return _assemble(len(kept), timeline, tuple(w.components[s - 1] for s in sorted(kept)))
-
-
-def add_free_points(w: WiringDiagram, counts) -> WiringDiagram:
-    """Append free marked points at the end of the diagram: ``counts`` maps
-    component label to how many to add (placed on the component's lowest
-    final position)."""
-    groups = w.component_strands()
-    state = w.walked[1]
-    slot = {label: min(p for p, s in enumerate(state, start=1) if w.components[s - 1] == label)
-            for label in groups}
-    events = list(w.events)
-    braids = list(w.braids)
-    for label in sorted(counts):
-        if label not in groups:
-            raise UnknownComponentError(f"unknown component {label}")
-        if counts[label] < 0:
-            raise RangeError("free point count must be nonnegative")
-        for _ in range(counts[label]):
-            events.append(FreePoint(slot[label]))
-            braids.append(())
-    return WiringDiagram(w.n, tuple(braids), tuple(events), w.components)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,9 @@ from sandwich.mcg import (
     braid_equal,
     braid_permutation,
     canonical_curve,
-    canonical_factorization,
     cyclic_canonical,
-    hurwitz_move,
     item_offset,
     item_word,
-    mc_equal,
     perm_compose,
     perm_identity,
     reduce_word,
@@ -28,7 +25,6 @@ from sandwich.plumbing import (
     augmentation,
     blow_down,
     build_unexpected,
-    cap_framing,
     check_cluster,
     cluster,
     extend_chains,
@@ -36,7 +32,6 @@ from sandwich.plumbing import (
     germ_from_cluster,
     graph_from_cluster,
     plumbing_graph,
-    spinal_binding,
     subcluster,
 )
 from sandwich.wiring import (
@@ -44,14 +39,12 @@ from sandwich.wiring import (
     IncidenceMatrix,
     Tangency,
     WiringDiagram,
-    add_free_points,
     boundary_braid,
     event_strands,
     incidence,
     inside_out,
     parse_wire,
     scott,
-    subarrangement,
     validate_wiring,
     vanishing_data,
     wiring_from_vanishing,
@@ -60,9 +53,11 @@ from sandwich.fillings import (
     exotic_count,
     factorization_product,
     incidence_equiv,
+    spinal_open_book,
     unexpected_arrangement,
 )
 
+from hurwitz import canonical_factorization, cap_framing, hurwitz_move, mc_equal
 from random_diagrams import rand_diagram
 
 FIG = (
@@ -70,6 +65,33 @@ FIG = (
     "components A=2,3 B=1,4\n"
     "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
     "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
+)
+# FIG with one marked point added at the end: on A, on A and B, and on B,
+# which completes the figure
+FIG_A = (
+    "strands 4\n"
+    "components A=2,3 B=1,4\n"
+    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
+    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1\n"
+)
+FIG_AB = (
+    "strands 4\n"
+    "components A=2,3 B=1,4\n"
+    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
+    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1, F(2), 1\n"
+)
+FIG_FULL = (
+    "strands 4\n"
+    "components A=2,3 B=1,4\n"
+    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
+    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n"
+)
+# the completed figure restricted to A (a tangency, then a double point),
+# with six marked points on A
+FIG_A_ONLY = (
+    "strands 2\n"
+    "components A=1,2\n"
+    "seq: 1, T(1), 1, I(1..2), 1, F(1), 1, F(1), 1, F(1), 1, F(1), 1, F(1), 1, F(1), 1\n"
 )
 
 
@@ -86,7 +108,7 @@ def two_cusp():
 
 
 def figure_full() -> WiringDiagram:
-    return add_free_points(parse_wire(FIG), {"B": 1})
+    return parse_wire(FIG_FULL)
 
 
 def line_pair_graph():
@@ -141,7 +163,8 @@ def test_c03_line_pair_from_graph():
     assert tuple(b.multiplicity_seq for b in germ.branches) == ((1, 1), (1, 1))
     assert germ.pair("c", "d") == 1
     assert tuple(cap_framing(b) for b in germ.branches) == (-2, -2)
-    assert spinal_binding(germ) == [("E", 1), ("E", 1), ("E", 1)]
+    book = spinal_open_book(germ)
+    assert (book.outer, *book.bindings) == (("E", 1), ("E", 1), ("E", 1))
     print("c03 PASS: {E:-3} with two arrows gives transverse lines, "
           "weights (2,2), framings (-2,-2), binding (E,1)x3")
 
@@ -161,8 +184,8 @@ def test_c04_figure_parse_and_validation():
 
     # compatible only once the single missing marked point is added, on B
     assert not validate_wiring(fig, germ=germ).ok
-    assert not validate_wiring(add_free_points(fig, {"A": 1}), germ=germ).ok
-    assert not validate_wiring(add_free_points(fig, {"A": 1, "B": 1}), germ=germ).ok
+    assert not validate_wiring(parse_wire(FIG_A), germ=germ).ok
+    assert not validate_wiring(parse_wire(FIG_AB), germ=germ).ok
     full = figure_full()
     assert validate_wiring(full, germ=germ).ok
 
@@ -202,11 +225,11 @@ def test_c05_exotic_count_matches_tangencies():
     assert tangency_count(arr.wiring) == exotic_count(arr.germ)
 
     sub_c = subcluster(two_cusp(), ["A"])
-    sub_w = add_free_points(subarrangement(full, ["A"]), {"A": 6})
+    sub_w = parse_wire(FIG_A_ONLY)
     assert validate_wiring(sub_w, germ=germ_from_cluster(sub_c)).ok
     assert tangency_count(sub_w) == exotic_count(germ_from_cluster(sub_c)) == 1
     print("c05 PASS: exotic count = sum(d_i - 1) = tangency count on the "
-          "layout, the figure, the combined arrangement, and the subarrangement")
+          "layout, the figure, the combined arrangement, and the A-only restriction")
 
 
 def test_c06_single_event_boundaries():

@@ -31,7 +31,6 @@ from sandwich.plumbing import (
 )
 from sandwich.wiring import (
     FreePoint,
-    add_free_points,
     factorization_from_json,
     factorization_json,
     incidence,
@@ -51,6 +50,13 @@ FIG = (
     "components A=2,3 B=1,4\n"
     "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
     "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
+)
+# FIG completed with the one missing marked point (on B) at the end
+FIG_FULL = (
+    "strands 4\n"
+    "components A=2,3 B=1,4\n"
+    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
+    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n"
 )
 
 E3_PLUMB = "vertex E -3\ncurvetta c on E\ncurvetta d on E\n"
@@ -108,8 +114,7 @@ def work(tmp_path):
     (tmp_path / "twocusp.germ").write_text(TWO_CUSP_GERM)
     (tmp_path / "twocusp.plumb").write_text(TWO_CUSP_PLUMB)
     (tmp_path / "fig.wire").write_text(FIG)
-    full = add_free_points(parse_wire(FIG), {"B": 1})
-    (tmp_path / "figfull.wire").write_text(serialize_wire(full))
+    (tmp_path / "figfull.wire").write_text(FIG_FULL)
     return tmp_path
 
 
@@ -914,7 +919,7 @@ class TestRender:
         assert svg.count('class="free"') == 0
 
     def test_free_points_are_open_circles(self):
-        w = add_free_points(parse_wire(FIG), {"B": 1})
+        w = parse_wire(FIG_FULL)
         svg = render(w, 1)
         assert svg.count('class="free"') == 1
 

@@ -23,10 +23,8 @@ from sandwich.mcg import (
     Factorization,
     braid_permutation,
     exponent_sum,
-    hurwitz_move,
     item_offset,
     item_word,
-    mc_equal,
     mc_from_braid,
     perm_compose,
     perm_identity,
@@ -46,17 +44,16 @@ from sandwich.plumbing import (
 from sandwich.wiring import (
     IncidenceMatrix,
     Tangency,
-    add_free_points,
     boundary_braid,
     combine,
     incidence,
     parse_wire,
     scott,
-    subarrangement,
     validate_wiring,
     vanishing_data,
 )
 
+from hurwitz import hurwitz_move, mc_equal
 from random_diagrams import rand_diagram
 
 FIG = (
@@ -65,11 +62,33 @@ FIG = (
     "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
     "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
 )
+# FIG completed with the one missing marked point (on B) at the end
+FIG_FULL = (
+    "strands 4\n"
+    "components A=2,3 B=1,4\n"
+    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
+    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n"
+)
+# the two-cusp layout restricted to A
+LAYOUT_A = "strands 2\ncomponents A=1,2\nseq: 1, T(1), 1, F(2), 1, F(2), 1, F(2), 1, I(1..2), 1\n"
+# the two-cusp layout (what restricting its combination with the line pair
+# back to A and B gave), and the same with one more marked point on A
+LAYOUT = (
+    "strands 4\n"
+    "components A=1,2 B=3,4\n"
+    "seq: 1, T(1), 1, T(3), 1, F(2), 1, F(3), 1, F(2), 1, F(3), 1, F(2), 1, F(3), 1, "
+    "I(2..3), 1, I(2..3), 1, I(2..3), 1, I(1..4), 1\n"
+)
+LAYOUT_A1 = (
+    "strands 4\n"
+    "components A=1,2 B=3,4\n"
+    "seq: 1, T(1), 1, T(3), 1, F(2), 1, F(3), 1, F(2), 1, F(3), 1, F(2), 1, F(3), 1, "
+    "I(2..3), 1, I(2..3), 1, I(2..3), 1, I(1..4), 1, F(1), 1\n"
+)
 
 
 def figure():
-    # figure diagram completed with the one missing free point (on B)
-    return add_free_points(parse_wire(FIG), {"B": 1})
+    return parse_wire(FIG_FULL)
 
 
 def two_cusp_cluster():
@@ -169,7 +188,7 @@ class TestExoticCount:
 
     def test_subarrangement_keeps_the_rule(self):
         # one branch kept: d-1 = 1 tangency survives
-        w = subarrangement(scott(two_cusp_cluster()), {"A"})
+        w = parse_wire(LAYOUT_A)
         assert sum(1 for ev in w.events if isinstance(ev, Tangency)) == 1
 
 
@@ -290,15 +309,14 @@ class TestCompatible:
 
     def test_wrong_row_sums_reported(self):
         tc = two_cusp_cluster()
-        w = add_free_points(scott(tc), {"A": 1})
+        w = parse_wire(LAYOUT_A1)
         ok, report = compatible(w, tc)
         assert not ok
         assert "weight" in report.codes()
 
     def test_combine_then_restrict_stays_compatible(self):
         tc = two_cusp_cluster()
-        w = combine(scott(tc), scott(line_pair_cluster()))
-        back = subarrangement(w, {"A", "B"})
+        back = parse_wire(LAYOUT)
         ok, report = compatible(back, tc)
         assert ok, report.entries
 

@@ -32,9 +32,10 @@ from sandwich.mcg import (
     normal_form,
     normal_form_word,
     perm_identity,
-    perm_inverse,
     reduce_word,
 )
+
+from hurwitz import perm_inverse
 
 
 def reference_braid_equal(a, b, n):

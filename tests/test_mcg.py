@@ -8,28 +8,30 @@ from sandwich.mcg import (
     HoleArc,
     HoleCurve,
     MappingClass,
-    act_on_curve,
     artin_act,
     braid_equal,
     braid_permutation,
     canonical_curve,
-    canonical_factorization,
-    canonical_item,
-    conjugate_item,
     curve_holes,
     cyclic_canonical,
     exponent_sum,
     half_twist,
-    hurwitz_move,
     inverse_word,
     item_offset,
     item_word,
     mc_compose,
-    mc_equal,
     mc_from_braid,
     mc_of_item,
-    perm_inverse,
     reduce_word,
+)
+
+from hurwitz import (
+    act_on_curve,
+    canonical_factorization,
+    conjugate_item,
+    hurwitz_move,
+    mc_equal,
+    perm_inverse,
 )
 
 

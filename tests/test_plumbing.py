@@ -12,6 +12,7 @@ from sandwich.errors import (
     RangeError,
     WeightMismatchError,
 )
+from sandwich.fillings import spinal_open_book
 from sandwich.plumbing import (
     ARROW_PREFIX,
     BlowDownTrace,
@@ -27,7 +28,6 @@ from sandwich.plumbing import (
     blow_down,
     branch_chain,
     build_unexpected,
-    cap_framing,
     check_cluster,
     cluster,
     cluster_from_trace,
@@ -41,10 +41,10 @@ from sandwich.plumbing import (
     plumbing_graph,
     serialize_germ,
     serialize_plumb,
-    spinal_binding,
     subcluster,
 )
 
+from hurwitz import cap_framing
 from random_clusters import rand_cluster
 
 
@@ -129,7 +129,8 @@ def test_germ_two_cusp():
     assert germ.branch("B").sits_on == "b2"
     assert germ.root_vertex == "s1"
     assert germ.pair("A", "B") == 7
-    assert spinal_binding(germ) == [("s1", 1), ("a2", 2), ("b2", 2)]
+    book = spinal_open_book(germ)
+    assert (book.outer, *book.bindings) == (("s1", 1), ("a2", 2), ("b2", 2))
 
 
 def test_germ_lookups_by_name():
@@ -272,7 +273,8 @@ def test_weight_one_branch():
     assert b.weight == 1
     assert b.multiplicity_seq == (1,)
     assert b.sits_on == "q0"
-    assert spinal_binding(germ) == [("q0", 1), ("q0", 1)]
+    book = spinal_open_book(germ)
+    assert (book.outer, *book.bindings) == (("q0", 1), ("q0", 1))
 
 
 def test_graph_from_cluster_rejects_slack():
@@ -575,10 +577,10 @@ def test_random_spinal_binding_shape():
     for _ in range(20):
         c = rand_cluster(rng)
         germ = germ_from_cluster(c)
-        binding = spinal_binding(germ)
-        assert binding[0] == (germ.root_vertex, 1)
-        assert len(binding) == len(germ.branches) + 1
-        assert all(m >= 1 for _, m in binding)
+        book = spinal_open_book(germ)
+        assert book.outer == (germ.root_vertex, 1)
+        assert len(book.bindings) == len(germ.branches)
+        assert all(m >= 1 for _, m in book.bindings)
 
 
 

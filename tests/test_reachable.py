@@ -1,0 +1,72 @@
+"""Every top-level name in ``src/sandwich`` serves the chain: an AST walk
+from ``cli.main`` and from every function ``perfbench/tracing.py`` wraps
+reaches it.  A name is reached when a reached definition (or a module's
+top-level code, which runs at import) mentions it, in its own module or
+through ``from .module import name``.  The sources are parsed, not imported;
+``TRACED`` is read as text, so nothing is written under ``perfbench/``."""
+
+import ast
+from pathlib import Path
+
+from test_bench_surface import PERFBENCH, _literal
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sandwich"
+
+# Not reached yet, on purpose: the filling-level names get their caller from
+# a ``sandwich filling`` command (ROADMAP item 7), and ``__version__`` is
+# package metadata.
+EXEMPT = (
+    "fillings.SpinalOpenBook", "fillings.spinal_open_book", "fillings.exotic_count",
+    "fillings.FillingSummary", "fillings.filling_summary", "fillings.filling_json",
+    "__init__.__version__",
+)
+
+
+def _modules():
+    """For each module: its top-level definitions (name -> node), the names
+    it imports from sibling modules (alias -> (module, name)), and its other
+    top-level statements."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        defs, imports, code = {}, {}, []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                code.append(node)
+        out[path.stem] = defs, imports, code
+    return out
+
+
+def _reached(modules, roots) -> set[tuple[str, str]]:
+    reached: set[tuple[str, str]] = set()
+    todo = [(m, None, node) for m, (_, _, code) in modules.items() for node in code]
+    todo += [(m, name, modules[m][0][name]) for m, name in roots]
+    while todo:
+        module, name, node = todo.pop()
+        if name is not None:
+            if (module, name) in reached:
+                continue
+            reached.add((module, name))
+        defs, imports, _ = modules[module]
+        for ident in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+            target = (module, ident) if ident in defs else imports.get(ident)
+            if target:
+                todo.append((*target, modules[target[0]][0][target[1]]))
+    return reached
+
+
+def test_every_top_level_name_is_reached_from_the_cli_or_the_benchmark():
+    modules = _modules()
+    traced = _literal(PERFBENCH / "tracing.py", "TRACED")
+    roots = [("cli", "main")] + [(layer, name) for layer, names in traced.items() for name in names]
+    reached = {f"{m}.{name}" for m, name in _reached(modules, roots)}
+    names = {f"{m}.{name}" for m, (defs, _, _) in modules.items() for name in defs}
+    unreached = sorted(names - reached - set(EXEMPT))
+    assert not unreached, f"reached by nothing: {', '.join(unreached)}"
+    stale = sorted(set(EXEMPT) - (names - reached))
+    assert not stale, f"exempt, but reached or gone: {', '.join(stale)}"

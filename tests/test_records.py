@@ -25,7 +25,7 @@ from sandwich.fillings import (
     spinal_open_book,
     unexpected_arrangement,
 )
-from sandwich.mcg import conjugate_item, hurwitz_move, mc_from_braid
+from sandwich.mcg import mc_from_braid
 from sandwich.plumbing import (
     ValidationReport,
     blow_down,
@@ -33,11 +33,10 @@ from sandwich.plumbing import (
     germ_from_trace,
     parse_plumb,
 )
-from sandwich.records import frozen, replace
+from sandwich.records import frozen
 from sandwich.wiring import (
     FreePoint,
     Tangency,
-    add_free_points,
     enclosure_from_wiring,
     incidence,
     parse_wire,
@@ -46,11 +45,20 @@ from sandwich.wiring import (
     vanishing_data,
 )
 
+from hurwitz import conjugate_item, hurwitz_move, replace
+
 FIG = (
     "strands 4\n"
     "components A=2,3 B=1,4\n"
     "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
     "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
+)
+# FIG with one marked point added on A
+FIG_A = (
+    "strands 4\n"
+    "components A=2,3 B=1,4\n"
+    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
+    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1\n"
 )
 E3_PLUMB = "vertex E -3\ncurvetta c on E\ncurvetta d on E\n"
 PER_CLASS = 6
@@ -107,7 +115,7 @@ def harvest():
     arr = unexpected_arrangement(g, aug, 1, 2)
     roots = [
         g, aug, ValidationReport(), trace, germ, c, c.indexed, scott(c), fig, fact, moved,
-        add_free_points(fig, {"A": 1}), incidence(fig), validate_wiring(fig, germ=germ),
+        parse_wire(FIG_A), incidence(fig), validate_wiring(fig, germ=germ),
         enclosure_from_wiring(fig), factorization_product(fact), mc_from_braid((1, -2, 3), 4),
         conjugate_item((1, 2), (1, 0, 0, 0, -1), fact.items[3]), arr,
         filling_summary(arr.wiring), spinal_open_book(arr.germ),

@@ -11,7 +11,6 @@ from sandwich.errors import (
     MultiplicityNotOneError,
     ProximityViolationError,
     RangeError,
-    UnknownComponentError,
 )
 from sandwich.mcg import (
     Factorization,
@@ -20,10 +19,8 @@ from sandwich.mcg import (
     braid_equal,
     braid_permutation,
     canonical_curve,
-    canonical_factorization,
     cyclic_canonical,
     exponent_sum,
-    hurwitz_move,
     reduce_word,
 )
 from sandwich.plumbing import cluster, germ_from_cluster
@@ -38,7 +35,6 @@ from sandwich.wiring import (
     _component_summary,
     _find,
     _union,
-    add_free_points,
     boundary_braid,
     combine,
     enclosure_from_factorization,
@@ -54,18 +50,41 @@ from sandwich.wiring import (
     scott,
     serialize_wire,
     strand_components,
-    subarrangement,
     validate_wiring,
     vanishing_data,
     wiring_from_vanishing,
 )
 
+from hurwitz import canonical_factorization, hurwitz_move
 from random_diagrams import rand_diagram
 
 FIG = """
 strands 4
 components A=2,3 B=1,4
 seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)
+"""
+
+# FIG with marked points added at the end: on B, which completes the
+# figure; on A; on B twice; on A, then B twice
+FIG_B = """
+strands 4
+components A=2,3 B=1,4
+seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1
+"""
+FIG_A = """
+strands 4
+components A=2,3 B=1,4
+seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1
+"""
+FIG_BB = """
+strands 4
+components A=2,3 B=1,4
+seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1, F(2), 1
+"""
+FIG_ABB = """
+strands 4
+components A=2,3 B=1,4
+seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1, F(2), 1, F(2), 1
 """
 
 FIG_BOUNDARY = (2, 3, 1, 2, 1, 1, 1, 3, 2, 2, 1, -2, 1, 2, 1, 1, 2, 1,
@@ -367,7 +386,7 @@ class TestStrandWalkOracle:
             assert_matches_reference(x)
 
     def test_figure(self):
-        for w in (figure(), add_free_points(figure(), {"A": 1, "B": 2})):
+        for w in (figure(), parse_wire(FIG_ABB)):
             assert_matches_reference(w)
 
 
@@ -544,7 +563,7 @@ class TestIncidence:
         w = figure()
         g = germ_from_cluster(two_cusp_cluster())
         assert not validate_wiring(w, germ=g).ok
-        wf = add_free_points(w, {"B": 1})
+        wf = parse_wire(FIG_B)
         assert wf.events[-1] == FreePoint(2)
         rep = validate_wiring(wf, germ=g)
         assert rep.ok, rep.problems
@@ -554,8 +573,8 @@ class TestIncidence:
     def test_any_other_free_point_count_fails(self):
         w = figure()
         g = germ_from_cluster(two_cusp_cluster())
-        assert not validate_wiring(add_free_points(w, {"B": 2}), germ=g).ok
-        assert not validate_wiring(add_free_points(w, {"A": 1}), germ=g).ok
+        assert not validate_wiring(parse_wire(FIG_BB), germ=g).ok
+        assert not validate_wiring(parse_wire(FIG_A), germ=g).ok
 
     def test_cross_and_self_sums(self):
         inc = incidence(figure())
@@ -685,7 +704,7 @@ def rand_tame_cluster(rng):
 
 
 # ---------------------------------------------------------------------------
-# combine / subarrangement
+# combine
 
 
 class TestCombine:
@@ -717,44 +736,25 @@ class TestCombine:
         with pytest.raises(RangeError):
             combine(wa, wa)
 
-    def test_subarrangement_inverts_combine(self):
+    def test_parts_keep_their_events_and_rows(self):
+        # after the wa.n * wb.n leading double points come wb's events, then
+        # wa's shifted up by wb.n; each part's rows over its own columns are
+        # its incidence matrix
         wa = parse_wire("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1, I(1..2), 1\n")
-        wb = parse_wire("strands 1\ncomponents Y=1\nseq: 1, F(1), 1\n")
+        wb = parse_wire("strands 3\ncomponents Y=1 Z=2,3\nseq: 1, F(1), s2, T(2), 1, I(1..3), 1\n")
         w = combine(wa, wb)
-        assert serialize_wire(subarrangement(w, {"X"})) == serialize_wire(wa)
-        assert serialize_wire(subarrangement(w, {"Y"})) == serialize_wire(wb)
-
-
-class TestSubarrangement:
-    def test_full_subset_identity(self):
-        w = figure()
-        assert serialize_wire(subarrangement(w, {"A", "B"})) == serialize_wire(w)
-
-    def test_figure_to_component_a(self):
-        sub = subarrangement(figure(), {"A"})
-        assert sub.n == 2
-        assert sub.events == (Tangency(1), Intersection(1, 2))
-        inc = incidence(sub)
-        assert inc.rows == ((2,),)
-
-    def test_drop_one_of_two_lines(self):
-        w = parse_wire("strands 2\ncomponents c=1 d=2\nseq: 1, I(1..2), 1, F(1), 1, F(2), 1\n")
-        sub = subarrangement(w, {"c"})
-        assert sub.n == 1 and sub.events == (FreePoint(1),)
-
-    def test_unknown_component(self):
-        with pytest.raises(UnknownComponentError):
-            subarrangement(figure(), {"Z"})
-
-    def test_incidence_restriction(self):
-        rng = random.Random(5)
-        w = figure()
-        sub = subarrangement(w, {"B"})
-        inc = incidence(sub)
-        # B-only columns survive with B's counts as long as 2+ strands remain
-        assert inc.components == ("B",)
-        assert all(k == "intersection" for k in inc.kinds)
-        assert all(v >= 2 for row in inc.rows for v in row)
+        lead = wa.n * wb.n
+        assert all(isinstance(e, Intersection) for e in w.events[:lead])
+        assert w.events[lead:] == wb.events + (Tangency(4), Intersection(4, 5))
+        inc = incidence(w)
+        start = lead
+        for part in (wb, wa):
+            own = incidence(part)
+            cols = slice(start, start + len(own.kinds))
+            assert tuple(inc.rows[inc.components.index(label)][cols] for label in own.components) == own.rows
+            assert inc.kinds[cols] == own.kinds
+            start = cols.stop
+        assert start == len(inc.kinds)
 
 
 # ---------------------------------------------------------------------------

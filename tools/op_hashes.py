@@ -19,12 +19,9 @@ the triple of smooth branches at N = 20 and 30, and ``germ --trace`` on two
 -2 chains of 4000 vertices.  Small ones cover code no workload runs:
 ``extend`` on the pair graph, ``auts`` on the extended graph,
 ``inside-out`` at one hole of the generic arrangement of
-EXTRA_ARRANGEMENT_M lines, one strand each, ``validate`` on a ``.wire``
+EXTRA_ARRANGEMENT_M lines, one strand each, and ``validate`` on a ``.wire``
 whose ``seq`` leaves braid words out (it starts with an event, has two
-events in a row and ends with one), and the library op
-``subarrangement(combine(scott(a), scott(b)), keep)`` on graph-pipeline's
-cusp t=20 and star m=3 t=10 clusters, keeping one branch of each.
-Together they take a few seconds."""
+events in a row and ends with one).  Together they take a few seconds."""
 
 import hashlib
 import shutil
@@ -91,14 +88,6 @@ def extra_ops(api, workloads, work: Path) -> list:
                     "seq: T(1), I(1..3), F(3), s2 s1, I(2..3), s1' s1 s2, F(1), F(2)\n")
     ops.append(workloads.Op("validate", "validate left-out braid words",
                             lambda: api.run_cli("validate", "--wire", gaps), {}, None))
-    names = workloads.Names(SEED)
-    a, b = (api.plumbing.parse_germ(case.text)
-            for case in (workloads.cusp_cluster(names, 20), workloads.star_cluster(names, 3, 10)))
-    keep = (a.branches[0], b.branches[0])
-    ops.append(workloads.Op("subarrangement", "subarrangement of combined cusp t=20 and star m=3",
-                            lambda: api.wiring.subarrangement(
-                                api.wiring.combine(api.wiring.scott(a), api.wiring.scott(b)), keep),
-                            {}, None))
     return ops
 
 
