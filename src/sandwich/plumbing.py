@@ -92,20 +92,20 @@ def augmentation(arrows) -> Augmentation:
     return Augmentation(tuple(tuple(a) for a in arrows))
 
 
-def _is_tree(adj) -> bool:
-    """Whether the adjacency lists of ``_adjacency`` form a tree."""
-    if not adj:
-        return True
-    if sum(map(len, adj)) != 2 * len(adj) - 2:
-        return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        for u in adj[frontier.pop()]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return len(seen) == len(adj)
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, a, b) -> bool:
+    """Join the classes of a and b under the smaller root; False when they
+    were one class already.  ``parent`` maps each element to its parent
+    (a list over integers or a dict over names)."""
+    a, b = _find(parent, a), _find(parent, b)
+    parent[max(a, b)] = min(a, b)
+    return a != b
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +128,10 @@ class BlowDownTrace:
     pairwise: tuple[tuple[int, ...], ...]
 
 
-def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace:
+def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
     """Contract (-1) curves until nothing remains, recording per-step
     curvetta multiplicities.  Ties break to the lexicographically smallest
-    name unless ``choose`` (a callable on the sorted candidate list) says
-    otherwise.
+    name.
 
     ``meet`` maps each curve and curvetta to its nonzero intersection
     numbers, so a contraction touches only the neighbours of the curve it
@@ -170,19 +169,12 @@ def blow_down(g: PlumbingGraph, aug: Augmentation, choose=None) -> BlowDownTrace
     while euler:
         while ones and euler.get(ones[0]) != -1:
             heapq.heappop(ones)
-        if choose is None and ones:
-            e = heapq.heappop(ones)
-        else:
-            # a sorted list is a heap, so the candidates replace it
-            ones = sorted(v for v in ones if euler.get(v) == -1)
-            if not ones:
-                raise NotSandwichedError(
-                    "no (-1) curve available; remaining: "
-                    + ", ".join(f"{v}({euler[v]})" for v in sorted(euler))
-                )
-            e = choose(list(ones))
-            if euler.get(e) != -1:
-                raise RangeError(f"chose {e}, which is not an available (-1) curve")
+        if not ones:
+            raise NotSandwichedError(
+                "no (-1) curve available; remaining: "
+                + ", ".join(f"{v}({euler[v]})" for v in sorted(euler))
+            )
+        e = heapq.heappop(ones)
         del euler[e]
         around = meet.pop(e)
         for x in around:
@@ -253,10 +245,10 @@ def delta(seq) -> int:
     return sum(m * (m - 1) // 2 for m in seq)
 
 
-def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation, choose=None) -> DecoratedGerm:
+def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation) -> DecoratedGerm:
     """Blow down and assemble the decorated germ, cross-checking the final
     curvetta intersections against the Noether sums over shared steps."""
-    return germ_from_trace(blow_down(g, aug, choose=choose), aug)
+    return germ_from_trace(blow_down(g, aug), aug)
 
 
 def germ_from_trace(trace: BlowDownTrace, aug: Augmentation) -> DecoratedGerm:
@@ -700,11 +692,12 @@ def _centroids(adj) -> list[int]:
 def automorphisms(g: PlumbingGraph) -> list[dict[str, str]]:
     """All euler-preserving tree automorphisms (identity included)."""
     names, adj = _adjacency(g)
-    if not _is_tree(adj):
-        raise RangeError("automorphisms requires a tree")
     n = len(names)
     if n == 0:
         return [{}]
+    parent = {v: v for v in names}
+    if len(g.edges) != n - 1 or not all(_union(parent, a, b) for a, b in g.edges):
+        raise RangeError("automorphisms requires a tree")
     labels: list = [e for _, e in g.vertices]
     cents = _centroids(adj)
     root = cents[0]

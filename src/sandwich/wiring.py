@@ -39,7 +39,7 @@ from .mcg import (
     inverse_word,
     reduce_word,
 )
-from .plumbing import Cluster, ValidationReport, check_cluster
+from .plumbing import Cluster, ValidationReport, _find, _union, check_cluster
 from .records import frozen
 
 
@@ -145,21 +145,6 @@ class WiringDiagram:
 def event_strands(w: WiringDiagram) -> list[tuple[Singularity, tuple[int, ...]]]:
     """Each event with the initial strand ids involved in it."""
     return list(zip(w.events, w.walked[0]))
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Join the classes of a and b under the smaller root; False when they
-    were one class already."""
-    a, b = _find(parent, a), _find(parent, b)
-    parent[max(a, b)] = min(a, b)
-    return a != b
 
 
 def _infer_components(n: int, events, event_ids) -> tuple[str, ...]:
@@ -419,7 +404,7 @@ def vanishing_data(w: WiringDiagram) -> Factorization:
     return Factorization(w.n, tuple(items))
 
 
-def wiring_from_vanishing(fact: Factorization, components=None) -> WiringDiagram:
+def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
     """Rebuild a diagram whose vanishing data is ``fact``: each stored
     conjugator, compared with the accumulated prefix, determines the
     interleaving braid; the base determines the event."""
@@ -437,7 +422,7 @@ def wiring_from_vanishing(fact: Factorization, components=None) -> WiringDiagram
         prefix = reduce_word(b + lam + prefix)
         lam = _event_bottom(events[-1])
     braids.append(())
-    return WiringDiagram(fact.n, tuple(braids), tuple(events), tuple(components or ()))
+    return WiringDiagram(fact.n, tuple(braids), tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -644,36 +629,26 @@ _EVENT_RE = re.compile(r"^(?:T\((\d+)\)|I\((\d+)\.\.(\d+)\)|F\((\d+)\))$")
 _BRAID_RE = re.compile(r"^s(\d+)(')?$")
 
 
-def _raise_seq_error(chunks: list[str], lineno: int) -> None:
-    """Raise the error of the first bad seq entry, reading the chunks in
-    order: an empty one, one that is no event right after a braid word
-    (raised before it is tokenized), or a braid word with a bad token."""
-    after_braid = False
-    for chunk in chunks:
-        if not chunk:
-            raise FormatError("empty seq entry", location=f"line {lineno}")
-        if _EVENT_RE.match(chunk):
-            after_braid = False
-            continue
-        if after_braid:
-            raise FormatError(f"two braid words in a row at {chunk!r}", location=f"line {lineno}")
-        for tok in chunk.split() if chunk != "1" else ():
-            if not _BRAID_RE.match(tok):
-                raise FormatError(f"bad braid token {tok!r}", location=f"line {lineno}")
-        after_braid = True
-
-
 def _seq_entries(chunks: list[str], lineno: int) -> tuple[list[Word | Singularity], str]:
     """Each seq entry (an event or a braid word) and the string of their
     kinds, ``e`` or ``b``.  Each distinct chunk, and each distinct braid
-    token, is read once; when one is bad, or two words meet, the chunks are
-    read again in order, so the error is that of the first bad entry."""
+    token, is read once.  The error is that of the first bad entry: an empty
+    one, a word right after a word (before its tokens are read), or a word
+    with a bad token, found from those tables and ``kinds``."""
     matches = {chunk: _EVENT_RE.match(chunk) for chunk in dict.fromkeys(chunks)}
     words = [chunk for chunk, m in matches.items() if m is None and chunk != "1"]
     tokens = {tok: _BRAID_RE.match(tok) for tok in set(" ".join(words).split())}
     kinds = "".join(map({chunk: "e" if m else "b" for chunk, m in matches.items()}.__getitem__, chunks))
     if "" in matches or "bb" in kinds or None in tokens.values():
-        _raise_seq_error(chunks, lineno)
+        faults = [(chunks.index(""), "empty seq entry")] if "" in matches else []
+        if "bb" in kinds:
+            i = kinds.index("bb") + 1
+            faults.append((i, f"two braid words in a row at {chunks[i]!r}"))
+        # words are in order of first use, so the first bad one is first in seq
+        if bad := next(((c, t) for c in words for t in c.split() if not tokens[t]), None):
+            faults.append((chunks.index(bad[0]), f"bad braid token {bad[1]!r}"))
+        # of two faults at one entry, min keeps the one listed first
+        raise FormatError(min(faults, key=lambda f: f[0])[1], location=f"line {lineno}")
     letters = {tok: -int(m[1]) if m[2] else int(m[1]) for tok, m in tokens.items()}
     parsed: dict[str, Word | Singularity] = dict.fromkeys(matches, ())
     for chunk, m in matches.items():
@@ -824,8 +799,10 @@ def factorization_from_json(data) -> Factorization:
             twists = tuple(map(_json_int, d["twists"])) if "twists" in d else None
             if d["kind"] == "arc":
                 items.append(HoleArc(n, conj, _json_int(d["start"]), twists))
-            else:
+            elif d["kind"] == "cycle":
                 items.append(HoleCurve(n, conj, _json_int(d["start"]), _json_int(d.get("span", 0)), twists))
+            else:
+                raise ValueError(f"unknown item kind {d['kind']!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad factorization JSON: {exc}", where) from exc
     except SandwichError as exc:

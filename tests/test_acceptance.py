@@ -252,7 +252,7 @@ def test_c08_vanishing_roundtrip():
     for _ in range(200):
         w = rand_diagram(rng)
         fact = vanishing_data(w)
-        back = wiring_from_vanishing(fact, components=w.components)
+        back = wiring_from_vanishing(fact)
         assert canonical_factorization(vanishing_data(back)) == canonical_factorization(fact)
         assert braid_equal(boundary_braid(back), boundary_braid(w), w.n)
     print("c08 PASS: 200 random diagrams rebuild to the same factorization and boundary")

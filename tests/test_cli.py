@@ -168,6 +168,37 @@ class TestExitCodes:
         assert data["code"] == "format"
         assert data["location"] == "SANDWICH_FORMAT_VERSION"
 
+    def test_unparsable_format_version(self, work, capsys, monkeypatch):
+        monkeypatch.setenv("SANDWICH_FORMAT_VERSION", "x")
+        code, out, err = run(capsys, "germ", "--graph", work / "e3.plumb")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": "SANDWICH_FORMAT_VERSION",
+                                   "message": "bad format version 'x'"}
+
+    def test_arrow_vertex_name_is_reserved(self, work, capsys):
+        (work / "taken.plumb").write_text("vertex v -1\nvertex @a -2\ncurvetta a on v\n")
+        code, out, err = run(capsys, "germ", "--graph", work / "taken.plumb")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "range", "location": None,
+                                   "message": "name @a is reserved for an arrow vertex"}
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("scott", "branch A\n", "empty cluster"),
+        ("scott", "branch A\npoint r parent root\npoint p parent r\npoint q parent p prox r,p\n"
+                  "mult r A=1\nmult p A=1\nmult q A=1\n", "point q is proximate to more than two points"),
+        ("scott", "branch A\npoint r parent root\npoint p parent r prox q\npoint q parent r\n"
+                  "mult r A=1\nmult p A=1\n", "point p lists proximity to q, which does not precede it"),
+        ("scott", "branch A\npoint r parent root\npoint p parent r prox r\nmult r A=1\nmult p A=1\n",
+         "point p repeats its parent in prox"),
+        ("graph", "branch A\npoint r parent root\npoint p parent r\npoint q parent p prox r\n"
+                  "mult r A=2\nmult p A=1\nmult q A=1\n", "final point q must be free"),
+    ])
+    def test_cluster_structure_errors_are_two(self, work, capsys, command, text, message):
+        (work / "bad.germ").write_text(text)
+        code, out, err = run(capsys, command, "--germ", work / "bad.germ")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "proximity-violation", "location": None, "message": message}
+
     def test_scott_point_without_branch_is_two(self, work, capsys):
         (work / "bare.germ").write_text(
             "branch c0\npoint q0 parent root\npoint f1 parent q0\nmult q0 c0=1\n"
@@ -392,6 +423,9 @@ class TestExitCodes:
         ({"holes": 2, "items": [{"kind": "cycle", "start": 1, "twists": [0, 1]}]},
          {"code": "range", "location": "items[0]",
           "message": "twists vector must have one entry per hole plus the outer entry"}),
+        # only "arc" and "cycle" are item kinds
+        ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "weird", "start": 1, "span": 1}]},
+         {"code": "format", "location": "items[1]", "message": "bad factorization JSON: unknown item kind 'weird'"}),
     ])
     def test_factorization_errors_name_the_item(self, work, capsys, data, error):
         (work / "f.json").write_text(json.dumps(data))
@@ -738,6 +772,15 @@ class TestValidate:
              ("weight", "component B: row sum 3 != weight 2"),
              ("self", "component B: self count 1 != delta 0"),
          ]),
+        # a tangency across components is the one entry, germ or not
+        (AB, "strands 2\ncomponents A=1 B=2\nseq: 1, T(1), 1\n", [
+            ("tangency-component", "tangency at 1 joins components A and B"),
+        ]),
+        ("branch A\npoint r parent root\nmult r A=1\n",
+         "strands 2\ncomponents A=1 B=2\nseq: 1, F(1), 1, F(2), 1\n", [
+             ("strand-count", "2 strands != sum of branch multiplicities 1"),
+             ("component-count", "2 components != 1 branches"),
+         ]),
     ])
     def test_germ_entries_per_component(self, work, capsys, germ, wire, problems):
         (work / "g.germ").write_text(germ)
@@ -894,6 +937,29 @@ class TestAuts:
         maps = [json.loads(run(capsys, "auts", "--graph", work / name)[1])["automorphisms"]
                 for name in ("ef.plumb", "extended.plumb")]
         assert maps[0] == maps[1] == [{"E": "E", "F": "F", "c.1": "c.1"}]
+
+    @pytest.mark.parametrize("text, maps", [
+        ("", [{}]),
+        ("vertex a -2\n", [{"a": "a"}]),
+    ])
+    def test_empty_and_one_vertex_graphs(self, work, capsys, text, maps):
+        (work / "small.plumb").write_text(text)
+        code, out, err = run(capsys, "auts", "--graph", work / "small.plumb")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["automorphisms"] == maps
+
+    @pytest.mark.parametrize("text", [
+        # n - 1 edges, but a triangle beside an isolated vertex
+        "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
+        # two vertices and no edge
+        "vertex a -2\nvertex b -2\n",
+    ])
+    def test_graph_that_is_no_tree_is_two(self, work, capsys, text):
+        (work / "forest.plumb").write_text(text)
+        code, out, err = run(capsys, "auts", "--graph", work / "forest.plumb")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "range", "location": None,
+                                   "message": "automorphisms requires a tree"}
 
 
 # ---------------------------------------------------------------------------

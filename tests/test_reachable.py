@@ -2,7 +2,9 @@
 from ``cli.main`` and from every function ``perfbench/tracing.py`` wraps
 reaches it.  A name is reached when a reached definition (or a module's
 top-level code, which runs at import) mentions it, in its own module or
-through ``from .module import name``.  The sources are parsed, not imported;
+through ``from .module import name``.  Likewise every optional parameter of
+a top-level function is set by some call in ``src/`` or in
+``perfbench/workloads.py``.  The sources are parsed, not imported;
 ``TRACED`` is read as text, so nothing is written under ``perfbench/``."""
 
 import ast
@@ -20,6 +22,10 @@ EXEMPT = (
     "fillings.FillingSummary", "fillings.filling_summary", "fillings.filling_json",
     "__init__.__version__",
 )
+
+# Optional parameters no call sets yet: ``filling_summary``'s cluster gets
+# its caller from ``sandwich filling --germ`` (ROADMAP item 7).
+EXEMPT_PARAMS = ("fillings.filling_summary.c",)
 
 
 def _modules():
@@ -70,3 +76,47 @@ def test_every_top_level_name_is_reached_from_the_cli_or_the_benchmark():
     assert not unreached, f"reached by nothing: {', '.join(unreached)}"
     stale = sorted(set(EXEMPT) - (names - reached))
     assert not stale, f"exempt, but reached or gone: {', '.join(stale)}"
+
+
+def _optional(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default; keyword-only
+    ones have no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter: by its keyword, by enough
+    positional arguments, or through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    # top-level function names are unique across modules, so a call is
+    # matched to its function by the name it calls, bare or as an attribute
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in functions, f"two top-level functions named {node.name}"
+                functions[node.name] = path.stem, node
+    calls = {}
+    for path in [*sorted(SRC.glob("*.py")), PERFBENCH / "workloads.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    params = {f"{module}.{fn.name}.{name}": (fn.name, name, position)
+              for module, fn in functions.values() for name, position in _optional(fn)}
+    unset = sorted(key for key, (fn, name, position) in params.items()
+                   if not any(_sets(call, name, position) for call in calls.get(fn, ())))
+    missing = sorted(set(unset) - set(EXEMPT_PARAMS))
+    assert not missing, f"set by no call: {', '.join(missing)}"
+    stale = sorted(set(EXEMPT_PARAMS) - set(unset))
+    assert not stale, f"exempt, but set by a call or gone: {', '.join(stale)}"

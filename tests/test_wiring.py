@@ -23,7 +23,7 @@ from sandwich.mcg import (
     exponent_sum,
     reduce_word,
 )
-from sandwich.plumbing import cluster, germ_from_cluster
+from sandwich.plumbing import _find, _union, cluster, germ_from_cluster
 from sandwich.wiring import (
     EnclosureData,
     FreePoint,
@@ -33,8 +33,6 @@ from sandwich.wiring import (
     WiringDiagram,
     _check_tangency_components,
     _component_summary,
-    _find,
-    _union,
     boundary_braid,
     combine,
     enclosure_from_factorization,
@@ -487,7 +485,7 @@ class TestVanishing:
     def test_roundtrip_figure(self):
         w = figure()
         fact = vanishing_data(w)
-        back = wiring_from_vanishing(fact, components=w.components)
+        back = wiring_from_vanishing(fact)
         assert canonical_factorization(vanishing_data(back)) == canonical_factorization(fact)
         assert boundary_braid(back) == boundary_braid(w)
 

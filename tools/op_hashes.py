@@ -21,7 +21,11 @@ the triple of smooth branches at N = 20 and 30, and ``germ --trace`` on two
 ``inside-out`` at one hole of the generic arrangement of
 EXTRA_ARRANGEMENT_M lines, one strand each, and ``validate`` on a ``.wire``
 whose ``seq`` leaves braid words out (it starts with an event, has two
-events in a row and ends with one).  Together they take a few seconds."""
+events in a row and ends with one).  Error ops follow: ``validate`` on a
+3-strand ``.wire`` per ``seq`` of SEQ_FAULTS (an empty entry, two words in
+a row, a bad token, and their precedence), ``auts`` on the two graphs of
+NOT_TREES that are no trees, and ``germ`` on a graph whose blow-down
+stalls.  Together they take a few seconds."""
 
 import hashlib
 import shutil
@@ -34,6 +38,11 @@ WORK = b"WORK"  # stands for the work directory in every hashed output
 EXTRA_N = (20, 30)
 EXTRA_CHAIN_L = 4000
 EXTRA_ARRANGEMENT_M = 8
+SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
+NOT_TREES = {
+    "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
+    "two vertices": "vertex a -2\nvertex b -2\n",
+}
 
 
 def op_digest(op, workloads, work: Path) -> str:
@@ -88,6 +97,20 @@ def extra_ops(api, workloads, work: Path) -> list:
                     "seq: T(1), I(1..3), F(3), s2 s1, I(2..3), s1' s1 s2, F(1), F(2)\n")
     ops.append(workloads.Op("validate", "validate left-out braid words",
                             lambda: api.run_cli("validate", "--wire", gaps), {}, None))
+    for i, seq in enumerate(SEQ_FAULTS):
+        bad = work / f"fault_{i}.wire"
+        bad.write_text(f"strands 3\nseq: {seq}\n")
+        ops.append(workloads.Op("validate", f"validate seq: {seq}",
+                                lambda bad=bad: api.run_cli("validate", "--wire", bad), {}, None))
+    for tag, text in NOT_TREES.items():
+        graph = work / f"{tag.replace(' ', '_')}.plumb"
+        graph.write_text(text)
+        ops.append(workloads.Op("auts", f"auts {tag}",
+                                lambda graph=graph: api.run_cli("auts", "--graph", graph), {}, None))
+    stall = work / "stall.plumb"
+    stall.write_text("vertex v -3\ncurvetta c on v\n")
+    ops.append(workloads.Op("germ", "germ stalled blow-down",
+                            lambda: api.run_cli("germ", "--graph", stall), {}, None))
     return ops
 
 
