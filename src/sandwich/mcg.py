@@ -13,11 +13,16 @@ Conventions used throughout the package:
 - A curve (or arc) is stored as a conjugating braid ``g`` plus a convex
   base; the object denoted is ``g^{-1}`` applied to the base.  Braid words
   are kept literal (only adjacent ``s s'`` pairs cancel).
-- Equality of braids is decided by the Garside left normal form
-  (``normal_form``), not by the Artin action.  The action (curves,
-  mapping classes) runs on the shorter of a word and its normal-form word;
-  both are the same braid, so the reduced images are the same.  The cost is
-  polynomial in the word length.  The one thing kept between calls is a
+- Equality of braids is decided by the exponent sum plus the Dynnikov
+  coordinates of a fixed lamination (``dynnikov_coordinates``; Dehornoy,
+  Dynnikov, Rolfsen and Wiest, *Ordering Braids*, ch. XII): one pass over
+  each word, four integers changed per letter, entries a few bits longer
+  per letter as Python ints.  Neither the Artin action nor a normal form
+  is computed for it.
+- The Garside left normal form (``normal_form``) only chooses the word the
+  action runs on: the action (curves, mapping classes) runs on the shorter
+  of a word and its normal-form word; both are the same braid, so the
+  reduced images are the same.  The one thing kept between calls is a
   bounded memo of left-weighted pairs of simple elements (``_left_weight``),
   which never changes a result.
 - The Artin action goes through an image table: the reduced images of
@@ -309,9 +314,48 @@ def _action_word(word: Word, n: int) -> Word:
     return short if len(short) < len(word) else word
 
 
+def dynnikov_coordinates(word: Word, n: int) -> tuple[int, ...]:
+    """Dynnikov coordinates (a_1, b_1, ..., a_n, b_n) of the standard
+    lamination (0, 1, ..., 0, 1) under the braid ``word``, letters read left
+    to right (Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering Braids*,
+    ch. XII).  The action is faithful: two words are the same braid iff
+    their coordinates agree.  One pass, range-checked before any letter is
+    read; entries grow by a few bits per letter, as Python ints.
+
+    A letter changes a_i, b_i, a_{i+1}, b_{i+1} only, with x+ = max(x, 0)
+    and x- = min(x, 0)::
+
+        s_i:    t = a_i - b_i- - a_{i+1} + b_{i+1}+
+                a_i' = a_i + b_i+ + (b_{i+1}+ - t)+      b_i' = b_{i+1} - t+
+                a_{i+1}' = a_{i+1} + b_{i+1}- + (b_i- + t)-  b_{i+1}' = b_i + t+
+        s_i^-1: t = a_i + b_i- - a_{i+1} - b_{i+1}+
+                a_i' = a_i - b_i+ - (b_{i+1}+ + t)+      b_i' = b_{i+1} + t-
+                a_{i+1}' = a_{i+1} - b_{i+1}- - (b_i- - t)-  b_{i+1}' = b_i - t-
+    """
+    check_braid_word(word, n)
+    c = [0, 1] * n
+    for letter in word:
+        i = 2 * abs(letter) - 2
+        a, b, a1, b1 = c[i:i + 4]
+        bp, bm = (b, 0) if b > 0 else (0, b)
+        b1p, b1m = (b1, 0) if b1 > 0 else (0, b1)
+        if letter > 0:
+            t = a - bm - a1 + b1p
+            tp = t if t > 0 else 0
+            c[i:i + 4] = (a + bp + (b1p - t if b1p > t else 0), b1 - tp,
+                          a1 + b1m + (bm + t if bm + t < 0 else 0), b + tp)
+        else:
+            t = a + bm - a1 - b1p
+            tm = t if t < 0 else 0
+            c[i:i + 4] = (a - bp - (b1p + t if b1p + t > 0 else 0), b1 + tm,
+                          a1 - b1m - (bm - t if bm - t < 0 else 0), b - tm)
+    return tuple(c)
+
+
 def braid_equal(a: Word, b: Word, n: int) -> bool:
-    """Semantic equality: equal Garside normal forms."""
-    return normal_form(a, n) == normal_form(b, n)
+    """Semantic equality: equal exponent sums and equal Dynnikov
+    coordinates.  Both words are range-checked whatever the answer."""
+    return (exponent_sum(a), dynnikov_coordinates(a, n)) == (exponent_sum(b), dynnikov_coordinates(b, n))
 
 
 def half_twist(j: int, k: int) -> Word:

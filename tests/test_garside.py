@@ -1,7 +1,8 @@
-"""The Garside normal form of the braid layer, checked against the Artin
-action it replaced: braid equality, the words the action runs on, hole sets
-read off permutations, and the folded factorization product.  The kernel
-itself is checked against its first version, kept here as an oracle."""
+"""The braid layer's kernels, checked against the algorithms they
+replaced: braid equality by Dynnikov coordinates against the Artin action
+and against equal Garside normal forms, the normal form (which now only
+chooses the words the action runs on) against its first version, hole sets
+read off permutations, and the folded factorization product."""
 
 import random
 from functools import reduce
@@ -23,6 +24,8 @@ from sandwich.mcg import (
     check_braid_word,
     curve_holes,
     cyclic_canonical,
+    dynnikov_coordinates,
+    exponent_sum,
     half_twist,
     inverse_word,
     item_offset,
@@ -34,14 +37,22 @@ from sandwich.mcg import (
     perm_identity,
     reduce_word,
 )
+from sandwich.wiring import boundary_braid
 
 from hurwitz import perm_inverse
+from test_read_side import arrangement
 
 
 def reference_braid_equal(a, b, n):
     """Equality through the (faithful) Artin action: equal images of every
     generator.  Exponential in the word length; small inputs only."""
     return all(artin_act(a, (g,), n) == artin_act(b, (g,), n) for g in range(1, n + 1))
+
+
+def reference_normal_form_equal(a, b, n):
+    """Equality as decided before Dynnikov coordinates: equal Garside
+    normal forms."""
+    return normal_form(a, n) == normal_form(b, n)
 
 
 def reference_left_weight(a, b):
@@ -182,7 +193,7 @@ class TestNormalForm:
         assert 600 < equal < 1400
 
     def test_full_twist_is_not_trivial(self):
-        for n in range(2, 7):
+        for n in range(2, 8):
             delta = half_twist(1, n)
             assert normal_form(delta + delta, n) == (2, ())
             assert not braid_equal(delta + delta, (), n)
@@ -199,6 +210,84 @@ class TestNormalForm:
     def test_range_checked(self):
         with pytest.raises(mcg.StrandMismatchError):
             normal_form((3, -3), 3)
+
+
+P = (1, -2)  # s1 s2'
+R = (1, 2, 1, -2, -1, -2)  # s1 s2 s1 s2' s1' s2' = 1, not freely trivial
+
+
+def far_commuted(rng, word):
+    """``word`` with some adjacent letters s_i^±, s_j^± (|i - j| >= 2)
+    exchanged."""
+    out = list(word)
+    for _ in range(len(out) if len(out) > 1 else 0):
+        p = rng.randrange(len(out) - 1)
+        if abs(abs(out[p]) - abs(out[p + 1])) >= 2:
+            out[p], out[p + 1] = out[p + 1], out[p]
+    return tuple(out)
+
+
+class TestDynnikovKernel:
+    """``braid_equal`` decides by exponent sum and Dynnikov coordinates;
+    equal normal forms are the oracle."""
+
+    def test_random_pairs(self):
+        rng = random.Random(81)
+        seen = {True: 0, False: 0}
+        for k in range(3000):
+            n = rng.randint(2, 7)
+            full = half_twist(1, n) * 2
+            a = rand_word(rng, n, rng.randint(0, 16))
+            if k % 3 == 0:
+                a, b = full + a, a + full  # Delta^2 is central
+            else:
+                b = a
+            b = far_commuted(rng, with_trivial_inserts(rng, b, n, rng.randint(0, 3)))
+            if rng.random() < 0.4:
+                i, pos = rng.randint(1, n - 1), rng.randint(0, len(b))
+                b = b[:pos] + (i, i) + b[pos:]  # a pure braid, almost never trivial here
+            want = reference_normal_form_equal(a, b, n)
+            seen[want] += 1
+            assert braid_equal(a, b, n) == want, (a, b, n)
+        assert min(seen.values()) > 1000, seen
+
+    def test_ladder_words(self):
+        words = [P * k + core + inverse_word(P) * k for core in (R, (1, 1)) for k in range(9)]
+        for a, b in product(words + [(), (1, 1)], repeat=2):
+            assert braid_equal(a, b, 3) == reference_normal_form_equal(a, b, 3), (a, b)
+        assert all(braid_equal(P * k + R + inverse_word(P) * k, (), 3) for k in range(9))
+
+    def test_generic_arrangement_boundaries(self):
+        for m in range(2, 9):
+            bb = boundary_braid(arrangement(m))
+            mid = len(bb) // 2
+            g = bb[mid:mid + 4]
+            core = R if m >= 3 else (1, -1)
+            same = bb[:mid] + inverse_word(g) + core + g + bb[mid:]
+            other = bb[:mid] + (1, 1) + bb[mid:]
+            for b, want in ((same, True), (other, False)):
+                assert reference_normal_form_equal(bb, b, m) == want
+                assert braid_equal(bb, b, m) == want, m
+
+    def test_runs_no_normal_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("normal_form called")
+
+        monkeypatch.setattr(mcg, "normal_form", refuse)
+        monkeypatch.setattr(mcg, "normal_form_word", refuse)
+        assert braid_equal(R, (), 3)
+        assert not braid_equal((1, 1), (), 2)
+
+    @pytest.mark.parametrize("a, b", [((3, -3), ()), ((), (3, -3)), ((1,), (3, -3))])
+    def test_out_of_range_letter_raises_before_it_cancels(self, a, b):
+        with pytest.raises(mcg.StrandMismatchError):
+            braid_equal(a, b, 3)
+
+    def test_full_twist_moves_the_coordinates(self):
+        for n in range(2, 8):
+            full = half_twist(1, n) * 2
+            assert dynnikov_coordinates(full, n) != dynnikov_coordinates((), n) == (0, 1) * n
+            assert exponent_sum(full) == n * (n - 1)
 
 
 def signed_words(seed, count):

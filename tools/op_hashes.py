@@ -25,7 +25,14 @@ events in a row and ends with one).  Error ops follow: ``validate`` on a
 3-strand ``.wire`` per ``seq`` of SEQ_FAULTS (an empty entry, two words in
 a row, a bad token, and their precedence), ``auts`` on the two graphs of
 NOT_TREES that are no trees, and ``germ`` on a graph whose blow-down
-stalls.  Together they take a few seconds."""
+stalls.  Last come braid equalities past the ladder: ``braid_equal`` on the
+boundary braid of the generic arrangement of m lines, for each m of
+EXTRA_EQUAL_M, against a copy with s1 s2 s1 s2' s1' s2' conjugated into
+its middle (the same braid) and a copy with s1^2 there (another braid).
+m stops at 24: checkouts that decide equality by two Garside normal forms
+take about half a second per normal form there.  Together the ops take a
+few seconds.  The output is 180 lines: 159 for the workload plans and 21
+extra."""
 
 import hashlib
 import shutil
@@ -38,6 +45,7 @@ WORK = b"WORK"  # stands for the work directory in every hashed output
 EXTRA_N = (20, 30)
 EXTRA_CHAIN_L = 4000
 EXTRA_ARRANGEMENT_M = 8
+EXTRA_EQUAL_M = (16, 24)
 SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
@@ -77,7 +85,8 @@ def extra_ops(api, workloads, work: Path) -> list:
     graph.write_text("vertex v -3\ncurvetta c on v\ncurvetta d on v\n"
                      f"chains c={EXTRA_CHAIN_L},d={EXTRA_CHAIN_L}\n")
     ops.append(workloads.Op("germ", f"germ --trace chains L={EXTRA_CHAIN_L}",
-                            lambda: api.run_cli("germ", "--graph", graph, "--trace", trace),
+                            lambda graph=graph, trace=trace: api.run_cli("germ", "--graph", graph,
+                                                                         "--trace", trace),
                             {}, None, (trace,)))
     extended = work / "pair_extended.plumb"
     ops.append(workloads.Op("extend", "extend pair c0=4,c1=4",
@@ -90,7 +99,8 @@ def extra_ops(api, workloads, work: Path) -> list:
     wire = work / f"arr_{m}.wire"
     wire.write_text(workloads.arrangement(workloads.Names(SEED).take(m)))
     ops.append(workloads.Op("inside-out", f"inside-out m={m} hole {m // 2}",
-                            lambda: api.run_cli("inside-out", "--wire", wire, "--hole", m // 2),
+                            lambda wire=wire, hole=m // 2: api.run_cli("inside-out", "--wire", wire,
+                                                                       "--hole", hole),
                             {}, None))
     gaps = work / "gaps.wire"
     gaps.write_text("strands 3\ncomponents a=1,2 b=3\n"
@@ -111,6 +121,17 @@ def extra_ops(api, workloads, work: Path) -> list:
     stall.write_text("vertex v -3\ncurvetta c on v\n")
     ops.append(workloads.Op("germ", "germ stalled blow-down",
                             lambda: api.run_cli("germ", "--graph", stall), {}, None))
+    for m in EXTRA_EQUAL_M:
+        bb = api.wiring.boundary_braid(api.wiring.parse_wire(
+            workloads.arrangement(workloads.Names(SEED).take(m))))
+        mid = len(bb) // 2
+        g = bb[mid:mid + 4]
+        copies = {"R conjugated in": workloads.inverse(g) + workloads.TRIVIAL_R + g,
+                  "s1^2 in": workloads.PURE_S1_SQUARED}
+        for tag, insert in copies.items():
+            ops.append(workloads.Op("braid_equal", f"braid_equal boundary m={m} {tag}",
+                                    lambda a=bb, b=bb[:mid] + insert + bb[mid:], n=m:
+                                    api.mcg.braid_equal(a, b, n), {}, None))
     return ops
 
 
