@@ -22,14 +22,18 @@ Conventions used throughout the package:
 - The Garside left normal form (``normal_form``) only chooses the word the
   action runs on: the action (curves, mapping classes) runs on the shorter
   of a word and its normal-form word; both are the same braid, so the
-  reduced images are the same.  The one thing kept between calls is a
-  bounded memo of left-weighted pairs of simple elements (``_left_weight``),
-  which never changes a result.
+  reduced images are the same.  The normal-form word's length is read off
+  the normal form, and the word is written only when it is the shorter
+  (``_action_word``).  The one thing kept between calls is a bounded memo
+  of left-weighted pairs of simple elements (``_left_weight``), which never
+  changes a result.
 - The Artin action goes through an image table: the reduced images of
   x_1..x_n and their inverses, built by reading the braid word left to
   right.  Each letter replaces two images by reduced products, whose
   cancellation is found by comparing tuple slices.  A free word's image is
-  its letters' images joined the same way.
+  its letters' images joined the same way.  The canonical words of a list
+  of items (``canonical_curves``) come from one running table, extended
+  from each item's conjugator to the next by the step between them.
 """
 
 from __future__ import annotations
@@ -90,36 +94,43 @@ def _check_free_word(w: Word, n: int) -> None:
 # sigma_i^{-1}: x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}.
 
 
-def _join(u: Word, ui: Word, v: Word, vi: Word) -> tuple[Word, Word]:
-    """The reduced product ``u v`` and its inverse, for reduced ``u`` and
-    ``v`` with inverses ``ui`` and ``vi``.  The letters that cancel are the
-    longest common suffix of ``u`` and ``vi``: galloping, then bisection,
-    by slice equality."""
-    if not u or not v or u[-1] != vi[-1]:
-        return u + v, vi + ui
+def _common_suffix(u: Word, v: Word) -> int:
+    """Length of the longest common suffix of ``u`` and ``v``: galloping,
+    then bisection, each step comparing only the slices past the suffix
+    known to be common, so at most about three times the answer's letters
+    are compared."""
+    if not u or not v or u[-1] != v[-1]:
+        return 0
     top = min(len(u), len(v))
     lo, hi = 1, 2  # a common suffix of length lo; none of length hi, if hi <= top
-    while hi <= top and u[-hi:] == vi[-hi:]:
+    while hi <= top and u[-hi:-lo] == v[-hi:-lo]:
         lo, hi = hi, 2 * hi
     hi = min(hi, top + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if u[-mid:] == vi[-mid:]:
+        if u[-mid:-lo] == v[-mid:-lo]:
             lo = mid
         else:
             hi = mid
-    return u[: len(u) - lo] + v[lo:], vi[: len(vi) - lo] + ui[lo:]
+    return lo
 
 
-def _image_table(b: Word, n: int) -> tuple[list[Word], list[Word]]:
-    """Images of x_1..x_n under the braid ``b`` and their inverses, as two
-    lists indexed by generator (entry 0 unused).  Appending s_i to the braid
-    read so far substitutes sigma_i into the images: x_i gets
-    T(x_i) T(x_{i+1}) T(x_i)^{-1} and x_{i+1} gets T(x_i).  Appending
-    s_i^{-1} instead gives x_i the image T(x_{i+1}) and x_{i+1} the image
-    T(x_{i+1})^{-1} T(x_i) T(x_{i+1})."""
-    img = [()] + [(g,) for g in range(1, n + 1)]
-    inv = [()] + [(-g,) for g in range(1, n + 1)]
+def _join(u: Word, ui: Word, v: Word, vi: Word) -> tuple[Word, Word]:
+    """The reduced product ``u v`` and its inverse, for reduced ``u`` and
+    ``v`` with inverses ``ui`` and ``vi``.  The letters that cancel are the
+    longest common suffix of ``u`` and ``vi``."""
+    if not u or not v or u[-1] != vi[-1]:
+        return u + v, vi + ui
+    k = _common_suffix(u, vi)
+    return u[: len(u) - k] + v[k:], vi[: len(vi) - k] + ui[k:]
+
+
+def _extend_table(img: list[Word], inv: list[Word], b: Word) -> None:
+    """Append the braid word ``b`` to the braid whose image table is
+    ``img``/``inv``, in place.  Appending s_i substitutes sigma_i into the
+    images: x_i gets T(x_i) T(x_{i+1}) T(x_i)^{-1} and x_{i+1} gets T(x_i).
+    Appending s_i^{-1} instead gives x_i the image T(x_{i+1}) and x_{i+1}
+    the image T(x_{i+1})^{-1} T(x_i) T(x_{i+1})."""
     for a in b:
         i = abs(a)
         j = i + 1
@@ -132,6 +143,15 @@ def _image_table(b: Word, n: int) -> tuple[list[Word], list[Word]]:
             u, ui = _join(yi, y, x, xi)
             img[j], inv[j] = _join(u, ui, y, yi)
             img[i], inv[i] = y, yi
+
+
+def _image_table(b: Word, n: int) -> tuple[list[Word], list[Word]]:
+    """Images of x_1..x_n under the braid ``b`` and their inverses, as two
+    lists indexed by generator (entry 0 unused), read off ``b`` left to
+    right from the identity table."""
+    img = [()] + [(g,) for g in range(1, n + 1)]
+    inv = [()] + [(-g,) for g in range(1, n + 1)]
+    _extend_table(img, inv, b)
     return img, inv
 
 
@@ -295,23 +315,39 @@ def _simple_word(p) -> Word:
     return tuple(reversed(tail))
 
 
-def normal_form_word(word: Word, n: int) -> Word:
-    """The normal form written as a braid word: Delta^inf, then a positive
-    word per factor."""
-    inf, factors = normal_form(word, n)
-    delta = half_twist(1, n) if inf >= 0 else inverse_word(half_twist(1, n))
-    return delta * abs(inf) + tuple(a for f in factors for a in _simple_word(f))
-
-
 def _action_word(word: Word, n: int) -> Word:
     """The shorter of the freely reduced word and its reduced normal-form
     word, the word itself on a tie.  Both are the same braid, so the Artin
-    action gives the same reduced images either way."""
+    action gives the same reduced images either way.
+
+    The normal-form word is Delta^inf, then a positive word per factor.  Its
+    length before reduction is the exponent sum e for inf >= 0, where
+    nothing cancels, and e + |inf| n(n-1) for inf < 0, where only letters of
+    the first factor can cancel against the last Delta^{-1} (a second
+    factor would have to start with a letter the first can take, and the
+    pair would not be left-weighted): fewer than n(n-1)/2 of them, counted
+    only when that can decide.  The word is written only when it is the
+    shorter."""
     word = reduce_word(word)
-    if len(word) == abs(exponent_sum(word)):
-        return word  # no word for the braid is shorter than its exponent sum
-    short = reduce_word(normal_form_word(word, n))
-    return short if len(short) < len(word) else word
+    e = exponent_sum(word)
+    if len(word) == abs(e) or len(word) == 2:
+        # no word for the braid is shorter than its exponent sum, and a
+        # mixed pair s_i s_j^-1 (i != j) is no trivial braid, while any
+        # shorter word for it would be empty (its words have even length)
+        return word
+    inf, factors = normal_form(word, n)
+    size = e + n * (n - 1) * max(-inf, 0)
+    if inf < 0 and factors and size - n * (n - 1) + 2 < len(word):
+        delta, first = inverse_word(half_twist(1, n)), _simple_word(factors[0])
+        size -= len(delta) + len(first) - len(reduce_word(delta + first))
+    return word if size >= len(word) else _write_normal_form(inf, factors, n)
+
+
+def _write_normal_form(inf: int, factors, n: int) -> Word:
+    """The normal form Delta^inf A_1 ... A_k as a reduced braid word:
+    Delta^inf, then a positive word per factor."""
+    delta = half_twist(1, n) if inf >= 0 else inverse_word(half_twist(1, n))
+    return reduce_word(delta * abs(inf) + tuple(a for f in factors for a in _simple_word(f)))
 
 
 def dynnikov_coordinates(word: Word, n: int) -> tuple[int, ...]:
@@ -453,6 +489,32 @@ def canonical_curve(c: Item) -> Word:
     cyclically reduced, least rotation."""
     g_inv = _action_word(inverse_word(c.conjugator), c.n)
     return cyclic_canonical(artin_act(g_inv, c.base_word, c.n))
+
+
+def canonical_curves(items) -> list[Word]:
+    """``canonical_curve`` of each item, read off one running image table.
+    The table holds the images under the previous item's g_p^{-1}; since
+    g^{-1} = g_p^{-1} (g_p g^{-1}), it is extended by the freely reduced
+    step g_p g^{-1} when that step is no longer than g, and rebuilt for
+    g^{-1} otherwise (or when the hole count changes).  Either way the
+    images are the reduced images of g^{-1}, so the words are the same.
+    A step, like a rebuilt conjugator, is acted with as its shorter word
+    (``_action_word``): a trivial braid inside a step then costs nothing,
+    where its letters could make the images exponentially long on the way."""
+    out = []
+    n = img = inv = None
+    g_p: Word = ()
+    for c in items:
+        g = c.conjugator
+        k = _common_suffix(g_p, g)
+        step = g_p[: len(g_p) - k] + inverse_word(g[: len(g) - k])
+        if c.n != n or len(step) > len(g):
+            img, inv = _image_table(_action_word(inverse_word(g), c.n), c.n)
+        else:
+            _extend_table(img, inv, _action_word(step, c.n))
+        n, g_p = c.n, g
+        out.append(cyclic_canonical(_substitute(c.base_word, img, inv)))
+    return out
 
 
 def curve_holes(c: Item) -> frozenset[int]:

@@ -32,7 +32,9 @@ from .mcg import (
     HoleArc,
     HoleCurve,
     Word,
-    canonical_curve,
+    _common_suffix,
+    _join,
+    canonical_curves,
     check_braid_word,
     curve_holes,
     half_twist,
@@ -389,12 +391,15 @@ def boundary_braid(w: WiringDiagram) -> Word:
 def vanishing_data(w: WiringDiagram) -> Factorization:
     """One item per event: the base object at the event's window, pulled
     back through the inverse of everything that came before it along the
-    bottom pushoff."""
+    bottom pushoff.  Each event's reduced head is joined onto the reduced
+    prefix, so only the letters that cancel are looked at."""
     items = []
     prefix: Word = ()
+    prefix_inv: Word = ()
     lam: Word = ()
     for b, ev in zip(w.braids, w.events):
-        prefix = reduce_word(b + lam + prefix)
+        head = reduce_word(b + lam)
+        prefix, prefix_inv = _join(head, inverse_word(head), prefix, prefix_inv)
         lo, hi = event_window(ev)
         if isinstance(ev, Tangency):
             items.append(HoleArc(w.n, prefix, lo))
@@ -406,8 +411,9 @@ def vanishing_data(w: WiringDiagram) -> Factorization:
 
 def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
     """Rebuild a diagram whose vanishing data is ``fact``: each stored
-    conjugator, compared with the accumulated prefix, determines the
-    interleaving braid; the base determines the event."""
+    conjugator g, compared with the accumulated prefix, determines the
+    interleaving braid g (lam prefix)^{-1}; the base determines the event.
+    The new prefix b lam prefix is g itself."""
     braids = []
     events: list[Singularity] = []
     prefix: Word = ()
@@ -415,11 +421,13 @@ def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
     for item in fact.items:
         if any(item.twists):
             raise RangeError("items carrying boundary-twist offsets have no diagram form")
-        b = reduce_word(item.conjugator + inverse_word(prefix) + inverse_word(lam))
-        braids.append(b)
+        g = item.conjugator
+        k = _common_suffix(g, prefix)
+        b = g[: len(g) - k] + inverse_word(prefix[: len(prefix) - k])  # g prefix^{-1}, reduced
+        braids.append(reduce_word(b + inverse_word(lam)))
         arc = isinstance(item, HoleArc)
         events.append(_event(arc, item.start, item.start + (1 if arc else item.span)))
-        prefix = reduce_word(b + lam + prefix)
+        prefix = g
         lam = _event_bottom(events[-1])
     braids.append(())
     return WiringDiagram(fact.n, tuple(braids), tuple(events))
@@ -763,12 +771,12 @@ def serialize_wire(w: WiringDiagram) -> str:
 
 def factorization_json(fact: Factorization) -> dict:
     items = []
-    for item in fact.items:
+    for item, word in zip(fact.items, canonical_curves(fact.items)):
         d = {
             "kind": "arc" if isinstance(item, HoleArc) else "cycle",
             "conjugator": list(item.conjugator),
             "start": item.start,
-            "canonicalWord": list(canonical_curve(item)),
+            "canonicalWord": list(word),
         }
         if isinstance(item, HoleCurve):
             d["span"] = item.span

@@ -1,7 +1,9 @@
 """The braid layer's kernels, checked against the algorithms they
 replaced: braid equality by Dynnikov coordinates against the Artin action
 and against equal Garside normal forms, the normal form (which now only
-chooses the words the action runs on) against its first version, hole sets
+chooses the words the action runs on) against its first version, the
+action word against the one that wrote every normal-form word, canonical
+words off one running image table against one table per item, hole sets
 read off permutations, and the folded factorization product."""
 
 import random
@@ -21,6 +23,7 @@ from sandwich.mcg import (
     braid_equal,
     braid_permutation,
     canonical_curve,
+    canonical_curves,
     check_braid_word,
     curve_holes,
     cyclic_canonical,
@@ -33,13 +36,13 @@ from sandwich.mcg import (
     mc_from_braid,
     mc_of_item,
     normal_form,
-    normal_form_word,
     perm_identity,
     reduce_word,
 )
-from sandwich.wiring import boundary_braid
+from sandwich.wiring import boundary_braid, parse_wire, vanishing_data
 
 from hurwitz import perm_inverse
+from random_diagrams import rand_diagram
 from test_read_side import arrangement
 
 
@@ -106,6 +109,24 @@ def reference_normal_form(word, n):
     if flip:
         factors = [mcg._tau(f) for f in factors]
     return inf, tuple(factors)
+
+
+def normal_form_word(word, n):
+    """The normal form written as a braid word: Delta^inf, then a positive
+    word per factor."""
+    inf, factors = normal_form(word, n)
+    delta = half_twist(1, n) if inf >= 0 else inverse_word(half_twist(1, n))
+    return delta * abs(inf) + tuple(a for f in factors for a in mcg._simple_word(f))
+
+
+def reference_action_word(word, n):
+    """The action word as first chosen: the normal-form word is written
+    and reduced for every mixed-sign word, then compared."""
+    word = reduce_word(word)
+    if len(word) == abs(exponent_sum(word)):
+        return word
+    short = reduce_word(normal_form_word(word, n))
+    return short if len(short) < len(word) else word
 
 
 def reference_curve_holes(c):
@@ -274,7 +295,7 @@ class TestDynnikovKernel:
             raise AssertionError("normal_form called")
 
         monkeypatch.setattr(mcg, "normal_form", refuse)
-        monkeypatch.setattr(mcg, "normal_form_word", refuse)
+        monkeypatch.setattr(mcg, "_write_normal_form", refuse)
         assert braid_equal(R, (), 3)
         assert not braid_equal((1, 1), (), 2)
 
@@ -404,3 +425,115 @@ class TestFoldedProduct:
         assert len(calls) == 1
         assert reduce_word(calls[0]) == reduce_word(
             tuple(a for item in fact.items for a in mcg.item_word(item)))
+
+
+class TestActionWord:
+    """``_action_word`` reads the normal-form word's length off the normal
+    form and writes the word only when it wins; the words it returns are
+    the ones chosen when every normal-form word was written."""
+
+    def test_random_words(self):
+        written = 0
+        for n, word in signed_words(82, 3000):
+            got = mcg._action_word(word, n)
+            assert got == reference_action_word(word, n), (word, n)
+            written += got != reduce_word(word)
+        assert written > 200, written
+
+    def test_ladder_words(self):
+        for core in (R, (1, 1), (-1, -1)):
+            for k in range(9):
+                word = P * k + core + inverse_word(P) * k
+                for w in (word, inverse_word(word), (2,) + word, word + (-1, 2)):
+                    assert mcg._action_word(w, 3) == reference_action_word(w, 3), w
+
+    def test_writes_no_losing_word(self, monkeypatch):
+        written = []
+
+        def recorded(inf, factors, n):
+            written.append(write(inf, factors, n))
+            return written[-1]
+
+        write = mcg._write_normal_form
+        monkeypatch.setattr(mcg, "_write_normal_form", recorded)
+        wins = losses = 0
+        for n, word in signed_words(83, 1500):
+            before = len(written)
+            got = mcg._action_word(word, n)
+            if len(written) > before:
+                assert len(written) == before + 1 and written[-1] == got
+                assert len(got) < len(reduce_word(word)), (word, n)
+                wins += 1
+            else:
+                assert got == reduce_word(word)
+                losses += 1
+        assert min(wins, losses) > 100, (wins, losses)
+
+
+def ladder_factorization(k, core):
+    """Vanishing data of the two-cusp layout whose middle braid slot is
+    P^k core P^-k."""
+    events = ["T(1)", "T(3)"] + ["F(2)", "F(3)"] * 3 + ["I(2..3)"] * 3 + ["I(1..4)"]
+    braids = ["1"] * (len(events) + 1)
+    slot = P * k + core + inverse_word(P) * k
+    braids[len(events) // 2] = " ".join(f"s{abs(a)}" + ("'" if a < 0 else "") for a in slot)
+    seq = ", ".join(x for pair in zip(braids, events + [""]) for x in pair if x)
+    return vanishing_data(parse_wire(f"strands 4\ncomponents A=1,2 B=3,4\nseq: {seq}\n"))
+
+
+class TestCanonicalCurves:
+    """``canonical_curves`` against ``canonical_curve`` per item."""
+
+    def test_ladder_rungs(self):
+        rungs = [(k, R) for k in range(9)] + [(k, (1, 1)) for k in range(3)]
+        for k, core in rungs:
+            items = ladder_factorization(k, core).items
+            assert canonical_curves(items) == [canonical_curve(c) for c in items], (k, core)
+
+    def test_generic_arrangements(self):
+        for m in range(1, 17):
+            items = vanishing_data(arrangement(m)).items
+            assert canonical_curves(items) == [canonical_curve(c) for c in items], m
+
+    def test_random_factorizations_in_order_and_shuffled(self, monkeypatch):
+        built = []
+
+        def counted(b, n):
+            built.append(b)
+            return table(b, n)
+
+        table = mcg._image_table
+        monkeypatch.setattr(mcg, "_image_table", counted)
+        rng = random.Random(84)
+        later = {"in order": 0, "shuffled": 0}  # tables rebuilt past the first item
+        for _ in range(500):
+            items = vanishing_data(rand_diagram(rng, max_n=6, max_events=10)).items
+            for tag, its in (("in order", items), ("shuffled", rng.sample(items, len(items)))):
+                want = [canonical_curve(c) for c in its]
+                del built[:]
+                assert canonical_curves(its) == want, its
+                later[tag] += max(len(built) - 1, 0)
+        assert later["shuffled"] > 200, later
+
+    def test_items_over_different_hole_counts(self):
+        rng = random.Random(85)
+        items = [rand_item(rng, rng.randint(2, 5)) for _ in range(300)]
+        assert canonical_curves(items) == [canonical_curve(c) for c in items]
+
+    def test_a_trivial_braid_in_a_step_is_not_walked(self, monkeypatch):
+        # the step between the two conjugators is P^12 R^-1 P^-12, trivial;
+        # walked letter by letter its images pass 150,000 letters
+        walked = []
+
+        def watched(img, inv, b):
+            walked.append(b)
+            extend(img, inv, b)
+
+        extend = mcg._extend_table
+        monkeypatch.setattr(mcg, "_extend_table", watched)
+        g = P * 12 + R + inverse_word(P) * 12 + (2,)
+        items = [HoleCurve(3, (2,), 1, 1), HoleCurve(3, g, 1, 1), HoleArc(3, g, 2)]
+        want = [canonical_curve(c) for c in items]
+        del walked[:]
+        assert canonical_curves(items) == want
+        assert walked == [(-2,), (), ()]  # one table for (2,)^-1, then two empty steps

@@ -21,6 +21,8 @@ from sandwich.mcg import (
     canonical_curve,
     cyclic_canonical,
     exponent_sum,
+    half_twist,
+    inverse_word,
     reduce_word,
 )
 from sandwich.plumbing import _find, _union, cluster, germ_from_cluster
@@ -55,6 +57,7 @@ from sandwich.wiring import (
 
 from hurwitz import canonical_factorization, hurwitz_move
 from random_diagrams import rand_diagram
+from test_read_side import arrangement
 
 FIG = """
 strands 4
@@ -469,6 +472,28 @@ class TestBoundary:
 # vanishing data
 
 
+def reference_conjugators(w):
+    """The conjugators of ``vanishing_data`` as first computed: the whole
+    prefix freely reduced again at every event."""
+    out, prefix, lam = [], (), ()
+    for b, ev in zip(w.braids, w.events):
+        prefix = reduce_word(b + lam + prefix)
+        out.append(prefix)
+        lam = half_twist(ev.lo, ev.hi) if isinstance(ev, Intersection) else ()
+    return out
+
+
+def reference_braids(fact):
+    """The braids of ``wiring_from_vanishing`` as first computed."""
+    out, prefix, lam = [], (), ()
+    for item in fact.items:
+        b = reduce_word(item.conjugator + inverse_word(prefix) + inverse_word(lam))
+        out.append(b)
+        prefix = reduce_word(b + lam + prefix)
+        lam = half_twist(item.start, item.start + item.span) if isinstance(item, HoleCurve) and item.span else ()
+    return out + [()]
+
+
 class TestVanishing:
     def test_two_intersection_example(self):
         w = parse_wire("strands 3\nseq: 1, I(1..2), 1, I(2..3), 1\n")
@@ -497,6 +522,16 @@ class TestVanishing:
             back = wiring_from_vanishing(fact)
             assert canonical_factorization(vanishing_data(back)) == canonical_factorization(fact)
             assert boundary_braid(back) == boundary_braid(w)
+
+    def test_prefix_joins_match_the_reference(self):
+        rng = random.Random(86)
+        diagrams = [rand_diagram(rng, max_n=7, max_events=12) for _ in range(500)]
+        for w in diagrams + [arrangement(m) for m in range(1, 13)]:
+            fact = vanishing_data(w)
+            assert [c.conjugator for c in fact.items] == reference_conjugators(w)
+            shuffled = Factorization(fact.n, tuple(rng.sample(fact.items, len(fact.items))))
+            for f in (fact, shuffled):
+                assert list(wiring_from_vanishing(f).braids) == reference_braids(f)
 
     def test_all_convex_gives_unbraided(self):
         w = parse_wire("strands 3\nseq: 1, I(1..2), 1, F(3), 1\n")

@@ -30,9 +30,11 @@ boundary braid of the generic arrangement of m lines, for each m of
 EXTRA_EQUAL_M, against a copy with s1 s2 s1 s2' s1' s2' conjugated into
 its middle (the same braid) and a copy with s1^2 there (another braid).
 m stops at 24: checkouts that decide equality by two Garside normal forms
-take about half a second per normal form there.  Together the ops take a
-few seconds.  The output is 180 lines: 159 for the workload plans and 21
-extra."""
+take about half a second per normal form there.  Then ``vanishing`` on the
+generic arrangement of m lines for each m of EXTRA_VANISHING_M, the
+paper's sizes, and ``wire-from-vanishing`` on its output.  Together the
+ops take a few seconds.  The output is 184 lines: 159 for the workload
+plans and 25 extra."""
 
 import hashlib
 import shutil
@@ -46,6 +48,7 @@ EXTRA_N = (20, 30)
 EXTRA_CHAIN_L = 4000
 EXTRA_ARRANGEMENT_M = 8
 EXTRA_EQUAL_M = (16, 24)
+EXTRA_VANISHING_M = (24, 40)
 SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
@@ -132,6 +135,16 @@ def extra_ops(api, workloads, work: Path) -> list:
             ops.append(workloads.Op("braid_equal", f"braid_equal boundary m={m} {tag}",
                                     lambda a=bb, b=bb[:mid] + insert + bb[mid:], n=m:
                                     api.mcg.braid_equal(a, b, n), {}, None))
+    for m in EXTRA_VANISHING_M:
+        wire, fact, rebuilt = work / f"van_{m}.wire", work / f"van_{m}.json", work / f"van_{m}_rebuilt.wire"
+        wire.write_text(workloads.arrangement(workloads.Names(SEED).take(m)))
+        ops.append(workloads.Op("vanishing", f"vanishing arrangement m={m}",
+                                lambda wire=wire, fact=fact: api.run_cli("vanishing", "--wire", wire, "-o", fact),
+                                {}, None, (fact,)))
+        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing arrangement m={m}",
+                                lambda fact=fact, rebuilt=rebuilt: api.run_cli(
+                                    "wire-from-vanishing", "--fact", fact, "-o", rebuilt),
+                                {}, None, (rebuilt,)))
     return ops
 
 
