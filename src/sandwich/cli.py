@@ -26,11 +26,8 @@ from .plumbing import (
     trace_json,
 )
 from .wiring import (
-    Intersection,
-    Tangency,
     WiringDiagram,
     enclosure_from_wiring,
-    event_window,
     factorization_from_json,
     factorization_json,
     incidence,
@@ -180,20 +177,20 @@ def render(w: WiringDiagram, version: int = 1) -> str:
         if ev is None:
             break
         x += 1
-        lo, hi = event_window(ev)
+        lo, hi = ev.lo, ev.hi
         k = hi - lo + 1
         cx, yc = x + 0.5, sum(n - p + 1 for p in range(lo, hi + 1)) / k
         sx, sx1, scx, syc = f"{x:.3f}", f"{x + 1:.3f}", f"{cx:.3f}", f"{yc:.3f}"
         for yp in ys[lo : hi + 1]:
             paths += (f"M {sx} {yp} L {scx} {syc}", f"M {scx} {syc} L {sx1} {yp}")
         horizontal(sx, sx1, lo, hi)
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             r = 0.16
             markers.append(
                 f'<path class="tangency" fill="black" d="M {scx} {yc - r:.3f} '
                 f'L {cx + r:.3f} {syc} L {scx} {yc + r:.3f} L {cx - r:.3f} {syc} Z"/>\n'
             )
-        elif isinstance(ev, Intersection):
+        elif ev.kind == "I":
             markers.append(
                 f'<circle class="intersection" fill="black" '
                 f'cx="{scx}" cy="{syc}" r="{0.08 + 0.03 * k:.3f}"/>\n'

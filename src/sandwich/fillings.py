@@ -30,7 +30,6 @@ from .plumbing import (
 )
 from .wiring import (
     IncidenceMatrix,
-    Tangency,
     WiringDiagram,
     bijection_exists,
     boundary_braid,
@@ -115,7 +114,7 @@ def _boundary_difference(a, b, n: int) -> str | None:
     if ea != eb:
         return f"exponent sum {ea} against {eb}"
     if not braid_equal(a, b, n):
-        return "normal forms differ"
+        return "Dynnikov coordinates differ"
     return None
 
 
@@ -210,7 +209,7 @@ def filling_summary(w: WiringDiagram, c: Cluster | None = None) -> FillingSummar
             raise WeightMismatchError(
                 "; ".join(f"{code}: {msg}" for code, msg in report.entries)
             )
-    arcs = sum(1 for ev in w.events if isinstance(ev, Tangency))
+    arcs = sum(ev.kind == "T" for ev in w.events)
     marked = len(w.events) - arcs
     branches = len(w.component_strands())
     return FillingSummary(

@@ -72,19 +72,19 @@ def exponent_sum(w) -> int:
     return sum(1 if a > 0 else -1 for a in w)
 
 
-def check_braid_word(w: Word, n: int, error=StrandMismatchError) -> Word:
-    """``w``, once every letter lies in 1..n-1 (else ``error``); callers check
-    before reducing, so that no out-of-range pair cancels away unseen."""
+def check_braid_word(w: Word, n: int) -> Word:
+    """``w``, once every letter lies in 1..n-1 (else ``RangeError``); callers
+    check before reducing, so that no out-of-range pair cancels away unseen."""
     for a in w:
         if not 1 <= abs(a) <= n - 1:
-            raise error(f"braid letter {a} outside strand range 1..{n - 1}")
+            raise RangeError(f"braid letter {a} outside strand range 1..{n - 1}")
     return w
 
 
 def _check_free_word(w: Word, n: int) -> None:
     for a in w:
         if not 1 <= abs(a) <= n:
-            raise StrandMismatchError(f"free-group letter {a} out of range for {n} holes")
+            raise RangeError(f"free-group letter {a} out of range for {n} holes")
 
 
 # ---------------------------------------------------------------------------

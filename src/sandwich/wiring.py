@@ -2,9 +2,11 @@
 
 A diagram is an alternating sequence b_0, S_1, b_1, ..., S_N, b_N of
 braid words and singular events on n strands (positions numbered bottom
-to top, 1..n).  Braid words apply rightmost letter first.  Events:
-Tangency(p) between positions p, p+1; Intersection(lo..hi) of all
-strands in that window; FreePoint(p) marking one strand.
+to top, 1..n).  Braid words apply rightmost letter first.  An event is one
+record ``Event(kind, lo, hi)``: its ``.wire`` letter and its window of
+positions.  A tangency T joins positions lo and lo+1, an intersection I
+meets all strands of lo..hi (lo < hi), and a free point F marks the one
+strand at lo = hi.
 
 Every strand belongs to a named component; tangencies must join strands
 of one component and tie each d-strand component into a tree.
@@ -46,60 +48,52 @@ from .records import frozen
 
 
 @frozen
-class Tangency:
-    pos: int
+class Event:
+    """A singular event: its ``.wire`` letter and the lowest and highest
+    position it touches."""
 
-
-@frozen
-class Intersection:
+    kind: str
     lo: int
     hi: int
 
 
-@frozen
-class FreePoint:
-    pos: int
+def Tangency(p: int) -> Event:
+    return Event("T", p, p + 1)
 
 
-Singularity = Tangency | Intersection | FreePoint
+def Intersection(lo: int, hi: int) -> Event:
+    return Event("I", lo, hi)
 
 
-def _check_event(ev: Singularity, n: int) -> None:
-    if isinstance(ev, Tangency):
-        if not 1 <= ev.pos <= n - 1:
-            raise RangeError(f"tangency at {ev.pos} outside 1..{n - 1}")
-    elif isinstance(ev, Intersection):
-        if not 1 <= ev.lo < ev.hi <= n:
-            raise RangeError(f"intersection {ev.lo}..{ev.hi} outside 1..{n}")
-    elif isinstance(ev, FreePoint):
-        if not 1 <= ev.pos <= n:
-            raise RangeError(f"free point at {ev.pos} outside 1..{n}")
-    else:
-        raise RangeError(f"not a singularity: {ev!r}")
+def FreePoint(p: int) -> Event:
+    return Event("F", p, p)
 
 
-def event_window(ev: Singularity) -> tuple[int, int]:
-    """Lowest and highest position the event touches."""
-    if isinstance(ev, Tangency):
-        return ev.pos, ev.pos + 1
-    if isinstance(ev, Intersection):
-        return ev.lo, ev.hi
-    return ev.pos, ev.pos
-
-
-def _event(tangency: bool, lo: int, hi: int) -> Singularity:
-    """The event with window lo..hi: a tangency, else a free point where
-    lo == hi and an intersection where not."""
-    if tangency:
-        return Tangency(lo)
+def _event(lo: int, hi: int) -> Event:
+    """The point event with window lo..hi: a free point where lo == hi."""
     return FreePoint(lo) if lo == hi else Intersection(lo, hi)
+
+
+def _check_event(ev: Event, n: int) -> None:
+    """A known kind, a window that fits it (T: lo..lo+1, I: lo < hi,
+    F: lo = hi), inside 1..n."""
+    if type(ev) is not Event or ev.kind not in ("T", "I", "F"):
+        raise RangeError(f"not a singularity: {ev!r}")
+    lo, hi, span = ev.lo, ev.hi, 1 if ev.kind == "T" else 0
+    if ev.kind == "I":
+        if not 1 <= lo < hi <= n:
+            raise RangeError(f"intersection {lo}..{hi} outside 1..{n}")
+    elif hi - lo != span:
+        raise RangeError(f"window {lo}..{hi} does not fit kind {ev.kind}")
+    elif not 1 <= lo <= n - span:
+        raise RangeError(f"{'tangency' if span else 'free point'} at {lo} outside 1..{n - span}")
 
 
 @frozen
 class WiringDiagram:
     n: int
     braids: tuple[Word, ...]
-    events: tuple[Singularity, ...]
+    events: tuple[Event, ...]
     components: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -108,7 +102,7 @@ class WiringDiagram:
         if len(self.braids) != len(self.events) + 1:
             raise RangeError("need exactly one braid word around every event")
         # each distinct word is checked and reduced once, in order of first use
-        reduced = {b: reduce_word(check_braid_word(b, self.n, RangeError))
+        reduced = {b: reduce_word(check_braid_word(b, self.n))
                    for b in dict.fromkeys(self.braids)}
         object.__setattr__(self, "braids", tuple(map(reduced.__getitem__, self.braids)))
         object.__setattr__(self, "events", tuple(self.events))
@@ -133,8 +127,7 @@ class WiringDiagram:
                 i = abs(a)
                 state[i - 1], state[i] = state[i], state[i - 1]
             if ev is not None:
-                lo, hi = event_window(ev)
-                ids.append(tuple(state[lo - 1 : hi]))
+                ids.append(tuple(state[ev.lo - 1 : ev.hi]))
         return tuple(ids), tuple(state)
 
     def component_strands(self) -> dict[str, tuple[int, ...]]:
@@ -144,7 +137,7 @@ class WiringDiagram:
         return {k: tuple(v) for k, v in out.items()}
 
 
-def event_strands(w: WiringDiagram) -> list[tuple[Singularity, tuple[int, ...]]]:
+def event_strands(w: WiringDiagram) -> list[tuple[Event, tuple[int, ...]]]:
     """Each event with the initial strand ids involved in it."""
     return list(zip(w.events, w.walked[0]))
 
@@ -152,7 +145,7 @@ def event_strands(w: WiringDiagram) -> list[tuple[Singularity, tuple[int, ...]]]
 def _infer_components(n: int, events, event_ids) -> tuple[str, ...]:
     parent = list(range(n + 1))
     for ev, ids in zip(events, event_ids):
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             _union(parent, *ids)
     roots = sorted({_find(parent, s) for s in range(1, n + 1)})
     names = {r: f"c{i}" for i, r in enumerate(roots, start=1)}
@@ -161,12 +154,12 @@ def _infer_components(n: int, events, event_ids) -> tuple[str, ...]:
 
 def _check_tangency_components(w: WiringDiagram, event_ids) -> None:
     for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             a, b = ids
             la, lb = w.components[a - 1], w.components[b - 1]
             if la != lb:
                 raise TangencyComponentMismatchError(
-                    f"tangency at {ev.pos} joins components {la} and {lb}"
+                    f"tangency at {ev.lo} joins components {la} and {lb}"
                 )
 
 
@@ -195,7 +188,7 @@ def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
     edges = {label: 0 for label in groups}
     joined = dict(edges)
     for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             label = w.components[ids[0] - 1]
             edges[label] += 1
             joined[label] += _union(parent, *ids)
@@ -214,13 +207,13 @@ def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
 
 def _component_summary(w: WiringDiagram, event_ids):
     """Per component: (strand count, row sum, self pair count); plus cross
-    counts per unordered label pair, over each Intersection and FreePoint."""
+    counts per unordered label pair, over each intersection and free point."""
     groups, comps = w.component_strands(), w.components
     rows = {label: 0 for label in groups}
     self_pairs = {label: 0 for label in groups}
     cross: dict[tuple[str, str], int] = {}
     for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             continue
         counts: dict[str, int] = {}
         for s in ids:
@@ -248,16 +241,18 @@ def _germ_entries(w: WiringDiagram, germ, event_ids) -> list[tuple[str, str]]:
     # a match agrees on every strand count, so the strand-count entry above
     # only ever stands beside other entries
     if labels == names:
-        entries.extend(_check_assignment(dict(zip(labels, labels)), germ, strands, rows, self_pairs, cross))
+        entries.extend(_check_assignment(labels, germ, strands, rows, self_pairs, cross))
     elif not _matching_exists(labels, names, germ, strands, rows, self_pairs, cross):
         entries.append(("component-match", "no branch assignment matches the incidence data"))
     return entries
 
 
-def _check_assignment(m, germ, strands, rows, self_pairs, cross) -> list[tuple[str, str]]:
+def _check_assignment(labels, germ, strands, rows, self_pairs, cross) -> list[tuple[str, str]]:
+    """The entries of the assignment that sends each of the sorted
+    ``labels`` to the branch of the same name."""
     errs = []
-    for label, bname in sorted(m.items()):
-        b = germ.branch(bname)
+    for label in labels:
+        b = germ.branch(label)
         if strands[label] != b.origin_multiplicity:
             errs.append(("strand-count", f"component {label}: {strands[label]} strands != d {b.origin_multiplicity}"))
         if rows[label] != b.weight:
@@ -265,13 +260,12 @@ def _check_assignment(m, germ, strands, rows, self_pairs, cross) -> list[tuple[s
         if self_pairs[label] != b.delta:
             errs.append(("self", f"component {label}: self count {self_pairs[label]} != delta {b.delta}"))
     for (la, lb), value in sorted(cross.items()):
-        want = germ.pair(m[la], m[lb])
+        want = germ.pair(la, lb)
         if value != want:
             errs.append(("cross", f"components {la},{lb}: cross count {value} != pairwise {want}"))
-    for la in m:
-        for lb in m:
-            if la < lb and (la, lb) not in cross and germ.pair(m[la], m[lb]) != 0:
-                errs.append(("cross", f"components {la},{lb}: cross count 0 != pairwise {germ.pair(m[la], m[lb])}"))
+    for la, lb in itertools.combinations(labels, 2):
+        if (la, lb) not in cross and germ.pair(la, lb) != 0:
+            errs.append(("cross", f"components {la},{lb}: cross count 0 != pairwise {germ.pair(la, lb)}"))
     return errs
 
 
@@ -333,20 +327,20 @@ class IncidenceMatrix:
 
 
 def incidence(w: WiringDiagram) -> IncidenceMatrix:
-    """Rows = components (sorted by label), one column per Intersection or
-    FreePoint in seq order; entries count that component's strands there."""
+    """Rows = components (sorted by label), one column per intersection or
+    free point in seq order; entries count that component's strands there."""
     labels = tuple(sorted(set(w.components)))
     row_of = {label: r for r, label in enumerate(labels)}
     rows = [[0] * len(w.events) for _ in labels]
     row_of_strand = [None, *(rows[row_of[label]] for label in w.components)]
     kinds = []
     for ev, ids in zip(w.events, w.walked[0]):
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             _check_tangency_components(w, ((ev, ids),))
             continue
         for s in ids:
             row_of_strand[s][len(kinds)] += 1
-        kinds.append("free" if isinstance(ev, FreePoint) else "intersection")
+        kinds.append("free" if ev.kind == "F" else "intersection")
     return IncidenceMatrix(labels, tuple(tuple(row[: len(kinds)]) for row in rows), tuple(kinds))
 
 
@@ -354,18 +348,15 @@ def incidence(w: WiringDiagram) -> IncidenceMatrix:
 # pushoffs and vanishing data
 
 
-def _event_bottom(ev: Singularity) -> Word:
-    if isinstance(ev, Intersection):
-        return half_twist(ev.lo, ev.hi)
-    return ()
+def _event_bottom(ev: Event) -> Word:
+    """The positive half twist on the window; none for a tangency."""
+    return () if ev.kind == "T" else half_twist(ev.lo, ev.hi)
 
 
-def _event_top(ev: Singularity) -> Word:
-    if isinstance(ev, Intersection):
-        return inverse_word(half_twist(ev.lo, ev.hi))
-    if isinstance(ev, Tangency):
-        return (-ev.pos,)
-    return ()
+def _event_top(ev: Event) -> Word:
+    """The negative half twist on the window: one negative crossing for a
+    tangency, none for a free point."""
+    return inverse_word(half_twist(ev.lo, ev.hi))
 
 
 def pushoffs(w: WiringDiagram) -> tuple[Word, Word]:
@@ -400,11 +391,10 @@ def vanishing_data(w: WiringDiagram) -> Factorization:
     for b, ev in zip(w.braids, w.events):
         head = reduce_word(b + lam)
         prefix, prefix_inv = _join(head, inverse_word(head), prefix, prefix_inv)
-        lo, hi = event_window(ev)
-        if isinstance(ev, Tangency):
-            items.append(HoleArc(w.n, prefix, lo))
+        if ev.kind == "T":
+            items.append(HoleArc(w.n, prefix, ev.lo))
         else:
-            items.append(HoleCurve(w.n, prefix, lo, hi - lo))
+            items.append(HoleCurve(w.n, prefix, ev.lo, ev.hi - ev.lo))
         lam = _event_bottom(ev)
     return Factorization(w.n, tuple(items))
 
@@ -415,7 +405,7 @@ def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
     interleaving braid g (lam prefix)^{-1}; the base determines the event.
     The new prefix b lam prefix is g itself."""
     braids = []
-    events: list[Singularity] = []
+    events: list[Event] = []
     prefix: Word = ()
     lam: Word = ()
     for item in fact.items:
@@ -425,8 +415,8 @@ def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
         k = _common_suffix(g, prefix)
         b = g[: len(g) - k] + inverse_word(prefix[: len(prefix) - k])  # g prefix^{-1}, reduced
         braids.append(reduce_word(b + inverse_word(lam)))
-        arc = isinstance(item, HoleArc)
-        events.append(_event(arc, item.start, item.start + (1 if arc else item.span)))
+        events.append(Tangency(item.start) if isinstance(item, HoleArc)
+                      else _event(item.start, item.start + item.span))
         prefix = g
         lam = _event_bottom(events[-1])
     braids.append(())
@@ -439,7 +429,7 @@ def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
 
 def scott(c: Cluster) -> WiringDiagram:
     """Unbraided diagram of the cluster's standard deformation: one
-    Intersection or FreePoint per cluster point (multiplicities = strand
+    intersection or free point per cluster point (multiplicities = strand
     counts), d-1 tangencies per branch placed up front.
 
     Strand blocks follow the cluster tree depth-first, so each point's
@@ -511,7 +501,7 @@ def scott(c: Cluster) -> WiringDiagram:
 
     events = [Tangency(q) for k in order for q in sorted(lost[k])]
     for i in sorted(range(len(c.points)), key=lambda i: (-depth[i], windows[i][0])):
-        events.append(_event(False, *windows[i]))
+        events.append(_event(*windows[i]))
     labels = tuple(c.branches[k] for k in order for _ in block[k])
     return WiringDiagram(n, ((),) * (len(events) + 1), tuple(events), labels)
 
@@ -531,7 +521,7 @@ def _assemble(n: int, timeline, labels) -> WiringDiagram:
     given, so that ``WiringDiagram`` checks each of its letters before any
     cancels; a slot given no word is empty."""
     braids: list[Word] = []
-    events: list[Singularity] = []
+    events: list[Event] = []
     slot: list[Word] = []
     for x in (*timeline, None):
         if isinstance(x, tuple):
@@ -552,7 +542,7 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
         raise RangeError("component labels collide")
     nb = wb.n
     n = wa.n + nb
-    timeline: list[Word | Singularity] = []
+    timeline: list[Word | Event] = []
     for p in range(nb + 1, n + 1):
         for q in range(1, nb + 1):
             down = tuple(range(q + 1, p))
@@ -561,8 +551,7 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
         timeline += (word, ev)
     timeline.append(wb.braids[-1])
     for word, ev in zip(wa.braids, wa.events):
-        lo, hi = event_window(ev)
-        timeline += (_shift_word(word, nb), _event(isinstance(ev, Tangency), lo + nb, hi + nb))
+        timeline += (_shift_word(word, nb), Event(ev.kind, ev.lo + nb, ev.hi + nb))
     timeline.append(_shift_word(wa.braids[-1], nb))
     return _assemble(n, timeline, wb.components + wa.components)
 
@@ -637,7 +626,7 @@ _EVENT_RE = re.compile(r"^(?:T\((\d+)\)|I\((\d+)\.\.(\d+)\)|F\((\d+)\))$")
 _BRAID_RE = re.compile(r"^s(\d+)(')?$")
 
 
-def _seq_entries(chunks: list[str], lineno: int) -> tuple[list[Word | Singularity], str]:
+def _seq_entries(chunks: list[str], lineno: int) -> tuple[list[Word | Event], str]:
     """Each seq entry (an event or a braid word) and the string of their
     kinds, ``e`` or ``b``.  Each distinct chunk, and each distinct braid
     token, is read once.  The error is that of the first bad entry: an empty
@@ -658,7 +647,7 @@ def _seq_entries(chunks: list[str], lineno: int) -> tuple[list[Word | Singularit
         # of two faults at one entry, min keeps the one listed first
         raise FormatError(min(faults, key=lambda f: f[0])[1], location=f"line {lineno}")
     letters = {tok: -int(m[1]) if m[2] else int(m[1]) for tok, m in tokens.items()}
-    parsed: dict[str, Word | Singularity] = dict.fromkeys(matches, ())
+    parsed: dict[str, Word | Event] = dict.fromkeys(matches, ())
     for chunk, m in matches.items():
         if m:
             t, lo, hi, f = m.groups()
@@ -726,8 +715,8 @@ def parse_wire(text: str) -> WiringDiagram:
         # checked once, by WiringDiagram
         for i, entry in enumerate(entries):
             try:
-                if isinstance(entry, tuple):
-                    check_braid_word(entry, n, RangeError)
+                if kinds[i] == "b":
+                    check_braid_word(entry, n)
                 else:
                     _check_event(entry, n)
             except RangeError as exc:
@@ -741,12 +730,8 @@ def _braid_text(word: Word) -> str:
     return " ".join(f"s{abs(a)}" + ("'" if a < 0 else "") for a in word)
 
 
-def _event_text(ev: Singularity) -> str:
-    if isinstance(ev, Tangency):
-        return f"T({ev.pos})"
-    if isinstance(ev, Intersection):
-        return f"I({ev.lo}..{ev.hi})"
-    return f"F({ev.pos})"
+def _event_text(ev: Event) -> str:
+    return f"I({ev.lo}..{ev.hi})" if ev.kind == "I" else f"{ev.kind}({ev.lo})"
 
 
 def serialize_wire(w: WiringDiagram) -> str:

@@ -37,7 +37,6 @@ from sandwich.plumbing import (
 from sandwich.wiring import (
     EnclosureData,
     IncidenceMatrix,
-    Tangency,
     WiringDiagram,
     boundary_braid,
     event_strands,
@@ -116,7 +115,7 @@ def line_pair_graph():
 
 
 def tangency_count(w: WiringDiagram) -> int:
-    return sum(1 for ev, _ in event_strands(w) if isinstance(ev, Tangency))
+    return sum(1 for ev, _ in event_strands(w) if ev.kind == "T")
 
 
 def product_fingerprint(fact):
@@ -177,7 +176,7 @@ def test_c04_figure_parse_and_validation():
 
     per_component_t = Counter()
     for ev, ids in event_strands(fig):
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             per_component_t.update({fig.components[s - 1] for s in ids})
     d = {b.name: b.origin_multiplicity for b in germ.branches}
     assert per_component_t == {"A": d["A"] - 1, "B": d["B"] - 1}
@@ -193,7 +192,7 @@ def test_c04_figure_parse_and_validation():
     self_pairs = Counter()
     cross = 0
     for ev, ids in event_strands(full):
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             continue
         counts = Counter(full.components[s - 1] for s in ids)
         rows.update(counts)

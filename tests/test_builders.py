@@ -34,16 +34,14 @@ from sandwich.plumbing import (
     subcluster,
 )
 from sandwich.wiring import (
+    Event,
     FreePoint,
     Intersection,
-    Singularity,
     Tangency,
     WiringDiagram,
     _assemble,
-    _event,
     _shift_word,
     combine,
-    event_window,
     scott,
 )
 
@@ -131,7 +129,7 @@ def reference_scott(c: Cluster) -> WiringDiagram:
             raise InternalInconsistencyError(f"window at {p.id} is not contiguous")
         windows[p.id] = window
 
-    events: list[Singularity] = []
+    events: list[Event] = []
     for k in order:
         positions = []
         chain = ix.chains[k]
@@ -171,14 +169,14 @@ def reference_combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
     nb = wb.n
     n = wa.n + nb
     braids: list[Word] = []
-    events: list[Singularity] = []
+    events: list[Event] = []
     pending: Word = ()
 
     def push_braid(word: Word):
         nonlocal pending
         pending = reduce_word(word + pending)
 
-    def push_event(ev: Singularity):
+    def push_event(ev: Event):
         nonlocal pending
         braids.append(pending)
         events.append(ev)
@@ -196,8 +194,7 @@ def reference_combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
     push_braid(wb.braids[-1])
     for i, ev in enumerate(wa.events):
         push_braid(_shift_word(wa.braids[i], nb))
-        lo, hi = event_window(ev)
-        push_event(_event(isinstance(ev, Tangency), lo + nb, hi + nb))
+        push_event(Event(ev.kind, ev.lo + nb, ev.hi + nb))
     push_braid(_shift_word(wa.braids[-1], nb))
     braids.append(pending)
     return WiringDiagram(n, tuple(braids), tuple(events), wb.components + wa.components)

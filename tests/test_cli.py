@@ -389,7 +389,7 @@ class TestExitCodes:
          {"code": "range", "location": "items[0]", "message": "arc base (3, 4) outside 1..3"}),
         ({"holes": 3, "items": [{"kind": "cycle", "start": 1},
                                 {"kind": "arc", "start": 1, "conjugator": [2, 5]}]},
-         {"code": "strand-mismatch", "location": "items[1]",
+         {"code": "range", "location": "items[1]",
           "message": "braid letter 5 outside strand range 1..2"}),
         ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "cycle"}, "x"]},
          {"code": "format", "location": "items[1]", "message": "bad factorization JSON: 'start'"}),

@@ -118,13 +118,22 @@ class TestArtinAction:
             assert artin_act(a + b, w, n) == artin_act(a, artin_act(b, w, n), n)
 
     def test_strand_mismatch(self):
-        with pytest.raises(StrandMismatchError):
+        with pytest.raises(RangeError, match="braid letter 3 outside strand range 1..1"):
             artin_act((3,), (1,), 2)
+        with pytest.raises(RangeError, match="free-group letter 3 out of range for 2 holes"):
+            artin_act((1,), (3,), 2)
+
+    def test_hole_count_mismatch(self):
+        # only objects over different hole counts are a strand mismatch
+        with pytest.raises(StrandMismatchError, match="mapping classes over different hole counts"):
+            mc_compose(mc_from_braid((), 2), mc_from_braid((), 3))
+        with pytest.raises(StrandMismatchError, match="factorization item over a different hole count"):
+            Factorization(3, (HoleCurve(2, ()),))
 
     def test_cancelling_letters_still_checked(self):
-        with pytest.raises(StrandMismatchError, match="braid letter 3 outside strand range 1..1"):
+        with pytest.raises(RangeError, match="braid letter 3 outside strand range 1..1"):
             HoleCurve(2, (3, -3))
-        with pytest.raises(StrandMismatchError):
+        with pytest.raises(RangeError):
             HoleArc(2, (1, 2, -2))
 
     def test_permutation_matches_action(self):

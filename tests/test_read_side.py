@@ -34,7 +34,6 @@ from sandwich.wiring import (
     _check_event,
     _check_tangency_components,
     event_strands,
-    event_window,
     incidence,
     parse_wire,
     serialize_wire,
@@ -99,7 +98,7 @@ def reference_render(w, version=1):
                     horizontal(x0, x1, skip=(i, i + 1))
         else:
             ev = payload
-            lo, hi = event_window(ev)
+            lo, hi = ev.lo, ev.hi
             involved = range(lo, hi + 1)
             yc = sum(y(p) for p in involved) / len(involved)
             cx = x + 0.5
@@ -107,14 +106,14 @@ def reference_render(w, version=1):
                 paths.append(_seg(x, y(p), cx, yc))
                 paths.append(_seg(cx, yc, x + 1, y(p)))
             horizontal(x, x + 1, skip=involved)
-            if isinstance(ev, Tangency):
+            if ev.kind == "T":
                 r = 0.16
                 markers.append(
                     f'<path class="tangency" fill="black" d="M {_fmt(cx)} {_fmt(yc - r)} '
                     f'L {_fmt(cx + r)} {_fmt(yc)} L {_fmt(cx)} {_fmt(yc + r)} '
                     f'L {_fmt(cx - r)} {_fmt(yc)} Z"/>'
                 )
-            elif isinstance(ev, Intersection):
+            elif ev.kind == "I":
                 r = 0.08 + 0.03 * len(involved)
                 markers.append(
                     f'<circle class="intersection" fill="black" '
@@ -144,11 +143,11 @@ def reference_incidence(w):
     _check_tangency_components(w, event_ids)
     labels = tuple(sorted(w.component_strands()))
     counted = [(ev, Counter(w.components[s - 1] for s in ids))
-               for ev, ids in event_ids if not isinstance(ev, Tangency)]
+               for ev, ids in event_ids if ev.kind != "T"]
     return IncidenceMatrix(
         labels,
         tuple(tuple(counts[label] for _, counts in counted) for label in labels),
-        tuple("free" if isinstance(ev, FreePoint) else "intersection" for ev, _ in counted),
+        tuple("free" if ev.kind == "F" else "intersection" for ev, _ in counted),
     )
 
 
@@ -260,13 +259,13 @@ def reference_parse_wire(text):
     try:
         if n >= 1:
             for b in braids:  # every word, in seq order
-                check_braid_word(b, n, RangeError)
+                check_braid_word(b, n)
         return WiringDiagram(n, tuple(braids), tuple(events), labels)
     except RangeError:
         for i, entry in enumerate(entries if n >= 1 else ()):
             try:
                 if isinstance(entry, tuple):
-                    check_braid_word(entry, n, RangeError)
+                    check_braid_word(entry, n)
                 else:
                     _check_event(entry, n)
             except RangeError as exc:
@@ -351,7 +350,7 @@ def test_random_diagrams_inferred_and_declared_components():
         declared, scrambled = relabeled(w, rng, declared=True), relabeled(w, rng, declared=False)
         for v in (w, declared, scrambled):
             assert_read_side_agrees(v)
-        seen.update(type(ev).__name__ for ev in w.events)
+        seen.update(ev.kind for ev in w.events)
         seen.update("inverse" if a < 0 else "positive" for b in w.braids for a in b)
         seen.update("empty braid" for b in w.braids if not b)
         if w.n == 1:
@@ -359,7 +358,7 @@ def test_random_diagrams_inferred_and_declared_components():
         seen.add(outcome(incidence, scrambled)[0])
     # the set reaches every kind of event and letter, and rejected labels
     assert seen >= {
-        "FreePoint", "Tangency", "Intersection", "inverse", "positive", "empty braid",
+        "F", "T", "I", "inverse", "positive", "empty braid",
         "one strand", "ok", "TangencyComponentMismatchError",
     }
 
@@ -581,6 +580,7 @@ def test_left_out_braids_and_token_spellings(seq, braids, events):
     ("s1, T(1), s1 s01 s9x", ("FormatError", "bad braid token 's9x'", "line 2")),
     ("T(1), T(1), s1, s1", ("FormatError", "two braid words in a row at 's1'", "line 2")),
     ("T(1), , s1 x", ("FormatError", "empty seq entry", "line 2")),
+    ("s1, T(1), I(2..2), 1", ("RangeError", "intersection 2..2 outside 1..3", "line 2, seq[2]")),
 ])
 def test_first_bad_entry_is_reported(seq, want):
     text = f"strands 3\nseq: {seq}\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,13 @@ from sandwich.mcg import (
 from sandwich.plumbing import _find, _union, cluster, germ_from_cluster
 from sandwich.wiring import (
     EnclosureData,
+    Event,
     FreePoint,
     IncidenceMatrix,
     Intersection,
     Tangency,
     WiringDiagram,
+    _check_event,
     _check_tangency_components,
     _component_summary,
     boundary_braid,
@@ -101,10 +104,10 @@ def exponent_law_terms(w: WiringDiagram) -> int:
     intersection on s strands, 1 per tangency."""
     total = 0
     for ev in w.events:
-        if isinstance(ev, Intersection):
+        if ev.kind == "I":
             s = ev.hi - ev.lo + 1
             total += s * (s - 1)
-        elif isinstance(ev, Tangency):
+        elif ev.kind == "T":
             total += 1
     return total
 
@@ -155,7 +158,7 @@ class TestWireFormat:
 
     def test_statements_split_on_semicolons_and_comments(self):
         w = parse_wire("strands 2 ; # trailing\nseq: 1, T(1), 1 # end\n")
-        assert w.n == 2 and isinstance(w.events[0], Tangency)
+        assert w.n == 2 and w.events[0].kind == "T"
 
     def test_implicit_empty_braids(self):
         a = parse_wire("strands 2\nseq: T(1), I(1..2)\n")
@@ -224,9 +227,50 @@ class TestWireFormat:
 
     def test_random_roundtrips(self):
         rng = random.Random(20260815)
-        for _ in range(60):
+        kinds = set()
+        for _ in range(500):
             w = rand_diagram(rng)
-            assert parse_wire(serialize_wire(w)) == w
+            text = serialize_wire(w)
+            assert parse_wire(text) == w
+            chunks = text.split("seq: ")[1].strip().split(", ")[1::2]
+            assert [(ev.lo, ev.hi) for ev in w.events] == list(map(reference_window, chunks))
+            kinds.update(ev.kind for ev in w.events)
+        assert kinds == {"T", "I", "F"}
+
+
+# ---------------------------------------------------------------------------
+# the event record
+
+
+def reference_window(text: str) -> tuple[int, int]:
+    """The window the earlier event classes gave the ``.wire`` event
+    ``text``: T(p) touched p..p+1, I(lo..hi) lo..hi and F(p) p alone."""
+    numbers = [int(x) for x in re.findall(r"\d+", text)]
+    if text[0] == "T":
+        return numbers[0], numbers[0] + 1
+    if text[0] == "I":
+        return numbers[0], numbers[1]
+    return numbers[0], numbers[0]
+
+
+class TestEvent:
+    @pytest.mark.parametrize("ev, message", [
+        (Event("T", 1, 3), "window 1..3 does not fit kind T"),
+        (Event("T", 2, 2), "window 2..2 does not fit kind T"),
+        (Event("F", 2, 3), "window 2..3 does not fit kind F"),
+        (Event("I", 2, 2), "intersection 2..2 outside 1..4"),
+        (Event("I", 3, 2), "intersection 3..2 outside 1..4"),
+        (Event("X", 1, 2), "not a singularity: Event(kind='X', lo=1, hi=2)"),
+        (Event("TI", 1, 2), "not a singularity: Event(kind='TI', lo=1, hi=2)"),
+        ((1, 2), "not a singularity: (1, 2)"),
+    ])
+    def test_check_rejects_a_record_that_does_not_fit(self, ev, message):
+        with pytest.raises(RangeError) as exc:
+            _check_event(ev, 4)
+        assert exc.value.message == message
+        with pytest.raises(RangeError) as exc:
+            WiringDiagram(4, ((), ()), (ev,))
+        assert exc.value.message == message
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +283,7 @@ class TestStrands:
 
     def test_figure_event_strands_first_tangency(self):
         ev, ids = event_strands(figure())[0]
-        assert isinstance(ev, Tangency) and set(ids) == {2, 3}
+        assert ev.kind == "T" and set(ids) == {2, 3}
 
     def test_tangency_component_inference(self):
         w = parse_wire("strands 3\nseq: 1, T(1), 1\n")
@@ -279,12 +323,12 @@ def reference_event_strands(w):
     states = reference_states(w.n, w.braids, w.events)
     out = []
     for ev, state in zip(w.events, states):
-        if isinstance(ev, Tangency):
-            ids = (state[ev.pos - 1], state[ev.pos])
-        elif isinstance(ev, Intersection):
+        if ev.kind == "T":
+            ids = (state[ev.lo - 1], state[ev.lo])
+        elif ev.kind == "I":
             ids = tuple(state[ev.lo - 1 : ev.hi])
         else:
-            ids = (state[ev.pos - 1],)
+            ids = (state[ev.lo - 1],)
         out.append((ev, ids))
     return out
 
@@ -298,8 +342,8 @@ def reference_infer_components(n, braids, events):
     state = list(range(1, n + 1))
     for i, ev in enumerate(events):
         state = reference_apply_perm(state, braids[i], n)
-        if isinstance(ev, Tangency):
-            _union(parent, state[ev.pos - 1], state[ev.pos])
+        if ev.kind == "T":
+            _union(parent, state[ev.lo - 1], state[ev.lo])
     roots = sorted({_find(parent, s) for s in range(1, n + 1)})
     names = {r: f"c{i}" for i, r in enumerate(roots, start=1)}
     return tuple(names[_find(parent, s)] for s in range(1, n + 1))
@@ -312,9 +356,9 @@ def reference_incidence(w):
     rows = {label: [] for label in labels}
     kinds = []
     for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             continue
-        kinds.append("free" if isinstance(ev, FreePoint) else "intersection")
+        kinds.append("free" if ev.kind == "F" else "intersection")
         for label in labels:
             rows[label].append(sum(1 for s in ids if w.components[s - 1] == label))
     return IncidenceMatrix(
@@ -328,7 +372,7 @@ def reference_component_summary(w, event_ids):
     self_pairs = {label: 0 for label in groups}
     cross = {}
     for ev, ids in event_ids:
-        if isinstance(ev, Tangency):
+        if ev.kind == "T":
             continue
         counts = {}
         for s in ids:
@@ -479,7 +523,7 @@ def reference_conjugators(w):
     for b, ev in zip(w.braids, w.events):
         prefix = reduce_word(b + lam + prefix)
         out.append(prefix)
-        lam = half_twist(ev.lo, ev.hi) if isinstance(ev, Intersection) else ()
+        lam = half_twist(ev.lo, ev.hi) if ev.kind == "I" else ()
     return out
 
 
@@ -659,7 +703,7 @@ class TestScott:
         assert [sum(r) for r in inc.rows] == [8, 8]
         a, b = inc.rows
         assert sum(x * y for x, y in zip(a, b)) == 7
-        assert sum(1 for e in w.events if isinstance(e, Tangency)) == 2
+        assert sum(1 for e in w.events if e.kind == "T") == 2
 
     def test_pencil_of_three_lines(self):
         c = cluster(
@@ -746,13 +790,13 @@ class TestCombine:
         wb = parse_wire("strands 1\ncomponents Y=1\nseq: 1, F(1), 1\n")
         w = combine(wa, wb)
         assert w.n == 2
-        assert sum(1 for e in w.events if isinstance(e, Intersection)) == 1
+        assert sum(1 for e in w.events if e.kind == "I") == 1
 
     def test_pair_count(self):
         wa = parse_wire("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")
         wb = parse_wire("strands 1\ncomponents Y=1\nseq: 1, F(1), 1\n")
         w = combine(wa, wb)
-        assert sum(1 for e in w.events if isinstance(e, Intersection)) == 2
+        assert sum(1 for e in w.events if e.kind == "I") == 2
 
     def test_row_sums_shift(self):
         wa = figure()
@@ -777,7 +821,7 @@ class TestCombine:
         wb = parse_wire("strands 3\ncomponents Y=1 Z=2,3\nseq: 1, F(1), s2, T(2), 1, I(1..3), 1\n")
         w = combine(wa, wb)
         lead = wa.n * wb.n
-        assert all(isinstance(e, Intersection) for e in w.events[:lead])
+        assert all(e.kind == "I" for e in w.events[:lead])
         assert w.events[lead:] == wb.events + (Tangency(4), Intersection(4, 5))
         inc = incidence(w)
         start = lead

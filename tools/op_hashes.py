@@ -23,9 +23,11 @@ EXTRA_ARRANGEMENT_M lines, one strand each, and ``validate`` on a ``.wire``
 whose ``seq`` leaves braid words out (it starts with an event, has two
 events in a row and ends with one).  Error ops follow: ``validate`` on a
 3-strand ``.wire`` per ``seq`` of SEQ_FAULTS (an empty entry, two words in
-a row, a bad token, and their precedence), ``auts`` on the two graphs of
-NOT_TREES that are no trees, and ``germ`` on a graph whose blow-down
-stalls.  Last come braid equalities past the ladder: ``braid_equal`` on the
+a row, a bad token, and their precedence) and of RANGE_FAULTS (each kind
+of event, and a braid letter, outside the strands), ``wire-from-vanishing``
+on a 3-hole factorization whose conjugator holds the braid letter 5,
+``auts`` on the two graphs of NOT_TREES that are no trees, and ``germ`` on
+a graph whose blow-down stalls.  Last come braid equalities past the ladder: ``braid_equal`` on the
 boundary braid of the generic arrangement of m lines, for each m of
 EXTRA_EQUAL_M, against a copy with s1 s2 s1 s2' s1' s2' conjugated into
 its middle (the same braid) and a copy with s1^2 there (another braid).
@@ -33,10 +35,11 @@ m stops at 24: checkouts that decide equality by two Garside normal forms
 take about half a second per normal form there.  Then ``vanishing`` on the
 generic arrangement of m lines for each m of EXTRA_VANISHING_M, the
 paper's sizes, and ``wire-from-vanishing`` on its output.  Together the
-ops take a few seconds.  The output is 184 lines: 159 for the workload
-plans and 25 extra."""
+ops take a few seconds.  The output is 190 lines: 159 for the workload
+plans and 31 extra."""
 
 import hashlib
+import json
 import shutil
 import sys
 import tempfile
@@ -50,6 +53,9 @@ EXTRA_ARRANGEMENT_M = 8
 EXTRA_EQUAL_M = (16, 24)
 EXTRA_VANISHING_M = (24, 40)
 SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
+RANGE_FAULTS = ("T(3)", "I(2..2)", "I(3..2)", "F(4)", "s3")
+LETTER_FAULT = {"holes": 3, "items": [{"kind": "cycle", "start": 1},
+                                      {"kind": "arc", "start": 1, "conjugator": [2, 5]}]}
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
     "two vertices": "vertex a -2\nvertex b -2\n",
@@ -110,11 +116,17 @@ def extra_ops(api, workloads, work: Path) -> list:
                     "seq: T(1), I(1..3), F(3), s2 s1, I(2..3), s1' s1 s2, F(1), F(2)\n")
     ops.append(workloads.Op("validate", "validate left-out braid words",
                             lambda: api.run_cli("validate", "--wire", gaps), {}, None))
-    for i, seq in enumerate(SEQ_FAULTS):
+    for i, seq in enumerate(SEQ_FAULTS + RANGE_FAULTS):
         bad = work / f"fault_{i}.wire"
         bad.write_text(f"strands 3\nseq: {seq}\n")
         ops.append(workloads.Op("validate", f"validate seq: {seq}",
                                 lambda bad=bad: api.run_cli("validate", "--wire", bad), {}, None))
+    letter = work / "letter_fault.json"
+    letter.write_text(json.dumps(LETTER_FAULT))
+    ops.append(workloads.Op("wire-from-vanishing", "wire-from-vanishing letter 5 on 3 holes",
+                            lambda: api.run_cli("wire-from-vanishing", "--fact", letter,
+                                                "-o", work / "letter_fault.wire"),
+                            {}, None, (work / "letter_fault.wire",)))
     for tag, text in NOT_TREES.items():
         graph = work / f"{tag.replace(' ', '_')}.plumb"
         graph.write_text(text)
