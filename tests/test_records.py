@@ -14,6 +14,7 @@ import itertools
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from sandwich.plumbing import (
 )
 from sandwich.records import frozen
 from sandwich.wiring import (
+    Event,
     enclosure_from_wiring,
     incidence,
     parse_wire,
@@ -81,6 +83,13 @@ def dataclass_twin(cls):
 
 TWINS = {cls: dataclass_twin(cls) for cls in RECORDS}
 
+# each record class is one case; an Event is one case per kind, named
+# after the constructor that builds that kind
+CASES = [pytest.param(cls, None, id=cls.__qualname__) for cls in RECORDS if cls is not Event] + [
+    pytest.param(Event, kind, id=name)
+    for kind, name in (("T", "Tangency"), ("I", "Intersection"), ("F", "FreePoint"))
+]
+
 
 def _walk(x, seen, out):
     if id(x) in seen:
@@ -99,11 +108,16 @@ def _walk(x, seen, out):
         _walk(child, seen, out)
 
 
+def _group(x):
+    return (Event, x.kind) if type(x) is Event else type(x)
+
+
 @functools.cache
 def harvest():
-    """Up to PER_CLASS distinct instances of each record class, from one
-    run of the chain: graph, blow-down, germ, cluster, diagrams, vanishing
-    factorization, mapping classes and filling data."""
+    """Up to PER_CLASS distinct instances of each record class (of each
+    kind, for an Event), from one run of the chain: graph, blow-down, germ,
+    cluster, diagrams, vanishing factorization, mapping classes and filling
+    data."""
     g, aug, _ = parse_plumb(E3_PLUMB)
     trace = blow_down(g, aug)
     germ = germ_from_trace(trace, aug)
@@ -121,11 +135,20 @@ def harvest():
     ]
     found: dict[type, list] = {}
     _walk(roots, set(), found)
-    picked = {}
-    for cls, objs in found.items():
-        distinct = {repr(o): o for o in objs}
-        picked[cls] = [distinct[k] for k in sorted(distinct, key=len)[:PER_CLASS]]
+    distinct = {repr(o): o for objs in found.values() for o in objs}
+    picked: dict[type, list] = {}
+    taken = Counter()
+    for x in sorted(distinct.values(), key=lambda o: len(repr(o))):
+        taken[_group(x)] += 1
+        if taken[_group(x)] <= PER_CLASS:
+            picked.setdefault(type(x), []).append(x)
     return picked
+
+
+def of_case(cls, kind):
+    xs = [x for x in harvest()[cls] if kind is None or x.kind == kind]
+    assert xs
+    return xs
 
 
 def twin_of(x):
@@ -150,10 +173,10 @@ def test_every_record_is_found_and_harvested():
     assert set(harvest()) == set(RECORDS)
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
-def test_construction_and_repr_match_the_dataclass(cls):
+@pytest.mark.parametrize("cls, kind", CASES)
+def test_construction_and_repr_match_the_dataclass(cls, kind):
     twin = TWINS[cls]
-    for x in harvest()[cls]:
+    for x in of_case(cls, kind):
         values = [getattr(x, f) for f in cls._fields]
         kw = dict(zip(cls._fields, values))
         t = twin(*values)
@@ -182,10 +205,10 @@ def _variants(v):
     return out
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
-def test_post_init_outcomes_match_the_dataclass(cls):
+@pytest.mark.parametrize("cls, kind", CASES)
+def test_post_init_outcomes_match_the_dataclass(cls, kind):
     twin = TWINS[cls]
-    for x in harvest()[cls]:
+    for x in of_case(cls, kind):
         values = [getattr(x, f) for f in cls._fields]
         for i, v in enumerate(values):
             for w in _variants(v):
