@@ -13,6 +13,12 @@ Conventions used throughout the package:
 - A curve (or arc) is stored as a conjugating braid ``g`` plus a convex
   base; the object denoted is ``g^{-1}`` applied to the base.  Braid words
   are kept literal (only adjacent ``s s'`` pairs cancel).
+- Vanishing items, arcs and cycles alike, are one record, ``Item``, told
+  apart by its ``kind``.  The record checks only its kind, base and twist
+  count.  Conjugators are checked and reduced once, at the boundary:
+  ``HoleCurve`` and ``HoleArc`` do it for a conjugator read from outside,
+  while ``wiring.vanishing_data`` builds its conjugators reduced and in
+  range and so builds its items as records directly.
 - Equality of braids is decided by the exponent sum plus the Dynnikov
   coordinates of a fixed lamination (``dynnikov_coordinates``; Dehornoy,
   Dynnikov, Rolfsen and Wiest, *Ordering Braids*, ch. XII): one pass over
@@ -423,65 +429,66 @@ def cyclic_canonical(w: Word) -> Word:
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 
-def _check_item(c) -> None:
-    # shared tail of the item constructors: reduce the conjugator, and fill
-    # in or check the n+1 twist entries
-    object.__setattr__(c, "conjugator", reduce_word(check_braid_word(c.conjugator, c.n)))
-    t = (0,) * (c.n + 1) if c.twists is None else tuple(c.twists)
-    if len(t) != c.n + 1:
-        raise RangeError("twists vector must have one entry per hole plus the outer entry")
-    object.__setattr__(c, "twists", t)
-
-
 @frozen
-class HoleCurve:
-    """g^{-1} of the convex curve around holes start..start+span.
+class Item:
+    """A vanishing item: g^{-1} (g the ``conjugator``) of a convex base.  An
+    ``"arc"`` joins holes start and start+1 (``span`` is 1); a ``"cycle"``
+    goes around holes start..start+span.
 
     ``twists`` is a boundary-twist offset, one entry per hole plus a final
-    outer entry (all zero when not given): extra full boundary twists
-    composed after the core twist.  It is zero for every curve extracted
-    from a diagram; in the package it is nonzero only when read from the
-    ``twists`` of a factorization JSON.  Items stay closed under
-    conjugation (Hurwitz moves) only with it.
+    outer entry: extra full boundary twists composed after the core twist.
+    It is zero for every item extracted from a diagram; in the package it
+    is nonzero only when read from the ``twists`` of a factorization JSON.
+    Items stay closed under conjugation (Hurwitz moves) only with it.
+
+    The record checks its kind, base and twist count.  The conjugator must
+    already be reduced and in range: ``HoleCurve`` and ``HoleArc`` check and
+    reduce one read from outside, and ``vanishing_data`` builds it so.
     """
 
     n: int
-    conjugator: Word = ()
-    start: int = 1
-    span: int = 0
-    twists: Word | None = None
+    kind: str
+    conjugator: Word
+    start: int
+    span: int
+    twists: Word
 
     def __post_init__(self):
-        if not 1 <= self.start <= self.start + self.span <= self.n:
-            raise RangeError(f"curve base [{self.start}, {self.start + self.span}] outside 1..{self.n}")
-        _check_item(self)
+        _check_base(self.n, self.kind, self.start, self.span)
+        if len(self.twists) != self.n + 1:
+            raise RangeError("twists vector must have one entry per hole plus the outer entry")
 
     @property
     def base_word(self) -> Word:
         return tuple(range(self.start, self.start + self.span + 1))
 
 
-@frozen
-class HoleArc:
-    """g^{-1} of the straight arc between adjacent holes start, start+1,
-    with twists as for ``HoleCurve``."""
-
-    n: int
-    conjugator: Word = ()
-    start: int = 1
-    twists: Word | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.start <= self.start + 1 <= self.n:
-            raise RangeError(f"arc base ({self.start}, {self.start + 1}) outside 1..{self.n}")
-        _check_item(self)
-
-    @property
-    def base_word(self) -> Word:
-        return (self.start, self.start + 1)
+def _check_base(n, kind, start, span):
+    if kind != "cycle" and (kind, span) != ("arc", 1):
+        raise RangeError(f"no item of kind {kind!r} and span {span}")
+    if not 1 <= start <= start + span <= n:
+        raise RangeError(f"arc base ({start}, {start + 1}) outside 1..{n}" if kind == "arc"
+                         else f"curve base [{start}, {start + span}] outside 1..{n}")
 
 
-Item = HoleCurve | HoleArc
+def _checked_item(n, kind, conjugator, start, span, twists):
+    # the base first, then the conjugator's letters (reduced once they are
+    # known to be in range), then the twists (all zero when not given)
+    _check_base(n, kind, start, span)
+    conjugator = reduce_word(check_braid_word(conjugator, n))
+    return Item(n, kind, conjugator, start, span, (0,) * (n + 1) if twists is None else tuple(twists))
+
+
+def HoleCurve(n, conjugator=(), start=1, span=0, twists=None) -> Item:
+    """The checked cycle g^{-1} of the convex curve around holes
+    start..start+span."""
+    return _checked_item(n, "cycle", conjugator, start, span, twists)
+
+
+def HoleArc(n, conjugator=(), start=1, twists=None) -> Item:
+    """The checked arc g^{-1} of the straight arc between holes start and
+    start+1."""
+    return _checked_item(n, "arc", conjugator, start, 1, twists)
 
 
 def canonical_curve(c: Item) -> Word:
@@ -529,14 +536,12 @@ def item_word(c: Item) -> Word:
     """Braid word of the item's twist (cycle) or interchange (arc).
     Boundary-parallel cycles (span 0) have the empty word: their twist
     lives entirely in the ledger."""
-    g = c.conjugator
-    if isinstance(c, HoleArc):
-        core = half_twist(c.start, c.start + 1)
-    elif c.span == 0:
+    if c.span == 0:
         return ()
-    else:
-        core = half_twist(c.start, c.start + c.span)
-        core = core + core
+    g = c.conjugator
+    core = half_twist(c.start, c.start + c.span)
+    if c.kind == "cycle":
+        core += core
     return reduce_word(inverse_word(g) + core + g)
 
 
@@ -544,7 +549,7 @@ def item_offset(c: Item) -> Word:
     """Total boundary-twist offset of the item's mapping class: the stored
     twists, plus 2 at the enclosed hole for a boundary-parallel cycle."""
     off = list(c.twists)
-    if isinstance(c, HoleCurve) and c.span == 0:
+    if c.span == 0:  # only a cycle has span 0
         (hole,) = curve_holes(c)
         off[hole - 1] += 2
     return tuple(off)

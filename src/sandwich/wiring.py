@@ -33,6 +33,7 @@ from .mcg import (
     Factorization,
     HoleArc,
     HoleCurve,
+    Item,
     Word,
     _common_suffix,
     _join,
@@ -383,18 +384,18 @@ def vanishing_data(w: WiringDiagram) -> Factorization:
     """One item per event: the base object at the event's window, pulled
     back through the inverse of everything that came before it along the
     bottom pushoff.  Each event's reduced head is joined onto the reduced
-    prefix, so only the letters that cancel are looked at."""
+    prefix, so only the letters that cancel are looked at.  The prefix is
+    reduced and in range by construction, so the items are built as
+    records, with no second walk over their conjugators."""
     items = []
+    zero = (0,) * (w.n + 1)
     prefix: Word = ()
     prefix_inv: Word = ()
     lam: Word = ()
     for b, ev in zip(w.braids, w.events):
         head = reduce_word(b + lam)
         prefix, prefix_inv = _join(head, inverse_word(head), prefix, prefix_inv)
-        if ev.kind == "T":
-            items.append(HoleArc(w.n, prefix, ev.lo))
-        else:
-            items.append(HoleCurve(w.n, prefix, ev.lo, ev.hi - ev.lo))
+        items.append(Item(w.n, "arc" if ev.kind == "T" else "cycle", prefix, ev.lo, ev.hi - ev.lo, zero))
         lam = _event_bottom(ev)
     return Factorization(w.n, tuple(items))
 
@@ -408,14 +409,14 @@ def wiring_from_vanishing(fact: Factorization) -> WiringDiagram:
     events: list[Event] = []
     prefix: Word = ()
     lam: Word = ()
-    for item in fact.items:
+    for i, item in enumerate(fact.items):
         if any(item.twists):
-            raise RangeError("items carrying boundary-twist offsets have no diagram form")
+            raise RangeError("items carrying boundary-twist offsets have no diagram form", f"items[{i}]")
         g = item.conjugator
         k = _common_suffix(g, prefix)
         b = g[: len(g) - k] + inverse_word(prefix[: len(prefix) - k])  # g prefix^{-1}, reduced
         braids.append(reduce_word(b + inverse_word(lam)))
-        events.append(Tangency(item.start) if isinstance(item, HoleArc)
+        events.append(Tangency(item.start) if item.kind == "arc"
                       else _event(item.start, item.start + item.span))
         prefix = g
         lam = _event_bottom(events[-1])
@@ -589,9 +590,7 @@ def enclosure_from_wiring(w: WiringDiagram) -> EnclosureData:
 
 
 def enclosure_from_factorization(fact: Factorization, components) -> EnclosureData:
-    items = tuple(
-        ("arc" if isinstance(item, HoleArc) else "cycle", curve_holes(item)) for item in fact.items
-    )
+    items = tuple((item.kind, curve_holes(item)) for item in fact.items)
     return EnclosureData(fact.n, tuple(components), items)
 
 
@@ -758,12 +757,12 @@ def factorization_json(fact: Factorization) -> dict:
     items = []
     for item, word in zip(fact.items, canonical_curves(fact.items)):
         d = {
-            "kind": "arc" if isinstance(item, HoleArc) else "cycle",
+            "kind": item.kind,
             "conjugator": list(item.conjugator),
             "start": item.start,
             "canonicalWord": list(word),
         }
-        if isinstance(item, HoleCurve):
+        if item.kind == "cycle":
             d["span"] = item.span
         if any(item.twists):
             d["twists"] = list(item.twists)

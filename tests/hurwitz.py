@@ -7,7 +7,6 @@ itself never moves items, so these live here, next to the tests of ``c03``,
 from sandwich.errors import RangeError
 from sandwich.mcg import (
     Factorization,
-    HoleArc,
     Item,
     MappingClass,
     Word,
@@ -45,8 +44,7 @@ def mc_equal(f: MappingClass, g: MappingClass) -> bool:
 
 
 def canonical_item(c: Item):
-    kind = "arc" if isinstance(c, HoleArc) else "cycle"
-    return (kind, canonical_curve(c), c.twists)
+    return (c.kind, canonical_curve(c), c.twists)
 
 
 def canonical_factorization(fact: Factorization):

@@ -426,6 +426,10 @@ class TestExitCodes:
         # only "arc" and "cycle" are item kinds
         ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "weird", "start": 1, "span": 1}]},
          {"code": "format", "location": "items[1]", "message": "bad factorization JSON: unknown item kind 'weird'"}),
+        # a well-formed item with nonzero twists has no diagram form
+        ({"holes": 2, "items": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "twists": [1, 0, -1]}]},
+         {"code": "range", "location": "items[1]",
+          "message": "items carrying boundary-twist offsets have no diagram form"}),
     ])
     def test_factorization_errors_name_the_item(self, work, capsys, data, error):
         (work / "f.json").write_text(json.dumps(data))

@@ -7,6 +7,7 @@ from sandwich.mcg import (
     Factorization,
     HoleArc,
     HoleCurve,
+    Item,
     MappingClass,
     artin_act,
     braid_equal,
@@ -222,6 +223,58 @@ class TestCurves:
         for twists in ((), (0, 0), (0, 1), (0, 0, 0, 0)):
             with pytest.raises(RangeError, match="one entry per hole plus the outer entry"):
                 HoleCurve(2, (), 1, 0, twists)
+
+
+class TestItem:
+    ZERO = (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((3, "loop", (), 1, 0, ZERO), "no item of kind 'loop' and span 0"),
+        ((3, "arc", (), 1, 2, ZERO), "no item of kind 'arc' and span 2"),
+        ((3, "arc", (), 1, 0, ZERO), "no item of kind 'arc' and span 0"),
+        ((3, "cycle", (), 2, 2, ZERO), "curve base [2, 4] outside 1..3"),
+        ((3, "cycle", (), 0, 1, ZERO), "curve base [0, 1] outside 1..3"),
+        ((3, "cycle", (), 1, -1, ZERO), "curve base [1, 0] outside 1..3"),
+        ((3, "arc", (), 3, 1, ZERO), "arc base (3, 4) outside 1..3"),
+        ((3, "arc", (), 0, 1, ZERO), "arc base (0, 1) outside 1..3"),
+        ((3, "cycle", (), 1, 0, (0, 0, 0)), "twists vector must have one entry per hole plus the outer entry"),
+        ((3, "arc", (), 1, 1, (0, 0, 0, 0, 0)), "twists vector must have one entry per hole plus the outer entry"),
+    ])
+    def test_record_rejects_a_kind_base_or_twists_that_do_not_fit(self, fields, message):
+        with pytest.raises(RangeError) as exc:
+            Item(*fields)
+        assert exc.value.message == message
+
+    def test_record_trusts_its_conjugator(self):
+        # the O(length) check is the constructors' job, not the record's
+        assert Item(3, "cycle", (1, -1, 5), 1, 0, self.ZERO).conjugator == (1, -1, 5)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: HoleCurve(3, g, 1, 1),
+        lambda g: HoleArc(3, g, 2),
+    ], ids=["HoleCurve", "HoleArc"])
+    def test_constructors_check_the_letters_and_reduce(self, make):
+        for letter in (0, 3, -3):
+            with pytest.raises(RangeError) as exc:
+                make((1, letter))
+            assert exc.value.message == f"braid letter {letter} outside strand range 1..2"
+        assert make((1, -1)).conjugator == ()
+        assert make((2, 1, -1)).conjugator == (2,)
+
+    def test_constructors_build_the_record(self):
+        assert HoleCurve(3, (2, -1, 1), 1, 2) == Item(3, "cycle", (2,), 1, 2, self.ZERO)
+        assert HoleCurve(3) == Item(3, "cycle", (), 1, 0, self.ZERO)
+        assert HoleArc(3, (1,), 2, [1, 0, 0, -1]) == Item(3, "arc", (1,), 2, 1, (1, 0, 0, -1))
+        assert HoleArc(3).base_word == (1, 2)
+        assert HoleCurve(4, (), 2, 2).base_word == (2, 3, 4)
+
+    def test_constructors_check_the_base_then_the_letters_then_the_twists(self):
+        with pytest.raises(RangeError, match=r"curve base \[3, 4\] outside 1..3"):
+            HoleCurve(3, (5,), 3, 1, (0,))
+        with pytest.raises(RangeError, match=r"arc base \(3, 4\) outside 1..3"):
+            HoleArc(3, (5,), 3, (0,))
+        with pytest.raises(RangeError, match="braid letter 5 outside strand range 1..2"):
+            HoleArc(3, (5,), 1, (0,))
 
 
 class TestMappingClasses:

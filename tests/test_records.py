@@ -26,7 +26,7 @@ from sandwich.fillings import (
     spinal_open_book,
     unexpected_arrangement,
 )
-from sandwich.mcg import mc_from_braid
+from sandwich.mcg import Item, mc_from_braid
 from sandwich.plumbing import (
     Augmentation,
     ValidationReport,
@@ -83,11 +83,12 @@ def dataclass_twin(cls):
 
 TWINS = {cls: dataclass_twin(cls) for cls in RECORDS}
 
-# each record class is one case; an Event is one case per kind, named
-# after the constructor that builds that kind
-CASES = [pytest.param(cls, None, id=cls.__qualname__) for cls in RECORDS if cls is not Event] + [
-    pytest.param(Event, kind, id=name)
-    for kind, name in (("T", "Tangency"), ("I", "Intersection"), ("F", "FreePoint"))
+# each record class is one case; an Event or an Item is one case per
+# kind, named after the constructor that builds that kind
+KINDS = {Event: (("T", "Tangency"), ("I", "Intersection"), ("F", "FreePoint")),
+         Item: (("cycle", "HoleCurve"), ("arc", "HoleArc"))}
+CASES = [pytest.param(cls, None, id=cls.__qualname__) for cls in RECORDS if cls not in KINDS] + [
+    pytest.param(cls, kind, id=name) for cls, kinds in KINDS.items() for kind, name in kinds
 ]
 
 
@@ -109,15 +110,15 @@ def _walk(x, seen, out):
 
 
 def _group(x):
-    return (Event, x.kind) if type(x) is Event else type(x)
+    return (type(x), x.kind) if type(x) in KINDS else type(x)
 
 
 @functools.cache
 def harvest():
     """Up to PER_CLASS distinct instances of each record class (of each
-    kind, for an Event), from one run of the chain: graph, blow-down, germ,
-    cluster, diagrams, vanishing factorization, mapping classes and filling
-    data."""
+    kind, for an Event or an Item), from one run of the chain: graph,
+    blow-down, germ, cluster, diagrams, vanishing factorization, mapping
+    classes and filling data."""
     g, aug, _ = parse_plumb(E3_PLUMB)
     trace = blow_down(g, aug)
     germ = germ_from_trace(trace, aug)

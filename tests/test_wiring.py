@@ -12,6 +12,7 @@ from sandwich.errors import (
     MultiplicityNotOneError,
     ProximityViolationError,
     RangeError,
+    SandwichError,
 )
 from sandwich.mcg import (
     Factorization,
@@ -26,7 +27,8 @@ from sandwich.mcg import (
     inverse_word,
     reduce_word,
 )
-from sandwich.plumbing import _find, _union, cluster, germ_from_cluster
+from sandwich.fillings import unexpected_arrangement
+from sandwich.plumbing import _find, _union, cluster, germ_from_cluster, parse_plumb
 from sandwich.wiring import (
     EnclosureData,
     Event,
@@ -59,6 +61,7 @@ from sandwich.wiring import (
 )
 
 from hurwitz import canonical_factorization, hurwitz_move
+from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
 from test_read_side import arrangement
 
@@ -534,11 +537,46 @@ def reference_braids(fact):
         b = reduce_word(item.conjugator + inverse_word(prefix) + inverse_word(lam))
         out.append(b)
         prefix = reduce_word(b + lam + prefix)
-        lam = half_twist(item.start, item.start + item.span) if isinstance(item, HoleCurve) and item.span else ()
+        lam = half_twist(item.start, item.start + item.span) if item.kind == "cycle" and item.span else ()
     return out + [()]
 
 
+def checked_items(fact):
+    """The items of ``fact`` rebuilt through the checked constructors,
+    which check and reduce each conjugator."""
+    return tuple(HoleArc(c.n, c.conjugator, c.start, c.twists) if c.kind == "arc"
+                 else HoleCurve(c.n, c.conjugator, c.start, c.span, c.twists) for c in fact.items)
+
+
+def trusted_path_diagrams():
+    """500 random diagrams, the Scott layouts of random clusters, generic
+    arrangements of up to 16 lines and ``unexpected`` at N = 1, 2."""
+    rng = random.Random(26)
+    yield from (rand_diagram(rng, max_n=7, max_events=12) for _ in range(500))
+    layouts = []
+    for _ in range(200):
+        try:
+            layouts.append(scott(rand_cluster(rng)))
+        except SandwichError:  # a cluster whose branch shrinks inside a window has no layout
+            pass
+    assert len(layouts) >= 100
+    yield from layouts
+    yield from (arrangement(m) for m in range(1, 17))
+    for text in ("vertex v -3\ncurvetta a on v\ncurvetta b on v\n",
+                 "vertex v -4\ncurvetta a on v\ncurvetta b on v\ncurvetta c on v\n"):
+        g, aug, _ = parse_plumb(text)
+        yield from (unexpected_arrangement(g, aug, n, 5).wiring for n in (1, 2))
+
+
 class TestVanishing:
+    def test_trusted_items_equal_the_checked_ones(self):
+        # vanishing_data builds its items as records, with no check of their
+        # conjugators: the checked constructors must give the same items
+        for w in trusted_path_diagrams():
+            fact = vanishing_data(w)
+            assert fact.items == checked_items(fact)
+            assert factorization_from_json(factorization_json(fact)) == fact
+
     def test_two_intersection_example(self):
         w = parse_wire("strands 3\nseq: 1, I(1..2), 1, I(2..3), 1\n")
         fact = vanishing_data(w)
@@ -603,9 +641,7 @@ class TestVanishing:
         w = parse_wire("strands 2\nseq: 1, I(1..2), 1\n")
         fact = vanishing_data(w)
         item = fact.items[0]
-        bad = fact.__class__(fact.n, (item.__class__(item.n, item.conjugator,
-                                                     item.start, item.span,
-                                                     (1, 0, 0)),))
+        bad = fact.__class__(fact.n, (HoleCurve(item.n, item.conjugator, item.start, item.span, (1, 0, 0)),))
         with pytest.raises(RangeError):
             wiring_from_vanishing(bad)
 
@@ -613,6 +649,13 @@ class TestVanishing:
         fact = vanishing_data(figure())
         again = factorization_from_json(factorization_json(fact))
         assert canonical_factorization(again) == canonical_factorization(fact)
+
+    def test_arc_span_is_not_read(self):
+        # an arc always spans one gap: a "span" in its JSON is ignored
+        read = [factorization_from_json({"holes": 3, "items": [{"kind": "arc", "start": 1, **extra}]})
+                for extra in ({"span": 7}, {})]
+        assert read[0] == read[1] and read[0].items[0].span == 1
+        assert "span" not in factorization_json(read[0])["items"][0]
 
     def test_factorization_json_keeps_twists(self):
         plain = Factorization(3, (HoleCurve(3, (), 1, 0), HoleArc(3, (), 1)))

@@ -25,8 +25,9 @@ events in a row and ends with one).  Error ops follow: ``validate`` on a
 3-strand ``.wire`` per ``seq`` of SEQ_FAULTS (an empty entry, two words in
 a row, a bad token, and their precedence) and of RANGE_FAULTS (each kind
 of event, and a braid letter, outside the strands), ``wire-from-vanishing``
-on a 3-hole factorization whose conjugator holds the braid letter 5,
-``auts`` on the two graphs of NOT_TREES that are no trees, and ``germ`` on
+on each 3-hole factorization of FACT_FAULTS (a conjugator letter 5 or 0,
+an arc base and a curve base outside the holes, a twists vector of the
+wrong length, and nonzero twists, which have no diagram form), ``auts`` on the two graphs of NOT_TREES that are no trees, and ``germ`` on
 a graph whose blow-down stalls.  Last come braid equalities past the ladder: ``braid_equal`` on the
 boundary braid of the generic arrangement of m lines, for each m of
 EXTRA_EQUAL_M, against a copy with s1 s2 s1 s2' s1' s2' conjugated into
@@ -35,8 +36,8 @@ m stops at 24: checkouts that decide equality by two Garside normal forms
 take about half a second per normal form there.  Then ``vanishing`` on the
 generic arrangement of m lines for each m of EXTRA_VANISHING_M, the
 paper's sizes, and ``wire-from-vanishing`` on its output.  Together the
-ops take a few seconds.  The output is 190 lines: 159 for the workload
-plans and 31 extra."""
+ops take a few seconds.  The output is 195 lines: 159 for the workload
+plans and 36 extra."""
 
 import hashlib
 import json
@@ -54,8 +55,14 @@ EXTRA_EQUAL_M = (16, 24)
 EXTRA_VANISHING_M = (24, 40)
 SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
 RANGE_FAULTS = ("T(3)", "I(2..2)", "I(3..2)", "F(4)", "s3")
-LETTER_FAULT = {"holes": 3, "items": [{"kind": "cycle", "start": 1},
-                                      {"kind": "arc", "start": 1, "conjugator": [2, 5]}]}
+FACT_FAULTS = {
+    "letter 5 on 3 holes": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "conjugator": [2, 5]}],
+    "arc base outside": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 3}],
+    "curve base outside": [{"kind": "cycle", "start": 2, "span": 2}],
+    "letter 0": [{"kind": "cycle", "start": 1, "span": 1, "conjugator": [1, 0]}],
+    "twists of the wrong length": [{"kind": "arc", "start": 1, "twists": [0, 0, 0]}],
+    "nonzero twists": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 2, "twists": [1, 0, 0, -1]}],
+}
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
     "two vertices": "vertex a -2\nvertex b -2\n",
@@ -121,12 +128,13 @@ def extra_ops(api, workloads, work: Path) -> list:
         bad.write_text(f"strands 3\nseq: {seq}\n")
         ops.append(workloads.Op("validate", f"validate seq: {seq}",
                                 lambda bad=bad: api.run_cli("validate", "--wire", bad), {}, None))
-    letter = work / "letter_fault.json"
-    letter.write_text(json.dumps(LETTER_FAULT))
-    ops.append(workloads.Op("wire-from-vanishing", "wire-from-vanishing letter 5 on 3 holes",
-                            lambda: api.run_cli("wire-from-vanishing", "--fact", letter,
-                                                "-o", work / "letter_fault.wire"),
-                            {}, None, (work / "letter_fault.wire",)))
+    for i, (tag, items) in enumerate(FACT_FAULTS.items()):
+        fact, out = work / f"fact_fault_{i}.json", work / f"fact_fault_{i}.wire"
+        fact.write_text(json.dumps({"holes": 3, "items": items}))
+        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
+                                lambda fact=fact, out=out: api.run_cli("wire-from-vanishing", "--fact", fact,
+                                                                       "-o", out),
+                                {}, None, (out,)))
     for tag, text in NOT_TREES.items():
         graph = work / f"{tag.replace(' ', '_')}.plumb"
         graph.write_text(text)
