@@ -140,51 +140,43 @@ def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:
 # incidence-matrix equivalence
 
 
-def _sorted_columns(m: IncidenceMatrix) -> tuple[list[int], list]:
-    """The row order by component label, and the (column over those rows,
-    kind) pairs sorted descending: a column is ``bytes`` when every entry is
-    an int in 0..255, else a tuple."""
-    order = sorted(range(len(m.components)), key=lambda i: m.components[i])
-    rows = [m.rows[i] for i in order]
-    # zip(*rows) loses the shape of an empty matrix, so "or" restores it
-    cols = list(zip(*rows)) or [()] * len(m.kinds)
-    try:  # equal-length bytes order as their tuples of 0..255 do, by memcmp
-        cols = list(map(bytes, cols))
-    except (TypeError, ValueError):  # an entry not an int in 0..255: keep the tuples
-        pass
-    return order, sorted(zip(cols, m.kinds), reverse=True)
+def _by_label(m: IncidenceMatrix, collect):
+    """The sorted component labels, and ``collect`` of the (column, kind)
+    pairs, each column's entries in label order: the stored columns when the
+    rows already are, as they are in every ``incidence`` result."""
+    order = sorted(range(len(m.components)), key=m.components.__getitem__)
+    columns = m.columns if order == sorted(order) else [type(c)(c[i] for i in order) for c in m.columns]
+    return tuple(sorted(m.components)), collect(zip(columns, m.kinds))
 
 
 def incidence_canonical(m: IncidenceMatrix) -> IncidenceMatrix:
     """Rows ordered by component label, then columns sorted descending
     lexicographically; column kinds travel with their columns."""
-    order, cols = _sorted_columns(m)
-    return IncidenceMatrix(
-        tuple(m.components[i] for i in order),
-        tuple(zip(*(col for col, _ in cols))) or ((),) * len(order),
-        tuple(kind for _, kind in cols),
-    )
+    labels, pairs = _by_label(m, sorted)
+    pairs.reverse()  # equal pairs are alike, so this is the descending sort
+    return IncidenceMatrix(labels, [c for c, _ in pairs], tuple(k for _, k in pairs))
 
 
 def incidence_equiv(a: IncidenceMatrix, b: IncidenceMatrix, unlabeled: bool = False) -> bool:
     """Equal canonical forms, rows matched by component label; with
     ``unlabeled`` any row bijection is allowed instead, placed one row at a
     time while the (kind, column over the placed rows) multisets agree."""
-    if len(a.rows) != len(b.rows) or len(a.kinds) != len(b.kinds):
+    if len(a.components) != len(b.components) or len(a.kinds) != len(b.kinds):
         return False
     if not unlabeled:
-        # equal sorted labels and sorted columns are equal canonical forms
-        (oa, ka), (ob, kb) = _sorted_columns(a), _sorted_columns(b)
-        return [a.components[i] for i in oa] == [b.components[i] for i in ob] and ka == kb
+        # the canonical forms less their sort: equal sorted labels, and equal
+        # multisets of (column, kind)
+        return _by_label(a, Counter) == _by_label(b, Counter)
     ca, cb = incidence_canonical(a), incidence_canonical(b)
-    if (ca.rows, ca.kinds) == (cb.rows, cb.kinds):
+    if ca.columns == cb.columns and ca.kinds == cb.kinds:
         return True
-    placed = [Counter(zip(cb.kinds, *cb.rows[:k])) for k in range(len(cb.rows) + 1)]
+    ra, rb = ca.rows, cb.rows
+    placed = [Counter(zip(cb.kinds, *rb[:k])) for k in range(len(rb) + 1)]
 
     def fits(p):
-        return Counter(zip(ca.kinds, *(ca.rows[i] for i in p))) == placed[len(p)]
+        return Counter(zip(ca.kinds, *(ra[i] for i in p))) == placed[len(p)]
 
-    return bijection_exists(len(ca.rows), fits)
+    return bijection_exists(len(ra), fits)
 
 
 # ---------------------------------------------------------------------------

@@ -485,10 +485,10 @@ def HoleCurve(n, conjugator=(), start=1, span=0, twists=None) -> Item:
     return _checked_item(n, "cycle", conjugator, start, span, twists)
 
 
-def HoleArc(n, conjugator=(), start=1, twists=None) -> Item:
+def HoleArc(n, conjugator=(), start=1, twists=None, span=1) -> Item:
     """The checked arc g^{-1} of the straight arc between holes start and
-    start+1."""
-    return _checked_item(n, "arc", conjugator, start, 1, twists)
+    start+1; any other ``span`` is refused."""
+    return _checked_item(n, "arc", conjugator, start, span, twists)
 
 
 def canonical_curve(c: Item) -> Word:

@@ -317,32 +317,48 @@ def _matching_exists(labels, names, germ, strands, rows, self_pairs, cross) -> b
 
 @frozen
 class IncidenceMatrix:
+    """Stored by columns, each over the rows in ``components`` order: all
+    ``bytes`` when every entry is an int in 0..255, else all tuples, so equal
+    matrices have equal columns, and bytes order as their tuples do."""
+
     components: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple
     kinds: tuple[str, ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.kinds):
-                raise RangeError("ragged incidence matrix")
+        if len(self.columns) != len(self.kinds) or {*map(len, self.columns)} - {len(self.components)}:
+            raise RangeError("ragged incidence matrix")
+        try:
+            columns = tuple(map(bytes, self.columns))
+        except (TypeError, ValueError):  # an entry not an int in 0..255
+            columns = tuple(map(tuple, self.columns))
+        object.__setattr__(self, "columns", columns)
+
+    @property
+    def rows(self):
+        # zip(*columns) loses the shape of a matrix with no columns
+        return tuple(zip(*self.columns)) or ((),) * len(self.components)
 
 
 def incidence(w: WiringDiagram) -> IncidenceMatrix:
     """Rows = components (sorted by label), one column per intersection or
     free point in seq order; entries count that component's strands there."""
     labels = tuple(sorted(set(w.components)))
-    row_of = {label: r for r, label in enumerate(labels)}
-    rows = [[0] * len(w.events) for _ in labels]
-    row_of_strand = [None, *(rows[row_of[label]] for label in w.components)]
-    kinds = []
+    row_of = [None, *map({label: r for r, label in enumerate(labels)}.get, w.components)]
+    # below 256 strands no count can pass a byte; the record decides the
+    # stored form of the columns either way
+    zeros = bytearray if w.n < 256 else lambda k: [0] * k
+    columns, kinds = [], []
     for ev, ids in zip(w.events, w.walked[0]):
         if ev.kind == "T":
             _check_tangency_components(w, ((ev, ids),))
             continue
+        column = zeros(len(labels))
         for s in ids:
-            row_of_strand[s][len(kinds)] += 1
+            column[row_of[s]] += 1
+        columns.append(column)
         kinds.append("free" if ev.kind == "F" else "intersection")
-    return IncidenceMatrix(labels, tuple(tuple(row[: len(kinds)]) for row in rows), tuple(kinds))
+    return IncidenceMatrix(labels, columns, tuple(kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +618,7 @@ def inside_out(e: EnclosureData, hole: int) -> EnclosureData:
     if not 1 <= hole <= e.n:
         raise RangeError(f"hole {hole} outside 1..{e.n}")
     label = e.components[hole - 1]
-    if sum(1 for c in e.components if c == label) != 1:
+    if e.components.count(label) != 1:
         raise MultiplicityNotOneError(
             f"hole {hole} belongs to component {label} with multiplicity > 1"
         )
@@ -790,7 +806,7 @@ def factorization_from_json(data) -> Factorization:
             conj = tuple(map(_json_int, d.get("conjugator", ())))
             twists = tuple(map(_json_int, d["twists"])) if "twists" in d else None
             if d["kind"] == "arc":
-                items.append(HoleArc(n, conj, _json_int(d["start"]), twists))
+                items.append(HoleArc(n, conj, _json_int(d["start"]), twists, _json_int(d.get("span", 1))))
             elif d["kind"] == "cycle":
                 items.append(HoleCurve(n, conj, _json_int(d["start"]), _json_int(d.get("span", 0)), twists))
             else:

@@ -36,7 +36,6 @@ from sandwich.plumbing import (
 )
 from sandwich.wiring import (
     EnclosureData,
-    IncidenceMatrix,
     WiringDiagram,
     boundary_braid,
     event_strands,
@@ -57,6 +56,7 @@ from sandwich.fillings import (
 )
 
 from hurwitz import canonical_factorization, cap_framing, hurwitz_move, mc_equal
+from matrices import from_rows
 from random_diagrams import rand_diagram
 
 FIG = (
@@ -353,11 +353,11 @@ def test_c13_incidence_equivalence():
         cols = rng.randint(0, 6)
         rows = tuple(tuple(rng.randint(0, 3) for _ in range(cols)) for _ in labels)
         kinds = tuple(rng.choice(("intersection", "free")) for _ in range(cols))
-        m = IncidenceMatrix(labels, rows, kinds)
+        m = from_rows(labels, rows, kinds)
 
         order = list(range(cols))
         rng.shuffle(order)
-        shuffled_cols = IncidenceMatrix(
+        shuffled_cols = from_rows(
             labels,
             tuple(tuple(row[j] for j in order) for row in rows),
             tuple(kinds[j] for j in order),
@@ -366,7 +366,7 @@ def test_c13_incidence_equivalence():
 
         perm = list(range(len(labels)))
         rng.shuffle(perm)
-        relabeled = IncidenceMatrix(labels, tuple(rows[i] for i in perm), kinds)
+        relabeled = from_rows(labels, tuple(rows[i] for i in perm), kinds)
         assert incidence_equiv(m, relabeled, unlabeled=True)
 
     fig_m = incidence(figure_full())

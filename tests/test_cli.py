@@ -430,6 +430,9 @@ class TestExitCodes:
         ({"holes": 2, "items": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "twists": [1, 0, -1]}]},
          {"code": "range", "location": "items[1]",
           "message": "items carrying boundary-twist offsets have no diagram form"}),
+        # an arc spans one gap: any other span is refused, not dropped
+        ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "span": 7}]},
+         {"code": "range", "location": "items[1]", "message": "no item of kind 'arc' and span 7"}),
     ])
     def test_factorization_errors_name_the_item(self, work, capsys, data, error):
         (work / "f.json").write_text(json.dumps(data))

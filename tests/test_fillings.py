@@ -42,7 +42,6 @@ from sandwich.plumbing import (
     plumbing_graph,
 )
 from sandwich.wiring import (
-    IncidenceMatrix,
     boundary_braid,
     combine,
     incidence,
@@ -53,6 +52,7 @@ from sandwich.wiring import (
 )
 
 from hurwitz import hurwitz_move, mc_equal
+from matrices import from_rows
 from random_diagrams import rand_diagram
 
 FIG = (
@@ -328,7 +328,7 @@ def shuffle_columns(m, rng):
     order = list(range(len(m.kinds)))
     rng.shuffle(order)
     rows = tuple(tuple(row[j] for j in order) for row in m.rows)
-    return IncidenceMatrix(m.components, rows, tuple(m.kinds[j] for j in order))
+    return from_rows(m.components, rows, tuple(m.kinds[j] for j in order))
 
 
 class TestIncidenceEquiv:
@@ -339,34 +339,34 @@ class TestIncidenceEquiv:
             assert incidence_equiv(m, shuffle_columns(m, rng))
 
     def test_distinct_columns(self):
-        a = IncidenceMatrix(("x",), ((1, 1),), ("free", "free"))
-        b = IncidenceMatrix(("x",), ((2, 0),), ("free", "free"))
+        a = from_rows(("x",), ((1, 1),), ("free", "free"))
+        b = from_rows(("x",), ((2, 0),), ("free", "free"))
         assert not incidence_equiv(a, b)
 
     def test_dimension_mismatch(self):
-        a = IncidenceMatrix(("x",), ((1,),), ("free",))
-        b = IncidenceMatrix(("x",), ((1, 1),), ("free", "free"))
+        a = from_rows(("x",), ((1,),), ("free",))
+        b = from_rows(("x",), ((1, 1),), ("free", "free"))
         assert not incidence_equiv(a, b)
 
     def test_kinds_travel_with_columns(self):
-        a = IncidenceMatrix(("x", "y"), ((1, 0), (0, 1)), ("free", "intersection"))
+        a = from_rows(("x", "y"), ((1, 0), (0, 1)), ("free", "intersection"))
         c = incidence_canonical(shuffle_columns(a, random.Random(3)))
         assert c.kinds[0] == "free" and c.rows[0][0] == 1
 
     def test_kind_mismatch_blocks_equivalence(self):
-        a = IncidenceMatrix(("x",), ((1,),), ("free",))
-        b = IncidenceMatrix(("x",), ((1,),), ("intersection",))
+        a = from_rows(("x",), ((1,),), ("free",))
+        b = from_rows(("x",), ((1,),), ("intersection",))
         assert not incidence_equiv(a, b)
 
     def test_labels_matter_unless_unlabeled(self):
-        a = IncidenceMatrix(("x", "y"), ((1, 0), (0, 2)), ("free", "free"))
-        b = IncidenceMatrix(("x", "y"), ((0, 2), (1, 0)), ("free", "free"))
+        a = from_rows(("x", "y"), ((1, 0), (0, 2)), ("free", "free"))
+        b = from_rows(("x", "y"), ((0, 2), (1, 0)), ("free", "free"))
         assert not incidence_equiv(a, b)
         assert incidence_equiv(a, b, unlabeled=True)
 
     def test_row_order_is_normalized(self):
-        a = IncidenceMatrix(("x", "y"), ((1, 0), (0, 2)), ("free", "free"))
-        b = IncidenceMatrix(("y", "x"), ((0, 2), (1, 0)), ("free", "free"))
+        a = from_rows(("x", "y"), ((1, 0), (0, 2)), ("free", "free"))
+        b = from_rows(("y", "x"), ((0, 2), (1, 0)), ("free", "free"))
         assert incidence_equiv(a, b)
 
     def test_equivalence_relation(self):

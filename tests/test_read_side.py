@@ -1,19 +1,22 @@
 """The read side of a wiring diagram (`parse_wire`, `render`, `incidence`,
-`incidence_canonical`) against the implementations they replaced, kept here
-as oracles: the parser that read every seq chunk and checked every braid
-word, the renderer that formatted every coordinate of every segment, rows
-built by looking every label up in every column's Counter, and columns
-transposed one generator at a time.  Output must agree byte for byte, and
-errors by class and message (and location, for the parser).  The columns
-are sorted as bytes or, with an entry outside 0..255, as tuples; both keys
-are compared with the oracle.  The labelled ``incidence_equiv``, which reads
-the sorted columns, must agree with comparing two canonical matrices.
-``render``'s peak memory is pinned too."""
+`incidence_canonical`, `incidence_equiv`) against the implementations they
+replaced, kept here as oracles: the parser that read every seq chunk and
+checked every braid word, the renderer that formatted every coordinate of
+every segment, rows built by looking every label up in every column's
+Counter, columns transposed one generator at a time, and the row-major
+matrix that came before the column form (built row by row, transposed and
+sorted for each canonical form and each labelled compare, and transposed
+back).  Output must agree byte for byte, and errors by class and message
+(and location, for the parser).  The columns are bytes or, with an entry
+outside 0..255, tuples; both are compared with the oracles, type and all.
+The labelled ``incidence_equiv``, which compares multisets of columns, must
+agree with comparing two canonical matrices.  ``render``'s peak memory is
+pinned too."""
 
 import random
 import re
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from sandwich.cli import render
 from sandwich.errors import FormatError, RangeError, SandwichError
+from sandwich import fillings
 from sandwich.fillings import incidence_canonical, incidence_equiv
 from sandwich.mcg import check_braid_word
 from sandwich.wiring import (
@@ -33,12 +37,14 @@ from sandwich.wiring import (
     WiringDiagram,
     _check_event,
     _check_tangency_components,
+    bijection_exists,
     event_strands,
     incidence,
     parse_wire,
     serialize_wire,
 )
 
+from matrices import from_rows
 from random_diagrams import rand_diagram
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def reference_incidence(w):
     labels = tuple(sorted(w.component_strands()))
     counted = [(ev, Counter(w.components[s - 1] for s in ids))
                for ev, ids in event_ids if ev.kind != "T"]
-    return IncidenceMatrix(
+    return from_rows(
         labels,
         tuple(tuple(counts[label] for _, counts in counted) for label in labels),
         tuple("free" if ev.kind == "F" else "intersection" for ev, _ in counted),
@@ -158,11 +164,86 @@ def reference_incidence_canonical(m):
         ((tuple(row[j] for row in rows), m.kinds[j]) for j in range(len(m.kinds))),
         reverse=True,
     )
-    return IncidenceMatrix(
+    return from_rows(
         tuple(m.components[i] for i in order),
         tuple(tuple(col[0][i] for col in cols) for i in range(len(rows))),
         tuple(col[1] for col in cols),
     )
+
+
+# the row-major matrix the column form replaced: a plain record, so that
+# nothing of the column form's own constructor takes part in it
+Rows = namedtuple("Rows", "components rows kinds")
+
+
+def as_rows(m):
+    return Rows(m.components, m.rows, m.kinds)
+
+
+def row_major_incidence(w):
+    labels = tuple(sorted(set(w.components)))
+    row_of = {label: r for r, label in enumerate(labels)}
+    rows = [[0] * len(w.events) for _ in labels]
+    row_of_strand = [None, *(rows[row_of[label]] for label in w.components)]
+    kinds = []
+    for ev, ids in zip(w.events, w.walked[0]):
+        if ev.kind == "T":
+            _check_tangency_components(w, ((ev, ids),))
+            continue
+        for s in ids:
+            row_of_strand[s][len(kinds)] += 1
+        kinds.append("free" if ev.kind == "F" else "intersection")
+    return Rows(labels, tuple(tuple(row[: len(kinds)]) for row in rows), tuple(kinds))
+
+
+def row_major_sorted_columns(m):
+    order = sorted(range(len(m.components)), key=lambda i: m.components[i])
+    rows = [m.rows[i] for i in order]
+    cols = list(zip(*rows)) or [()] * len(m.kinds)
+    try:
+        cols = list(map(bytes, cols))
+    except (TypeError, ValueError):
+        pass
+    return order, sorted(zip(cols, m.kinds), reverse=True)
+
+
+def row_major_canonical(m):
+    order, cols = row_major_sorted_columns(m)
+    return Rows(
+        tuple(m.components[i] for i in order),
+        tuple(zip(*(col for col, _ in cols))) or ((),) * len(order),
+        tuple(kind for _, kind in cols),
+    )
+
+
+def row_major_equiv(a, b, unlabeled=False):
+    if len(a.rows) != len(b.rows) or len(a.kinds) != len(b.kinds):
+        return False
+    if not unlabeled:
+        (oa, ka), (ob, kb) = row_major_sorted_columns(a), row_major_sorted_columns(b)
+        return [a.components[i] for i in oa] == [b.components[i] for i in ob] and ka == kb
+    ca, cb = row_major_canonical(a), row_major_canonical(b)
+    if (ca.rows, ca.kinds) == (cb.rows, cb.kinds):
+        return True
+    placed = [Counter(zip(cb.kinds, *cb.rows[:k])) for k in range(len(cb.rows) + 1)]
+
+    def fits(p):
+        return Counter(zip(ca.kinds, *(ca.rows[i] for i in p))) == placed[len(p)]
+
+    return bijection_exists(len(ca.rows), fits)
+
+
+def assert_column_form_agrees(a, b, unlabeled=(False, True)):
+    """Both canonical forms, each column's type among them, and the verdicts
+    both ways, against the row-major oracles.  Returns the labelled verdict."""
+    for m in (a, b):
+        canonical, (_, cols) = incidence_canonical(m), row_major_sorted_columns(as_rows(m))
+        assert as_rows(canonical) == row_major_canonical(as_rows(m))
+        assert canonical.columns == tuple(col for col, _ in cols)
+    for flag in unlabeled:
+        want = row_major_equiv(as_rows(a), as_rows(b), flag)
+        assert incidence_equiv(a, b, flag) == incidence_equiv(b, a, flag) == want, (a, b, flag)
+    return row_major_equiv(as_rows(a), as_rows(b))
 
 
 def reference_parse_braid(chunk, lineno):
@@ -297,6 +378,7 @@ def assert_read_side_agrees(w):
     assert render(w, 1) == reference_render(w, 1)
     got, want = outcome(incidence, w), outcome(reference_incidence, w)
     assert got == want
+    assert outcome(lambda: as_rows(incidence(w))) == outcome(row_major_incidence, w)
     if got[0] == "ok":
         m = incidence(w)
         assert outcome(incidence_canonical, m) == outcome(reference_incidence_canonical, m)
@@ -315,10 +397,11 @@ def relabeled(w, rng, declared):
     return WiringDiagram(w.n, w.braids, w.events, comps)
 
 
-def arrangement(m, free_per_line=2, free_first=False):
+def arrangement(m, free_per_line=2, free_first=False, drop=None, trade=False):
     """Generic arrangement of m lines, one strand each: every pair meets
     once in I(q..q+1), the upper strand carried down by a conjugating braid
-    and back, and free points on every line."""
+    and back, and free points on every line.  ``drop`` leaves out that
+    double point (by index); with ``trade`` a free point takes its place."""
     braids, events, pending = [], [], ()
 
     def push(ev):
@@ -330,12 +413,15 @@ def arrangement(m, free_per_line=2, free_first=False):
     free = [FreePoint(pos) for _ in range(free_per_line) for pos in range(1, m + 1)]
     for ev in free if free_first else ():
         push(ev)
-    for p in range(2, m + 1):
-        for q in range(1, p):
-            down = tuple(range(q + 1, p))
-            pending = down + pending
+    pairs = ((p, q) for p in range(2, m + 1) for q in range(1, p))
+    for index, (p, q) in enumerate(pairs):
+        down = tuple(range(q + 1, p))
+        pending = down + pending
+        if index != drop:
             push(Intersection(q, q + 1))
-            pending = tuple(-a for a in reversed(down)) + pending
+        elif trade:
+            push(FreePoint(q))
+        pending = tuple(-a for a in reversed(down)) + pending
     for ev in () if free_first else free:
         push(ev)
     braids.append(pending)
@@ -377,19 +463,19 @@ def built_matrices():
     # bytes wrapped modulo 256 would order them otherwise
     rng = random.Random(8)
     cases = [
-        IncidenceMatrix((), (), ()),
-        IncidenceMatrix((), (), ("free", "intersection")),
-        IncidenceMatrix(("b", "a"), ((), ()), ()),
-        IncidenceMatrix(("a", "b"), ((256, 1, 255, 0), (0, 2, 0, 7)), ("free", "intersection", "free", "free")),
-        IncidenceMatrix(("b", "a"), ((-1, 0, 1), (3, 3, 3)), ("intersection", "free", "free")),
+        from_rows((), (), ()),
+        from_rows((), (), ("free", "intersection")),
+        from_rows(("b", "a"), ((), ()), ()),
+        from_rows(("a", "b"), ((256, 1, 255, 0), (0, 2, 0, 7)), ("free", "intersection", "free", "free")),
+        from_rows(("b", "a"), ((-1, 0, 1), (3, 3, 3)), ("intersection", "free", "free")),
     ]
     # equal columns of both kinds, in either order, sorted as bytes and as tuples
     for kinds in (("free", "intersection", "free"), ("intersection", "free", "free")):
         for last in (0, 300, -4):
-            cases.append(IncidenceMatrix(("a", "b"), ((1, 1, last), (2, 2, 1)), kinds))
+            cases.append(from_rows(("a", "b"), ((1, 1, last), (2, 2, 1)), kinds))
     for _ in range(300):
         r, c = rng.randint(0, 4), rng.randint(0, 5)
-        cases.append(IncidenceMatrix(
+        cases.append(from_rows(
             tuple(rng.sample("abcdef", r)),
             tuple(tuple(rng.randint(0, 2) for _ in range(c)) for _ in range(r)),
             tuple(rng.choice(("free", "intersection")) for _ in range(c)),
@@ -408,7 +494,7 @@ def shuffled(m, rng):
     rows, cols = list(range(len(m.rows))), list(range(len(m.kinds)))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    return IncidenceMatrix(tuple(m.components[i] for i in rows),
+    return from_rows(tuple(m.components[i] for i in rows),
                            tuple(tuple(m.rows[i][j] for j in cols) for i in rows),
                            tuple(m.kinds[j] for j in cols))
 
@@ -424,7 +510,7 @@ def changed(m, rng):
     elif kinds:
         j = rng.randrange(len(kinds))
         kinds[j] = "free" if kinds[j] == "intersection" else "intersection"
-    return IncidenceMatrix(tuple(comps), tuple(map(tuple, rows)), tuple(kinds))
+    return from_rows(tuple(comps), tuple(map(tuple, rows)), tuple(kinds))
 
 
 def test_labeled_equivalence_is_equality_of_canonical_forms():
@@ -440,6 +526,100 @@ def test_labeled_equivalence_is_equality_of_canonical_forms():
             assert incidence_equiv(a, b) == incidence_equiv(b, a) == want, (a, b)
             seen[want] += 1
     assert seen[True] >= 600 and seen[False] >= 300, seen
+
+
+# ---------------------------------------------------------------------------
+# the column form against the row-major oracles
+
+
+def test_column_form_on_random_diagrams():
+    # each diagram's matrix against a shuffled and a changed copy of it, the
+    # matrix of its components merged under new labels, and the one before
+    rng = random.Random(27)
+    seen, before = Counter(), None
+    for _ in range(500):
+        w = rand_diagram(rng, max_n=7, max_events=12)
+        merged = relabeled(w, rng, declared=True)
+        assert as_rows(incidence(merged)) == row_major_incidence(merged)
+        a = incidence(w)
+        for b in (shuffled(a, rng), changed(a, rng), incidence(merged), before or a):
+            seen[assert_column_form_agrees(a, b)] += 1
+        before = a
+    assert seen[True] >= 500 and seen[False] >= 1000, seen
+
+
+def test_column_form_on_arrangements():
+    # generic arrangements against their copy (free points first), one
+    # double point dropped, and one traded for a free point; the unlabeled
+    # search on a traded pair runs up to m = 7, as diagram-read's does
+    for m in range(2, 17):
+        a, drop = incidence(arrangement(m)), m * (m - 1) // 4
+        variants = {"copy": arrangement(m, free_first=True), "dropped": arrangement(m, drop=drop),
+                    "traded": arrangement(m, drop=drop, trade=True)}
+        for key, w in variants.items():
+            assert as_rows(incidence(w)) == row_major_incidence(w)
+            flags = (False,) if key == "traded" and m > 7 else (False, True)
+            assert assert_column_form_agrees(a, incidence(w), flags) == (key == "copy")
+
+
+def test_column_form_on_built_matrices():
+    rng = random.Random(11)
+    cases = built_matrices()
+    for a in cases:
+        for b in (a, shuffled(a, rng), changed(a, rng), changed(shuffled(a, rng), rng), rng.choice(cases)):
+            assert_column_form_agrees(a, b)
+
+
+def test_columns_are_bytes_only_when_every_entry_fits_a_byte():
+    for rows, kind in ((((1, 255), (0, 2)), bytes), (((1, 256), (0, 2)), tuple),
+                       (((1, 0), (-1, 2)), tuple), (((), ()), bytes)):
+        m = from_rows(("a", "b"), rows, ("free",) * len(rows[0]))
+        assert {type(c) for c in m.columns} <= {kind} and m.rows == rows
+    # the entries decide, not the form the columns come in
+    assert IncidenceMatrix(("a",), [[1], (2,), b"\x03"], ("free",) * 3).columns == (b"\x01", b"\x02", b"\x03")
+    assert IncidenceMatrix(("a",), [b"\x01", [300]], ("free",) * 2).columns == ((1,), (300,))
+    # no columns: the rows keep their count; no rows: the columns theirs
+    assert IncidenceMatrix(("a", "b"), (), ()).rows == ((), ())
+    assert IncidenceMatrix((), ((), ()), ("free",) * 2).columns == (b"", b"")
+    for columns, kinds in ((((1,), (1, 2)), ("free",) * 2), (((1,),), ("free",) * 2), (((1, 2),), ("free",))):
+        with pytest.raises(RangeError, match="ragged incidence matrix"):
+            IncidenceMatrix(("a",), columns, kinds)
+    with pytest.raises(ValueError):  # rows of unequal length are refused, not cut short
+        from_rows(("a", "b"), ((1,), (1, 2)), ("free",))
+
+
+def test_the_same_matrix_from_few_strands_and_from_many():
+    # 3 strands and 260: the same entries, so the same bytes columns
+    events = (Intersection(1, 3), FreePoint(1))
+    few = WiringDiagram(3, ((),) * 3, events, ("X", "X", "Y"))
+    many = WiringDiagram(260, ((),) * 3, events, ("X", "X", "Y") + ("X",) * 257)
+    a, b = incidence(few), incidence(many)
+    assert a == b and a.columns == (b"\x02\x01", b"\x01\x00")
+    assert incidence_canonical(a) == incidence_canonical(b)
+    assert incidence_equiv(a, b) and incidence_equiv(a, b, unlabeled=True)
+    assert assert_column_form_agrees(a, b)
+    # 300 strands of one component at one event: an entry past a byte
+    wide = incidence(WiringDiagram(300, ((), ()), (Intersection(1, 300),), ("X",) * 300))
+    built = from_rows(("X",), ((300,),), ("intersection",))
+    assert wide == built and wide.columns == ((300,),)
+    assert assert_column_form_agrees(wide, built)
+
+
+def test_canonical_forms_are_taken_by_an_unlabeled_compare_only(monkeypatch):
+    # a traced run counts calls of the module-global incidence_canonical
+    # (fillings.incidence_canonical_calls): an unlabeled compare reaches it
+    # through that global once per matrix, a labelled one never does
+    calls = []
+    real = fillings.incidence_canonical
+    monkeypatch.setattr(fillings, "incidence_canonical", lambda m: calls.append(m) or real(m))
+    a = incidence(arrangement(7))
+    for w in (arrangement(7), arrangement(7, free_first=True), arrangement(7, drop=10, trade=True)):
+        b = incidence(w)
+        calls.clear()
+        incidence_equiv(a, b)
+        assert calls == []
+        incidence_equiv(a, b, unlabeled=True)
+        assert calls == [a, b]
 
 
 @pytest.mark.parametrize("m", [24, 40])

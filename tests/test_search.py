@@ -12,7 +12,6 @@ from sandwich.fillings import incidence_canonical, incidence_equiv
 from sandwich.plumbing import Branch, DecoratedGerm, cluster, germ_from_cluster
 from sandwich.wiring import (
     FreePoint,
-    IncidenceMatrix,
     Intersection,
     Tangency,
     WiringDiagram,
@@ -22,6 +21,8 @@ from sandwich.wiring import (
     event_strands,
     validate_wiring,
 )
+
+from matrices import from_rows
 
 KINDS = ("intersection", "free")
 
@@ -39,7 +40,7 @@ def reference_incidence_equiv(a, b, unlabeled=False):
         return ca == cb
     target = (cb.rows, cb.kinds)
     for perm in permutations(range(len(ca.rows))):
-        shuffled = IncidenceMatrix(cb.components, tuple(ca.rows[i] for i in perm), ca.kinds)
+        shuffled = from_rows(cb.components, tuple(ca.rows[i] for i in perm), ca.kinds)
         canon = incidence_canonical(shuffled)
         if (canon.rows, canon.kinds) == target:
             return True
@@ -84,7 +85,7 @@ def rand_matrix(rng, max_m=6, max_cols=6, top=2):
     cols = rng.randint(0, max_cols)
     labels = tuple(f"r{i}" for i in range(m))
     rows = tuple(tuple(rng.randint(0, top) for _ in range(cols)) for _ in range(m))
-    return IncidenceMatrix(labels, rows, tuple(rng.choice(KINDS) for _ in range(cols)))
+    return from_rows(labels, rows, tuple(rng.choice(KINDS) for _ in range(cols)))
 
 
 def relabeled(m, row_order, col_order, flip=None):
@@ -94,7 +95,7 @@ def relabeled(m, row_order, col_order, flip=None):
     if flip is not None:
         i, j = flip
         rows[i][j] = 1 - rows[i][j] if rows[i][j] <= 1 else rows[i][j] - 1
-    return IncidenceMatrix(m.components, tuple(map(tuple, rows)), tuple(m.kinds[j] for j in col_order))
+    return from_rows(m.components, tuple(map(tuple, rows)), tuple(m.kinds[j] for j in col_order))
 
 
 def variants(m, rng):
@@ -106,7 +107,7 @@ def variants(m, rng):
     out = [relabeled(m, rows, cols)]
     if rows and cols:
         out.append(relabeled(m, rows, cols, (rng.randrange(len(rows)), rng.randrange(len(cols)))))
-    out.append(IncidenceMatrix(m.components, tuple(
+    out.append(from_rows(m.components, tuple(
         tuple(rng.randint(0, 2) for _ in cols) for _ in rows), tuple(rng.choice(KINDS) for _ in cols)))
     return out
 
@@ -123,7 +124,7 @@ def line_matrix(m, free):
         cols += [[int(r == i) for r in range(m)]] * k
         kinds += ["free"] * k
     rows = tuple(tuple(col[i] for col in cols) for i in range(m))
-    return IncidenceMatrix(tuple(f"L{i}" for i in range(m)), rows, tuple(kinds))
+    return from_rows(tuple(f"L{i}" for i in range(m)), rows, tuple(kinds))
 
 
 def rand_summary(rng, max_l=6):
@@ -245,7 +246,7 @@ class TestIncidenceOracle:
             if len(grid) >= 2 and m.kinds:
                 j = rng.randrange(len(m.kinds))
                 grid[0][j], grid[1][j] = grid[1][j], grid[0][j]
-            b = IncidenceMatrix(m.components, tuple(map(tuple, grid)), m.kinds)
+            b = from_rows(m.components, tuple(map(tuple, grid)), m.kinds)
             assert incidence_equiv(m, b, True) == reference_incidence_equiv(m, b, True)
 
 
@@ -256,7 +257,7 @@ def matrix_pairs(draw):
     entries = st.lists(st.integers(0, 2), min_size=cols, max_size=cols)
     rows = draw(st.lists(entries, min_size=m, max_size=m))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=cols, max_size=cols))
-    a = IncidenceMatrix(tuple(f"r{i}" for i in range(m)), tuple(map(tuple, rows)), tuple(kinds))
+    a = from_rows(tuple(f"r{i}" for i in range(m)), tuple(map(tuple, rows)), tuple(kinds))
     row_order = draw(st.permutations(range(m)))
     col_order = draw(st.permutations(range(cols)))
     flip = None

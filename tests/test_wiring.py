@@ -33,7 +33,6 @@ from sandwich.wiring import (
     EnclosureData,
     Event,
     FreePoint,
-    IncidenceMatrix,
     Intersection,
     Tangency,
     WiringDiagram,
@@ -61,6 +60,7 @@ from sandwich.wiring import (
 )
 
 from hurwitz import canonical_factorization, hurwitz_move
+from matrices import from_rows
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
 from test_read_side import arrangement
@@ -364,7 +364,7 @@ def reference_incidence(w):
         kinds.append("free" if ev.kind == "F" else "intersection")
         for label in labels:
             rows[label].append(sum(1 for s in ids if w.components[s - 1] == label))
-    return IncidenceMatrix(
+    return from_rows(
         tuple(labels), tuple(tuple(rows[label]) for label in labels), tuple(kinds)
     )
 
@@ -650,12 +650,23 @@ class TestVanishing:
         again = factorization_from_json(factorization_json(fact))
         assert canonical_factorization(again) == canonical_factorization(fact)
 
-    def test_arc_span_is_not_read(self):
-        # an arc always spans one gap: a "span" in its JSON is ignored
-        read = [factorization_from_json({"holes": 3, "items": [{"kind": "arc", "start": 1, **extra}]})
-                for extra in ({"span": 7}, {})]
-        assert read[0] == read[1] and read[0].items[0].span == 1
-        assert "span" not in factorization_json(read[0])["items"][0]
+    def test_arc_span_other_than_one_is_refused(self):
+        # an arc spans one gap: "span": 1 reads as the arc without it, and is
+        # written back without it; any other span is the record's range
+        # error, located at the item, before its base is looked at
+        def read(start=1, **extra):
+            items = [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": start, **extra}]
+            return factorization_from_json({"holes": 3, "items": items})
+
+        assert read(span=1) == read() and read().items[1].span == 1
+        assert "span" not in factorization_json(read(span=1))["items"][1]
+        for span, start in ((7, 1), (0, 1), (2, 1), (-1, 2), (7, 3)):
+            with pytest.raises(RangeError) as exc:
+                read(start, span=span)
+            assert exc.value.message == f"no item of kind 'arc' and span {span}"
+            assert exc.value.location == "items[1]"
+        with pytest.raises(FormatError, match="expected an integer, got True"):
+            read(span=True)
 
     def test_factorization_json_keeps_twists(self):
         plain = Factorization(3, (HoleCurve(3, (), 1, 0), HoleArc(3, (), 1)))

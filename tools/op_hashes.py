@@ -27,7 +27,8 @@ a row, a bad token, and their precedence) and of RANGE_FAULTS (each kind
 of event, and a braid letter, outside the strands), ``wire-from-vanishing``
 on each 3-hole factorization of FACT_FAULTS (a conjugator letter 5 or 0,
 an arc base and a curve base outside the holes, a twists vector of the
-wrong length, and nonzero twists, which have no diagram form), ``auts`` on the two graphs of NOT_TREES that are no trees, and ``germ`` on
+wrong length, nonzero twists, which have no diagram form, and an arc
+with span 7), ``auts`` on the two graphs of NOT_TREES that are no trees, and ``germ`` on
 a graph whose blow-down stalls.  Last come braid equalities past the ladder: ``braid_equal`` on the
 boundary braid of the generic arrangement of m lines, for each m of
 EXTRA_EQUAL_M, against a copy with s1 s2 s1 s2' s1' s2' conjugated into
@@ -36,8 +37,8 @@ m stops at 24: checkouts that decide equality by two Garside normal forms
 take about half a second per normal form there.  Then ``vanishing`` on the
 generic arrangement of m lines for each m of EXTRA_VANISHING_M, the
 paper's sizes, and ``wire-from-vanishing`` on its output.  Together the
-ops take a few seconds.  The output is 195 lines: 159 for the workload
-plans and 36 extra."""
+ops take a few seconds.  The output is 196 lines: 159 for the workload
+plans and 37 extra."""
 
 import hashlib
 import json
@@ -62,6 +63,7 @@ FACT_FAULTS = {
     "letter 0": [{"kind": "cycle", "start": 1, "span": 1, "conjugator": [1, 0]}],
     "twists of the wrong length": [{"kind": "arc", "start": 1, "twists": [0, 0, 0]}],
     "nonzero twists": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 2, "twists": [1, 0, 0, -1]}],
+    "arc span 7": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "span": 7}],
 }
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",

@@ -15,13 +15,24 @@ the component labels of seed 7, and prints one markdown table row:
 - ``walk``: milliseconds of the strand walk (``WiringDiagram.walked``,
   computed anew on each call instead of read from its cache);
 - ``incidence``: milliseconds per call, on a diagram whose walk is cached;
-- ``incidence_canonical``: milliseconds per call on that matrix;
+- ``incidence_canonical``: milliseconds per call on that matrix, whose
+  rows are already in label order, so the call is one sort of its stored
+  columns;
 - ``render``: milliseconds per call of the SVG renderer;
 - ``render peak``: the ``tracemalloc`` peak of one ``render`` call as a
   multiple of the length of the SVG it returns;
 - ``compare``: milliseconds per ``cli.main`` call of ``compare`` of the
   arrangement against its copy with the free points first (two parses, two
-  walks and one labelled equivalence), on files in a temporary directory.
+  walks and one labelled equivalence), on files in a temporary directory;
+- ``incidence`` CLI: milliseconds per ``cli.main`` call of ``incidence`` on
+  the arrangement (a parse, a walk, the matrix, its canonical form and the
+  JSON);
+- ``compare --unlabeled``: milliseconds per ``cli.main`` call of ``compare
+  --unlabeled`` of the arrangement against that copy (as ``compare``, with
+  two canonical forms in place of the labelled equivalence).
+
+The last three are diagram-read ops; beside ``render`` they are its
+slowest at the top rungs.
 
 A second table has one row per text read by a parser: each star and cusp
 cluster that graph-pipeline writes at seed 7 (its ``graph`` and ``scott``
@@ -113,8 +124,9 @@ def main(argv=None) -> int:
     wiring, fillings, cli = api.wiring, api.fillings, api.cli
     labels_all = workloads.Names(SEED).take(max(workloads.ARRANGEMENT_M))
     print("| m | `seq` entries / distinct | svg bytes | `parse_wire` | walk | `incidence` "
-          "| `incidence_canonical` | `render` | render peak | `compare` |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+          "| `incidence_canonical` | `render` | render peak | `compare` | `incidence` CLI "
+          "| `compare --unlabeled` |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for m in workloads.ARRANGEMENT_M:
         text = workloads.arrangement(labels_all[:m])
         chunks = [c.strip() for c in text.partition("seq:")[2].split(",")]
@@ -128,12 +140,17 @@ def main(argv=None) -> int:
             a, copy = Path(tmp) / "a.wire", Path(tmp) / "copy.wire"
             a.write_text(text)
             copy.write_text(workloads.arrangement(labels_all[:m], free_first=True))
-            compare_ms, result = median_ms(lambda: api.run_cli("compare", "--wire", a, "--wire", copy))
-        if result.code != 0:
-            raise SystemExit(f"compare m={m} exited {result.code}: {result.stderr}")
+            cli_ms = {}
+            for label, argv in (("compare", ("compare", "--wire", a, "--wire", copy)),
+                                ("incidence", ("incidence", "--wire", a)),
+                                ("compare --unlabeled", ("compare", "--wire", a, "--wire", copy, "--unlabeled"))):
+                cli_ms[label], result = median_ms(lambda: api.run_cli(*argv))
+                if result.code != 0:
+                    raise SystemExit(f"{label} m={m} exited {result.code}: {result.stderr}")
         print(f"| {m} | {len(chunks):,} / {len(set(chunks)):,} | {len(svg):,} | {parse_ms:,.2f} ms "
               f"| {walk_ms:,.2f} ms | {incidence_ms:,.2f} ms | {canonical_ms:,.2f} ms "
-              f"| {render_ms:,.2f} ms | {peak:.2f}× | {compare_ms:,.2f} ms |", flush=True)
+              f"| {render_ms:,.2f} ms | {peak:.2f}× | {cli_ms['compare']:,.2f} ms "
+              f"| {cli_ms['incidence']:,.2f} ms | {cli_ms['compare --unlabeled']:,.2f} ms |", flush=True)
     print()
     print("| text | parser | lines | ms per call | µs per line |")
     print("| --- | --- | --- | --- | --- |")
