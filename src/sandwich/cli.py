@@ -134,71 +134,83 @@ def render(w: WiringDiagram, version: int = 1) -> str:
     """Strands as polylines left to right, position 1 at the bottom; one x
     unit per seq element, one y unit per strand position.  Crossings break
     the understrand; tangencies are filled diamonds, intersections filled
-    dots sized by strand count, free points open circles.  Each coordinate
-    string is formatted once: ys[p] per position, x per letter or event.
-    The straight segments outside each window are one template per call,
-    and the document is one join of the path pieces."""
+    dots sized by strand count, free points open circles.  What depends on
+    the diagram alone is formatted once per call, in tables of the call:
+    the y string of each position, the end and gap y strings of each signed
+    letter, and the centre y, radius and spokes of each event window.  So
+    is each column boundary; those at the ends of a braid slot are whole
+    numbers, written as the integer and ".000".  The straight segments
+    outside a window are one template, split at the left x and filled with
+    one join and one replacement of the right x.  A crossing is then one
+    f-string and one fill, an event one fill of its spokes and straight
+    segments, and the document one join of the path pieces."""
     n = w.n
     ys = [f"{n - p + 1:.3f}" for p in range(n + 1)]
-    gap = 0.18
-    near, far = 0.5 - gap, 0.5 + gap
+    near, far = 0.5 - 0.18, 0.5 + 0.18  # the understrand's gap
     paths: list[str] = []
     markers: list[str] = []
-    runs: dict[tuple[int, int], list[str]] = {}  # straight segments per window, split at x0; x1 is \1
+    crossings, windows = {}, {}  # per signed letter, per event window (lo, hi)
 
-    def horizontal(a: str, b: str, lo: int, hi: int) -> None:
-        """Straight segments from x string a to b at positions outside lo..hi."""
-        parts = runs.get((lo, hi))
-        if parts is None:
-            parts = runs[lo, hi] = " ".join([f"M \0 {yp} L \1 {yp}" for yp in ys[1:lo] + ys[hi + 1 :]]).split("\0")
-        if len(parts) > 1:  # no segments would add a stray space to the path
-            paths.append(a.join(parts).replace("\1", b))
+    def straight(lo: int, hi: int, whole: str = "") -> list[str]:
+        """The straight segments at positions outside lo..hi, with the left
+        x as \\0 and the right x as \\1, each followed by ``whole``."""
+        return [f"M \0{whole} {yp} L \1{whole} {yp}" for yp in ys[1:lo] + ys[hi + 1 :]]
 
+    bare = " ".join(straight(0, 0, ".000")).split("\0")
+    left = "0"  # the integer x where the next braid slot starts
     for j, (word, ev) in enumerate(zip(w.braids, w.events + (None,))):
         x = 2 * j
         m = len(word)
-        xf = [x + t / m for t in range(m + 1)] if m else [x, x + 1]
-        xs = [f"{v:.3f}" for v in xf]
+        right = str(x + 1)
         if not m:
-            horizontal(xs[0], xs[1], 0, 0)
-        # rightmost letter acts first, so it is drawn first
-        for t, letter in enumerate(reversed(word)):
-            x0, x1 = xf[t], xf[t + 1]
-            i = abs(letter)
-            # the understrand runs from position p0 to p1, the overstrand back
-            p0, p1 = (i + 1, i) if letter > 0 else (i, i + 1)
-            u0, u1 = n - p0 + 1, n - p1 + 1
-            paths += (
-                f"M {xs[t]} {ys[p1]} L {xs[t + 1]} {ys[p0]}",
-                f"M {xs[t]} {ys[p0]} L {x0 + near * (x1 - x0):.3f} {u0 + near * (u1 - u0):.3f}",
-                f"M {x0 + far * (x1 - x0):.3f} {u0 + far * (u1 - u0):.3f} L {xs[t + 1]} {ys[p1]}",
-            )
-            horizontal(xs[t], xs[t + 1], i, i + 1)
+            paths.append(left.join(bare).replace("\1", right))
+        else:
+            xf = [x + t / m for t in range(m + 1)]
+            xs = [f"{left}.000"] + [f"{v:.3f}" for v in xf[1:m]] + [f"{right}.000"]
+            # rightmost letter acts first, so it is drawn first
+            for t, letter in enumerate(reversed(word)):
+                if letter not in crossings:
+                    i = abs(letter)
+                    parts = " ".join(straight(i, i + 1)).split("\0")  # one template for i and -i
+                    # the understrand runs from position p0 to p1, the overstrand back
+                    for signed, p0, p1 in ((i, i + 1, i), (-i, i, i + 1)):
+                        u0, u1 = n - p0 + 1, n - p1 + 1
+                        crossings[signed] = (ys[p1], ys[p0], f"{u0 + near * (u1 - u0):.3f}",
+                                             f"{u0 + far * (u1 - u0):.3f}", parts)
+                y1, y0, ny, fy, parts = crossings[letter]
+                a, b, xa, xb = xs[t], xs[t + 1], xf[t], xf[t + 1]
+                paths.append(f"M {a} {y1} L {b} {y0} M {a} {y0} L {xa + near * (xb - xa):.3f} {ny} "
+                             f"M {xa + far * (xb - xa):.3f} {fy} L {b} {y1}")
+                if len(parts) > 1:  # a letter on two strands leaves no straight segment
+                    paths.append(a.join(parts).replace("\1", b))
         if ev is None:
             break
-        x += 1
         lo, hi = ev.lo, ev.hi
-        k = hi - lo + 1
-        cx, yc = x + 0.5, sum(n - p + 1 for p in range(lo, hi + 1)) / k
-        sx, sx1, scx, syc = f"{x:.3f}", f"{x + 1:.3f}", f"{cx:.3f}", f"{yc:.3f}"
-        for yp in ys[lo : hi + 1]:
-            paths += (f"M {sx} {yp} L {scx} {syc}", f"M {scx} {syc} L {sx1} {yp}")
-        horizontal(sx, sx1, lo, hi)
+        if (lo, hi) not in windows:
+            k = hi - lo + 1
+            yc = sum(n - p + 1 for p in range(lo, hi + 1)) / k
+            syc = f"{yc:.3f}"
+            # the event spans x + 1 .. x + 2 (\0 .. \1), its centre halfway
+            spokes = [f"M \0.000 {yp} L \0.500 {syc} M \0.500 {syc} L \1.000 {yp}" for yp in ys[lo : hi + 1]]
+            windows[lo, hi] = (yc, syc, f"{0.08 + 0.03 * k:.3f}",
+                               " ".join(spokes + straight(lo, hi, ".000")).split("\0"))
+        yc, syc, radius, parts = windows[lo, hi]
+        left = str(x + 2)
+        paths.append(right.join(parts).replace("\1", left))
         if ev.kind == "T":
-            r = 0.16
+            r, cx = 0.16, x + 1.5
             markers.append(
-                f'<path class="tangency" fill="black" d="M {scx} {yc - r:.3f} '
-                f'L {cx + r:.3f} {syc} L {scx} {yc + r:.3f} L {cx - r:.3f} {syc} Z"/>\n'
+                f'<path class="tangency" fill="black" d="M {right}.500 {yc - r:.3f} '
+                f'L {cx + r:.3f} {syc} L {right}.500 {yc + r:.3f} L {cx - r:.3f} {syc} Z"/>\n'
             )
         elif ev.kind == "I":
             markers.append(
-                f'<circle class="intersection" fill="black" '
-                f'cx="{scx}" cy="{syc}" r="{0.08 + 0.03 * k:.3f}"/>\n'
+                f'<circle class="intersection" fill="black" cx="{right}.500" cy="{syc}" r="{radius}"/>\n'
             )
         else:
             markers.append(
                 f'<circle class="free" fill="white" stroke="black" stroke-width="0.04" '
-                f'cx="{scx}" cy="{syc}" r="0.110"/>\n'
+                f'cx="{right}.500" cy="{syc}" r="0.110"/>\n'
             )
 
     width = len(w.braids) + len(w.events)

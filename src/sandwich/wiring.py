@@ -107,7 +107,9 @@ class WiringDiagram:
                    for b in dict.fromkeys(self.braids)}
         object.__setattr__(self, "braids", tuple(map(reduced.__getitem__, self.braids)))
         object.__setattr__(self, "events", tuple(self.events))
-        for ev in self.events:
+        # parse_wire shares one object per distinct event chunk; each object
+        # is checked once, in order of first use, so the first bad one is reported
+        for ev in dict(zip(map(id, self.events), self.events)).values():
             _check_event(ev, self.n)
         comp = tuple(self.components)
         if not comp:
@@ -370,25 +372,22 @@ def _event_bottom(ev: Event) -> Word:
     return () if ev.kind == "T" else half_twist(ev.lo, ev.hi)
 
 
-def _event_top(ev: Event) -> Word:
-    """The negative half twist on the window: one negative crossing for a
-    tangency, none for a free point."""
-    return inverse_word(half_twist(ev.lo, ev.hi))
-
-
 def pushoffs(w: WiringDiagram) -> tuple[Word, Word]:
     """(top, bottom) monodromy words.  The bottom pushoff sees each
     interleaving braid and a positive half twist per intersection; the top
     sees the braids, inverse half twists, and one negative crossing per
-    tangency.  Later parts act later (leftmost in the word)."""
-    top: Word = ()
-    bottom: Word = ()
-    for b, ev in zip(w.braids, w.events):
-        bottom = _event_bottom(ev) + b + bottom
-        top = _event_top(ev) + b + top
-    bottom = reduce_word(w.braids[-1] + bottom)
-    top = reduce_word(w.braids[-1] + top)
-    return top, bottom
+    tangency.  Later parts act later (leftmost in the word), so each word
+    is one list, extended part by part from the last; each event's half
+    twist is built once, for both words."""
+    top, bottom = list(w.braids[-1]), list(w.braids[-1])
+    for b, ev in zip(w.braids[-2::-1], w.events[::-1]):
+        twist = half_twist(ev.lo, ev.hi)  # one crossing for a tangency, none for a free point
+        top += inverse_word(twist)
+        top += b
+        if ev.kind != "T":
+            bottom += twist
+        bottom += b
+    return reduce_word(top), reduce_word(bottom)
 
 
 def boundary_braid(w: WiringDiagram) -> Word:

@@ -1,8 +1,11 @@
-"""The one random cluster generator the test modules share."""
+"""The one random cluster generator the test modules share, and the Scott
+layouts of its clusters."""
 
 import itertools
 
+from sandwich.errors import SandwichError
 from sandwich.plumbing import cluster
+from sandwich.wiring import scott
 
 
 def rand_cluster(rng):
@@ -47,3 +50,17 @@ def rand_cluster(rng):
             mults[pid][b] = max(below, 1)
     triples = [(pid, parent, extra) for pid, parent, extra, _ in points]
     return cluster(branches, triples, mults)
+
+
+def rand_layouts(rng, tries=200):
+    """The Scott layouts of ``tries`` random clusters, less the clusters
+    that have none (a branch that shrinks inside a window); at least half
+    have one."""
+    layouts = []
+    for _ in range(tries):
+        try:
+            layouts.append(scott(rand_cluster(rng)))
+        except SandwichError:
+            pass
+    assert len(layouts) >= tries // 2
+    return layouts

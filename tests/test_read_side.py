@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 from sandwich.cli import render
 from sandwich.errors import FormatError, RangeError, SandwichError
 from sandwich import fillings
-from sandwich.fillings import incidence_canonical, incidence_equiv
+from sandwich.fillings import incidence_canonical, incidence_equiv, unexpected_arrangement
 from sandwich.mcg import check_braid_word
+from sandwich.plumbing import parse_plumb
 from sandwich.wiring import (
     _BRAID_RE,
     _EVENT_RE,
@@ -45,6 +46,7 @@ from sandwich.wiring import (
 )
 
 from matrices import from_rows
+from random_clusters import rand_layouts
 from random_diagrams import rand_diagram
 
 # ---------------------------------------------------------------------------
@@ -426,6 +428,28 @@ def arrangement(m, free_per_line=2, free_first=False, drop=None, trade=False):
         push(ev)
     braids.append(pending)
     return WiringDiagram(m, tuple(braids), tuple(events), tuple(f"L{i:02d}" for i in range(m, 0, -1)))
+
+
+def unexpected_wires():
+    """The combined ``.wire`` that ``unexpected`` writes for the pair and
+    the triple of smooth branches at N = 1 and 2 (9 to 12 strands), read
+    back."""
+    for text in ("vertex v -3\ncurvetta a on v\ncurvetta b on v\n",
+                 "vertex v -4\ncurvetta a on v\ncurvetta b on v\ncurvetta c on v\n"):
+        g, aug, _ = parse_plumb(text)
+        for n in (1, 2):
+            yield parse_wire(serialize_wire(unexpected_arrangement(g, aug, n, 5).wiring))
+
+
+def test_scott_layouts_and_unexpected_wires():
+    # Scott layouts of random clusters draw tangency diamonds; the
+    # unexpected wires are the widest built diagrams, with no tangency
+    layouts = rand_layouts(random.Random(28))
+    assert sum(ev.kind == "T" for w in layouts for ev in w.events) >= 50
+    wires = list(unexpected_wires())
+    assert [w.n for w in wires] == [9, 11, 10, 12]
+    for w in layouts + wires:
+        assert_read_side_agrees(w)
 
 
 def test_random_diagrams_inferred_and_declared_components():

@@ -12,7 +12,6 @@ from sandwich.errors import (
     MultiplicityNotOneError,
     ProximityViolationError,
     RangeError,
-    SandwichError,
 )
 from sandwich.mcg import (
     Factorization,
@@ -27,8 +26,7 @@ from sandwich.mcg import (
     inverse_word,
     reduce_word,
 )
-from sandwich.fillings import unexpected_arrangement
-from sandwich.plumbing import _find, _union, cluster, germ_from_cluster, parse_plumb
+from sandwich.plumbing import _find, _union, cluster, germ_from_cluster
 from sandwich.wiring import (
     EnclosureData,
     Event,
@@ -61,9 +59,9 @@ from sandwich.wiring import (
 
 from hurwitz import canonical_factorization, hurwitz_move
 from matrices import from_rows
-from random_clusters import rand_cluster
+from random_clusters import rand_layouts
 from random_diagrams import rand_diagram
-from test_read_side import arrangement
+from test_read_side import arrangement, unexpected_wires
 
 FIG = """
 strands 4
@@ -475,7 +473,24 @@ def test_strand_walk_properties(w):
 # boundary braid and pushoffs
 
 
+def reference_pushoffs(w):
+    """``pushoffs`` as first written: each event's half twist and braid
+    word prepended to the growing words, O(E·L) in all."""
+    top = bottom = ()
+    for b, ev in zip(w.braids, w.events):
+        bottom = (() if ev.kind == "T" else half_twist(ev.lo, ev.hi)) + b + bottom
+        top = inverse_word(half_twist(ev.lo, ev.hi)) + b + top
+    return reduce_word(w.braids[-1] + top), reduce_word(w.braids[-1] + bottom)
+
+
 class TestBoundary:
+    def test_pushoffs_match_reference(self):
+        # random diagrams, Scott layouts, arrangements up to 40 lines and
+        # the unexpected wires
+        diagrams = [*trusted_path_diagrams(), *(arrangement(m) for m in (24, 32, 40))]
+        for w in diagrams:
+            assert pushoffs(w) == reference_pushoffs(w)
+
     def test_lone_tangency_is_positive_half_twist(self):
         w = parse_wire("strands 2\nseq: 1, T(1), 1\n")
         assert boundary_braid(w) == (1,)
@@ -553,19 +568,9 @@ def trusted_path_diagrams():
     arrangements of up to 16 lines and ``unexpected`` at N = 1, 2."""
     rng = random.Random(26)
     yield from (rand_diagram(rng, max_n=7, max_events=12) for _ in range(500))
-    layouts = []
-    for _ in range(200):
-        try:
-            layouts.append(scott(rand_cluster(rng)))
-        except SandwichError:  # a cluster whose branch shrinks inside a window has no layout
-            pass
-    assert len(layouts) >= 100
-    yield from layouts
+    yield from rand_layouts(rng)
     yield from (arrangement(m) for m in range(1, 17))
-    for text in ("vertex v -3\ncurvetta a on v\ncurvetta b on v\n",
-                 "vertex v -4\ncurvetta a on v\ncurvetta b on v\ncurvetta c on v\n"):
-        g, aug, _ = parse_plumb(text)
-        yield from (unexpected_arrangement(g, aug, n, 5).wiring for n in (1, 2))
+    yield from unexpected_wires()
 
 
 class TestVanishing:

@@ -36,9 +36,12 @@ its middle (the same braid) and a copy with s1^2 there (another braid).
 m stops at 24: checkouts that decide equality by two Garside normal forms
 take about half a second per normal form there.  Then ``vanishing`` on the
 generic arrangement of m lines for each m of EXTRA_VANISHING_M, the
-paper's sizes, and ``wire-from-vanishing`` on its output.  Together the
-ops take a few seconds.  The output is 196 lines: 159 for the workload
-plans and 37 extra."""
+paper's sizes, and ``wire-from-vanishing`` on its output.  Last, ``render``
+on two diagrams that no workload renders: the Scott layout of the
+two-cusp germ, the one hashed render that draws tangencies, and the
+``.wire`` that ``unexpected`` writes for the pair at N = 1 (9 strands).
+Together the ops take a few seconds.  The output is 198 lines: 159 for
+the workload plans and 39 extra."""
 
 import hashlib
 import json
@@ -167,6 +170,14 @@ def extra_ops(api, workloads, work: Path) -> list:
                                 lambda fact=fact, rebuilt=rebuilt: api.run_cli(
                                     "wire-from-vanishing", "--fact", fact, "-o", rebuilt),
                                 {}, None, (rebuilt,)))
+    germ, cusp_wire = work / "twocusp.germ", work / "twocusp.wire"
+    germ.write_text(workloads.cusp_cluster(workloads.Names(SEED), 3, weights=True).text)
+    api.run_cli("scott", "--germ", germ, "-o", cusp_wire)
+    api.run_cli("unexpected", "--graph", work / "pair.plumb", "-N", 1, "--wmax", workloads.WMAX,
+                "-o", work / "K_pair_1")
+    for tag, wire in (("two-cusp scott", cusp_wire), ("unexpected pair N=1", work / "K_pair_1.wire")):
+        ops.append(workloads.Op("render", f"render {tag}",
+                                lambda wire=wire: api.run_cli("render", "--wire", wire), {}, None))
     return ops
 
 

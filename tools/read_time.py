@@ -14,6 +14,8 @@ the component labels of seed 7, and prints one markdown table row:
 - ``parse_wire``: milliseconds to parse the ``.wire`` text;
 - ``walk``: milliseconds of the strand walk (``WiringDiagram.walked``,
   computed anew on each call instead of read from its cache);
+- ``boundary_braid``: milliseconds per call (both pushoffs, then the
+  reduced product of the top's inverse and the bottom);
 - ``incidence``: milliseconds per call, on a diagram whose walk is cached;
 - ``incidence_canonical``: milliseconds per call on that matrix, whose
   rows are already in label order, so the call is one sort of its stored
@@ -123,15 +125,16 @@ def main(argv=None) -> int:
         return 2
     wiring, fillings, cli = api.wiring, api.fillings, api.cli
     labels_all = workloads.Names(SEED).take(max(workloads.ARRANGEMENT_M))
-    print("| m | `seq` entries / distinct | svg bytes | `parse_wire` | walk | `incidence` "
+    print("| m | `seq` entries / distinct | svg bytes | `parse_wire` | walk | `boundary_braid` | `incidence` "
           "| `incidence_canonical` | `render` | render peak | `compare` | `incidence` CLI "
           "| `compare --unlabeled` |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for m in workloads.ARRANGEMENT_M:
         text = workloads.arrangement(labels_all[:m])
         chunks = [c.strip() for c in text.partition("seq:")[2].split(",")]
         parse_ms, w = median_ms(lambda: wiring.parse_wire(text))
         walk_ms, _ = median_ms(lambda: type(w).walked.func(w))
+        braid_ms, _ = median_ms(lambda: wiring.boundary_braid(w))
         incidence_ms, matrix = median_ms(lambda: wiring.incidence(w))
         canonical_ms, _ = median_ms(lambda: fillings.incidence_canonical(matrix))
         render_ms, svg = median_ms(lambda: cli.render(w))
@@ -148,7 +151,7 @@ def main(argv=None) -> int:
                 if result.code != 0:
                     raise SystemExit(f"{label} m={m} exited {result.code}: {result.stderr}")
         print(f"| {m} | {len(chunks):,} / {len(set(chunks)):,} | {len(svg):,} | {parse_ms:,.2f} ms "
-              f"| {walk_ms:,.2f} ms | {incidence_ms:,.2f} ms | {canonical_ms:,.2f} ms "
+              f"| {walk_ms:,.2f} ms | {braid_ms:,.2f} ms | {incidence_ms:,.2f} ms | {canonical_ms:,.2f} ms "
               f"| {render_ms:,.2f} ms | {peak:.2f}× | {cli_ms['compare']:,.2f} ms "
               f"| {cli_ms['incidence']:,.2f} ms | {cli_ms['compare --unlabeled']:,.2f} ms |", flush=True)
     print()
