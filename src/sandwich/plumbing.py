@@ -137,7 +137,10 @@ def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
     numbers, so a contraction touches only the neighbours of the curve it
     removes.  ``euler`` holds the curves not yet contracted, and ``ones`` is
     a heap of (-1) curves with lazy deletion: euler numbers only grow, so a
-    curve enters it at most once and leaves it for good."""
+    curve enters it at most once and leaves it for good.  One walk over the
+    neighbours of each contracted curve updates the table, the euler
+    numbers and the heap, and collects the step's record; the heap's keys
+    are distinct names, so the order of pushes never moves a pop."""
     euler = dict(g.vertices)
     curvettas = aug.curvettas()
     col = {c: k for k, c in enumerate(curvettas)}
@@ -153,7 +156,7 @@ def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
         taken.add(arrow_vertex)
 
     graph_names = set(euler)
-    meet: dict[str, dict[str, int]] = {x: {} for x in taken}
+    meet = {x: {} for x in taken}  # name -> {name: intersection number}
     pairs = list(g.edges)
     for cname, vname in aug.arrows:
         arrow_vertex = ARROW_PREFIX + cname
@@ -164,7 +167,7 @@ def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
 
     ones = [v for v, e in euler.items() if e == -1]
     heapq.heapify(ones)
-    steps: list[BlowStep] = []
+    steps = []
     last_vertex = None
     while euler:
         while ones and euler.get(ones[0]) != -1:
@@ -177,18 +180,24 @@ def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
         e = heapq.heappop(ones)
         del euler[e]
         around = meet.pop(e)
-        for x in around:
+        mults, prox, simple = [], [], True
+        # a neighbour is a curve not yet contracted or a curvetta
+        for x, m in around.items():
             del meet[x][e]
-        mults = tuple(sorted((col[x], m) for x, m in around.items() if x in col))
-        prox = tuple(sorted(x for x in around if x in euler))
-        simple = all(around[x] <= 1 for x in prox)
-        for x in prox:
-            euler[x] += around[x] ** 2
+            if x in col:
+                mults.append((col[x], m))
+                continue
+            prox.append(x)
+            simple = simple and m == 1
+            euler[x] += m * m
             if euler[x] == -1:
                 heapq.heappush(ones, x)
-        for x, y in itertools.combinations(around, 2):
-            meet[x][y] = meet[y][x] = meet[x].get(y, 0) + around[x] * around[y]
-        steps.append(BlowStep(e, mults, prox, simple))
+        mults.sort()
+        prox.sort()
+        if len(around) > 1:
+            for (x, a), (y, b) in itertools.combinations(around.items(), 2):
+                meet[x][y] = meet[y][x] = meet[x].get(y, 0) + a * b
+        steps.append(BlowStep(e, tuple(mults), tuple(prox), simple))
         if e in graph_names:
             last_vertex = e
 
@@ -542,41 +551,42 @@ def cluster_from_trace(trace: BlowDownTrace) -> Cluster:
     in reverse order become points; each point is proximate to the curves
     it met when contracted, with the earliest-contracted one as parent."""
     order = {s.curve: j for j, s in enumerate(trace.steps)}
-    points = []
+    points, rows = [], []
     for s in reversed(trace.steps):
         if not s.simple:
             raise ProximityViolationError(
                 f"step {s.curve} meets another exceptional curve twice; no cluster presentation"
             )
-        if s.prox:
-            parent = min(s.prox, key=lambda v: order[v])
-            extra = tuple(sorted((v for v in s.prox if v != parent), key=lambda v: order[v]))
-        else:
-            parent, extra = None, ()
-        points.append(ClusterPoint(s.curve, parent, extra))
-    rows = tuple(dict(s.mults) for s in reversed(trace.steps))
-    return Cluster(trace.curvettas, tuple(points), rows)
+        parent, *extra = sorted(s.prox, key=order.__getitem__) if len(s.prox) > 1 else s.prox or (None,)
+        points.append(ClusterPoint(s.curve, parent, tuple(extra)))
+        rows.append(dict(s.mults))
+    return Cluster(trace.curvettas, tuple(points), tuple(rows))
 
 
 def subcluster(c: Cluster, branch_names) -> Cluster:
     """Restrict to a subset of distinct branches: keep points where the
-    subset has positive multiplicity."""
+    subset has positive multiplicity.  One pass in row order, in which a
+    point's parent and the points it is proximate to come first; a point
+    that keeps all of its ``prox`` is the same record object."""
     keep_b = [c.branches.index(b) for b in branch_names]
     if not keep_b:
         raise RangeError("empty branch subset")
     new = {b: k for k, b in enumerate(keep_b)}  # old column -> new column
-    rows = [{new[b]: m for b, m in row.items() if b in new} for row in c.mults]
-    keep_p = [i for i, row in enumerate(rows) if any(m > 0 for m in row.values())]
-    kept_ids = {c.points[i].id for i in keep_p}
-    points = []
-    for i in keep_p:
-        p = c.points[i]
-        if p.parent is not None and p.parent not in kept_ids:
+    kept = {None}  # the ids kept so far, and the root's parent
+    points, mults = [], []
+    for p, row in zip(c.points, c.mults):
+        row = {new[b]: m for b, m in row.items() if b in new}
+        if max(row.values(), default=0) <= 0:
+            continue
+        kept.add(p.id)
+        if p.parent not in kept:
             raise InternalInconsistencyError(f"point {p.id} lost its parent in the subcluster")
-        points.append(ClusterPoint(p.id, p.parent, tuple(q for q in p.prox if q in kept_ids)))
-    mults = tuple(rows[i] for i in keep_p)
+        if not kept.issuperset(p.prox):
+            p = ClusterPoint(p.id, p.parent, tuple(q for q in p.prox if q in kept))
+        points.append(p)
+        mults.append(row)
     weights = tuple(c.weights[b] for b in keep_b) if c.weights is not None else None
-    return Cluster(tuple(c.branches[b] for b in keep_b), tuple(points), mults, weights)
+    return Cluster(tuple(c.branches[b] for b in keep_b), tuple(points), tuple(mults), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -480,10 +480,13 @@ def scott(c: Cluster) -> WiringDiagram:
         block[k] = range(n + 1, n + 1 + c.mults[0][k])
         n += c.mults[0][k]
 
-    # per row: each branch's strand range, the depth and the window (lo, hi)
+    # per row: each branch's strand range, the depth and the point event of
+    # the window, one object per window from a memo that lives for this call
+    # only (a strand is lost once, so no tangency position repeats)
     parts: list[dict[int, range]] = []
     depth: list[int] = []
-    windows: list[tuple[int, int]] = []
+    windows: list[Event] = []
+    point = functools.cache(_event)
     high = [True] * len(c.branches)  # whether a branch kept the high end of its range last
     lost: list[list[int]] = [[] for _ in c.branches]  # tangency positions per branch
     for i, p in enumerate(c.points):
@@ -513,11 +516,10 @@ def scott(c: Cluster) -> WiringDiagram:
         if sum(map(len, row.values())) != last.stop - first.start:
             raise InternalInconsistencyError(f"window at {p.id} is not contiguous")
         parts.append(row)
-        windows.append((first.start, last.stop - 1))
+        windows.append(point(first.start, last.stop - 1))
 
     events = [Tangency(q) for k in order for q in sorted(lost[k])]
-    for i in sorted(range(len(c.points)), key=lambda i: (-depth[i], windows[i][0])):
-        events.append(_event(*windows[i]))
+    events += [windows[i] for i in sorted(range(len(c.points)), key=lambda i: (-depth[i], windows[i].lo))]
     labels = tuple(c.branches[k] for k in order for _ in block[k])
     return WiringDiagram(n, ((),) * (len(events) + 1), tuple(events), labels)
 
@@ -558,16 +560,20 @@ def combine(wa: WiringDiagram, wb: WiringDiagram) -> WiringDiagram:
         raise RangeError("component labels collide")
     nb = wb.n
     n = wa.n + nb
-    timeline: list[Word | Event] = []
+    timeline = []  # braid words and events, in time order
+    # one object per crossing window and per shifted event: the memos live
+    # for this call only
+    crossing = functools.cache(Intersection)
+    shifted = functools.cache(lambda ev: Event(ev.kind, ev.lo + nb, ev.hi + nb))
     for p in range(nb + 1, n + 1):
         for q in range(1, nb + 1):
             down = tuple(range(q + 1, p))
-            timeline += (down, Intersection(q, q + 1), inverse_word(down))
+            timeline += (down, crossing(q, q + 1), inverse_word(down))
     for word, ev in zip(wb.braids, wb.events):
         timeline += (word, ev)
     timeline.append(wb.braids[-1])
     for word, ev in zip(wa.braids, wa.events):
-        timeline += (_shift_word(word, nb), Event(ev.kind, ev.lo + nb, ev.hi + nb))
+        timeline += (_shift_word(word, nb), shifted(ev))
     timeline.append(_shift_word(wa.braids[-1], nb))
     return _assemble(n, timeline, wb.components + wa.components)
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -653,6 +654,26 @@ def reference_blow_down(g, aug, choose=None):
     return BlowDownTrace(curvettas, tuple(steps), last_vertex, pairwise)
 
 
+def reference_cluster_from_trace(trace):
+    """Takes each point's parent by ``min`` and sorts the rest, then reads
+    the rows in a second pass."""
+    order = {s.curve: j for j, s in enumerate(trace.steps)}
+    points = []
+    for s in reversed(trace.steps):
+        if not s.simple:
+            raise ProximityViolationError(
+                f"step {s.curve} meets another exceptional curve twice; no cluster presentation"
+            )
+        if s.prox:
+            parent = min(s.prox, key=lambda v: order[v])
+            extra = tuple(sorted((v for v in s.prox if v != parent), key=lambda v: order[v]))
+        else:
+            parent, extra = None, ()
+        points.append(ClusterPoint(s.curve, parent, extra))
+    rows = tuple(dict(s.mults) for s in reversed(trace.steps))
+    return Cluster(trace.curvettas, tuple(points), rows)
+
+
 def reference_pairwise(c):
     """Sums over every point for every branch pair: O(B^2 P)."""
     nb = len(c.branches)
@@ -859,21 +880,31 @@ def outcome(fn, *args, **kwargs):
 CHOICES = (lambda avail: avail[-1], lambda avail: avail[len(avail) // 2])
 
 
-def test_blow_down_matches_reference():
+def blow_down_cases():
+    """(graph, augmentation) cases, and the random clusters they come from:
+    a square whose blow-down has a step that is not simple, then the graph
+    of each of 150 random clusters, as it is and with nudged euler numbers
+    (which reach stalls and the error paths as well as sandwiched graphs)."""
     # a square x-a-y-b: contracting a and b makes x and y meet twice
     square = plumbing_graph({"x": -4, "y": -7, "a": -1, "b": -1},
                             [("x", "a"), ("a", "y"), ("x", "b"), ("b", "y")])
     cases = [(square, augmentation([("c", "x")]))]
-    assert not all(s.simple for s in blow_down(*cases[0]).steps)
+    clusters = []
     rng = random.Random(11)
     for _ in range(150):
         c = rand_cluster(rng)
-        assert germ_from_cluster(c).pairwise == reference_pairwise(c)
+        clusters.append(c)
         g, aug = graph_from_cluster(c)
-        # nudged euler numbers reach stalls and the error paths as well as
-        # sandwiched graphs
         vertices = [(v, e + rng.choice((-1, 0, 0, 0, 1))) for v, e in g.vertices]
         cases += [(g, aug), (plumbing_graph(vertices, g.edges), aug)]
+    return cases, clusters
+
+
+def test_blow_down_matches_reference():
+    cases, clusters = blow_down_cases()
+    assert not all(s.simple for s in blow_down(*cases[0]).steps)
+    for c in clusters:
+        assert germ_from_cluster(c).pairwise == reference_pairwise(c)
     for h, aug in cases:
         trace = outcome(blow_down, h, aug)
         assert trace == outcome(reference_blow_down, h, aug)
@@ -882,6 +913,54 @@ def test_blow_down_matches_reference():
             germ = outcome(germ_from_trace, trace, aug)
             for choose in CHOICES:
                 assert outcome(lambda: germ_from_trace(reference_blow_down(h, aug, choose), aug)) == germ
+
+
+def unexpected_traces():
+    """Blow-down traces of the star-extended graphs of ``unexpected`` for the
+    pair and the triple of smooth branches at N = 1..3, wmax 5."""
+    for k in (2, 3):
+        g = plumbing_graph({"v": -(k + 1)})
+        aug = augmentation([(c, "v") for c in "abc"[:k]])
+        for n in (1, 2, 3):
+            yield blow_down(*build_unexpected(g, aug, n, 5))
+
+
+def test_cluster_from_trace_matches_reference():
+    cases, _ = blow_down_cases()
+    traces = [t for t in (outcome(blow_down, h, aug) for h, aug in cases) if isinstance(t, BlowDownTrace)]
+    traces += unexpected_traces()
+    seen = collections.Counter()
+    for trace in traces:
+        got = outcome(cluster_from_trace, trace)
+        assert got == outcome(reference_cluster_from_trace, trace)
+        seen[type(got)] += 1
+        if isinstance(got, Cluster):
+            assert all(type(p.prox) is tuple for p in got.points)
+    # the square's trace is refused, every random cluster's graph is read
+    assert seen[tuple] >= 1 and seen[Cluster] >= 150 + 6
+
+
+def test_subcluster_shares_the_points_that_keep_their_prox():
+    # every point a kept point is proximate to is an ancestor, so where the
+    # ancestors are kept (else the parent check refuses) the prox is whole
+    rng = random.Random(29)
+    shared = 0
+    for _ in range(300):
+        c = rand_cluster(rng)
+        for mutant in [c] + mutate_rows(c, rng):
+            sub = outcome(subcluster, mutant, rng.sample(c.branches, rng.randint(1, len(c.branches))))
+            if isinstance(sub, Cluster):
+                old = {p.id: p for p in mutant.points}
+                assert all(p is old[p.id] for p in sub.points)
+                shared += len(sub.points)
+    assert shared > 10000
+    # b2 names a1, which is not its ancestor: a1 is dropped and b2 rebuilt
+    c = cluster(["A", "B"], [("r", None), ("a1", "r"), ("b1", "r"), ("b2", "b1", ["a1"])],
+                {"r": {"A": 1, "B": 1}, "a1": {"A": 1}, "b1": {"B": 1}, "b2": {"B": 1}})
+    sub = subcluster(c, ["B"])
+    assert sub.points == (c.points[0], c.points[2], ClusterPoint("b2", "b1", ()))
+    assert sub.points[0] is c.points[0] and sub.points[1] is c.points[2]
+    assert sub.points[2] is not c.points[3]
 
 
 def test_germ_of_long_chains():

@@ -430,15 +430,20 @@ def arrangement(m, free_per_line=2, free_first=False, drop=None, trade=False):
     return WiringDiagram(m, tuple(braids), tuple(events), tuple(f"L{i:02d}" for i in range(m, 0, -1)))
 
 
-def unexpected_wires():
-    """The combined ``.wire`` that ``unexpected`` writes for the pair and
-    the triple of smooth branches at N = 1 and 2 (9 to 12 strands), read
-    back."""
+def unexpected_layouts():
+    """The combined diagram that ``unexpected`` builds for the pair and the
+    triple of smooth branches at N = 1 and 2 (9 to 12 strands)."""
     for text in ("vertex v -3\ncurvetta a on v\ncurvetta b on v\n",
                  "vertex v -4\ncurvetta a on v\ncurvetta b on v\ncurvetta c on v\n"):
         g, aug, _ = parse_plumb(text)
         for n in (1, 2):
-            yield parse_wire(serialize_wire(unexpected_arrangement(g, aug, n, 5).wiring))
+            yield unexpected_arrangement(g, aug, n, 5).wiring
+
+
+def unexpected_wires():
+    """The combined ``.wire`` that ``unexpected`` writes for those, read
+    back."""
+    return (parse_wire(serialize_wire(w)) for w in unexpected_layouts())
 
 
 def test_scott_layouts_and_unexpected_wires():

@@ -61,7 +61,7 @@ from hurwitz import canonical_factorization, hurwitz_move
 from matrices import from_rows
 from random_clusters import rand_layouts
 from random_diagrams import rand_diagram
-from test_read_side import arrangement, unexpected_wires
+from test_read_side import arrangement, unexpected_layouts, unexpected_wires
 
 FIG = """
 strands 4
@@ -891,6 +891,17 @@ class TestCombine:
             assert inc.kinds[cols] == own.kinds
             start = cols.stop
         assert start == len(inc.kinds)
+
+    def test_one_object_per_distinct_event(self):
+        # scott builds one point event per window, combine one intersection
+        # per crossing window and one shifted event per distinct event of the
+        # upper part, and parse_wire one event per distinct chunk
+        layouts = rand_layouts(random.Random(28))
+        assert sum(len(w.events) - len(set(w.events)) for w in layouts) > 400
+        wa = parse_wire("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1, T(1), 1, I(1..2), 1\n")
+        wb = parse_wire("strands 2\ncomponents Y=1 Z=2\nseq: 1, F(1), 1, F(2), 1\n")
+        for w in [*layouts, *unexpected_layouts(), *unexpected_wires(), combine(wa, wb)]:
+            assert len({id(e) for e in w.events}) == len(set(w.events))
 
 
 # ---------------------------------------------------------------------------

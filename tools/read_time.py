@@ -1,13 +1,18 @@
 """In-process times of the read side: diagram-read's arrangements, then
 the ``.germ`` and ``.plumb`` readers.
 
-    python3 tools/read_time.py CHECKOUT
+    python3 tools/read_time.py CHECKOUT [OTHER] [--rounds R]
 
 Imports ``perfbench/workloads.py`` and the package under ``src/`` of the
 git checkout CHECKOUT, and writes nothing inside it (no bytecode cache
-either).  For each m of diagram-read's arrangement rungs (m = 8, 12, ..., 40)
-it builds the generic arrangement of m lines as that workload does, with
-the component labels of seed 7, and prints one markdown table row:
+either).  With a second checkout OTHER it runs R alternating rounds, each
+checkout in a fresh subprocess, and pairs the medians (``tools/paired.py``),
+so that a drift in the machine's speed between runs does not read as a
+difference between the checkouts.
+
+For each m of diagram-read's arrangement rungs (m = 8, 12, ..., 40) it
+builds the generic arrangement of m lines as that workload does, with the
+component labels of seed 7, and gives one row of the first table:
 
 - ``seq``: the entries of its ``seq`` line against the distinct chunks
   among them (``parse_wire`` reads each distinct chunk once);
@@ -49,13 +54,13 @@ least one, after one untimed call.  The peak is taken with tracing on only
 around that one call, so the times are not slowed by it.
 """
 
-import argparse
-import statistics
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
+
+sys.dont_write_bytecode = True
+import paired  # noqa: E402  (after the flag, so no cache is written beside it)
 
 SEED = 7
 BUDGET_S = 0.5
@@ -64,16 +69,7 @@ CHAIN_VERTICES = 2000
 
 
 def median_ms(call) -> tuple[float, object]:
-    """Median milliseconds of repeated calls after one untimed call, and the
-    last result."""
-    call()
-    times: list[float] = []
-    start = time.perf_counter()
-    while not times or (time.perf_counter() - start < BUDGET_S and len(times) < MAX_CALLS):
-        t0 = time.perf_counter()
-        result = call()
-        times.append(time.perf_counter() - t0)
-    return 1000 * statistics.median(times), result
+    return paired.median_ms(call, BUDGET_S, MAX_CALLS)
 
 
 def peak_ratio(call) -> float:
@@ -107,28 +103,15 @@ def parse_rows(workloads, api):
     return rows
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path)
-    args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
-        print(f"no src/sandwich in {checkout}", file=sys.stderr)
-        return 2
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
-    import workloads
-
-    api = workloads.Api()
-    if checkout not in Path(api.cli.__file__).resolve().parents:
-        print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
-        return 2
+def measure(checkout: Path) -> list[dict]:
+    workloads, api = paired.import_api(checkout)
     wiring, fillings, cli = api.wiring, api.fillings, api.cli
     labels_all = workloads.Names(SEED).take(max(workloads.ARRANGEMENT_M))
-    print("| m | `seq` entries / distinct | svg bytes | `parse_wire` | walk | `boundary_braid` | `incidence` "
-          "| `incidence_canonical` | `render` | render peak | `compare` | `incidence` CLI "
-          "| `compare --unlabeled` |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    columns = [("m", ""), ("`seq` entries / distinct", ""), ("svg bytes", ","), ("`parse_wire` ms", ",.2f"),
+               ("walk ms", ",.2f"), ("`boundary_braid` ms", ",.2f"), ("`incidence` ms", ",.2f"),
+               ("`incidence_canonical` ms", ",.2f"), ("`render` ms", ",.2f"), ("render peak ×", ".2f"),
+               ("`compare` ms", ",.2f"), ("`incidence` CLI ms", ",.2f"), ("`compare --unlabeled` ms", ",.2f")]
+    rows = []
     for m in workloads.ARRANGEMENT_M:
         text = workloads.arrangement(labels_all[:m])
         chunks = [c.strip() for c in text.partition("seq:")[2].split(",")]
@@ -143,31 +126,30 @@ def main(argv=None) -> int:
             a, copy = Path(tmp) / "a.wire", Path(tmp) / "copy.wire"
             a.write_text(text)
             copy.write_text(workloads.arrangement(labels_all[:m], free_first=True))
-            cli_ms = {}
+            cli_ms = []
             for label, argv in (("compare", ("compare", "--wire", a, "--wire", copy)),
                                 ("incidence", ("incidence", "--wire", a)),
                                 ("compare --unlabeled", ("compare", "--wire", a, "--wire", copy, "--unlabeled"))):
-                cli_ms[label], result = median_ms(lambda: api.run_cli(*argv))
+                ms, result = median_ms(lambda: api.run_cli(*argv))
                 if result.code != 0:
                     raise SystemExit(f"{label} m={m} exited {result.code}: {result.stderr}")
-        print(f"| {m} | {len(chunks):,} / {len(set(chunks)):,} | {len(svg):,} | {parse_ms:,.2f} ms "
-              f"| {walk_ms:,.2f} ms | {braid_ms:,.2f} ms | {incidence_ms:,.2f} ms | {canonical_ms:,.2f} ms "
-              f"| {render_ms:,.2f} ms | {peak:.2f}× | {cli_ms['compare']:,.2f} ms "
-              f"| {cli_ms['incidence']:,.2f} ms | {cli_ms['compare --unlabeled']:,.2f} ms |", flush=True)
-    print()
-    print("| text | parser | lines | ms per call | µs per line |")
-    print("| --- | --- | --- | --- | --- |")
+                cli_ms.append(ms)
+        rows.append([m, f"{len(chunks):,} / {len(set(chunks)):,}", len(svg), parse_ms, walk_ms, braid_ms,
+                     incidence_ms, canonical_ms, render_ms, peak, *cli_ms])
+    texts = []
     pass_ms = pass_lines = 0
     for label, text, parse in parse_rows(workloads, api):
         ms, _ = median_ms(lambda: parse(text))
         lines = sum(1 for line in text.splitlines() if line.split("#", 1)[0].strip())
         if parse is api.plumbing.parse_germ:
             pass_ms, pass_lines = pass_ms + 2 * ms, pass_lines + 2 * lines
-        print(f"| {label} | `{parse.__name__}` | {lines:,} | {ms:,.3f} | {1000 * ms / lines:.2f} |", flush=True)
-    print(f"| clusters, one graph-pipeline pass | `parse_germ` | {pass_lines:,} | {pass_ms:,.3f} "
-          f"| {1000 * pass_ms / pass_lines:.2f} |")
-    return 0
+        texts.append([label, f"`{parse.__name__}`", lines, ms, 1000 * ms / lines])
+    texts.append(["clusters, one graph-pipeline pass", "`parse_germ`", pass_lines, pass_ms,
+                  1000 * pass_ms / pass_lines])
+    return [{"columns": columns, "rows": rows},
+            {"columns": [("text", ""), ("parser", ""), ("lines", ","), ("ms per call", ",.3f"),
+                                      ("µs per line", ".2f")], "rows": texts}]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(paired.main(__file__, measure))
