@@ -2,6 +2,7 @@
 together, and SVG rendering of wiring diagrams."""
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -403,6 +404,14 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
     return parser
 
 
+@functools.cache
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser add_parser builds for command ``name``, alone, built on
+    first use and kept for the process: it depends on ``_COMMANDS`` only,
+    and argparse keeps no per-parse state on a parser."""
+    return _add_arguments(_Parser(prog=f"sandwich {name}"), name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser with a subparser for each command."""
     p = _Parser(prog="sandwich", description="plumbing graphs, wiring diagrams, fillings")
@@ -417,9 +426,8 @@ def main(argv=None) -> int:
     name = argv[0] if argv else None
     try:
         if name in _COMMANDS:
-            # the parser add_parser builds for the command, alone: it parses,
-            # prints help and reports usage errors as it does under build_parser
-            args = _add_arguments(_Parser(prog=f"sandwich {name}"), name).parse_args(argv[1:])
+            # it parses, prints help and reports usage errors as build_parser does
+            args = _parser(name).parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
             name = args.command

@@ -1,6 +1,9 @@
-"""Statements and names of the line formats ``.plumb``, ``.germ`` and ``.wire``.
+r"""Statements and names of the line formats ``.plumb``, ``.germ`` and ``.wire``.
 
 A statement is a line's text before any ``#`` (in ``.wire`` also ``;``), stripped, if not blank.
+A line ends at ``"\n"`` only: other characters that ``str.splitlines`` breaks at, such as ``\f``,
+``\v`` or ``\u2028``, stay inside the line (and so inside a comment), and ``.strip()`` drops the
+``\r`` of a ``\r\n`` ending.
 A key ``define``d twice is ``duplicate <key>`` at the second, raised as it is read; a name ``use``d
 and never defined is ``<keyword> for unknown <kind> <name>`` at its first use, raised by ``check``
 after the last line, keywords in ``Ledger`` order.  Each is a ``FormatError`` at ``where``."""
@@ -19,7 +22,7 @@ class Ledger:
 
     def statements(self, text, sep=None):
         # each statement with ``line`` set to its line number, then ``check``
-        for self.line, raw in enumerate(text.splitlines(), 1):
+        for self.line, raw in enumerate(text.split("\n"), 1):
             line = raw.partition("#")[0]
             if sep:
                 yield from filter(None, map(str.strip, line.split(sep)))

@@ -492,8 +492,11 @@ def scott(c: Cluster) -> WiringDiagram:
     for i, p in enumerate(c.points):
         up = None if p.parent is None else ix.row[p.parent]
         depth.append(0 if up is None else depth[up] + 1)
-        # block starts increase along ``order``: the point's branches in that order
-        bs = sorted(c.mults[i], key=lambda k: block[k].start)
+        # block starts increase along ``order``: the point's branches in that
+        # order, sorted only when there are two or more (most points carry one)
+        bs = [*c.mults[i]]
+        if len(bs) > 1:
+            bs.sort(key=lambda k: block[k].start)
         if not bs:
             raise ProximityViolationError(f"point {p.id} carries no branch")
         row = {}

@@ -662,6 +662,30 @@ def test_a_copied_line_reads_the_same_or_is_named_at_the_copy():
     assert probes >= 4000
 
 
+# the characters other than "\n" (and "\r", which reading a file turns into "\n") at which
+# str.splitlines breaks a line
+LINE_BREAKS_BUT_NEWLINE = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS_BUT_NEWLINE, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("parse, text", [(parse_plumb, E3_PLUMB), (parse_germ, TWO_CUSP_GERM),
+                                         (parse_wire, FIG)], ids=["plumb", "germ", "wire"])
+def test_a_comment_holds_any_line_break_but_newline(parse, text, brk):
+    # the comment's tail after brk, a copy of the first statement, is no
+    # statement, and the lines after the comment keep their numbers
+    first, *rest = text.splitlines()
+    commented = "\n".join([f"{first}  # as before:{brk}{first}", *rest]) + "\n"
+    assert parse(commented) == parse(text)
+    with pytest.raises(FormatError) as ei:
+        parse(commented + "bogus\n")
+    assert ei.value.location == f"line {len(rest) + 2}"
+
+
+def test_a_plumb_file_comment_with_a_vertical_tab(work, capsys):
+    (work / "vt.plumb").write_text(E3_PLUMB.replace("\n", "  # E\x0bis the base\n", 1))
+    assert run(capsys, "germ", "--graph", work / "vt.plumb") == run(capsys, "germ", "--graph", work / "e3.plumb")
+
+
 # ---------------------------------------------------------------------------
 # the parser
 
@@ -685,29 +709,44 @@ def valid_argv(command):
     return argv
 
 
+def assert_main_parses_like_all(capsys, monkeypatch, command, cases):
+    """main on each argv of ``cases`` parses, prints and exits as a fresh
+    ``build_parser()`` does; the command's handler only records its args."""
+    parsed = []
+    _, help_text, arguments = _COMMANDS[command]
+    monkeypatch.setitem(_COMMANDS, command, (lambda args, version: parsed.append(vars(args)) or 0,
+                                             help_text, arguments))
+    for argv in cases:
+        code = main(argv)
+        out = capsys.readouterr()
+        result, out_all, err_all = parse_outcome(build_parser(), argv, capsys)
+        if isinstance(result, dict):
+            assert result.pop("command") == command
+            assert (code, parsed.pop()) == (0, result), argv
+        else:
+            assert (code, parsed) == (result, []), argv
+        assert (out.out, out.err) == (out_all, err_all), argv
+
+
+@pytest.fixture
+def fresh_parsers():
+    # main keeps each command's parser for the process: start with none, so
+    # a test sees its own builds, and keep none a test made (a spy's) for later tests
+    sandwich.cli._parser.cache_clear()
+    yield
+    sandwich.cli._parser.cache_clear()
+
+
 class TestParser:
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_one_subparser_parses_like_all(self, capsys, monkeypatch, command):
         # main parses a named command with that command's parser alone
-        parsed = []
-        _, help_text, arguments = _COMMANDS[command]
-        monkeypatch.setitem(_COMMANDS, command, (lambda args, version: parsed.append(vars(args)) or 0,
-                                                 help_text, arguments))
         full = valid_argv(command)
         abbreviated = [a[:-1] if a.startswith("--") else a for a in full]
-        cases = [full, full + ["-o", "x"], full + ["--bogus"], full[:-1], full + [command],
-                 [command], [command, "--help"], [command, "-h", "x"], [command, "-o"],
-                 [command, "--", "x"], [command, "--wir", "1"], abbreviated]
-        for argv in cases:
-            code = main(argv)
-            out = capsys.readouterr()
-            result, out_all, err_all = parse_outcome(build_parser(), argv, capsys)
-            if isinstance(result, dict):
-                assert result.pop("command") == command
-                assert (code, parsed.pop()) == (0, result), argv
-            else:
-                assert (code, parsed) == (result, []), argv
-            assert (out.out, out.err) == (out_all, err_all), argv
+        assert_main_parses_like_all(capsys, monkeypatch, command, [
+            full, full + ["-o", "x"], full + ["--bogus"], full[:-1], full + [command],
+            [command], [command, "--help"], [command, "-h", "x"], [command, "-o"],
+            [command, "--", "x"], [command, "--wir", "1"], abbreviated])
 
     def test_help_lists_every_command(self, capsys):
         assert main(["--help"]) == 0
@@ -716,7 +755,7 @@ class TestParser:
         for name, (_, help_text, _) in _COMMANDS.items():
             assert help_text in out and name in out
 
-    def test_main_builds_only_the_named_command(self, work, capsys, monkeypatch):
+    def test_main_builds_only_the_named_command(self, work, capsys, monkeypatch, fresh_parsers):
         built = []
 
         class Spy(sandwich.cli._Parser):
@@ -727,11 +766,27 @@ class TestParser:
         monkeypatch.setattr(sandwich.cli, "_Parser", Spy)
         assert run(capsys, "germ", "--graph", work / "e3.plumb")[0] == 0
         assert built == ["sandwich germ"]
+        # kept for the process: a second call builds nothing
+        assert run(capsys, "germ", "--graph", work / "e3.plumb")[0] == 0
+        assert built == ["sandwich germ"]
+        built.clear()
+        assert run(capsys, "auts", "--graph", work / "e3.plumb")[0] == 0
+        assert built == ["sandwich auts"]
         for argv in (["frobnicate"], []):
             built.clear()
             assert run(capsys, *argv)[0] == 2
-            # the full parser: its own, then one per command from add_parser
+            # the full parser, never kept: its own, then one per command from add_parser
             assert built == ["sandwich"] + [f"sandwich {name}" for name in _COMMANDS]
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_a_kept_parser_answers_like_a_fresh_one(self, capsys, monkeypatch, fresh_parsers, command):
+        # one parser serves every call of a command: no parse leaves state
+        # on it that changes the next one's output or exit code
+        usage_error = [command, "--bogus"]
+        assert_main_parses_like_all(capsys, monkeypatch, command,
+                                    [usage_error, [command, "--help"], valid_argv(command), usage_error])
+        info = sandwich.cli._parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 # ---------------------------------------------------------------------------
