@@ -14,6 +14,7 @@ from .mcg import (
     item_offset,
     item_word,
     mc_from_braid,
+    reduce_word,
 )
 from .plumbing import (
     Augmentation,
@@ -90,17 +91,20 @@ def factorization_product(fact: Factorization) -> MappingClass:
 
     The items are folded before any Artin action: their words concatenate,
     and each ledger entry is carried through the item's hole permutation as
-    ``mc_compose`` would; the images come from one ``mc_from_braid``."""
+    ``mc_compose`` would; the images come from one ``mc_from_braid`` on the
+    freely reduced concatenation.  A cycle's word, g^-1 Delta^2 g or empty,
+    is a pure braid, so only an arc's word is walked for its permutation."""
     n = fact.n
     word: list[int] = []
     ledger = [0] * (n + 1)
     for item in fact.items:
         w = item_word(item)
-        off = item_offset(item)
-        p = braid_permutation(w, n)
+        if item.kind == "arc":
+            p = braid_permutation(w, n)
+            ledger = [ledger[p[h] - 1] for h in range(n)] + ledger[n:]
+        ledger = [a + b for a, b in zip(item_offset(item), ledger)]
         word.extend(w)
-        ledger = [off[h] + ledger[p[h] - 1] for h in range(n)] + [ledger[n] + off[n]]
-    return mc_from_braid(tuple(word), n, ledger)
+    return mc_from_braid(reduce_word(word), n, ledger)
 
 
 def _boundary_difference(a, b, n: int) -> str | None:
@@ -124,11 +128,14 @@ def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:
     True iff ``w`` validates against the cluster's germ and its boundary
     braid agrees, as a braid class, with the layout built straight from the
     cluster (both use the same bottom-to-top strand convention).  A
-    ``boundary-class`` entry names the first invariant that differs.
+    ``boundary-class`` entry names the first invariant that differs.  The
+    cluster's side, its germ and its layout's boundary braid, is computed
+    once per cluster object (``Cluster.germ_and_boundary``).
     """
-    report = validate_wiring(w, germ=germ_from_cluster(c))
+    germ, layout_braid = c.germ_and_boundary
+    report = validate_wiring(w, germ=germ)
     if report.ok:
-        why = _boundary_difference(boundary_braid(w), boundary_braid(scott(c)), w.n)
+        why = _boundary_difference(boundary_braid(w), layout_braid, w.n)
         if why:
             report = ValidationReport(
                 (("boundary-class", f"boundary braid differs from the cluster layout: {why}"),)

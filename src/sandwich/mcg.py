@@ -24,7 +24,8 @@ Conventions used throughout the package:
   Dynnikov, Rolfsen and Wiest, *Ordering Braids*, ch. XII): one pass over
   each word, four integers changed per letter, entries a few bits longer
   per letter as Python ints.  Neither the Artin action nor a normal form
-  is computed for it.
+  is computed for it, and only the middles left once the two words' common
+  prefix and suffix are dropped are walked.
 - The Garside left normal form (``normal_form``) only chooses the word the
   action runs on: the action (curves, mapping classes) runs on the shorter
   of a word and its normal-form word; both are the same braid, so the
@@ -395,9 +396,16 @@ def dynnikov_coordinates(word: Word, n: int) -> tuple[int, ...]:
 
 
 def braid_equal(a: Word, b: Word, n: int) -> bool:
-    """Semantic equality: equal exponent sums and equal Dynnikov
-    coordinates.  Both words are range-checked whatever the answer."""
-    return (exponent_sum(a), dynnikov_coordinates(a, n)) == (exponent_sum(b), dynnikov_coordinates(b, n))
+    """Semantic equality.  Both words are range-checked whatever the
+    answer; then their common prefix and suffix are dropped, since
+    p x q = p y q exactly when x = y, and the two middles are compared by
+    exponent sum and Dynnikov coordinates.  Equal words, whose middles are
+    both empty, are equal at once."""
+    # the common prefix is the common suffix of the reversed words
+    i = _common_suffix(check_braid_word(a, n)[::-1], check_braid_word(b, n)[::-1])
+    k = _common_suffix(a[i:], b[i:])
+    a, b = a[i:len(a) - k], b[i:len(b) - k]
+    return a == b or (exponent_sum(a), dynnikov_coordinates(a, n)) == (exponent_sum(b), dynnikov_coordinates(b, n))
 
 
 def half_twist(j: int, k: int) -> Word:
@@ -422,11 +430,14 @@ def cyclic_reduce(w: Word) -> Word:
 
 
 def cyclic_canonical(w: Word) -> Word:
-    """Cyclically reduce, then pick the lexicographically least rotation."""
+    """Cyclically reduce, then pick the lexicographically least rotation;
+    only the rotations that start with the least letter are built, since
+    the least rotation starts with it."""
     w = cyclic_reduce(w)
     if not w:
         return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    least = min(w)
+    return min(w[i:] + w[:i] for i, a in enumerate(w) if a == least)
 
 
 @frozen

@@ -341,6 +341,16 @@ class Cluster:
         leave, built once per cluster object."""
         return _index_cluster(self)
 
+    @functools.cached_property
+    def germ_and_boundary(self) -> tuple[DecoratedGerm, tuple[int, ...]]:
+        """The cluster's germ and the boundary braid of its Scott layout,
+        the side of ``fillings.compatible`` that depends on the cluster
+        alone, built once per cluster object.  A cluster that fails
+        ``check_cluster`` raises on every read, since nothing is kept."""
+        from .wiring import boundary_braid, scott  # wiring imports this module
+
+        return germ_from_cluster(self), boundary_braid(scott(self))
+
 
 def cluster(branches, points, mults, weights=None) -> Cluster:
     """Build a cluster from (id, parent, [prox...]) triples (parent None or

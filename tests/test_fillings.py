@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+from sandwich import plumbing, wiring
 from sandwich.errors import InternalInconsistencyError, RangeError, WeightMismatchError
 from sandwich.fillings import (
     FillingSummary,
@@ -318,6 +319,35 @@ class TestCompatible:
         back = parse_wire(LAYOUT)
         ok, report = compatible(back, tc)
         assert ok, report.entries
+
+    def test_cluster_side_built_once_per_cluster(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(plumbing, "germ_from_cluster")
+        counted(wiring, "scott")
+        tc = two_cusp_cluster()
+        for text, ok in ((LAYOUT, True), (FIG_FULL, False), (LAYOUT_A1, False)):
+            first, second = compatible(parse_wire(text), tc), compatible(parse_wire(text), tc)
+            assert first == second and first[0] == ok, text
+        assert sorted(calls) == ["germ_from_cluster", "scott"]
+        compatible(parse_wire(LAYOUT), two_cusp_cluster())  # another cluster object
+        assert len(calls) == 4
+
+    def test_wrong_declared_weights_raise_on_every_call(self):
+        tc = two_cusp_cluster()
+        bad = plumbing.Cluster(tc.branches, tc.points, tc.mults, (8, 9))
+        for _ in range(2):
+            with pytest.raises(WeightMismatchError):
+                compatible(parse_wire(LAYOUT), bad)
 
 
 # ---------------------------------------------------------------------------

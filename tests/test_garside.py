@@ -1,10 +1,11 @@
 """The braid layer's kernels, checked against the algorithms they
 replaced: braid equality by Dynnikov coordinates against the Artin action
-and against equal Garside normal forms, the normal form (which now only
-chooses the words the action runs on) against its first version, the
-action word against the one that wrote every normal-form word, canonical
-words off one running image table against one table per item, hole sets
-read off permutations, and the folded factorization product."""
+and against equal Garside normal forms, also once the words' common ends
+are dropped, the normal form (which now only chooses the words the action
+runs on) against its first version, the action word against the one that
+wrote every normal-form word, canonical words off one running image table
+against one table per item, least rotations against all rotations, hole
+sets read off permutations, and the folded factorization product."""
 
 import random
 from functools import reduce
@@ -19,6 +20,7 @@ from sandwich.mcg import (
     Factorization,
     HoleArc,
     HoleCurve,
+    Item,
     artin_act,
     braid_equal,
     braid_permutation,
@@ -311,6 +313,55 @@ class TestDynnikovKernel:
             assert exponent_sum(full) == n * (n - 1)
 
 
+class TestTrimmedEquality:
+    """``braid_equal`` drops the common prefix and suffix of its words
+    before it walks them: p x q against p y q, with the Artin action as
+    the oracle."""
+
+    MIDDLES = ("same", "trivial insert", "equal exponent sums", "prefix", "empty")
+
+    def middles(self, rng, n, case):
+        x = rand_word(rng, n, rng.randint(0, 6))
+        if case == "same":
+            return x, x
+        if case == "trivial insert":
+            return x, with_trivial_inserts(rng, x, n, 1)
+        if case == "equal exponent sums":
+            return x, tuple(rng.sample(x, len(x)))
+        if case == "prefix":
+            return x, x + rand_word(rng, n, rng.randint(1, 4))
+        return x, ()
+
+    def test_shared_ends(self):
+        rng = random.Random(91)
+        unequal_same_sum = 0
+        for k in range(1500):
+            n = rng.randint(2, 5)
+            case = self.MIDDLES[k % len(self.MIDDLES)]
+            p, q = (rand_word(rng, n, rng.randint(0, 5)) for _ in range(2))
+            x, y = self.middles(rng, n, case)
+            a, b = p + x + q, p + y + q
+            want = reference_braid_equal(a, b, n)
+            assert braid_equal(a, b, n) == want == braid_equal(b, a, n), (a, b, n)
+            unequal_same_sum += not want and exponent_sum(x) == exponent_sum(y)
+        assert unequal_same_sum > 100, unequal_same_sum
+
+    def test_empty_and_one_sided_words(self):
+        assert braid_equal((), (), 2)
+        assert braid_equal((), (1, -1), 2) and braid_equal((1, -1), (), 2)
+        assert braid_equal(R, R + R, 3) and braid_equal(R + (1,), R + R + (1,), 3)
+        assert not braid_equal((1,), (1, 1), 2) and not braid_equal((1, 1), (1,), 2)
+        assert not braid_equal((2, 1), (2, 1, 2, 1), 3)
+
+    @pytest.mark.parametrize("a, b", [((3, 1), (3, 2)), ((1, 3), (2, 3)), ((3,), (3,)),
+                                      ((1, -3, 2), (1, -3, 2)), ((1, 2, 3, 1), (1, 2, 3, 1, 1))])
+    def test_out_of_range_letter_in_a_shared_part_raises(self, a, b):
+        with pytest.raises(mcg.RangeError):
+            braid_equal(a, b, 3)
+        with pytest.raises(mcg.RangeError):
+            braid_equal(b, a, 3)
+
+
 def signed_words(seed, count):
     """(n, word) on 2..7 strands, 0..40 letters, each word drawn with a
     positive share of 0.1, 0.5 or 0.9 in turn."""
@@ -403,10 +454,15 @@ class TestHoleSets:
 
 class TestFoldedProduct:
     def test_matches_the_composed_item_classes(self):
+        # arcs, boundary-parallel and wider cycles, half of them with
+        # nonzero twists
         rng = random.Random(77)
         for _ in range(150):
             n = rng.randint(2, 4)
-            fact = Factorization(n, tuple(rand_item(rng, n) for _ in range(rng.randint(0, 4))))
+            items = [rand_item(rng, n) for _ in range(rng.randint(0, 4))]
+            items = [Item(c.n, c.kind, c.conjugator, c.start, c.span, tuple(rng.randint(-2, 2) for _ in c.twists))
+                     if rng.random() < 0.5 else c for c in items]
+            fact = Factorization(n, tuple(items))
             want = reduce(mc_compose, map(mc_of_item, fact.items), mc_from_braid((), n))
             got = fillings.factorization_product(fact)
             assert (got.images, got.perm, got.ledger) == (want.images, want.perm, want.ledger)
@@ -537,3 +593,17 @@ class TestCanonicalCurves:
         del walked[:]
         assert canonical_curves(items) == want
         assert walked == [(-2,), (), ()]  # one table for (2,)^-1, then two empty steps
+
+
+class TestCyclicCanonical:
+    """``cyclic_canonical`` builds only the rotations that start with the
+    least letter; the least of all rotations is the oracle."""
+
+    def test_random_words(self):
+        rng = random.Random(93)
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            w = tuple(rng.choice([1, -1]) * rng.randint(1, n) for _ in range(rng.randint(0, 14)))
+            r = mcg.cyclic_reduce(w)
+            want = min((r[i:] + r[:i] for i in range(len(r))), default=r)
+            assert cyclic_canonical(w) == want, w

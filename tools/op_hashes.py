@@ -11,7 +11,9 @@ so the work directory's path is replaced by one fixed placeholder, WORK,
 in stdout, stderr and the written files before they are hashed.  Each line
 is ``workload<TAB>op label<TAB>sha256``; the hash covers the exit code,
 stdout, stderr and the files the op writes (a library op: the repr of its
-result, or its exception).  Run it once per checkout and diff the lines.
+result, or its exception).  Run it once per checkout and diff the lines;
+``tests/test_op_hashes.py`` runs it on the working tree against the lines
+kept in ``tests/golden/op_hashes.txt``.
 
 After the workload plans come the ops of ``extra_ops`` (workload column
 ``extra``), larger than any benchmark rung: ``unexpected`` on the pair and
@@ -190,6 +192,7 @@ def main(argv=None) -> int:
     if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
         print(f"no src/sandwich in {checkout}", file=sys.stderr)
         return 2
+    sys.dont_write_bytecode = True  # no cache inside the checkout either
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
 
