@@ -65,7 +65,7 @@ def _write(text: str, out) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 _SCALARS = frozenset({int, float, str, bool, type(None)})
@@ -122,7 +122,16 @@ def _write_json(data: dict, out, version: int) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    """The file's text as UTF-8, with ``\\r\\n`` and ``\\r`` read as ``\\n``, as
+    text mode reads them (neither byte occurs inside a UTF-8 sequence).  Bytes
+    that are not UTF-8 are a ``FormatError`` at the line of the first."""
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                          location=f"line {line}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -108,18 +108,18 @@ def factorization_product(fact: Factorization) -> MappingClass:
 
 
 def _boundary_difference(a, b, n: int) -> str | None:
-    """The first invariant that separates two boundary braids, cheapest
-    first, with the value of ``a`` before that of ``b``; None when they are
-    the same braid."""
+    """None when two boundary braids are the same braid (``braid_equal``);
+    else the first invariant that separates them, cheapest first, with the
+    value of ``a`` before that of ``b``."""
+    if braid_equal(a, b, n):
+        return None
     pa, pb = braid_permutation(a, n), braid_permutation(b, n)
     if pa != pb:
         return f"hole permutation ({','.join(map(str, pa))}) against ({','.join(map(str, pb))})"
     ea, eb = exponent_sum(a), exponent_sum(b)
     if ea != eb:
         return f"exponent sum {ea} against {eb}"
-    if not braid_equal(a, b, n):
-        return "Dynnikov coordinates differ"
-    return None
+    return "Dynnikov coordinates differ"
 
 
 def compatible(w: WiringDiagram, c: Cluster) -> tuple[bool, ValidationReport]:

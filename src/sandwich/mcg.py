@@ -28,12 +28,13 @@ Conventions used throughout the package:
   prefix and suffix are dropped are walked.
 - The Garside left normal form (``normal_form``) only chooses the word the
   action runs on: the action (curves, mapping classes) runs on the shorter
-  of a word and its normal-form word; both are the same braid, so the
-  reduced images are the same.  The normal-form word's length is read off
-  the normal form, and the word is written only when it is the shorter
-  (``_action_word``).  The one thing kept between calls is a bounded memo
-  of left-weighted pairs of simple elements (``_left_weight``), which never
-  changes a result.
+  of a word and its written normal-form word, the word itself on a tie;
+  both are the same braid, so the reduced images are the same
+  (``_action_word``).  Two kinds of word are kept without a normal form,
+  since none can be shorter: a word of one sign, and a two-letter word.
+  The one thing kept between calls is a bounded memo of left-weighted
+  pairs of simple elements (``_left_weight``), which never changes a
+  result.
 - The Artin action goes through an image table: the reduced images of
   x_1..x_n and their inverses, built by reading the braid word left to
   right.  Each letter replaces two images by reduced products, whose
@@ -325,29 +326,15 @@ def _simple_word(p) -> Word:
 def _action_word(word: Word, n: int) -> Word:
     """The shorter of the freely reduced word and its reduced normal-form
     word, the word itself on a tie.  Both are the same braid, so the Artin
-    action gives the same reduced images either way.
-
-    The normal-form word is Delta^inf, then a positive word per factor.  Its
-    length before reduction is the exponent sum e for inf >= 0, where
-    nothing cancels, and e + |inf| n(n-1) for inf < 0, where only letters of
-    the first factor can cancel against the last Delta^{-1} (a second
-    factor would have to start with a letter the first can take, and the
-    pair would not be left-weighted): fewer than n(n-1)/2 of them, counted
-    only when that can decide.  The word is written only when it is the
-    shorter."""
+    action gives the same reduced images either way."""
     word = reduce_word(word)
-    e = exponent_sum(word)
-    if len(word) == abs(e) or len(word) == 2:
+    if len(word) == abs(exponent_sum(word)) or len(word) == 2:
         # no word for the braid is shorter than its exponent sum, and a
         # mixed pair s_i s_j^-1 (i != j) is no trivial braid, while any
         # shorter word for it would be empty (its words have even length)
         return word
-    inf, factors = normal_form(word, n)
-    size = e + n * (n - 1) * max(-inf, 0)
-    if inf < 0 and factors and size - n * (n - 1) + 2 < len(word):
-        delta, first = inverse_word(half_twist(1, n)), _simple_word(factors[0])
-        size -= len(delta) + len(first) - len(reduce_word(delta + first))
-    return word if size >= len(word) else _write_normal_form(inf, factors, n)
+    nf = _write_normal_form(*normal_form(word, n), n)
+    return nf if len(nf) < len(word) else word
 
 
 def _write_normal_form(inf: int, factors, n: int) -> Word:
@@ -591,10 +578,10 @@ class MappingClass:
 
 
 def mc_from_braid(word: Word, n: int, ledger=None) -> MappingClass:
-    check_braid_word(word, n)
+    perm = braid_permutation(word, n)  # range-checks the word before any action
     images = tuple(_image_table(_action_word(word, n), n)[0][1:])
     led = (0,) * (n + 1) if ledger is None else tuple(ledger)
-    return MappingClass(n, images, braid_permutation(word, n), led)
+    return MappingClass(n, images, perm, led)
 
 
 def mc_compose(f: MappingClass, g: MappingClass) -> MappingClass:

@@ -155,6 +155,24 @@ class TestExitCodes:
         assert data["code"] == "format"
         assert "line" in data["location"]
 
+    @pytest.mark.parametrize("name, content, command, location, message", [
+        ("bad.plumb", b"vertex v -2\r\nvertex w\xc3 -2\n", "germ --graph", "line 2",
+         "not UTF-8: byte 0xc3 (invalid continuation byte)"),
+        ("bad.germ", b"branch A\rpoint q0 parent root\n\n# \xe9", "graph --germ", "line 4",
+         "not UTF-8: byte 0xe9 (unexpected end of data)"),
+        ("bad.wire", b"strands 2\nseq: s1\xff\n", "validate --wire", "line 2",
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("bad.json", b"\xff\xfe{}", "wire-from-vanishing --fact", "line 1",
+         "not UTF-8: byte 0xff (invalid start byte)"),
+    ], ids=["plumb", "germ", "wire", "json"])
+    def test_bytes_that_are_not_utf8_are_a_located_format_error(self, work, capsys, name, content,
+                                                                  command, location, message):
+        # \r\n and a lone \r end a line, as in text mode
+        (work / name).write_bytes(content)
+        code, out, err = run(capsys, *command.split(), work / name)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": location, "message": message}
+
     def test_usage_error_is_two(self, work, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from sandwich import plumbing, wiring
+from sandwich import fillings, plumbing, wiring
 from sandwich.errors import InternalInconsistencyError, RangeError, WeightMismatchError
 from sandwich.fillings import (
     FillingSummary,
@@ -306,6 +306,21 @@ class TestCompatible:
         assert diff((1, 1), (), 2) == "exponent sum 2 against 0"
         assert diff((1, 1, 2, -2), (2, 2), 3) == "Dynnikov coordinates differ"
         assert diff((1, 2, 1), (2, 1, 2), 3) is None
+
+    def test_equal_braids_walk_no_permutation(self, monkeypatch):
+        # R = s1 s2 s1 s2' s1' s2' and the empty word: two words of one braid
+        walked = []
+
+        def counted(word, n):
+            walked.append(word)
+            return braid_permutation(word, n)
+
+        monkeypatch.setattr(fillings, "braid_permutation", counted)
+        assert _boundary_difference((1, 2, 1, -2, -1, -2), (), 3) is None
+        assert _boundary_difference((), (1, 2, 1, -2, -1, -2), 3) is None
+        assert walked == []
+        assert _boundary_difference((1, 1), (), 2) == "exponent sum 2 against 0"
+        assert walked == [(1, 1), ()]  # a "no" walks both, to name the invariant
 
     def test_wrong_row_sums_reported(self):
         tc = two_cusp_cluster()

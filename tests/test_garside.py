@@ -426,6 +426,15 @@ class TestShorterWord:
             assert mc.images == tuple(artin_act(w, (g,), n) for g in range(1, n + 1))
             assert mc.perm == braid_permutation(w, n)
 
+    def test_mc_from_braid_checks_the_range_before_any_action(self, monkeypatch):
+        tables = []
+        monkeypatch.setattr(mcg, "_image_table", lambda b, n: tables.append(b))
+        # the first word's bad pair would cancel away if it were reduced first
+        for word, bad in (((1, 3, -3), 3), ((3,), 3), ((-1, 1, -4), -4)):
+            with pytest.raises(mcg.RangeError, match=f"^braid letter {bad} outside strand range 1..2$"):
+                mc_from_braid(word, 3)
+        assert tables == []
+
     def test_trivial_insert_acts_as_nothing(self):
         # P^k R P^-k with R = s1 s2 s1 s2' s1' s2' is trivial but not freely so
         r = (1, 2, 1, -2, -1, -2)
@@ -484,9 +493,8 @@ class TestFoldedProduct:
 
 
 class TestActionWord:
-    """``_action_word`` reads the normal-form word's length off the normal
-    form and writes the word only when it wins; the words it returns are
-    the ones chosen when every normal-form word was written."""
+    """``_action_word`` against the rule written out without its shortcuts
+    (``reference_action_word``), and against what the rule promises."""
 
     def test_random_words(self):
         written = 0
@@ -503,27 +511,25 @@ class TestActionWord:
                 for w in (word, inverse_word(word), (2,) + word, word + (-1, 2)):
                     assert mcg._action_word(w, 3) == reference_action_word(w, 3), w
 
-    def test_writes_no_losing_word(self, monkeypatch):
-        written = []
-
-        def recorded(inf, factors, n):
-            written.append(write(inf, factors, n))
-            return written[-1]
-
-        write = mcg._write_normal_form
-        monkeypatch.setattr(mcg, "_write_normal_form", recorded)
-        wins = losses = 0
-        for n, word in signed_words(83, 1500):
-            before = len(written)
+    def test_returns_the_shorter_word(self):
+        # independent of how the word is chosen: the same braid, as long as
+        # the shorter of the reduced word and the reduced normal-form word,
+        # and the reduced word itself on a tie
+        rng = random.Random(83)
+        cases = [(n, word) for n, word in signed_words(83, 1500) if n <= 5]
+        cases += [(3, P * k + core + inverse_word(P) * k) for core in (R, (1, 1), (-1, -1)) for k in range(9)]
+        cases += [(40, (-1, 39, -1, 39) + P * k + R + inverse_word(P) * k) for k in range(0, 9, 2)]
+        cases += [(40, with_trivial_inserts(rng, rand_word(rng, 40, 12), 40, 2)) for _ in range(20)]
+        kept = {True: 0, False: 0}
+        for n, word in cases:
             got = mcg._action_word(word, n)
-            if len(written) > before:
-                assert len(written) == before + 1 and written[-1] == got
-                assert len(got) < len(reduce_word(word)), (word, n)
-                wins += 1
-            else:
-                assert got == reduce_word(word)
-                losses += 1
-        assert min(wins, losses) > 100, (wins, losses)
+            raw, nf = reduce_word(word), reduce_word(normal_form_word(word, n))
+            assert braid_equal(got, word, n), (word, n)
+            assert len(got) == min(len(raw), len(nf)), (word, n)
+            if len(raw) <= len(nf):
+                assert got == raw, (word, n)
+            kept[got == raw] += 1
+        assert min(kept.values()) > 100, kept
 
 
 def ladder_factorization(k, core):

@@ -42,8 +42,9 @@ paper's sizes, and ``wire-from-vanishing`` on its output.  Last, ``render``
 on two diagrams that no workload renders: the Scott layout of the
 two-cusp germ, the one hashed render that draws tangencies, and the
 ``.wire`` that ``unexpected`` writes for the pair at N = 1 (9 strands).
-Together the ops take a few seconds.  The output is 198 lines: 159 for
-the workload plans and 39 extra."""
+The very last is ``validate`` on a ``.wire`` with a byte that is not
+UTF-8.  Together the ops take a few seconds.  The output is 199 lines: 159
+for the workload plans and 40 extra."""
 
 import hashlib
 import json
@@ -180,6 +181,10 @@ def extra_ops(api, workloads, work: Path) -> list:
     for tag, wire in (("two-cusp scott", cusp_wire), ("unexpected pair N=1", work / "K_pair_1.wire")):
         ops.append(workloads.Op("render", f"render {tag}",
                                 lambda wire=wire: api.run_cli("render", "--wire", wire), {}, None))
+    binary = work / "not_utf8.wire"
+    binary.write_bytes(b"strands 2\nseq: s1\xff\n")
+    ops.append(workloads.Op("validate", "validate not UTF-8",
+                            lambda: api.run_cli("validate", "--wire", binary), {}, None))
     return ops
 
 

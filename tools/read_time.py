@@ -1,5 +1,6 @@
 """In-process times of the read side: diagram-read's arrangements, then
-the ``.germ`` and ``.plumb`` readers.
+the ``.germ`` and ``.plumb`` readers, then the ``vanishing`` path at the
+paper's sizes and on one 40-strand action word.
 
     python3 tools/read_time.py CHECKOUT [OTHER] [--rounds R]
 
@@ -36,9 +37,13 @@ component labels of seed 7, and gives one row of the first table:
   JSON);
 - ``compare --unlabeled``: milliseconds per ``cli.main`` call of ``compare
   --unlabeled`` of the arrangement against that copy (as ``compare``, with
-  two canonical forms in place of the labelled equivalence).
+  two canonical forms in place of the labelled equivalence);
+- ``vanishing``: milliseconds per call of ``factorization_json`` of
+  ``vanishing_data``, what CLI ``vanishing`` computes.  The benchmark runs
+  ``vanishing`` on 4 strands only, so this is where its cost at the
+  paper's sizes shows.
 
-The last three are diagram-read ops; beside ``render`` they are its
+The three CLI columns are diagram-read ops; beside ``render`` they are its
 slowest at the top rungs.
 
 A second table has one row per text read by a parser: each star and cusp
@@ -48,6 +53,18 @@ a -2 chain of ``CHAIN_VERTICES`` vertices with one arrow, timed through
 ``parse_plumb``.  Each row gives the content lines, milliseconds per call
 and microseconds per line; the last row sums the clusters' times, twice
 each, which is what one graph-pipeline pass spends parsing them.
+
+A third table times that ``vanishing`` path on the layouts that
+``unexpected_arrangement`` builds for the line pair (``vertex v -3`` with two
+curvettas, ``wmax`` 5) at each N of ``UNEXPECTED_N``.
+
+A fourth table has one row per k of ``ACTION_K`` for the 40-strand word
+s1^-1 s39 s1^-1 s39 P^k R P^-k (P = s1 s2^-1, R = s1 s2 s1 s2' s1' s2',
+trivial): the letters of the word ``mcg._action_word`` returns and its
+milliseconds per call, and the milliseconds of ``canonical_curve`` of the
+cycle around holes 1 and 2 with that word as conjugator.  When the raw word
+is kept, the action walks the trivial R letter by letter, and that cost
+grows exponentially in k.
 
 Each time is the median of as many calls as fit in ``BUDGET_S`` seconds, at
 least one, after one untimed call.  The peak is taken with tracing on only
@@ -66,6 +83,8 @@ SEED = 7
 BUDGET_S = 0.5
 MAX_CALLS = 51
 CHAIN_VERTICES = 2000
+UNEXPECTED_N = (1, 2, 3)
+ACTION_K = (8, 10, 12)
 
 
 def median_ms(call) -> tuple[float, object]:
@@ -110,7 +129,8 @@ def measure(checkout: Path) -> list[dict]:
     columns = [("m", ""), ("`seq` entries / distinct", ""), ("svg bytes", ","), ("`parse_wire` ms", ",.2f"),
                ("walk ms", ",.2f"), ("`boundary_braid` ms", ",.2f"), ("`incidence` ms", ",.2f"),
                ("`incidence_canonical` ms", ",.2f"), ("`render` ms", ",.2f"), ("render peak ×", ".2f"),
-               ("`compare` ms", ",.2f"), ("`incidence` CLI ms", ",.2f"), ("`compare --unlabeled` ms", ",.2f")]
+               ("`compare` ms", ",.2f"), ("`incidence` CLI ms", ",.2f"), ("`compare --unlabeled` ms", ",.2f"),
+               ("`vanishing` ms", ",.2f")]
     rows = []
     for m in workloads.ARRANGEMENT_M:
         text = workloads.arrangement(labels_all[:m])
@@ -134,8 +154,9 @@ def measure(checkout: Path) -> list[dict]:
                 if result.code != 0:
                     raise SystemExit(f"{label} m={m} exited {result.code}: {result.stderr}")
                 cli_ms.append(ms)
+        vanishing_ms, _ = median_ms(lambda: wiring.factorization_json(wiring.vanishing_data(w)))
         rows.append([m, f"{len(chunks):,} / {len(set(chunks)):,}", len(svg), parse_ms, walk_ms, braid_ms,
-                     incidence_ms, canonical_ms, render_ms, peak, *cli_ms])
+                     incidence_ms, canonical_ms, render_ms, peak, *cli_ms, vanishing_ms])
     texts = []
     pass_ms = pass_lines = 0
     for label, text, parse in parse_rows(workloads, api):
@@ -146,9 +167,25 @@ def measure(checkout: Path) -> list[dict]:
         texts.append([label, f"`{parse.__name__}`", lines, ms, 1000 * ms / lines])
     texts.append(["clusters, one graph-pipeline pass", "`parse_germ`", pass_lines, pass_ms,
                   1000 * pass_ms / pass_lines])
+    g, aug, _ = api.plumbing.parse_plumb("vertex v -3\ncurvetta a on v\ncurvetta b on v\n")
+    layouts = []
+    for n in UNEXPECTED_N:
+        w = fillings.unexpected_arrangement(g, aug, n, workloads.WMAX).wiring
+        ms, _ = median_ms(lambda: wiring.factorization_json(wiring.vanishing_data(w)))
+        layouts.append([f"unexpected pair N={n}", w.n, len(w.events), ms])
+    mcg, actions, p = api.mcg, [], (1, -2)  # P = s1 s2^-1
+    for k in ACTION_K:
+        word = (-1, 39, -1, 39) + p * k + workloads.TRIVIAL_R + mcg.inverse_word(p) * k
+        action_ms, action = median_ms(lambda: mcg._action_word(word, 40))
+        curve_ms, _ = median_ms(lambda: mcg.canonical_curve(mcg.HoleCurve(40, word, 1, 1)))
+        actions.append([k, len(word), len(action), action_ms, curve_ms])
     return [{"columns": columns, "rows": rows},
             {"columns": [("text", ""), ("parser", ""), ("lines", ","), ("ms per call", ",.3f"),
-                                      ("µs per line", ".2f")], "rows": texts}]
+                                      ("µs per line", ".2f")], "rows": texts},
+            {"columns": [("layout", ""), ("strands", ""), ("events", ","), ("`vanishing` ms", ",.2f")],
+             "rows": layouts},
+            {"columns": [("k", ""), ("word letters", ","), ("action word letters", ","),
+                         ("`_action_word` ms", ",.3f"), ("`canonical_curve` ms", ",.2f")], "rows": actions}]
 
 
 if __name__ == "__main__":
