@@ -294,7 +294,8 @@ def _cmd_incidence(args, version):
 
 def _cmd_compare(args, version):
     if len(args.wire) != 2:
-        raise FormatError("compare needs exactly two --wire inputs")
+        _emit_error("usage", "compare needs exactly two --wire inputs")
+        return 2
     a, b = (incidence(parse_wire(_read(p))) for p in args.wire)
     equivalent = incidence_equiv(a, b, unlabeled=args.unlabeled)
     _write_json({"equivalent": equivalent}, args.out, version)

@@ -173,17 +173,14 @@ def _substitute(w: Word, img: list[Word], inv: list[Word]) -> Word:
     return parts[0][0] if parts else ()
 
 
-def artin_act(b: Word, w: Word, n: int | None = None) -> Word:
-    """Image of the free word ``w`` under the braid word ``b`` (rightmost
-    braid letter applied first); result freely reduced.  The partial
-    products are the images of pieces of ``w``, so a long word with a short
-    image costs as much as its pieces' images."""
-    if n is not None:
-        check_braid_word(b, n)
-        _check_free_word(w, n)
-    w = reduce_word(w)
-    m = max(map(abs, (*b, *w)), default=0) + 1
-    return _substitute(w, *_image_table(b, m))
+def artin_act(b: Word, w: Word, n: int) -> Word:
+    """Image of the free word ``w`` on ``n`` generators under the braid word
+    ``b`` (rightmost braid letter applied first); result freely reduced.
+    The partial products are the images of pieces of ``w``, so a long word
+    with a short image costs as much as its pieces' images."""
+    check_braid_word(b, n)
+    _check_free_word(w, n)
+    return _substitute(w, *_image_table(b, n))
 
 
 def braid_permutation(word: Word, n: int) -> tuple[int, ...]:
@@ -491,9 +488,8 @@ def HoleArc(n, conjugator=(), start=1, twists=None, span=1) -> Item:
 
 def canonical_curve(c: Item) -> Word:
     """Free-homotopy canonical word: image of the base word under g^{-1},
-    cyclically reduced, least rotation."""
-    g_inv = _action_word(inverse_word(c.conjugator), c.n)
-    return cyclic_canonical(artin_act(g_inv, c.base_word, c.n))
+    cyclically reduced, least rotation; ``canonical_curves`` of one item."""
+    return canonical_curves((c,))[0]
 
 
 def canonical_curves(items) -> list[Word]:

@@ -815,7 +815,7 @@ def read_chains(names: Ledger, spec: str, into: dict):
             raise names.error(f"negative chain length for {c}")
 
 
-def serialize_plumb(g: PlumbingGraph, aug: Augmentation | None = None, chains=None) -> str:
+def serialize_plumb(g: PlumbingGraph, aug: Augmentation | None = None) -> str:
     out = []
     for v, e in g.vertices:
         out.append(f"vertex {v} {e}")
@@ -824,8 +824,6 @@ def serialize_plumb(g: PlumbingGraph, aug: Augmentation | None = None, chains=No
     if aug is not None:
         for c, v in aug.arrows:
             out.append(f"curvetta {c} on {v}")
-    if chains:
-        out.append("chains " + ",".join(f"{c}={n}" for c, n in sorted(chains.items())))
     return "\n".join(out) + "\n"
 
 

@@ -610,12 +610,8 @@ class EnclosureData:
 def enclosure_from_wiring(w: WiringDiagram) -> EnclosureData:
     # vanishing items are transported below earlier events, so the holes a
     # cycle encloses are read off the transported item, not the raw strands
-    return enclosure_from_factorization(vanishing_data(w), strand_components(w))
-
-
-def enclosure_from_factorization(fact: Factorization, components) -> EnclosureData:
-    items = tuple((item.kind, curve_holes(item)) for item in fact.items)
-    return EnclosureData(fact.n, tuple(components), items)
+    items = tuple((item.kind, curve_holes(item)) for item in vanishing_data(w).items)
+    return EnclosureData(w.n, strand_components(w), items)
 
 
 def inside_out(e: EnclosureData, hole: int) -> EnclosureData:
@@ -698,6 +694,7 @@ def parse_wire(text: str) -> WiringDiagram:
                 raise RangeError("need at least one strand", location=f"line {names.line}")
         elif words[0] == "components":
             names.define("components")
+            components_line = names.line
             for group in words[1:]:
                 label, _, positions = group.partition("=")
                 try:
@@ -724,10 +721,10 @@ def parse_wire(text: str) -> WiringDiagram:
         for label, positions in components.items():
             for p in positions:
                 if not 1 <= p <= n or p in assigned:
-                    raise FormatError(f"components do not partition strands 1..{n}")
+                    raise names.error(f"components do not partition strands 1..{n}", components_line)
                 assigned[p] = label
         if len(assigned) != n:
-            raise FormatError(f"components do not partition strands 1..{n}")
+            raise names.error(f"components do not partition strands 1..{n}", components_line)
         labels = tuple(assigned[p] for p in range(1, n + 1))
     try:
         if kinds[0] == kinds[-1] == "b" and "ee" not in kinds:

@@ -10,28 +10,15 @@ test is expected red.
 import random
 from collections import Counter
 
-from sandwich.mcg import (
-    braid_equal,
-    braid_permutation,
-    canonical_curve,
-    cyclic_canonical,
-    item_offset,
-    item_word,
-    perm_compose,
-    perm_identity,
-    reduce_word,
-)
+from sandwich.mcg import braid_equal, canonical_curve, cyclic_canonical
 from sandwich.plumbing import (
-    augmentation,
     blow_down,
     build_unexpected,
     check_cluster,
-    cluster,
     extend_chains,
     germ_from_augmentation,
     germ_from_cluster,
     graph_from_cluster,
-    plumbing_graph,
     subcluster,
 )
 from sandwich.wiring import (
@@ -55,36 +42,14 @@ from sandwich.fillings import (
     unexpected_arrangement,
 )
 
+from fixtures import FIG, FIG_A, FIG_FULL, line_pair, product_fingerprint, two_cusp_cluster
 from hurwitz import canonical_factorization, cap_framing, hurwitz_move, mc_equal
 from matrices import from_rows
 from random_diagrams import rand_diagram
 
-FIG = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
-)
-# FIG with one marked point added at the end: on A, on A and B, and on B,
-# which completes the figure
-FIG_A = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1\n"
-)
-FIG_AB = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1, F(2), 1\n"
-)
-FIG_FULL = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n"
-)
+# FIG with marked points added at the end: on A and B (FIG_A adds one on
+# A, FIG_FULL one on B)
+FIG_AB = FIG[:-1] + ", 1, F(1), 1, F(2), 1\n"
 # the completed figure restricted to A (a tangency, then a double point),
 # with six marked points on A
 FIG_A_ONLY = (
@@ -94,51 +59,16 @@ FIG_A_ONLY = (
 )
 
 
-def two_cusp():
-    return cluster(
-        ["A", "B"],
-        [("s1", None), ("s2", "s1"), ("s3", "s2", ("s1",)), ("s4", "s3"),
-         ("a1", "s4"), ("a2", "a1"), ("fA", "a2"),
-         ("b1", "s4"), ("b2", "b1"), ("fB", "b2")],
-        {"s1": {"A": 2, "B": 2}, "s2": {"A": 1, "B": 1}, "s3": {"A": 1, "B": 1},
-         "s4": {"A": 1, "B": 1}, "a1": {"A": 1}, "a2": {"A": 1}, "fA": {"A": 1},
-         "b1": {"B": 1}, "b2": {"B": 1}, "fB": {"B": 1}},
-    )
-
-
 def figure_full() -> WiringDiagram:
     return parse_wire(FIG_FULL)
-
-
-def line_pair_graph():
-    return plumbing_graph({"E": -3}), augmentation([("c", "E"), ("d", "E")])
 
 
 def tangency_count(w: WiringDiagram) -> int:
     return sum(1 for ev, _ in event_strands(w) if ev.kind == "T")
 
 
-def product_fingerprint(fact):
-    """Reduced total braid word, hole permutation, and twist ledger of the
-    right-to-left item product, folded without computing any images.  Two
-    factorizations with equal fingerprints have equal products (generator
-    images, ledger, and permutation alike)."""
-    word = []
-    perm = perm_identity(fact.n)
-    ledger = [0] * (fact.n + 1)
-    for item in fact.items:
-        w = item_word(item)
-        off = item_offset(item) or tuple([0] * (fact.n + 1))
-        p = braid_permutation(w, fact.n)
-        word.extend(w)
-        ledger = [off[h] + ledger[p[h] - 1] for h in range(fact.n)] \
-            + [ledger[fact.n] + off[fact.n]]
-        perm = perm_compose(perm, p)
-    return reduce_word(tuple(word)), perm, tuple(ledger)
-
-
 def test_c01_two_cusp_germ_values():
-    c = two_cusp()
+    c = two_cusp_cluster(None)
     assert check_cluster(c) == (8, 8)
     germ = germ_from_cluster(c)
     assert tuple(b.weight for b in germ.branches) == (8, 8)
@@ -149,7 +79,7 @@ def test_c01_two_cusp_germ_values():
 
 
 def test_c02_extended_chain_weights():
-    g, aug = graph_from_cluster(two_cusp())
+    g, aug = graph_from_cluster(two_cusp_cluster(None))
     g2, aug2 = extend_chains(g, aug, {"A": 3, "B": 4})
     germ = germ_from_augmentation(g2, aug2)
     assert tuple(b.weight for b in germ.branches) == (11, 12)
@@ -157,7 +87,7 @@ def test_c02_extended_chain_weights():
 
 
 def test_c03_line_pair_from_graph():
-    germ = germ_from_augmentation(*line_pair_graph())
+    germ = germ_from_augmentation(*line_pair())
     assert tuple(b.weight for b in germ.branches) == (2, 2)
     assert tuple(b.multiplicity_seq for b in germ.branches) == ((1, 1), (1, 1))
     assert germ.pair("c", "d") == 1
@@ -172,7 +102,7 @@ def test_c04_figure_parse_and_validation():
     fig = parse_wire(FIG)
     assert fig.n == 4
     assert fig.components == ("B", "A", "A", "B")
-    germ = germ_from_cluster(two_cusp())
+    germ = germ_from_cluster(two_cusp_cluster(None))
 
     per_component_t = Counter()
     for ev, ids in event_strands(fig):
@@ -207,11 +137,11 @@ def test_c04_figure_parse_and_validation():
 
 
 def test_c05_exotic_count_matches_tangencies():
-    germ = germ_from_cluster(two_cusp())
+    germ = germ_from_cluster(two_cusp_cluster(None))
     expected = sum(b.origin_multiplicity - 1 for b in germ.branches)
     assert exotic_count(germ) == expected == 2
 
-    layout = scott(two_cusp())
+    layout = scott(two_cusp_cluster(None))
     assert validate_wiring(layout, germ=germ).ok
     assert tangency_count(layout) == exotic_count(germ)
 
@@ -219,11 +149,11 @@ def test_c05_exotic_count_matches_tangencies():
     assert validate_wiring(full, germ=germ).ok
     assert tangency_count(full) == exotic_count(germ)
 
-    arr = unexpected_arrangement(*line_pair_graph(), 1, 10)
+    arr = unexpected_arrangement(*line_pair(), 1, 10)
     assert validate_wiring(arr.wiring, germ=arr.germ).ok
     assert tangency_count(arr.wiring) == exotic_count(arr.germ)
 
-    sub_c = subcluster(two_cusp(), ["A"])
+    sub_c = subcluster(two_cusp_cluster(None), ["A"])
     sub_w = parse_wire(FIG_A_ONLY)
     assert validate_wiring(sub_w, germ=germ_from_cluster(sub_c)).ok
     assert tangency_count(sub_w) == exotic_count(germ_from_cluster(sub_c)) == 1
@@ -293,7 +223,7 @@ def test_c09_hurwitz_invariance():
 def test_c10_layout_and_figure_share_boundary_class():
     # both diagrams validate against the same germ, so their boundary
     # braids should agree as classes
-    layout = scott(two_cusp())
+    layout = scott(two_cusp_cluster(None))
     assert braid_equal(boundary_braid(layout), boundary_braid(figure_full()), 4)
     print("c10 PASS: layout and figure boundary braids agree as classes")
 
@@ -326,7 +256,7 @@ def test_c11_inside_out_rule_and_involution():
 
 
 def test_c12_unexpected_construction():
-    g, aug = line_pair_graph()
+    g, aug = line_pair()
 
     graph, arrows = build_unexpected(g, aug, 4, 10)
     assert dict(graph.vertices)["vstar"] == -15
@@ -370,7 +300,7 @@ def test_c13_incidence_equivalence():
         assert incidence_equiv(m, relabeled, unlabeled=True)
 
     fig_m = incidence(figure_full())
-    scott_m = incidence(scott(two_cusp()))
+    scott_m = incidence(scott(two_cusp_cluster(None)))
     assert not incidence_equiv(fig_m, scott_m)
     assert not incidence_equiv(fig_m, scott_m, unlabeled=True)
     print("c13 PASS: incidence equivalence is permutation invariant (200 cases) "

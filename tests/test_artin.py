@@ -20,6 +20,8 @@ from sandwich.mcg import (
 )
 from sandwich.wiring import parse_wire, vanishing_data
 
+from fixtures import rand_word
+
 # ---------------------------------------------------------------------------
 # the action the image tables replaced, kept as an oracle
 
@@ -76,10 +78,6 @@ def reference_subst(word, images):
     return tuple(out)
 
 
-def rand_braid(rng, n, length):
-    return tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
-
-
 def rand_free(rng, n, length):
     return tuple(rng.choice([1, -1]) * rng.randint(1, n) for _ in range(length))
 
@@ -96,13 +94,12 @@ def test_random_words_match_the_walk():
     rng = random.Random(12)
     for _ in range(5000):
         n = rng.randint(1, 7)
-        b = rand_braid(rng, n, rng.randint(0, 14))
+        b = rand_word(rng, n, rng.randint(0, 14))
         w = rand_free(rng, n, rng.randint(0, 14))
         assert artin_act(b, w, n) == reference_artin_act(b, w, n)
-        assert artin_act(b, w) == reference_artin_act(b, w)
         f = mc_from_braid(b, n)
         assert f.images == reference_images(b, n)
-        g = mc_from_braid(rand_braid(rng, n, rng.randint(0, 14)), n)
+        g = mc_from_braid(rand_word(rng, n, rng.randint(0, 14)), n)
         assert mc_compose(f, g).images == tuple(reference_subst(w, f.images) for w in g.images)
 
 
@@ -110,7 +107,7 @@ def test_random_substitution_of_unreduced_words():
     rng = random.Random(13)
     for _ in range(2000):
         n = rng.randint(1, 7)
-        img, inv = _image_table(rand_braid(rng, n, rng.randint(0, 14)), n)
+        img, inv = _image_table(rand_word(rng, n, rng.randint(0, 14)), n)
         w = rand_free(rng, n, rng.randint(0, 14))
         w = w + inverse_word(w[: rng.randint(0, len(w))]) + w
         assert _substitute(w, img, inv) == reference_subst(w, img[1:])
@@ -124,23 +121,23 @@ def test_empty_braid_and_empty_word():
     assert artin_act((), (), 3) == ()
     assert artin_act((), (2, -3, 3, 1), 3) == (2, 1)
     assert artin_act((1, -2, 2), (), 3) == ()
-    assert artin_act((), ()) == ()
+    assert artin_act((), (), 1) == ()
     assert _image_table((), 3) == ([(), (1,), (2,), (3,)], [(), (-1,), (-2,), (-3,)])
     assert mc_from_braid((), 3).images == ((1,), (2,), (3,))
     assert _substitute((), *_image_table((1,), 2)) == ()
 
 
 def test_letters_above_the_braid_range_are_fixed():
-    # without n, the table covers the braid's strands and the word's letters
-    for b, w in [((1,), (5,)), ((1, -2), (7, -3, 6, 1)), ((2, 2, -1), (-4, 4, 3, 9))]:
-        assert artin_act(b, w) == reference_artin_act(b, w)
-    assert artin_act((1, 2), (9, -9, 8)) == (8,)
+    # n covers the word's letters, past the strands the braid moves
+    for b, w, n in [((1,), (5,), 5), ((1, -2), (7, -3, 6, 1), 7), ((2, 2, -1), (-4, 4, 3, 9), 9)]:
+        assert artin_act(b, w, n) == reference_artin_act(b, w, n)
+    assert artin_act((1, 2), (9, -9, 8), 9) == (8,)
 
 
 def test_a_braid_times_its_inverse_cancels_completely():
     rng = random.Random(14)
     for n in (3, 5, 7):
-        b = rand_braid(rng, n, 20) + (1, -2) * 8
+        b = rand_word(rng, n, 20) + (1, -2) * 8
         assert max(map(len, _image_table(b, n)[0])) > 1000  # so the cancellations are long
         assert _image_table(b + inverse_word(b), n) == _image_table((), n)
         w = rand_free(rng, n, 10)

@@ -11,12 +11,7 @@ from collections import Counter
 
 import pytest
 
-from sandwich.errors import (
-    InternalInconsistencyError,
-    ProximityViolationError,
-    RangeError,
-    SandwichError,
-)
+from sandwich.errors import InternalInconsistencyError, ProximityViolationError, RangeError
 from sandwich.fillings import combine_germs
 from sandwich.mcg import Word, inverse_word, reduce_word
 from sandwich.plumbing import (
@@ -45,6 +40,7 @@ from sandwich.wiring import (
     scott,
 )
 
+from fixtures import outcome
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
 from test_plumbing import mutate_rows
@@ -231,14 +227,6 @@ def reference_combine_germs(a: DecoratedGerm, b: DecoratedGerm) -> DecoratedGerm
     pairwise = tuple(tuple(pair(p, q) for q in names) for p in names)
     return DecoratedGerm(branches, a.root_vertex, pairwise)
 
-
-
-def outcome(f, *args):
-    """repr of the value (types and all), or the error's class and message."""
-    try:
-        return "ok", repr(f(*args))
-    except SandwichError as exc:
-        return type(exc).__name__, exc.message
 
 
 # ---------------------------------------------------------------------------

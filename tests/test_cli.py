@@ -42,24 +42,9 @@ from sandwich.wiring import (
     wiring_from_vanishing,
 )
 
+from fixtures import E3_PLUMB, FIG, FIG_FULL
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
-
-FIG = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
-)
-# FIG completed with the one missing marked point (on B) at the end
-FIG_FULL = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n"
-)
-
-E3_PLUMB = "vertex E -3\ncurvetta c on E\ncurvetta d on E\n"
 
 TWO_CUSP_PLUMB = """\
 vertex s1 -3
@@ -402,6 +387,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "format", "location": location, "message": message}
 
+    @pytest.mark.parametrize("groups", ["A=1", "A=1 B=3", "A=1,1 B=2"])
+    def test_components_that_do_not_partition_are_located(self, work, capsys, groups):
+        (work / "part.wire").write_text(f"strands 2\n# two strands\ncomponents {groups}\nseq: 1\n")
+        code, out, err = run(capsys, "validate", "--wire", work / "part.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "format", "location": "line 3",
+                                   "message": "components do not partition strands 1..2"}
+
     @pytest.mark.parametrize("data, error", [
         ({"holes": 3, "items": [{"kind": "arc", "start": 3}]},
          {"code": "range", "location": "items[0]", "message": "arc base (3, 4) outside 1..3"}),
@@ -654,8 +647,8 @@ def valid_texts(rng):
     g, aug = graph_from_cluster(c)
     curvettas = aug.curvettas()
     chains = {name: rng.randint(0, 3) for name in rng.sample(curvettas, rng.randint(1, len(curvettas)))}
-    return [(parse_germ, serialize_germ(c)), (parse_plumb, serialize_plumb(g, aug, chains)),
-            (parse_wire, serialize_wire(rand_diagram(rng)))]
+    plumb = serialize_plumb(g, aug) + "chains " + ",".join(f"{k}={n}" for k, n in sorted(chains.items())) + "\n"
+    return [(parse_germ, serialize_germ(c)), (parse_plumb, plumb), (parse_wire, serialize_wire(rand_diagram(rng)))]
 
 
 def test_a_copied_line_reads_the_same_or_is_named_at_the_copy():
@@ -896,9 +889,12 @@ class TestCompare:
         assert code == 0
 
     def test_needs_two_inputs(self, work, capsys):
-        code, _, err = run(capsys, "compare", "--wire", work / "fig.wire")
-        assert code == 2
-        assert json.loads(err)["code"] == "format"
+        wire = ("--wire", work / "fig.wire")
+        for argv in (wire, wire * 3):
+            code, out, err = run(capsys, "compare", *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"code": "usage", "location": None,
+                                       "message": "compare needs exactly two --wire inputs"}
 
 
 class TestRoundtrips:

@@ -1,12 +1,10 @@
 import random
-from functools import reduce
 
 import pytest
 
 from sandwich import fillings, plumbing, wiring
-from sandwich.errors import InternalInconsistencyError, RangeError, WeightMismatchError
+from sandwich.errors import RangeError, WeightMismatchError
 from sandwich.fillings import (
-    FillingSummary,
     _boundary_difference,
     SpinalOpenBook,
     combine_germs,
@@ -20,17 +18,7 @@ from sandwich.fillings import (
     spinal_open_book,
     unexpected_arrangement,
 )
-from sandwich.mcg import (
-    Factorization,
-    braid_permutation,
-    exponent_sum,
-    item_offset,
-    item_word,
-    mc_from_braid,
-    perm_compose,
-    perm_identity,
-    reduce_word,
-)
+from sandwich.mcg import Factorization, braid_permutation, exponent_sum, mc_from_braid
 from sandwich.plumbing import (
     Branch,
     DecoratedGerm,
@@ -52,23 +40,11 @@ from sandwich.wiring import (
     vanishing_data,
 )
 
+from fixtures import FIG_FULL, line_pair, product_fingerprint, two_cusp_cluster
 from hurwitz import hurwitz_move, mc_equal
 from matrices import from_rows
 from random_diagrams import rand_diagram
 
-FIG = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
-)
-# FIG completed with the one missing marked point (on B) at the end
-FIG_FULL = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n"
-)
 # the two-cusp layout restricted to A
 LAYOUT_A = "strands 2\ncomponents A=1,2\nseq: 1, T(1), 1, F(2), 1, F(2), 1, F(2), 1, I(1..2), 1\n"
 # the two-cusp layout (what restricting its combination with the line pair
@@ -91,44 +67,9 @@ def figure():
     return parse_wire(FIG_FULL)
 
 
-def two_cusp_cluster():
-    points = [
-        ("s1", None), ("s2", "s1"), ("s3", "s2", ("s1",)), ("s4", "s3"),
-        ("a1", "s4"), ("a2", "a1"), ("fA", "a2"),
-        ("b1", "s4"), ("b2", "b1"), ("fB", "b2"),
-    ]
-    mults = {
-        "s1": {"A": 2, "B": 2}, "s2": {"A": 1, "B": 1},
-        "s3": {"A": 1, "B": 1}, "s4": {"A": 1, "B": 1},
-        "a1": {"A": 1}, "a2": {"A": 1}, "fA": {"A": 1},
-        "b1": {"B": 1}, "b2": {"B": 1}, "fB": {"B": 1},
-    }
-    return cluster(["A", "B"], points, mults, weights=(8, 8))
-
-
-def line_pair():
-    return plumbing_graph({"E": -3}), augmentation([("c", "E"), ("d", "E")])
-
-
 def line_pair_cluster():
     g, aug = line_pair()
     return cluster_from_trace(blow_down(g, aug))
-
-
-def product_fingerprint(fact):
-    """Braid word (reduced), hole permutation, and twist ledger of the
-    right-to-left item product, folded without computing any images."""
-    word = []
-    perm = perm_identity(fact.n)
-    ledger = [0] * (fact.n + 1)
-    for item in fact.items:
-        w = item_word(item)
-        off = item_offset(item) or tuple([0] * (fact.n + 1))
-        p = braid_permutation(w, fact.n)
-        word.extend(w)
-        ledger = [off[h] + ledger[p[h] - 1] for h in range(fact.n)] + [ledger[fact.n] + off[fact.n]]
-        perm = perm_compose(perm, p)
-    return reduce_word(tuple(word)), perm, tuple(ledger)
 
 
 def smooth_germ(k):

@@ -26,6 +26,7 @@ from sandwich.mcg import (
     reduce_word,
 )
 
+from fixtures import rand_word
 from hurwitz import (
     act_on_curve,
     canonical_factorization,
@@ -34,10 +35,6 @@ from hurwitz import (
     mc_equal,
     perm_inverse,
 )
-
-
-def rand_word(rng, n, length):
-    return tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
 
 
 def rand_item(rng, n):

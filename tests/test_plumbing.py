@@ -46,6 +46,7 @@ from sandwich.plumbing import (
     subcluster,
 )
 
+from fixtures import line_pair, two_cusp_cluster
 from hurwitz import cap_framing
 from random_clusters import rand_cluster
 
@@ -62,25 +63,6 @@ def two_cusp_graph():
     ]
     aug = augmentation([("A", "a2"), ("B", "b2")])
     return plumbing_graph(vertices, edges), aug
-
-
-def two_cusp_cluster():
-    points = [
-        ("s1", None), ("s2", "s1"), ("s3", "s2", ("s1",)), ("s4", "s3"),
-        ("a1", "s4"), ("a2", "a1"), ("fA", "a2"),
-        ("b1", "s4"), ("b2", "b1"), ("fB", "b2"),
-    ]
-    mults = {
-        "s1": {"A": 2, "B": 2}, "s2": {"A": 1, "B": 1},
-        "s3": {"A": 1, "B": 1}, "s4": {"A": 1, "B": 1},
-        "a1": {"A": 1}, "a2": {"A": 1}, "fA": {"A": 1},
-        "b1": {"B": 1}, "b2": {"B": 1}, "fB": {"B": 1},
-    }
-    return cluster(["A", "B"], points, mults, weights=(8, 8))
-
-
-def line_pair():
-    return plumbing_graph({"E": -3}), augmentation([("c", "E"), ("d", "E")])
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +970,7 @@ def test_parse_plumb():
     assert g.vertices == (("E", -3),)
     assert aug.arrows == (("c", "E"), ("d", "E"))
     assert chains == {"c": 3, "d": 1}
-    text = serialize_plumb(g, aug, chains)
+    text = serialize_plumb(g, aug) + "chains c=3,d=1\n"
     assert parse_plumb(text) == (g, aug, chains)
 
 

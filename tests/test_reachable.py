@@ -88,13 +88,14 @@ def _optional(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
 
 
 def _sets(call: ast.Call, name: str, position: int | None) -> bool:
-    """Whether ``call`` passes the parameter: by its keyword, by enough
-    positional arguments, or through ``*args`` or ``**kwargs``."""
-    if any(k.arg in (name, None) for k in call.keywords):
+    """Whether ``call`` passes the parameter: by its keyword, or by enough
+    positional arguments before any ``*args``.  A starred argument sets no
+    optional parameter, since how many values it holds is not in the
+    source; nor does ``**kwargs``."""
+    if any(k.arg == name for k in call.keywords):
         return True
-    if position is None:
-        return False
-    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    return position is not None and min(starred, default=len(call.args)) > position
 
 
 def test_every_optional_parameter_is_set_by_some_call():

@@ -45,6 +45,7 @@ from sandwich.wiring import (
     serialize_wire,
 )
 
+from fixtures import outcome
 from matrices import from_rows
 from random_clusters import rand_layouts
 from random_diagrams import rand_diagram
@@ -283,6 +284,7 @@ def reference_parse_wire(text):
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"bad strands line {stmt!r}", location=loc) from exc
         elif stmt.startswith("components"):
+            components_loc = loc
             for group in stmt.split()[1:]:
                 label, _, positions = group.partition("=")
                 if not _ or not label or not positions.strip(","):
@@ -334,10 +336,10 @@ def reference_parse_wire(text):
         for label, positions in components.items():
             for p in positions:
                 if not 1 <= p <= n or p in assigned:
-                    raise FormatError(f"components do not partition strands 1..{n}")
+                    raise FormatError(f"components do not partition strands 1..{n}", location=components_loc)
                 assigned[p] = label
         if len(assigned) != n:
-            raise FormatError(f"components do not partition strands 1..{n}")
+            raise FormatError(f"components do not partition strands 1..{n}", location=components_loc)
         labels = tuple(assigned[p] for p in range(1, n + 1))
     try:
         if n >= 1:
@@ -358,14 +360,6 @@ def reference_parse_wire(text):
 
 # ---------------------------------------------------------------------------
 # comparison
-
-
-def outcome(f, *args):
-    """repr of the value (types and all), or the error's class and message."""
-    try:
-        return "ok", repr(f(*args))
-    except SandwichError as exc:
-        return type(exc).__name__, exc.message
 
 
 def parse_outcome(f, text):

@@ -46,22 +46,9 @@ from sandwich.wiring import (
     vanishing_data,
 )
 
+from fixtures import E3_PLUMB, FIG, FIG_A
 from hurwitz import conjugate_item, hurwitz_move, replace
 
-FIG = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3)\n"
-)
-# FIG with one marked point added on A
-FIG_A = (
-    "strands 4\n"
-    "components A=2,3 B=1,4\n"
-    "seq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, I(1..2), "
-    "s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(1), 1\n"
-)
-E3_PLUMB = "vertex E -3\ncurvetta c on E\ncurvetta d on E\n"
 PER_CLASS = 6
 
 MODULES = [importlib.import_module(f"sandwich.{m.name}")

@@ -42,9 +42,16 @@ paper's sizes, and ``wire-from-vanishing`` on its output.  Last, ``render``
 on two diagrams that no workload renders: the Scott layout of the
 two-cusp germ, the one hashed render that draws tangencies, and the
 ``.wire`` that ``unexpected`` writes for the pair at N = 1 (9 strands).
-The very last is ``validate`` on a ``.wire`` with a byte that is not
-UTF-8.  Together the ops take a few seconds.  The output is 199 lines: 159
-for the workload plans and 40 extra."""
+Then ``validate`` on a ``.wire`` with a byte that is not UTF-8, and on
+one whose components do not partition its strands, and ``compare`` with
+one ``--wire``.  The very last are two ``compare --unlabeled`` that search
+for a row bijection, on the generic arrangement of EXTRA_ARRANGEMENT_M
+lines: a "yes" against a copy with its labels reversed, both with one
+double point dropped (with all of them kept, the canonical forms agree
+and no search runs), and a "no" against a copy with one free point moved
+from the top strand to the bottom one.  Together the ops take a few
+seconds.  The output is 203 lines: 159 for the workload plans and 44
+extra."""
 
 import hashlib
 import json
@@ -185,6 +192,24 @@ def extra_ops(api, workloads, work: Path) -> list:
     binary.write_bytes(b"strands 2\nseq: s1\xff\n")
     ops.append(workloads.Op("validate", "validate not UTF-8",
                             lambda: api.run_cli("validate", "--wire", binary), {}, None))
+    loose = work / "loose_components.wire"
+    loose.write_text("strands 2\ncomponents A=1 B=3\nseq: 1\n")
+    ops.append(workloads.Op("validate", "validate components A=1 B=3",
+                            lambda: api.run_cli("validate", "--wire", loose), {}, None))
+    m = EXTRA_ARRANGEMENT_M
+    arr = work / f"arr_{m}.wire"  # the inside-out op's input
+    ops.append(workloads.Op("compare", "compare one --wire",
+                            lambda: api.run_cli("compare", "--wire", arr), {}, None))
+    labels = workloads.Names(SEED).take(m)
+    dropped = (work / "dropped.wire", work / "dropped_relabelled.wire")
+    for path, order in zip(dropped, (labels, labels[::-1])):
+        path.write_text(workloads.arrangement(order, drop=m * (m - 1) // 4))
+    moved = work / "moved_free_point.wire"
+    moved.write_text(arr.read_text().replace(f"F({m})", "F(1)", 1))
+    for tag, a, b in (("relabelled dropped", *dropped), ("moved free point", arr, moved)):
+        ops.append(workloads.Op("compare", f"compare --unlabeled {tag} m={m}",
+                                lambda a=a, b=b: api.run_cli("compare", "--wire", a, "--wire", b, "--unlabeled"),
+                                {}, None))
     return ops
 
 
