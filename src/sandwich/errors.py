@@ -55,10 +55,6 @@ class WeightMismatchError(SandwichError):
     code = "weight-mismatch"
 
 
-class TangencyComponentMismatchError(SandwichError):
-    code = "tangency-component-mismatch"
-
-
 class MultiplicityNotOneError(SandwichError):
     code = "multiplicity-not-one"
 

@@ -4,7 +4,7 @@ verdicts, and incidence-matrix equivalence."""
 
 from collections import Counter
 
-from .errors import InternalInconsistencyError, RangeError, WeightMismatchError
+from .errors import InternalInconsistencyError, RangeError
 from .mcg import (
     Factorization,
     MappingClass,
@@ -198,16 +198,10 @@ class FillingSummary:
     incidence: IncidenceMatrix
 
 
-def filling_summary(w: WiringDiagram, c: Cluster | None = None) -> FillingSummary:
+def filling_summary(w: WiringDiagram) -> FillingSummary:
     """Handle counts and euler characteristic of the filling the diagram
-    describes; when a cluster is supplied the diagram must be compatible
-    with it."""
-    if c is not None:
-        ok, report = compatible(w, c)
-        if not ok:
-            raise WeightMismatchError(
-                "; ".join(f"{code}: {msg}" for code, msg in report.entries)
-            )
+    describes, computed on the diagram as given: whether it fills a germ
+    is ``compatible``'s to judge."""
     arcs = sum(ev.kind == "T" for ev in w.events)
     marked = len(w.events) - arcs
     branches = len(w.component_strands())

@@ -815,15 +815,14 @@ def read_chains(names: Ledger, spec: str, into: dict):
             raise names.error(f"negative chain length for {c}")
 
 
-def serialize_plumb(g: PlumbingGraph, aug: Augmentation | None = None) -> str:
+def serialize_plumb(g: PlumbingGraph, aug: Augmentation) -> str:
     out = []
     for v, e in g.vertices:
         out.append(f"vertex {v} {e}")
     for a, b in g.edges:
         out.append(f"edge {a} {b}")
-    if aug is not None:
-        for c, v in aug.arrows:
-            out.append(f"curvetta {c} on {v}")
+    for c, v in aug.arrows:
+        out.append(f"curvetta {c} on {v}")
     return "\n".join(out) + "\n"
 
 

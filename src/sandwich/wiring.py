@@ -8,8 +8,10 @@ positions.  A tangency T joins positions lo and lo+1, an intersection I
 meets all strands of lo..hi (lo < hi), and a free point F marks the one
 strand at lo = hi.
 
-Every strand belongs to a named component; tangencies must join strands
-of one component and tie each d-strand component into a tree.
+Every strand belongs to a named component.  ``validate_wiring`` alone
+judges whether the tangencies join strands of one component and tie each
+d-strand component into a tree; every other reader computes on the labels
+as given.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     ProximityViolationError,
     RangeError,
     SandwichError,
-    TangencyComponentMismatchError,
 )
 from .lines import Ledger
 from .mcg import (
@@ -113,25 +114,23 @@ class WiringDiagram:
             _check_event(ev, self.n)
         comp = tuple(self.components)
         if not comp:
-            comp = _infer_components(self.n, self.events, self.walked[0])
+            comp = _infer_components(self.n, self.events, self.walked)
         if len(comp) != self.n:
             raise RangeError("need one component label per strand")
         object.__setattr__(self, "components", comp)
 
     @functools.cached_property
-    def walked(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(initial strand ids in each event's window, initial strand id at
-        each final position), from one walk over the braid letters per
-        diagram object."""
+    def walked(self) -> tuple[tuple[int, ...], ...]:
+        """The initial strand ids in each event's window, from one walk over
+        the braid letters per diagram object, up to the last event."""
         state = list(range(1, self.n + 1))  # state[p - 1] = strand at position p
         ids = []
-        for word, ev in zip(self.braids, self.events + (None,)):
+        for word, ev in zip(self.braids, self.events):
             for a in reversed(word):
                 i = abs(a)
                 state[i - 1], state[i] = state[i], state[i - 1]
-            if ev is not None:
-                ids.append(tuple(state[ev.lo - 1 : ev.hi]))
-        return tuple(ids), tuple(state)
+            ids.append(tuple(state[ev.lo - 1 : ev.hi]))
+        return tuple(ids)
 
     def component_strands(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, list[int]] = {}
@@ -142,7 +141,7 @@ class WiringDiagram:
 
 def event_strands(w: WiringDiagram) -> list[tuple[Event, tuple[int, ...]]]:
     """Each event with the initial strand ids involved in it."""
-    return list(zip(w.events, w.walked[0]))
+    return list(zip(w.events, w.walked))
 
 
 def _infer_components(n: int, events, event_ids) -> tuple[str, ...]:
@@ -155,21 +154,8 @@ def _infer_components(n: int, events, event_ids) -> tuple[str, ...]:
     return tuple(names[_find(parent, s)] for s in range(1, n + 1))
 
 
-def _check_tangency_components(w: WiringDiagram, event_ids) -> None:
-    for ev, ids in event_ids:
-        if ev.kind == "T":
-            a, b = ids
-            la, lb = w.components[a - 1], w.components[b - 1]
-            if la != lb:
-                raise TangencyComponentMismatchError(
-                    f"tangency at {ev.lo} joins components {la} and {lb}"
-                )
-
-
 def strand_components(w: WiringDiagram) -> tuple[str, ...]:
-    """Component label per initial strand; rejects tangencies joining
-    strands of different components."""
-    _check_tangency_components(w, event_strands(w))
+    """Component label per initial strand."""
     return w.components
 
 
@@ -177,24 +163,27 @@ def strand_components(w: WiringDiagram) -> tuple[str, ...]:
 # validation and incidence
 
 
-def validate_wiring(w: WiringDiagram, germ=None) -> ValidationReport:
+def validate_wiring(w: WiringDiagram, germ) -> ValidationReport:
+    """The problems of ``w``, and of ``w`` against ``germ`` unless it is
+    None.  A tangency joining two components is the one problem reported:
+    the first in event order."""
     event_ids = event_strands(w)
-    try:
-        _check_tangency_components(w, event_ids)
-    except TangencyComponentMismatchError as exc:
-        return ValidationReport((("tangency-component", exc.message),))
-
     entries = []
     groups = w.component_strands()
-    # tangencies join strands of one component, so one union-find serves all
+    # tangencies that pass join strands of one component, so one union-find serves all
     parent = list(range(w.n + 1))
     edges = {label: 0 for label in groups}
     joined = dict(edges)
     for ev, ids in event_ids:
         if ev.kind == "T":
-            label = w.components[ids[0] - 1]
+            a, b = ids
+            label, other = w.components[a - 1], w.components[b - 1]
+            if label != other:
+                return ValidationReport((
+                    ("tangency-component", f"tangency at {ev.lo} joins components {label} and {other}"),
+                ))
             edges[label] += 1
-            joined[label] += _union(parent, *ids)
+            joined[label] += _union(parent, a, b)
     for label, members in sorted(groups.items()):
         if edges[label] != len(members) - 1 or joined[label] != len(members) - 1:
             entries.append((
@@ -351,9 +340,8 @@ def incidence(w: WiringDiagram) -> IncidenceMatrix:
     # stored form of the columns either way
     zeros = bytearray if w.n < 256 else lambda k: [0] * k
     columns, kinds = [], []
-    for ev, ids in zip(w.events, w.walked[0]):
+    for ev, ids in zip(w.events, w.walked):
         if ev.kind == "T":
-            _check_tangency_components(w, ((ev, ids),))
             continue
         column = zeros(len(labels))
         for s in ids:
@@ -797,26 +785,38 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_as(kind: type, x, message: str):
+    """``x`` when its JSON type is ``kind``, else a TypeError with ``message``."""
+    if type(x) is not kind:
+        raise TypeError(message)
+    return x
+
+
 def factorization_from_json(data) -> Factorization:
-    """Errors raised while reading ``items[i]`` carry that location.  Every
-    number must be a JSON integer, and ``items`` a list of objects."""
+    """Errors raised while reading ``items[i]`` carry that location.  The
+    document and each item must be objects, every number a JSON integer,
+    and ``items``, ``conjugator`` and ``twists`` lists; a missing key is
+    named."""
     where = None
     try:
-        n = _json_int(data["holes"])
-        if not isinstance(data["items"], list):
-            raise TypeError("items must be a list")
+        n = _json_int(_json_as(dict, data, "the top level must be an object")["holes"])
         items = []
-        for i, d in enumerate(data["items"]):
+        for i, d in enumerate(_json_as(list, data["items"], "items must be a list")):
             where = f"items[{i}]"
-            conj = tuple(map(_json_int, d.get("conjugator", ())))
-            twists = tuple(map(_json_int, d["twists"])) if "twists" in d else None
+            _json_as(dict, d, f"{where} must be an object")
+            conj = tuple(map(_json_int, _json_as(list, d.get("conjugator", []),
+                                                 "conjugator must be a list of integers")))
+            twists = (tuple(map(_json_int, _json_as(list, d["twists"], "twists must be a list of integers")))
+                      if "twists" in d else None)
             if d["kind"] == "arc":
                 items.append(HoleArc(n, conj, _json_int(d["start"]), twists, _json_int(d.get("span", 1))))
             elif d["kind"] == "cycle":
                 items.append(HoleCurve(n, conj, _json_int(d["start"]), _json_int(d.get("span", 0)), twists))
             else:
                 raise ValueError(f"unknown item kind {d['kind']!r}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"bad factorization JSON: missing key {exc}", where) from exc
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad factorization JSON: {exc}", where) from exc
     except SandwichError as exc:
         exc.location = where

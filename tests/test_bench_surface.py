@@ -3,20 +3,10 @@ function ``perfbench/tracing.py`` wraps, and every ``api.<layer>.<name>`` that
 ``perfbench/workloads.py`` calls.  Both files are parsed as text, not
 imported, so nothing is written under ``perfbench/``."""
 
-import ast
 import importlib
 import re
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _literal(path: Path, name: str):
-    """The value of the module-level assignment ``name = <literal>``."""
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no {name} in {path.name}")
+from fixtures import PERFBENCH, _literal
 
 
 def _unbound(pairs) -> list[str]:

@@ -40,10 +40,9 @@ from sandwich.wiring import (
     scott,
 )
 
-from fixtures import outcome
+from fixtures import mutate_rows, outcome
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
-from test_plumbing import mutate_rows
 
 
 def reference_scott(c: Cluster) -> WiringDiagram:

@@ -42,65 +42,9 @@ from sandwich.wiring import (
     wiring_from_vanishing,
 )
 
-from fixtures import E3_PLUMB, FIG, FIG_FULL
+from fixtures import E3_PLUMB, FIG, FIG_FULL, TWO_CUSP_GERM, TWO_CUSP_PLUMB
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
-
-TWO_CUSP_PLUMB = """\
-vertex s1 -3
-vertex s2 -2
-vertex s3 -2
-vertex s4 -3
-vertex a1 -2
-vertex a2 -2
-vertex b1 -2
-vertex b2 -2
-edge s1 s3
-edge s2 s3
-edge s3 s4
-edge s4 a1
-edge a1 a2
-edge s4 b1
-edge b1 b2
-curvetta A on a2
-curvetta B on b2
-"""
-
-TWO_CUSP_GERM = """\
-branch A B
-point s1 parent root
-point s2 parent s1
-point s3 parent s2 prox s1
-point s4 parent s3
-point a1 parent s4
-point a2 parent a1
-point fA parent a2
-point b1 parent s4
-point b2 parent b1
-point fB parent b2
-mult s1 A=2 B=2
-mult s2 A=1 B=1
-mult s3 A=1 B=1
-mult s4 A=1 B=1
-mult a1 A=1
-mult a2 A=1
-mult fA A=1
-mult b1 B=1
-mult b2 B=1
-mult fB B=1
-weight A 8
-weight B 8
-"""
-
-
-@pytest.fixture
-def work(tmp_path):
-    (tmp_path / "e3.plumb").write_text(E3_PLUMB)
-    (tmp_path / "twocusp.germ").write_text(TWO_CUSP_GERM)
-    (tmp_path / "twocusp.plumb").write_text(TWO_CUSP_PLUMB)
-    (tmp_path / "fig.wire").write_text(FIG)
-    (tmp_path / "figfull.wire").write_text(FIG_FULL)
-    return tmp_path
 
 
 def run(capsys, *argv):
@@ -403,13 +347,12 @@ class TestExitCodes:
          {"code": "range", "location": "items[1]",
           "message": "braid letter 5 outside strand range 1..2"}),
         ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "cycle"}, "x"]},
-         {"code": "format", "location": "items[1]", "message": "bad factorization JSON: 'start'"}),
+         {"code": "format", "location": "items[1]", "message": "bad factorization JSON: missing key 'start'"}),
         ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, "x"]},
-         {"code": "format", "location": "items[1]",
-          "message": "bad factorization JSON: 'str' object has no attribute 'get'"}),
+         {"code": "format", "location": "items[1]", "message": "bad factorization JSON: items[1] must be an object"}),
         # the shape of the whole document has no item to name
         ([{"holes": 3}], {"code": "format", "location": None,
-                          "message": "bad factorization JSON: list indices must be integers or slices, not str"}),
+                          "message": "bad factorization JSON: the top level must be an object"}),
         ({"holes": "x", "items": []}, {"code": "format", "location": None,
                                        "message": "bad factorization JSON: expected an integer, got 'x'"}),
         # a number that is not a JSON integer, or an items string, is a format error
@@ -444,6 +387,18 @@ class TestExitCodes:
         # an arc spans one gap: any other span is refused, not dropped
         ({"holes": 3, "items": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "span": 7}]},
          {"code": "range", "location": "items[1]", "message": "no item of kind 'arc' and span 7"}),
+        # a document of the wrong shape names what is wrong: not Python's own message
+        ("x", {"code": "format", "location": None, "message": "bad factorization JSON: the top level must be an object"}),
+        ({"items": []}, {"code": "format", "location": None, "message": "bad factorization JSON: missing key 'holes'"}),
+        ({"holes": 3, "items": [1]},
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: items[0] must be an object"}),
+        ({"holes": 3, "items": [{"start": 1}]},
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: missing key 'kind'"}),
+        ({"holes": 3, "items": [{"kind": "arc", "start": 1, "conjugator": 5}]},
+         {"code": "format", "location": "items[0]",
+          "message": "bad factorization JSON: conjugator must be a list of integers"}),
+        ({"holes": 3, "items": [{"kind": "arc", "start": 1, "twists": {}}]},
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: twists must be a list of integers"}),
     ])
     def test_factorization_errors_name_the_item(self, work, capsys, data, error):
         (work / "f.json").write_text(json.dumps(data))
@@ -817,6 +772,22 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--wire", work / "fig.wire")
         assert code == 0
         assert json.loads(out)["problems"] == []
+
+    SPLIT = "strands 3\ncomponents A=1 B=2 C=3\nseq: 1, T(1), 1, F(3), 1\n"
+
+    def test_a_split_tangency_is_judged_by_validate_alone(self, work, capsys):
+        # the tangency joins components A and B: validate answers "no", and
+        # every other reader computes on the labels as given
+        (work / "split.wire").write_text(self.SPLIT)
+        code, out, err = run(capsys, "validate", "--wire", work / "split.wire")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["problems"] == [
+            {"code": "tangency-component", "message": "tangency at 1 joins components A and B"}]
+        for argv in (("incidence",), ("compare", "--wire", work / "split.wire"),
+                     ("inside-out", "--hole", 3), ("vanishing",), ("render",)):
+            code, out, err = run(capsys, argv[0], "--wire", work / "split.wire", *argv[1:])
+            assert (code, err) == (0, ""), argv
+            assert out
 
     # per-component entries of a germ check whose labels are the branch names
     AB = ("branch A B\npoint r parent root\npoint a1 parent r\npoint b1 parent r\n"

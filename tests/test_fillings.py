@@ -382,15 +382,13 @@ class TestIncidenceEquiv:
 
 class TestFillingSummary:
     def test_line_pair(self):
-        cl = line_pair_cluster()
-        s = filling_summary(scott(cl), cl)
+        s = filling_summary(scott(line_pair_cluster()))
         assert s.lefschetz_count == 3
         assert s.exotic_count == 0
         assert s.euler_characteristic == 2
 
     def test_two_cusp_layout(self):
-        tc = two_cusp_cluster()
-        s = filling_summary(scott(tc), tc)
+        s = filling_summary(scott(two_cusp_cluster()))
         assert s.lefschetz_count == 10
         assert s.exotic_count == 2
         assert s.euler_characteristic == 9
@@ -402,14 +400,16 @@ class TestFillingSummary:
         assert s.euler_characteristic == 7
 
     def test_single_free_branch(self):
-        cl = cluster(["x"], [("p", None)], {"p": {"x": 1}})
-        s = filling_summary(scott(cl), cl)
+        s = filling_summary(scott(cluster(["x"], [("p", None)], {"p": {"x": 1}})))
         assert s.lefschetz_count == 1
         assert s.euler_characteristic == 1
 
-    def test_incompatible_diagram_raises(self):
-        with pytest.raises(WeightMismatchError):
-            filling_summary(figure(), two_cusp_cluster())
+    def test_incompatible_diagram_is_a_compatible_no(self):
+        # the summary computes on the diagram as given; compatible judges
+        # whether it fills the germ
+        ok, report = compatible(figure(), two_cusp_cluster())
+        assert (ok, [code for code, _ in report.entries]) == (False, ["boundary-class"])
+        assert filling_summary(figure()).lefschetz_count == 8
 
     def test_incidence_comes_canonical(self):
         s = filling_summary(figure())

@@ -43,10 +43,9 @@ from sandwich.mcg import (
 )
 from sandwich.wiring import boundary_braid, parse_wire, vanishing_data
 
-from fixtures import rand_word
+from fixtures import arrangement, rand_word
 from hurwitz import perm_inverse
 from random_diagrams import rand_diagram
-from test_read_side import arrangement
 
 
 def reference_braid_equal(a, b, n):

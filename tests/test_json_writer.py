@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 import sandwich.cli
 from sandwich.cli import _dumps, main
 
-from test_cli import work  # noqa: F401  (the input files fixture)
-
 
 def reference_dumps(x):
     return json.dumps(x, indent=2, sort_keys=True)
@@ -81,7 +79,7 @@ JSON_COMMANDS = {
 }
 
 
-def test_every_command_payload(work, capsys, monkeypatch):  # noqa: F811
+def test_every_command_payload(work, capsys, monkeypatch):
     monkeypatch.chdir(work)
     (work / "abc.wire").write_text("strands 3\ncomponents a=1 b=2 c=3\nseq: 1, I(1..3), 1, F(1), 1\n")
     payloads = []

@@ -46,7 +46,7 @@ from sandwich.plumbing import (
     subcluster,
 )
 
-from fixtures import line_pair, two_cusp_cluster
+from fixtures import line_pair, mutate_rows, proximate_sum, two_cusp_cluster
 from hurwitz import cap_framing
 from random_clusters import rand_cluster
 
@@ -473,11 +473,6 @@ def test_random_cluster_paths_agree():
         assert germ_from_augmentation(g, aug) == germ_from_cluster(c)
 
 
-def proximate_sum(c, mults, i, b):
-    pid = c.points[i].id
-    return sum(mults[r].get(b, 0) for r, p in enumerate(c.points) if pid == p.parent or pid in p.prox)
-
-
 def test_random_cluster_mutations():
     rng = random.Random(10)
     for _ in range(40):
@@ -778,47 +773,6 @@ def reference_subcluster(c, branch_names):
     mults = tuple(tuple(c.mults[i][b] for b in keep_b) for i in keep_p)
     weights = tuple(c.weights[b] for b in keep_b) if c.weights is not None else None
     return Cluster(tuple(c.branches[b] for b in keep_b), tuple(points), mults, weights)
-
-
-def mutate_rows(c, rng):
-    """Copies of c whose rows are lowered, raised, negative, zeroed or
-    forked at one random entry, plus one with a branch on no point.  A
-    carried change also raises the earlier points to their proximity sums,
-    so it reaches the chain checks."""
-    out = [Cluster(c.branches + ("z",), c.points, c.mults)]
-    nb = len(c.branches)
-
-    def with_entry(i, b, m, carry=False):
-        rows = [dict(row) for row in c.mults]
-        rows[i].pop(b, None)
-        if m:
-            rows[i][b] = m
-        for r in reversed(range(i) if carry else ()):
-            need = max(rows[r].get(b, 0), proximate_sum(c, rows, r, b))
-            if need:
-                rows[r][b] = need
-        return Cluster(c.branches, c.points, tuple(rows), c.weights)
-
-    for _ in range(2):
-        i = rng.randrange(len(c.points))
-        b = rng.randrange(nb)
-        m = c.mults[i].get(b, 0)
-        out += [
-            with_entry(i, b, m - rng.randint(1, 2)),  # lowered, maybe to 0 or below
-            with_entry(i, b, m + rng.randint(1, 2)),  # raised, maybe off the chain
-            with_entry(i, b, m + 1, carry=True),  # raised, and the points above with it
-            with_entry(i, b, -rng.randint(1, 3)),  # negative
-            with_entry(i, b, 0),  # zeroed
-        ]
-    # forked: the branch also passes through a point beside its chain
-    b = rng.randrange(nb)
-    chain = set(_index_cluster(c).chains[b])
-    beside = [i for i, p in enumerate(c.points)
-              if i not in chain and p.parent is not None and c.indexed.row[p.parent] in chain]
-    if beside:
-        i = rng.choice(beside)
-        out += [with_entry(i, b, 1), with_entry(i, b, 1, carry=True)]
-    return out
 
 
 def test_sparse_rows_match_dense_oracles():

@@ -4,15 +4,18 @@ reaches it.  A name is reached when a reached definition (or a module's
 top-level code, which runs at import) mentions it, in its own module or
 through ``from .module import name``.  Likewise every optional parameter of
 a top-level function is set by some call in ``src/`` or in
-``perfbench/workloads.py``.  The sources are parsed, not imported;
-``TRACED`` is read as text, so nothing is written under ``perfbench/``."""
+``perfbench/workloads.py``, and its default is relied on by some call in
+``src/``, ``tests/``, ``tools/`` or ``perfbench/workloads.py``.  The sources
+are parsed, not imported; ``TRACED`` is read as text, so nothing is written
+under ``perfbench/``."""
 
 import ast
 from pathlib import Path
 
-from test_bench_surface import PERFBENCH, _literal
+from fixtures import PERFBENCH, _literal
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sandwich"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sandwich"
 
 # Not reached yet, on purpose: the filling-level names get their caller from
 # a ``sandwich filling`` command (ROADMAP item 7), and ``__version__`` is
@@ -22,10 +25,6 @@ EXEMPT = (
     "fillings.FillingSummary", "fillings.filling_summary", "fillings.filling_json",
     "__init__.__version__",
 )
-
-# Optional parameters no call sets yet: ``filling_summary``'s cluster gets
-# its caller from ``sandwich filling --germ`` (ROADMAP item 7).
-EXEMPT_PARAMS = ("fillings.filling_summary.c",)
 
 
 def _modules():
@@ -98,26 +97,52 @@ def _sets(call: ast.Call, name: str, position: int | None) -> bool:
     return position is not None and min(starred, default=len(call.args)) > position
 
 
-def test_every_optional_parameter_is_set_by_some_call():
-    # top-level function names are unique across modules, so a call is
-    # matched to its function by the name it calls, bare or as an attribute
+def _relies(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` leaves the parameter to its default: no keyword
+    names it, there is no ``**kwargs``, and its positional arguments stop
+    short of it with no ``*args`` among them, since how many values a
+    starred argument holds is not in the source."""
+    if any(k.arg in (name, None) for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def _optional_params() -> dict[str, tuple[str, str, int | None]]:
+    """``module.function.parameter`` -> (function, parameter, position) for
+    each parameter with a default of a top-level function in ``src/``."""
     functions = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 assert node.name not in functions, f"two top-level functions named {node.name}"
                 functions[node.name] = path.stem, node
+    return {f"{module}.{fn.name}.{name}": (fn.name, name, position)
+            for module, fn in functions.values() for name, position in _optional(fn)}
+
+
+def _calls(paths) -> dict[str, list[ast.Call]]:
+    """The calls in ``paths`` by the name they call, bare or as an
+    attribute: top-level function names are unique across modules, so that
+    name matches a call to its function."""
     calls = {}
-    for path in [*sorted(SRC.glob("*.py")), PERFBENCH / "workloads.py"]:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    params = {f"{module}.{fn.name}.{name}": (fn.name, name, position)
-              for module, fn in functions.values() for name, position in _optional(fn)}
-    unset = sorted(key for key, (fn, name, position) in params.items()
+    return calls
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    calls = _calls([*sorted(SRC.glob("*.py")), PERFBENCH / "workloads.py"])
+    unset = sorted(key for key, (fn, name, position) in _optional_params().items()
                    if not any(_sets(call, name, position) for call in calls.get(fn, ())))
-    missing = sorted(set(unset) - set(EXEMPT_PARAMS))
-    assert not missing, f"set by no call: {', '.join(missing)}"
-    stale = sorted(set(EXEMPT_PARAMS) - set(unset))
-    assert not stale, f"exempt, but set by a call or gone: {', '.join(stale)}"
+    assert not unset, f"set by no call: {', '.join(unset)}"
+
+
+def test_every_default_is_relied_on_by_some_call():
+    calls = _calls([*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+                    *sorted((ROOT / "tools").glob("*.py")), PERFBENCH / "workloads.py"])
+    passed = sorted(key for key, (fn, name, position) in _optional_params().items()
+                    if not any(_relies(call, name, position) for call in calls.get(fn, ())))
+    assert not passed, f"every call passes: {', '.join(passed)}"

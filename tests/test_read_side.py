@@ -25,9 +25,8 @@ from hypothesis import strategies as st
 from sandwich.cli import render
 from sandwich.errors import FormatError, RangeError, SandwichError
 from sandwich import fillings
-from sandwich.fillings import incidence_canonical, incidence_equiv, unexpected_arrangement
+from sandwich.fillings import incidence_canonical, incidence_equiv
 from sandwich.mcg import check_braid_word
-from sandwich.plumbing import parse_plumb
 from sandwich.wiring import (
     _BRAID_RE,
     _EVENT_RE,
@@ -37,7 +36,6 @@ from sandwich.wiring import (
     Tangency,
     WiringDiagram,
     _check_event,
-    _check_tangency_components,
     bijection_exists,
     event_strands,
     incidence,
@@ -45,7 +43,7 @@ from sandwich.wiring import (
     serialize_wire,
 )
 
-from fixtures import outcome
+from fixtures import arrangement, outcome, unexpected_wires
 from matrices import from_rows
 from random_clusters import rand_layouts
 from random_diagrams import rand_diagram
@@ -149,7 +147,6 @@ def reference_render(w, version=1):
 
 def reference_incidence(w):
     event_ids = event_strands(w)
-    _check_tangency_components(w, event_ids)
     labels = tuple(sorted(w.component_strands()))
     counted = [(ev, Counter(w.components[s - 1] for s in ids))
                for ev, ids in event_ids if ev.kind != "T"]
@@ -189,9 +186,8 @@ def row_major_incidence(w):
     rows = [[0] * len(w.events) for _ in labels]
     row_of_strand = [None, *(rows[row_of[label]] for label in w.components)]
     kinds = []
-    for ev, ids in zip(w.events, w.walked[0]):
+    for ev, ids in zip(w.events, w.walked):
         if ev.kind == "T":
-            _check_tangency_components(w, ((ev, ids),))
             continue
         for s in ids:
             row_of_strand[s][len(kinds)] += 1
@@ -393,53 +389,6 @@ def relabeled(w, rng, declared):
     return WiringDiagram(w.n, w.braids, w.events, comps)
 
 
-def arrangement(m, free_per_line=2, free_first=False, drop=None, trade=False):
-    """Generic arrangement of m lines, one strand each: every pair meets
-    once in I(q..q+1), the upper strand carried down by a conjugating braid
-    and back, and free points on every line.  ``drop`` leaves out that
-    double point (by index); with ``trade`` a free point takes its place."""
-    braids, events, pending = [], [], ()
-
-    def push(ev):
-        nonlocal pending
-        braids.append(pending)
-        events.append(ev)
-        pending = ()
-
-    free = [FreePoint(pos) for _ in range(free_per_line) for pos in range(1, m + 1)]
-    for ev in free if free_first else ():
-        push(ev)
-    pairs = ((p, q) for p in range(2, m + 1) for q in range(1, p))
-    for index, (p, q) in enumerate(pairs):
-        down = tuple(range(q + 1, p))
-        pending = down + pending
-        if index != drop:
-            push(Intersection(q, q + 1))
-        elif trade:
-            push(FreePoint(q))
-        pending = tuple(-a for a in reversed(down)) + pending
-    for ev in () if free_first else free:
-        push(ev)
-    braids.append(pending)
-    return WiringDiagram(m, tuple(braids), tuple(events), tuple(f"L{i:02d}" for i in range(m, 0, -1)))
-
-
-def unexpected_layouts():
-    """The combined diagram that ``unexpected`` builds for the pair and the
-    triple of smooth branches at N = 1 and 2 (9 to 12 strands)."""
-    for text in ("vertex v -3\ncurvetta a on v\ncurvetta b on v\n",
-                 "vertex v -4\ncurvetta a on v\ncurvetta b on v\ncurvetta c on v\n"):
-        g, aug, _ = parse_plumb(text)
-        for n in (1, 2):
-            yield unexpected_arrangement(g, aug, n, 5).wiring
-
-
-def unexpected_wires():
-    """The combined ``.wire`` that ``unexpected`` writes for those, read
-    back."""
-    return (parse_wire(serialize_wire(w)) for w in unexpected_layouts())
-
-
 def test_scott_layouts_and_unexpected_wires():
     # Scott layouts of random clusters draw tangency diamonds; the
     # unexpected wires are the widest built diagrams, with no tangency
@@ -464,11 +413,14 @@ def test_random_diagrams_inferred_and_declared_components():
         seen.update("empty braid" for b in w.braids if not b)
         if w.n == 1:
             seen.add("one strand")
-        seen.add(outcome(incidence, scrambled)[0])
-    # the set reaches every kind of event and letter, and rejected labels
+        # incidence computes on the labels as given, also where a tangency
+        # joins two of them (only validate judges that)
+        seen.update("split tangency" for ev, ids in event_strands(scrambled)
+                    if ev.kind == "T" and len({scrambled.components[s - 1] for s in ids}) == 2)
+    # the set reaches every kind of event and letter, and split tangencies
     assert seen >= {
         "F", "T", "I", "inverse", "positive", "empty braid",
-        "one strand", "ok", "TangencyComponentMismatchError",
+        "one strand", "split tangency",
     }
 
 
@@ -803,4 +755,4 @@ def test_repeated_event_object_checks_the_first_bad_event_in_seq_order():
             WiringDiagram(3, ((),) * (len(events) + 1), events)
         assert exc.value.message == message
     w = WiringDiagram(3, ((1,), (), (2,), ()), (good, Intersection(1, 3), good))
-    assert w.walked == (((2, 1), (2, 1, 3), (2, 3)), (2, 3, 1))
+    assert w.walked == ((2, 1), (2, 1, 3), (2, 3))

@@ -49,9 +49,12 @@ for a row bijection, on the generic arrangement of EXTRA_ARRANGEMENT_M
 lines: a "yes" against a copy with its labels reversed, both with one
 double point dropped (with all of them kept, the canonical forms agree
 and no search runs), and a "no" against a copy with one free point moved
-from the top strand to the bottom one.  Together the ops take a few
-seconds.  The output is 203 lines: 159 for the workload plans and 44
-extra."""
+from the top strand to the bottom one.  After them, ``incidence`` and
+``inside-out`` on a ``.wire`` whose tangency joins two declared components
+(SPLIT_WIRE), which ``validate`` alone rejects, and ``wire-from-vanishing``
+on each factorization document of SHAPE_FAULTS, whose shape is wrong.
+Together the ops take a few seconds.  The output is 211 lines: 159 for the
+workload plans and 52 extra."""
 
 import hashlib
 import json
@@ -78,6 +81,15 @@ FACT_FAULTS = {
     "nonzero twists": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 2, "twists": [1, 0, 0, -1]}],
     "arc span 7": [{"kind": "cycle", "start": 1}, {"kind": "arc", "start": 1, "span": 7}],
 }
+SHAPE_FAULTS = {
+    "top level a list": [1, 2],
+    "top level a string": "x",
+    "no holes": {"items": []},
+    "item 1": {"holes": 3, "items": [1]},
+    "arc with no start": {"holes": 3, "items": [{"kind": "arc"}]},
+    "conjugator 5": {"holes": 3, "items": [{"kind": "arc", "start": 1, "conjugator": 5}]},
+}
+SPLIT_WIRE = "strands 3\ncomponents A=1 B=2 C=3\nseq: 1, T(1), 1, F(3), 1\n"
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
     "two vertices": "vertex a -2\nvertex b -2\n",
@@ -210,6 +222,17 @@ def extra_ops(api, workloads, work: Path) -> list:
         ops.append(workloads.Op("compare", f"compare --unlabeled {tag} m={m}",
                                 lambda a=a, b=b: api.run_cli("compare", "--wire", a, "--wire", b, "--unlabeled"),
                                 {}, None))
+    split = work / "split.wire"
+    split.write_text(SPLIT_WIRE)
+    ops.append(workloads.Op("incidence", "incidence split tangency",
+                            lambda: api.run_cli("incidence", "--wire", split), {}, None))
+    ops.append(workloads.Op("inside-out", "inside-out split tangency hole 3",
+                            lambda: api.run_cli("inside-out", "--wire", split, "--hole", 3), {}, None))
+    for i, (tag, data) in enumerate(SHAPE_FAULTS.items()):
+        fact = work / f"shape_fault_{i}.json"
+        fact.write_text(json.dumps(data))
+        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
+                                lambda fact=fact: api.run_cli("wire-from-vanishing", "--fact", fact), {}, None))
     return ops
 
 
