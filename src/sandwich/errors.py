@@ -47,6 +47,12 @@ class InternalInconsistencyError(SandwichError):
     code = "internal-inconsistency"
 
 
+class NoLayoutError(SandwichError):
+    """A valid cluster that has no unbraided wiring layout."""
+
+    code = "no-layout"
+
+
 class ProximityViolationError(SandwichError):
     code = "proximity-violation"
 

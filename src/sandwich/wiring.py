@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     InternalInconsistencyError,
     MultiplicityNotOneError,
+    NoLayoutError,
     ProximityViolationError,
     RangeError,
     SandwichError,
@@ -45,7 +46,7 @@ from .mcg import (
     inverse_word,
     reduce_word,
 )
-from .plumbing import Cluster, ValidationReport, _find, _union, check_cluster
+from .plumbing import Cluster, ValidationReport, _find, _pair_sums, _union, check_cluster
 from .records import frozen
 
 
@@ -163,102 +164,102 @@ def strand_components(w: WiringDiagram) -> tuple[str, ...]:
 # validation and incidence
 
 
+def _numbered(w: WiringDiagram):
+    """The sorted component labels, and each strand id's number: the index
+    of its label among them (None at 0)."""
+    labels = tuple(sorted(set(w.components)))
+    return labels, [None, *map({label: i for i, label in enumerate(labels)}.get, w.components)]
+
+
 def validate_wiring(w: WiringDiagram, germ) -> ValidationReport:
     """The problems of ``w``, and of ``w`` against ``germ`` unless it is
     None.  A tangency joining two components is the one problem reported:
-    the first in event order."""
+    the first in event order.  Each per-component count is a list indexed
+    by the component's number."""
     event_ids = event_strands(w)
-    entries = []
-    groups = w.component_strands()
+    labels, number = _numbered(w)
+    strands, edges, joined = [0] * len(labels), [0] * len(labels), [0] * len(labels)
+    for i in number[1:]:
+        strands[i] += 1
     # tangencies that pass join strands of one component, so one union-find serves all
     parent = list(range(w.n + 1))
-    edges = {label: 0 for label in groups}
-    joined = dict(edges)
     for ev, ids in event_ids:
         if ev.kind == "T":
             a, b = ids
-            label, other = w.components[a - 1], w.components[b - 1]
-            if label != other:
+            i = number[a]
+            if i != number[b]:
                 return ValidationReport((
-                    ("tangency-component", f"tangency at {ev.lo} joins components {label} and {other}"),
+                    ("tangency-component", f"tangency at {ev.lo} joins components {labels[i]} and {labels[number[b]]}"),
                 ))
-            edges[label] += 1
-            joined[label] += _union(parent, a, b)
-    for label, members in sorted(groups.items()):
-        if edges[label] != len(members) - 1 or joined[label] != len(members) - 1:
-            entries.append((
-                "tangency-tree",
-                f"component {label}: {edges[label]} tangencies on {len(members)} strands "
-                "do not form a tree",
-            ))
-
+            edges[i] += 1
+            joined[i] += _union(parent, a, b)
+    entries = [
+        ("tangency-tree", f"component {label}: {e} tangencies on {k} strands do not form a tree")
+        for label, k, e, j in zip(labels, strands, edges, joined) if not e == j == k - 1
+    ]
     if germ is not None:
-        entries.extend(_germ_entries(w, germ, event_ids))
+        sums, selfs, cross = _component_summary(number, len(labels), event_ids)
+        entries += _germ_entries(w.n, labels, [*zip(strands, sums, selfs)], cross, germ)
     return ValidationReport(tuple(entries))
 
 
-def _component_summary(w: WiringDiagram, event_ids):
-    """Per component: (strand count, row sum, self pair count); plus cross
-    counts per unordered label pair, over each intersection and free point."""
-    groups, comps = w.component_strands(), w.components
-    rows = {label: 0 for label in groups}
-    self_pairs = {label: 0 for label in groups}
-    cross: dict[tuple[str, str], int] = {}
+def _component_summary(number, m: int, event_ids):
+    """Per component number, of m (``number`` gives each strand id's): the
+    row sum and the self count; and per pair of numbers the cross count,
+    the Noether sum over each intersection and free point."""
+    sums, selfs, columns = [0] * m, [0] * m, []
     for ev, ids in event_ids:
-        if ev.kind == "T":
-            continue
-        counts: dict[str, int] = {}
-        for s in ids:
-            counts[comps[s - 1]] = counts.get(comps[s - 1], 0) + 1
-        for label, k in counts.items():
-            rows[label] += k
-            self_pairs[label] += k * (k - 1) // 2
-        for (la, a), (lb, b) in itertools.combinations(sorted(counts.items()), 2):
-            cross[la, lb] = cross.get((la, lb), 0) + a * b
-    strands = {label: len(s) for label, s in groups.items()}
-    return strands, rows, self_pairs, cross
+        if ev.kind != "T":
+            column: dict[int, int] = {}
+            for s in ids:
+                column[number[s]] = column.get(number[s], 0) + 1
+            for i, k in column.items():
+                sums[i] += k
+                selfs[i] += k * (k - 1) // 2
+            columns.append(column.items())
+    return sums, selfs, _pair_sums(columns, m)
 
 
-def _germ_entries(w: WiringDiagram, germ, event_ids) -> list[tuple[str, str]]:
+# a component's row (strand count, row sum, self count) against its
+# branch's (d, weight, delta): each position's entry code and text
+_ROW_ENTRIES = (
+    ("strand-count", "{} strands != d {}"),
+    ("weight", "row sum {} != weight {}"),
+    ("self", "self count {} != delta {}"),
+)
+
+
+def _row_entries(label: str, row, b):
+    """The entries in which component ``label``'s row differs from branch
+    ``b``: the one comparison of the report and of the assignment search."""
+    return ((code, f"component {label}: " + text.format(got, want))
+            for (code, text), got, want in zip(_ROW_ENTRIES, row, (b.origin_multiplicity, b.weight, b.delta))
+            if got != want)
+
+
+def _germ_entries(n: int, labels, rows, cross, germ) -> list[tuple[str, str]]:
     entries = []
-    strands, rows, self_pairs, cross = _component_summary(w, event_ids)
     total_d = sum(b.origin_multiplicity for b in germ.branches)
-    if w.n != total_d:
-        entries.append(("strand-count", f"{w.n} strands != sum of branch multiplicities {total_d}"))
-    labels = sorted(strands)
-    names = sorted(b.name for b in germ.branches)
+    if n != total_d:
+        entries.append(("strand-count", f"{n} strands != sum of branch multiplicities {total_d}"))
+    names = tuple(sorted(b.name for b in germ.branches))
     if len(labels) != len(names):
         entries.append(("component-count", f"{len(labels)} components != {len(names)} branches"))
         return entries
     # a match agrees on every strand count, so the strand-count entry above
     # only ever stands beside other entries
-    if labels == names:
-        entries.extend(_check_assignment(labels, germ, strands, rows, self_pairs, cross))
-    elif not _matching_exists(labels, names, germ, strands, rows, self_pairs, cross):
-        entries.append(("component-match", "no branch assignment matches the incidence data"))
+    if labels != names:
+        if not _matching_exists(labels, names, rows, cross, germ):
+            entries.append(("component-match", "no branch assignment matches the incidence data"))
+        return entries
+    for label, row in zip(labels, rows):
+        entries += _row_entries(label, row, germ.branch(label))
+    # the pairs that meet, then those that never do, each in label order
+    for i, k in sorted(itertools.combinations(range(len(labels)), 2), key=lambda p: not cross[p[0]][p[1]]):
+        want = germ.pair(labels[i], labels[k])
+        if cross[i][k] != want:
+            entries.append(("cross", f"components {labels[i]},{labels[k]}: cross count {cross[i][k]} != pairwise {want}"))
     return entries
-
-
-def _check_assignment(labels, germ, strands, rows, self_pairs, cross) -> list[tuple[str, str]]:
-    """The entries of the assignment that sends each of the sorted
-    ``labels`` to the branch of the same name."""
-    errs = []
-    for label in labels:
-        b = germ.branch(label)
-        if strands[label] != b.origin_multiplicity:
-            errs.append(("strand-count", f"component {label}: {strands[label]} strands != d {b.origin_multiplicity}"))
-        if rows[label] != b.weight:
-            errs.append(("weight", f"component {label}: row sum {rows[label]} != weight {b.weight}"))
-        if self_pairs[label] != b.delta:
-            errs.append(("self", f"component {label}: self count {self_pairs[label]} != delta {b.delta}"))
-    for (la, lb), value in sorted(cross.items()):
-        want = germ.pair(la, lb)
-        if value != want:
-            errs.append(("cross", f"components {la},{lb}: cross count {value} != pairwise {want}"))
-    for la, lb in itertools.combinations(labels, 2):
-        if (la, lb) not in cross and germ.pair(la, lb) != 0:
-            errs.append(("cross", f"components {la},{lb}: cross count 0 != pairwise {germ.pair(la, lb)}"))
-    return errs
 
 
 def bijection_exists(m: int, fits) -> bool:
@@ -285,23 +286,18 @@ def bijection_exists(m: int, fits) -> bool:
     return True
 
 
-def _matching_exists(labels, names, germ, strands, rows, self_pairs, cross) -> bool:
-    """Whether some branch assignment passes ``_check_assignment``: label i
-    goes to branch ``names[p[i]]``, checked one label at a time."""
+def _matching_exists(labels, names, rows, cross, germ) -> bool:
+    """Whether some branch assignment gives no entry: component i goes to
+    branch ``names[p[i]]``, checked one component at a time."""
     branches = [germ.branch(name) for name in names]
 
     def fits(p):
         if not p:
             return True
-        label, b = labels[len(p) - 1], branches[p[-1]]
-        if (strands[label], rows[label], self_pairs[label]) != (
-                b.origin_multiplicity, b.weight, b.delta):
+        i, b = len(p) - 1, branches[p[-1]]
+        if any(_row_entries(labels[i], rows[i], b)):
             return False
-        # labels are sorted, so an earlier label comes first in its cross key
-        return all(
-            cross.get((labels[j], label), 0) == germ.pair(names[q], b.name)
-            for j, q in enumerate(p[:-1])
-        )
+        return all(cross[j][i] == germ.pair(names[q], b.name) for j, q in enumerate(p[:-1]))
 
     return bijection_exists(len(labels), fits)
 
@@ -334,8 +330,7 @@ class IncidenceMatrix:
 def incidence(w: WiringDiagram) -> IncidenceMatrix:
     """Rows = components (sorted by label), one column per intersection or
     free point in seq order; entries count that component's strands there."""
-    labels = tuple(sorted(set(w.components)))
-    row_of = [None, *map({label: r for r, label in enumerate(labels)}.get, w.components)]
+    labels, row_of = _numbered(w)
     # below 256 strands no count can pass a byte; the record decides the
     # stored form of the columns either way
     zeros = bytearray if w.n < 256 else lambda k: [0] * k
@@ -496,7 +491,7 @@ def scott(c: Cluster) -> WiringDiagram:
             if j == 0 < len(bs) - 1 or 0 < j == len(bs) - 1:
                 high[k] = j == 0  # the lowest branch keeps its high end, the highest its low end
             elif j and m != len(old):
-                raise InternalInconsistencyError(
+                raise NoLayoutError(
                     f"branch {c.branches[k]} shrinks inside the window at {p.id}; "
                     "no unbraided layout exists"
                 )

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from sandwich.errors import InternalInconsistencyError, ProximityViolationError, RangeError
+from sandwich.errors import InternalInconsistencyError, NoLayoutError, ProximityViolationError, RangeError
 from sandwich.fillings import combine_germs
 from sandwich.mcg import Word, inverse_word, reduce_word
 from sandwich.plumbing import (
@@ -112,7 +112,7 @@ def reference_scott(c: Cluster) -> WiringDiagram:
                     side[k] = "low"
                 else:
                     if m != len(pp):
-                        raise InternalInconsistencyError(
+                        raise NoLayoutError(
                             f"branch {c.branches[k]} shrinks inside the window at {p.id}; "
                             "no unbraided layout exists"
                         )

@@ -3,7 +3,7 @@
 
 import random
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from sandwich.wiring import (
     WiringDiagram,
     _component_summary,
     _matching_exists,
+    _numbered,
     bijection_exists,
     event_strands,
     validate_wiring,
@@ -297,14 +298,23 @@ class TestHardCases:
 # validate --germ
 
 
+def component_table(labels, strands, rows, self_pairs, cross):
+    """The label-keyed summary in the shape ``_matching_exists`` takes: one
+    (strand count, row sum, self count) row per component, in ``labels``
+    order, and the cross counts as a matrix over that order."""
+    table = [(strands[x], rows[x], self_pairs[x]) for x in labels]
+    return table, [[cross.get((min(x, y), max(x, y)), 0) for y in labels] for x in labels]
+
+
 class TestMatchingOracle:
     def test_random_summaries(self):
         rng = random.Random(61)
         found = 0
         for _ in range(1500):
             args = rand_summary(rng)
+            labels, names, germ, *summary = args
             want = reference_matching_exists(*args)
-            assert _matching_exists(*args) == want
+            assert _matching_exists(labels, names, *component_table(labels, *summary), germ) == want
             found += want
         assert 300 < found < 1400
 
@@ -313,7 +323,12 @@ class TestMatchingOracle:
         found = 0
         for _ in range(300):
             w = rand_lines(rng)
-            strands, rows, self_pairs, cross = _component_summary(w, event_strands(w))
+            labels, number = _numbered(w)
+            sums, selfs, matrix = _component_summary(number, len(labels), event_strands(w))
+            strands = {x: len(s) for x, s in w.component_strands().items()}
+            rows, self_pairs = dict(zip(labels, sums)), dict(zip(labels, selfs))
+            cross = {(x, y): matrix[i][j] for (i, x), (j, y) in combinations(enumerate(labels), 2)
+                     if matrix[i][j]}
             labels = sorted(strands)
             names = {label: f"b{i}" for label, i in zip(labels, rng.sample(range(10), len(labels)))}
             branches = [Branch(names[x], (1,), rows[x], strands[x], self_pairs[x], "r") for x in labels]

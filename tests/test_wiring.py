@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sandwich.errors import (
     ArcAtOuterError,
     FormatError,
-    InternalInconsistencyError,
     MultiplicityNotOneError,
+    NoLayoutError,
     ProximityViolationError,
     RangeError,
 )
@@ -36,6 +36,7 @@ from sandwich.wiring import (
     WiringDiagram,
     _check_event,
     _component_summary,
+    _numbered,
     boundary_braid,
     combine,
     enclosure_from_wiring,
@@ -374,10 +375,26 @@ def _outcome(f, *args):
 def assert_matches_reference(w):
     assert event_strands(w) == reference_event_strands(w)
     assert _outcome(incidence, w) == _outcome(reference_incidence, w)
-    got = _component_summary(w, event_strands(w))
-    want = reference_component_summary(w, reference_event_strands(w))
-    # dict order too: the cross entries are reported in this order
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    labels, number = _numbered(w)
+    sums, selfs, cross = _component_summary(number, len(labels), event_strands(w))
+    strands, rows, self_pairs, pairs = reference_component_summary(w, reference_event_strands(w))
+    assert labels == tuple(sorted(strands))
+    assert sums == [rows[x] for x in labels] and selfs == [self_pairs[x] for x in labels]
+    assert cross == [[pairs.get((min(x, y), max(x, y)), 0) for y in labels] for x in labels]
+
+
+def assert_table_matches_incidence(w):
+    """The component table that ``validate_wiring`` builds, read off the
+    incidence matrix: row sums, c(c-1)/2 summed along each row, and the dot
+    product of each pair of rows over the columns."""
+    labels, number = _numbered(w)
+    sums, selfs, cross = _component_summary(number, len(labels), event_strands(w))
+    m = incidence(w)
+    assert labels == m.components
+    assert sums == [sum(row) for row in m.rows]
+    assert selfs == [sum(c * (c - 1) // 2 for c in row) for row in m.rows]
+    assert cross == [[sum(map(int.__mul__, r, s)) if i != k else 0 for k, s in enumerate(m.rows)]
+                     for i, r in enumerate(m.rows)]
 
 
 def declared_labels(rng, w):
@@ -407,6 +424,19 @@ class TestStrandWalkOracle:
     def test_figure(self):
         for w in (figure(), parse_wire(FIG_ABB)):
             assert_matches_reference(w)
+
+
+class TestComponentTable:
+    def test_random_diagrams(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            w = rand_diagram(rng, max_n=7, max_events=10)
+            assert_table_matches_incidence(w)
+            assert_table_matches_incidence(WiringDiagram(w.n, w.braids, w.events, declared_labels(rng, w)))
+
+    def test_unexpected_pair_and_triple(self):
+        for w in unexpected_layouts():
+            assert_table_matches_incidence(w)
 
 
 @st.composite
@@ -776,7 +806,7 @@ class TestScott:
             {"p": {"a": 1, "b": 2, "c": 1}, "q": {"a": 1, "b": 1, "c": 1},
              "ta": {"a": 1}, "tb": {"b": 1}, "tc": {"c": 1}},
         )
-        with pytest.raises(InternalInconsistencyError):
+        with pytest.raises(NoLayoutError):
             scott(c)
 
     def test_random_tame_clusters_validate(self):

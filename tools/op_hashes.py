@@ -53,8 +53,22 @@ from the top strand to the bottom one.  After them, ``incidence`` and
 ``inside-out`` on a ``.wire`` whose tangency joins two declared components
 (SPLIT_WIRE), which ``validate`` alone rejects, and ``wire-from-vanishing``
 on each factorization document of SHAPE_FAULTS, whose shape is wrong.
-Together the ops take a few seconds.  The output is 211 lines: 159 for the
-workload plans and 52 extra."""
+Then ``validate --germ`` ops that reach each germ-check outcome no
+workload reaches: the generic arrangement of EXTRA_ARRANGEMENT_M lines
+written without its ``components`` line, so its labels are inferred and an
+assignment is searched for, against its germ (a "yes"), the same with one
+free point moved from the top strand to the bottom (no assignment), and
+each ``.wire`` of GERM_FAULTS against the germ it names in GERMS.  Then
+``scott`` on NO_LAYOUT, a valid cluster with no unbraided layout.
+
+Last comes one line per workload, ``workload<TAB>counts<TAB>name=value
+...``, with the count metrics of ``perfbench/tracing.PER_LAYER`` over one
+pass of the plan's ops: a fresh import and a fresh plan with
+``tracing.Tracer`` installed, as ``perfbench/run.py --trace 1`` traces a
+pass, except that ``cli.out_bytes`` counts stdout and the written files
+after the WORK substitution, so the length of the work path does not move
+it.  Together the ops take a few seconds.  The output is 223 lines: 159 for
+the workload plans, 61 extra and 3 of counts."""
 
 import hashlib
 import json
@@ -90,6 +104,26 @@ SHAPE_FAULTS = {
     "conjugator 5": {"holes": 3, "items": [{"kind": "arc", "start": 1, "conjugator": 5}]},
 }
 SPLIT_WIRE = "strands 3\ncomponents A=1 B=2 C=3\nseq: 1, T(1), 1, F(3), 1\n"
+GERMS = {
+    # vertex v -4 with curvettas a, b, c: three smooth branches of weight 2, pairwise 1
+    "v4": "branch a b c\npoint p parent root\npoint qa parent p\npoint qb parent p\npoint qc parent p\n"
+          "mult p a=1 b=1 c=1\nmult qa a=1\nmult qb b=1\nmult qc c=1\n",
+    # one ordinary cusp: d 2, weight 4, delta 1
+    "cusp": "branch a\npoint p parent root\npoint q parent p\npoint r parent q prox p\n"
+            "mult p a=2\nmult q a=1\nmult r a=1\n",
+}
+GERM_FAULTS = {  # tag: (germ, .wire)
+    "two components": ("v4", "strands 2\ncomponents a=1 b=2\nseq: I(1..2), F(1), F(2)\n"),
+    "two strands on a": ("v4", "strands 4\ncomponents a=1,2 b=3 c=4\nseq: T(1), I(2..4), F(1)\n"),
+    "a,b meet twice": ("v4", "strands 3\ncomponents a=1 b=2 c=3\nseq: I(1..3), I(1..2), F(3)\n"),
+    "b,c meet twice, a alone": ("v4", "strands 3\ncomponents a=1 b=2 c=3\nseq: I(2..3), I(2..3), F(1), F(1)\n"),
+    "a meets itself": ("v4", "strands 4\ncomponents a=1,2 b=3 c=4\nseq: T(1), I(1..4), F(3), F(4)\n"),
+    "without its double point": ("cusp", "strands 2\ncomponents a=1,2\nseq: T(1), F(1), F(2), F(1), F(2)\n"),
+}
+# a branch shrinks inside a three-branch window, so no unbraided layout exists
+NO_LAYOUT = ("branch a b c\npoint p parent root\npoint q parent p\npoint ta parent q\n"
+             "point tb parent q\npoint tc parent q\nmult p a=1 b=2 c=1\nmult q a=1 b=1 c=1\n"
+             "mult ta a=1\nmult tb b=1\nmult tc c=1\n")
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
     "two vertices": "vertex a -2\nvertex b -2\n",
@@ -233,7 +267,58 @@ def extra_ops(api, workloads, work: Path) -> list:
         fact.write_text(json.dumps(data))
         ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
                                 lambda fact=fact: api.run_cli("wire-from-vanishing", "--fact", fact), {}, None))
+    germ, bare = work / f"arr_{m}.germ", work / f"arr_{m}_bare.wire"
+    names = workloads.Names(SEED)
+    names.take(m)  # the labels, so that the germ's points get other names
+    germ.write_text(workloads.arrangement_germ(labels, names))
+    bare.write_text("".join(line for line in arr.read_text().splitlines(True)
+                            if not line.startswith("components")))
+    moved_bare = work / f"arr_{m}_bare_moved.wire"
+    moved_bare.write_text(bare.read_text().replace(f"F({m})", "F(1)", 1))
+    for tag, wire in (("inferred labels", bare), ("inferred labels, moved free point", moved_bare)):
+        ops.append(workloads.Op("validate-germ", f"validate --germ {tag} m={m}",
+                                lambda wire=wire: api.run_cli("validate", "--wire", wire, "--germ", germ),
+                                {}, None))
+    for tag, text in GERMS.items():
+        (work / f"{tag}.germ").write_text(text)
+    for i, (tag, (key, text)) in enumerate(GERM_FAULTS.items()):
+        wire = work / f"germ_fault_{i}.wire"
+        wire.write_text(text)
+        ops.append(workloads.Op("validate-germ", f"validate --germ {key} {tag}",
+                                lambda wire=wire, key=key: api.run_cli("validate", "--wire", wire,
+                                                                       "--germ", work / f"{key}.germ"),
+                                {}, None))
+    no_layout = work / "no_layout.germ"
+    no_layout.write_text(NO_LAYOUT)
+    ops.append(workloads.Op("scott", "scott no unbraided layout",
+                            lambda: api.run_cli("scott", "--germ", no_layout), {}, None))
     return ops
+
+
+def traced_counts(build, workloads, tracing, work: Path, root: Path) -> str:
+    """The count metrics of one traced pass over the ops of a fresh plan
+    built in the empty directory ``work``; ``cli.out_bytes`` counts bytes
+    with ``root``, the work directory, replaced by WORK."""
+    api = workloads.Api()
+    plan = build(api, workloads.Names(SEED), work)
+    tracer = tracing.Tracer()
+    tracer.install(api.modules())
+    tracer.begin_pass()
+    try:
+        for op in plan.ops:
+            try:
+                result = op.run()
+            except Exception:  # a failed op counts no bytes, as in perfbench/run.py
+                continue
+            if isinstance(result, workloads.CliResult):
+                out = [result.stdout.encode()] + [path.read_bytes() for path in op.outputs if path.exists()]
+                tracer.counts["cli.out_bytes"] += sum(len(part.replace(str(root).encode(), WORK))
+                                                      for part in out)
+    finally:
+        tracer.uninstall()
+    tracer.end_pass()
+    values = tracer.pass_metrics(*tracer.passes[0])
+    return " ".join(f"{name}={values[name]}" for name, unit, _ in tracing.PER_LAYER if unit == "count")
 
 
 def main(argv=None) -> int:
@@ -247,9 +332,11 @@ def main(argv=None) -> int:
         return 2
     sys.dont_write_bytecode = True  # no cache inside the checkout either
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import tracing
     import workloads
 
     work = Path(tempfile.mkdtemp(prefix="sandwich-op-hashes-"))
+    counts = {}
     try:
         for name, build in workloads.WORKLOADS.items():
             (work / name).mkdir()
@@ -260,9 +347,13 @@ def main(argv=None) -> int:
             plan = build(api, workloads.Names(SEED), work / name)
             for op in plan.setup_checks + plan.ops:
                 print(f"{name}\t{op.label}\t{op_digest(op, workloads, work)}", flush=True)
+            (work / f"{name}-traced").mkdir()
+            counts[name] = traced_counts(build, workloads, tracing, work / f"{name}-traced", work)
         (work / "extra").mkdir()
         for op in extra_ops(api, workloads, work / "extra"):
             print(f"extra\t{op.label}\t{op_digest(op, workloads, work)}", flush=True)
+        for name, line in counts.items():
+            print(f"{name}\tcounts\t{line}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
