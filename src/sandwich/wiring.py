@@ -788,13 +788,17 @@ def _json_as(kind: type, x, message: str):
 
 
 def factorization_from_json(data) -> Factorization:
-    """Errors raised while reading ``items[i]`` carry that location.  The
+    """Errors raised while reading ``items[i]`` carry that location, and a
+    hole count below 1 is located at ``holes`` before any item is read.  The
     document and each item must be objects, every number a JSON integer,
     and ``items``, ``conjugator`` and ``twists`` lists; a missing key is
     named."""
     where = None
     try:
         n = _json_int(_json_as(dict, data, "the top level must be an object")["holes"])
+        if n < 1:
+            where = "holes"
+            raise RangeError("need at least one hole")
         items = []
         for i, d in enumerate(_json_as(list, data["items"], "items must be a list")):
             where = f"items[{i}]"

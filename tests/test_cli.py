@@ -413,6 +413,19 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["code"] == "multiplicity-not-one"
 
+    # a hole count below 1 is blamed on ``holes``, not on the first item
+    # that it makes out of range, nor left without a location
+    @pytest.mark.parametrize("data", [
+        {"holes": -3, "items": [{"kind": "cycle", "start": 1}]},
+        {"holes": 0, "items": [{"kind": "arc", "start": 1}]},
+        {"holes": 0, "items": []},
+    ])
+    def test_holes_below_one_is_located_at_holes(self, work, capsys, data):
+        (work / "f.json").write_text(json.dumps(data))
+        code, out, err = run(capsys, "wire-from-vanishing", "--fact", work / "f.json")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "range", "location": "holes", "message": "need at least one hole"}
+
 
 # ---------------------------------------------------------------------------
 # exit codes on mutated input

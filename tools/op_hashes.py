@@ -59,7 +59,9 @@ written without its ``components`` line, so its labels are inferred and an
 assignment is searched for, against its germ (a "yes"), the same with one
 free point moved from the top strand to the bottom (no assignment), and
 each ``.wire`` of GERM_FAULTS against the germ it names in GERMS.  Then
-``scott`` on NO_LAYOUT, a valid cluster with no unbraided layout.
+``scott`` on NO_LAYOUT, a valid cluster with no unbraided layout, and
+``wire-from-vanishing`` on each document of HOLES_FAULTS, whose hole count
+is below 1.
 
 Last comes one line per workload, ``workload<TAB>counts<TAB>name=value
 ...``, with the count metrics of ``perfbench/tracing.PER_LAYER`` over one
@@ -67,8 +69,8 @@ pass of the plan's ops: a fresh import and a fresh plan with
 ``tracing.Tracer`` installed, as ``perfbench/run.py --trace 1`` traces a
 pass, except that ``cli.out_bytes`` counts stdout and the written files
 after the WORK substitution, so the length of the work path does not move
-it.  Together the ops take a few seconds.  The output is 223 lines: 159 for
-the workload plans, 61 extra and 3 of counts."""
+it.  Together the ops take a few seconds.  The output is 226 lines: 159 for
+the workload plans, 64 extra and 3 of counts."""
 
 import hashlib
 import json
@@ -124,6 +126,11 @@ GERM_FAULTS = {  # tag: (germ, .wire)
 NO_LAYOUT = ("branch a b c\npoint p parent root\npoint q parent p\npoint ta parent q\n"
              "point tb parent q\npoint tc parent q\nmult p a=1 b=2 c=1\nmult q a=1 b=1 c=1\n"
              "mult ta a=1\nmult tb b=1\nmult tc c=1\n")
+HOLES_FAULTS = {  # a hole count below 1, whatever the items
+    "holes -3": {"holes": -3, "items": [{"kind": "cycle", "start": 1}]},
+    "holes 0, an arc": {"holes": 0, "items": [{"kind": "arc", "start": 1}]},
+    "holes 0, no items": {"holes": 0, "items": []},
+}
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
     "two vertices": "vertex a -2\nvertex b -2\n",
@@ -292,6 +299,11 @@ def extra_ops(api, workloads, work: Path) -> list:
     no_layout.write_text(NO_LAYOUT)
     ops.append(workloads.Op("scott", "scott no unbraided layout",
                             lambda: api.run_cli("scott", "--germ", no_layout), {}, None))
+    for i, (tag, data) in enumerate(HOLES_FAULTS.items()):
+        fact = work / f"holes_fault_{i}.json"
+        fact.write_text(json.dumps(data))
+        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
+                                lambda fact=fact: api.run_cli("wire-from-vanishing", "--fact", fact), {}, None))
     return ops
 
 
