@@ -10,7 +10,6 @@ from .mcg import (
     MappingClass,
     braid_equal,
     braid_permutation,
-    exponent_sum,
     item_offset,
     item_word,
     mc_from_braid,
@@ -109,16 +108,16 @@ def factorization_product(fact: Factorization) -> MappingClass:
 
 def _boundary_difference(a, b, n: int) -> str | None:
     """None when two boundary braids are the same braid (``braid_equal``);
-    else the first invariant that separates them, cheapest first, with the
-    value of ``a`` before that of ``b``."""
+    else the hole permutations, that of ``a`` first, when they differ.  The
+    exponent sums never do: a diagram that validates against a germ has
+    boundary exponent sum sum(d - 1) + 2 (sum delta + sum pairwise), d a
+    branch's multiplicity at its origin, which the germ fixes; so both sides
+    of ``compatible`` agree on it."""
     if braid_equal(a, b, n):
         return None
     pa, pb = braid_permutation(a, n), braid_permutation(b, n)
     if pa != pb:
         return f"hole permutation ({','.join(map(str, pa))}) against ({','.join(map(str, pb))})"
-    ea, eb = exponent_sum(a), exponent_sum(b)
-    if ea != eb:
-        return f"exponent sum {ea} against {eb}"
     return "Dynnikov coordinates differ"
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sandwich import fillings, plumbing, wiring
-from sandwich.errors import RangeError, WeightMismatchError
+from sandwich.errors import RangeError, SandwichError, WeightMismatchError
 from sandwich.fillings import (
     _boundary_difference,
     SpinalOpenBook,
@@ -43,6 +43,7 @@ from sandwich.wiring import (
 from fixtures import FIG_FULL, line_pair, product_fingerprint, two_cusp_cluster
 from hurwitz import hurwitz_move, mc_equal
 from matrices import from_rows
+from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
 
 # the two-cusp layout restricted to A
@@ -241,10 +242,37 @@ class TestCompatible:
             "hole permutation (4,3,2,1) against (2,1,4,3)",
         ),)
 
+    def test_germ_fixes_the_boundary_exponent_sum(self):
+        # validating against a germ fixes #T = sum(d - 1), d a branch's
+        # multiplicity at its origin, and sum C(k, 2) over the intersections =
+        # sum delta + sum pairwise; so by the exponent law (#T + sum k(k - 1))
+        # both sides of compatible have one exponent sum, which never
+        # separates them
+        def fixed_by(germ):
+            pairs = sum(row[j] for i, row in enumerate(germ.pairwise) for j in range(i + 1, len(row)))
+            return sum(b.origin_multiplicity - 1 + 2 * b.delta for b in germ.branches) + 2 * pairs
+
+        rng = random.Random(3)
+        layouts = 0
+        for _ in range(400):
+            c = rand_cluster(rng)
+            try:
+                w = scott(c)
+            except SandwichError:  # no unbraided layout
+                continue
+            germ = germ_from_cluster(c)
+            assert validate_wiring(w, germ=germ).ok
+            assert exponent_sum(boundary_braid(w)) == fixed_by(germ)
+            layouts += 1
+        assert layouts >= 200
+        germ = germ_from_cluster(two_cusp_cluster())
+        assert validate_wiring(figure(), germ=germ).ok
+        assert exponent_sum(boundary_braid(figure())) == fixed_by(germ) == 20
+
     def test_boundary_class_reasons_cheapest_first(self):
         diff = _boundary_difference
         assert diff((1, 2), (2, 1), 3) == "hole permutation (2,3,1) against (3,1,2)"
-        assert diff((1, 1), (), 2) == "exponent sum 2 against 0"
+        assert diff((1, 1), (), 2) == "Dynnikov coordinates differ"
         assert diff((1, 1, 2, -2), (2, 2), 3) == "Dynnikov coordinates differ"
         assert diff((1, 2, 1), (2, 1, 2), 3) is None
 
@@ -260,7 +288,7 @@ class TestCompatible:
         assert _boundary_difference((1, 2, 1, -2, -1, -2), (), 3) is None
         assert _boundary_difference((), (1, 2, 1, -2, -1, -2), 3) is None
         assert walked == []
-        assert _boundary_difference((1, 1), (), 2) == "exponent sum 2 against 0"
+        assert _boundary_difference((1, 1), (), 2) == "Dynnikov coordinates differ"
         assert walked == [(1, 1), ()]  # a "no" walks both, to name the invariant
 
     def test_wrong_row_sums_reported(self):

@@ -2,16 +2,16 @@
 run on this tree prints the lines of ``tests/golden/op_hashes.txt``.
 
 The hashes cover reprs and error messages, which can change between Python
-versions, so the golden file's first line names the version it was written
-on, and on any other version the test fails saying so.  A change that moves
-an output on purpose rewrites the file in the same commit, and the diff
-names the ops that moved:
+minor releases, so the golden file's first line names the minor release it
+was written on (``python 3.11``), and on any other the test fails saying
+so; any patch release of it hashes and names the ops that moved.  A change
+that moves an output on purpose rewrites the file in the same commit, and
+the diff names the ops that moved:
 
-    (python3 -c 'import platform; print("python", platform.python_version())'
+    (python3 -c 'import sys; print("python %d.%d" % sys.version_info[:2])'
      python3 -B tools/op_hashes.py .) > tests/golden/op_hashes.txt
 """
 
-import platform
 import subprocess
 import sys
 from itertools import zip_longest
@@ -42,7 +42,7 @@ def test_moved_ops_are_named():
 
 def test_every_op_output_is_unchanged():
     version, *want = GOLDEN.read_text().splitlines()
-    here = f"python {platform.python_version()}"
+    here = "python %d.%d" % sys.version_info[:2]
     assert version == here, (
         f"{GOLDEN.relative_to(ROOT)} was written on {version} and this is {here}; reprs and "
         "messages may differ between versions, so rewrite the file on this version from a "

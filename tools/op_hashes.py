@@ -2,75 +2,17 @@
 
     python3 tools/op_hashes.py CHECKOUT > hashes.txt
 
-Imports ``perfbench/workloads.py`` and the package under ``src/`` of the
-git checkout CHECKOUT, and writes nothing inside it.  Every op of the three
-workload plans runs once at seed 7, each workload in its own subdirectory
-of a fresh temporary directory, removed at the end, so two runs (say parent
-and change) can go side by side.  ``unexpected`` echoes its output paths,
-so the work directory's path is replaced by one fixed placeholder, WORK,
-in stdout, stderr and the written files before they are hashed.  Each line
-is ``workload<TAB>op label<TAB>sha256``; the hash covers the exit code,
-stdout, stderr and the files the op writes (a library op: the repr of its
-result, or its exception).  Run it once per checkout and diff the lines;
-``tests/test_op_hashes.py`` runs it on the working tree against the lines
-kept in ``tests/golden/op_hashes.txt``.
-
-After the workload plans come the ops of ``extra_ops`` (workload column
-``extra``), larger than any benchmark rung: ``unexpected`` on the pair and
-the triple of smooth branches at N = 20 and 30, and ``germ --trace`` on two
--2 chains of 4000 vertices.  Small ones cover code no workload runs:
-``extend`` on the pair graph, ``auts`` on the extended graph,
-``inside-out`` at one hole of the generic arrangement of
-EXTRA_ARRANGEMENT_M lines, one strand each, and ``validate`` on a ``.wire``
-whose ``seq`` leaves braid words out (it starts with an event, has two
-events in a row and ends with one).  Error ops follow: ``validate`` on a
-3-strand ``.wire`` per ``seq`` of SEQ_FAULTS (an empty entry, two words in
-a row, a bad token, and their precedence) and of RANGE_FAULTS (each kind
-of event, and a braid letter, outside the strands), ``wire-from-vanishing``
-on each 3-hole factorization of FACT_FAULTS (a conjugator letter 5 or 0,
-an arc base and a curve base outside the holes, a twists vector of the
-wrong length, nonzero twists, which have no diagram form, and an arc
-with span 7), ``auts`` on the two graphs of NOT_TREES that are no trees, and ``germ`` on
-a graph whose blow-down stalls.  Last come braid equalities past the ladder: ``braid_equal`` on the
-boundary braid of the generic arrangement of m lines, for each m of
-EXTRA_EQUAL_M, against a copy with s1 s2 s1 s2' s1' s2' conjugated into
-its middle (the same braid) and a copy with s1^2 there (another braid).
-m stops at 24: checkouts that decide equality by two Garside normal forms
-take about half a second per normal form there.  Then ``vanishing`` on the
-generic arrangement of m lines for each m of EXTRA_VANISHING_M, the
-paper's sizes, and ``wire-from-vanishing`` on its output.  Last, ``render``
-on two diagrams that no workload renders: the Scott layout of the
-two-cusp germ, the one hashed render that draws tangencies, and the
-``.wire`` that ``unexpected`` writes for the pair at N = 1 (9 strands).
-Then ``validate`` on a ``.wire`` with a byte that is not UTF-8, and on
-one whose components do not partition its strands, and ``compare`` with
-one ``--wire``.  The very last are two ``compare --unlabeled`` that search
-for a row bijection, on the generic arrangement of EXTRA_ARRANGEMENT_M
-lines: a "yes" against a copy with its labels reversed, both with one
-double point dropped (with all of them kept, the canonical forms agree
-and no search runs), and a "no" against a copy with one free point moved
-from the top strand to the bottom one.  After them, ``incidence`` and
-``inside-out`` on a ``.wire`` whose tangency joins two declared components
-(SPLIT_WIRE), which ``validate`` alone rejects, and ``wire-from-vanishing``
-on each factorization document of SHAPE_FAULTS, whose shape is wrong.
-Then ``validate --germ`` ops that reach each germ-check outcome no
-workload reaches: the generic arrangement of EXTRA_ARRANGEMENT_M lines
-written without its ``components`` line, so its labels are inferred and an
-assignment is searched for, against its germ (a "yes"), the same with one
-free point moved from the top strand to the bottom (no assignment), and
-each ``.wire`` of GERM_FAULTS against the germ it names in GERMS.  Then
-``scott`` on NO_LAYOUT, a valid cluster with no unbraided layout, and
-``wire-from-vanishing`` on each document of HOLES_FAULTS, whose hole count
-is below 1.
-
-Last comes one line per workload, ``workload<TAB>counts<TAB>name=value
-...``, with the count metrics of ``perfbench/tracing.PER_LAYER`` over one
-pass of the plan's ops: a fresh import and a fresh plan with
-``tracing.Tracer`` installed, as ``perfbench/run.py --trace 1`` traces a
-pass, except that ``cli.out_bytes`` counts stdout and the written files
-after the WORK substitution, so the length of the work path does not move
-it.  Together the ops take a few seconds.  The output is 226 lines: 159 for
-the workload plans, 64 extra and 3 of counts."""
+Runs each op of CHECKOUT's three workload plans once at seed 7 on its
+``src/``, then each row of ``extra_ops`` (workload ``extra``), in a fresh
+temporary directory, so nothing is written inside CHECKOUT.  Each line is
+``workload<TAB>op label<TAB>sha256`` over the exit code, stdout, stderr and
+the files the op writes (a library op: the repr of its result, or its
+exception), with the work directory's path, which ``unexpected`` echoes,
+replaced by WORK.  Last comes one line per workload,
+``workload<TAB>counts<TAB>name=value ...``: the count metrics of
+``perfbench/tracing.PER_LAYER`` over one traced pass of a fresh plan, as
+``perfbench/run.py --trace 1`` counts them, with ``cli.out_bytes`` counted
+after the WORK substitution."""
 
 import hashlib
 import json
@@ -81,11 +23,12 @@ from pathlib import Path
 
 SEED = 7
 WORK = b"WORK"  # stands for the work directory in every hashed output
+FILE_OPTIONS = {"--graph", "--wire", "--germ", "--fact", "--trace", "-o"}  # the word after one names a file
 EXTRA_N = (20, 30)
 EXTRA_CHAIN_L = 4000
 EXTRA_ARRANGEMENT_M = 8
-EXTRA_EQUAL_M = (16, 24)
-EXTRA_VANISHING_M = (24, 40)
+EXTRA_EQUAL_M = (16, 24)  # at 24, checkouts that decide equality by Garside normal forms take 0.5 s per form
+EXTRA_VANISHING_M = (24, 40)  # the paper's sizes
 SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
 RANGE_FAULTS = ("T(3)", "I(2..2)", "I(3..2)", "F(4)", "s3")
 FACT_FAULTS = {
@@ -105,16 +48,7 @@ SHAPE_FAULTS = {
     "arc with no start": {"holes": 3, "items": [{"kind": "arc"}]},
     "conjugator 5": {"holes": 3, "items": [{"kind": "arc", "start": 1, "conjugator": 5}]},
 }
-SPLIT_WIRE = "strands 3\ncomponents A=1 B=2 C=3\nseq: 1, T(1), 1, F(3), 1\n"
-GERMS = {
-    # vertex v -4 with curvettas a, b, c: three smooth branches of weight 2, pairwise 1
-    "v4": "branch a b c\npoint p parent root\npoint qa parent p\npoint qb parent p\npoint qc parent p\n"
-          "mult p a=1 b=1 c=1\nmult qa a=1\nmult qb b=1\nmult qc c=1\n",
-    # one ordinary cusp: d 2, weight 4, delta 1
-    "cusp": "branch a\npoint p parent root\npoint q parent p\npoint r parent q prox p\n"
-            "mult p a=2\nmult q a=1\nmult r a=1\n",
-}
-GERM_FAULTS = {  # tag: (germ, .wire)
+GERM_FAULTS = {  # tag: (germ, .wire); the germs are "v4.germ" and "cusp.germ" of extra_ops
     "two components": ("v4", "strands 2\ncomponents a=1 b=2\nseq: I(1..2), F(1), F(2)\n"),
     "two strands on a": ("v4", "strands 4\ncomponents a=1,2 b=3 c=4\nseq: T(1), I(2..4), F(1)\n"),
     "a,b meet twice": ("v4", "strands 3\ncomponents a=1 b=2 c=3\nseq: I(1..3), I(1..2), F(3)\n"),
@@ -122,10 +56,6 @@ GERM_FAULTS = {  # tag: (germ, .wire)
     "a meets itself": ("v4", "strands 4\ncomponents a=1,2 b=3 c=4\nseq: T(1), I(1..4), F(3), F(4)\n"),
     "without its double point": ("cusp", "strands 2\ncomponents a=1,2\nseq: T(1), F(1), F(2), F(1), F(2)\n"),
 }
-# a branch shrinks inside a three-branch window, so no unbraided layout exists
-NO_LAYOUT = ("branch a b c\npoint p parent root\npoint q parent p\npoint ta parent q\n"
-             "point tb parent q\npoint tc parent q\nmult p a=1 b=2 c=1\nmult q a=1 b=1 c=1\n"
-             "mult ta a=1\nmult tb b=1\nmult tc c=1\n")
 HOLES_FAULTS = {  # a hole count below 1, whatever the items
     "holes -3": {"holes": -3, "items": [{"kind": "cycle", "start": 1}]},
     "holes 0, an arc": {"holes": 0, "items": [{"kind": "arc", "start": 1}]},
@@ -154,157 +84,148 @@ def op_digest(op, workloads, work: Path) -> str:
 
 
 def extra_ops(api, workloads, work: Path) -> list:
-    """CLI ops past the benchmark rungs, on inputs written into ``work``."""
-    ops = []
-    for tag, k in (("pair", 2), ("triple", 3)):
-        graph = work / f"{tag}.plumb"
-        graph.write_text(f"vertex v {-(k + 1)}\n" + "".join(f"curvetta c{i} on v\n" for i in range(k)))
-        for n in EXTRA_N:
-            prefix = work / f"K_{tag}_{n}"
-            argv = ("unexpected", "--graph", graph, "-N", n, "--wmax", workloads.WMAX, "-o", prefix)
-            ops.append(workloads.Op("unexpected", f"unexpected {tag} N={n}",
-                                    lambda argv=argv: api.run_cli(*argv), {}, None,
-                                    (Path(f"{prefix}.plumb"), Path(f"{prefix}.wire"))))
-    graph, trace = work / "chains.plumb", work / "trace.json"
-    graph.write_text("vertex v -3\ncurvetta c on v\ncurvetta d on v\n"
-                     f"chains c={EXTRA_CHAIN_L},d={EXTRA_CHAIN_L}\n")
-    ops.append(workloads.Op("germ", f"germ --trace chains L={EXTRA_CHAIN_L}",
-                            lambda graph=graph, trace=trace: api.run_cli("germ", "--graph", graph,
-                                                                         "--trace", trace),
-                            {}, None, (trace,)))
-    extended = work / "pair_extended.plumb"
-    ops.append(workloads.Op("extend", "extend pair c0=4,c1=4",
-                            lambda: api.run_cli("extend", "--graph", work / "pair.plumb",
-                                                "--chains", "c0=4,c1=4", "-o", extended),
-                            {}, None, (extended,)))
-    ops.append(workloads.Op("auts", "auts extended pair",
-                            lambda: api.run_cli("auts", "--graph", extended), {}, None))
+    """The ops of the rows below, in order, on the files of ``inputs`` written into ``work``."""
     m = EXTRA_ARRANGEMENT_M
-    wire = work / f"arr_{m}.wire"
-    wire.write_text(workloads.arrangement(workloads.Names(SEED).take(m)))
-    ops.append(workloads.Op("inside-out", f"inside-out m={m} hole {m // 2}",
-                            lambda wire=wire, hole=m // 2: api.run_cli("inside-out", "--wire", wire,
-                                                                       "--hole", hole),
-                            {}, None))
-    gaps = work / "gaps.wire"
-    gaps.write_text("strands 3\ncomponents a=1,2 b=3\n"
-                    "seq: T(1), I(1..3), F(3), s2 s1, I(2..3), s1' s1 s2, F(1), F(2)\n")
-    ops.append(workloads.Op("validate", "validate left-out braid words",
-                            lambda: api.run_cli("validate", "--wire", gaps), {}, None))
-    for i, seq in enumerate(SEQ_FAULTS + RANGE_FAULTS):
-        bad = work / f"fault_{i}.wire"
-        bad.write_text(f"strands 3\nseq: {seq}\n")
-        ops.append(workloads.Op("validate", f"validate seq: {seq}",
-                                lambda bad=bad: api.run_cli("validate", "--wire", bad), {}, None))
-    for i, (tag, items) in enumerate(FACT_FAULTS.items()):
-        fact, out = work / f"fact_fault_{i}.json", work / f"fact_fault_{i}.wire"
-        fact.write_text(json.dumps({"holes": 3, "items": items}))
-        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
-                                lambda fact=fact, out=out: api.run_cli("wire-from-vanishing", "--fact", fact,
-                                                                       "-o", out),
-                                {}, None, (out,)))
-    for tag, text in NOT_TREES.items():
-        graph = work / f"{tag.replace(' ', '_')}.plumb"
-        graph.write_text(text)
-        ops.append(workloads.Op("auts", f"auts {tag}",
-                                lambda graph=graph: api.run_cli("auts", "--graph", graph), {}, None))
-    stall = work / "stall.plumb"
-    stall.write_text("vertex v -3\ncurvetta c on v\n")
-    ops.append(workloads.Op("germ", "germ stalled blow-down",
-                            lambda: api.run_cli("germ", "--graph", stall), {}, None))
-    for m in EXTRA_EQUAL_M:
-        bb = api.wiring.boundary_braid(api.wiring.parse_wire(
-            workloads.arrangement(workloads.Names(SEED).take(m))))
+    names = workloads.Names(SEED)
+    labels = names.take(m)  # the germ's points take the names after these
+    arr = workloads.arrangement(labels)
+    bare = "".join(line for line in arr.splitlines(True) if not line.startswith("components"))
+    lines = {k: workloads.arrangement(workloads.Names(SEED).take(k)) for k in EXTRA_EQUAL_M + EXTRA_VANISHING_M}
+
+    def op(label: str, call, *outputs: str):
+        """A row (label, command line or (function, *args), output files...) as an op."""
+        if isinstance(call, str):
+            words = call.split()
+            call = (api.run_cli, *(work / w if opt in FILE_OPTIONS else w for opt, w in zip(["", *words], words)))
+        fn, *args = call
+        return workloads.Op(label.split()[0], label, lambda: fn(*args), {}, None, tuple(work / o for o in outputs))
+
+    # every file a row reads: its text, or (command,) of the setup run that writes it
+    inputs = {
+        "pair.plumb": "vertex v -3\ncurvetta c0 on v\ncurvetta c1 on v\n",
+        "triple.plumb": "vertex v -4\ncurvetta c0 on v\ncurvetta c1 on v\ncurvetta c2 on v\n",
+        "chains.plumb": f"vertex v -3\ncurvetta c on v\ncurvetta d on v\nchains c={EXTRA_CHAIN_L},d={EXTRA_CHAIN_L}\n",
+        f"arr_{m}.wire": arr,
+        "gaps.wire": "strands 3\ncomponents a=1,2 b=3\n"
+                     "seq: T(1), I(1..3), F(3), s2 s1, I(2..3), s1' s1 s2, F(1), F(2)\n",
+        **{f"fault_{i}.wire": f"strands 3\nseq: {seq}\n" for i, seq in enumerate(SEQ_FAULTS + RANGE_FAULTS)},
+        **{f"fact_fault_{i}.json": json.dumps({"holes": 3, "items": items})
+           for i, items in enumerate(FACT_FAULTS.values())},
+        **{f"{tag.replace(' ', '_')}.plumb": text for tag, text in NOT_TREES.items()},
+        "stall.plumb": "vertex v -3\ncurvetta c on v\n",
+        **{f"van_{k}.wire": lines[k] for k in EXTRA_VANISHING_M},
+        "twocusp.germ": workloads.cusp_cluster(workloads.Names(SEED), 3, weights=True).text,
+        "twocusp.wire": ("scott --germ twocusp.germ -o twocusp.wire",),
+        "K_pair_1.wire": (f"unexpected --graph pair.plumb -N 1 --wmax {workloads.WMAX} -o K_pair_1",),
+        "not_utf8.wire": b"strands 2\nseq: s1\xff\n",
+        "loose_components.wire": "strands 2\ncomponents A=1 B=3\nseq: 1\n",
+        # one double point dropped: with all of them kept the canonical forms agree and no search runs
+        "dropped.wire": workloads.arrangement(labels, drop=m * (m - 1) // 4),
+        "dropped_relabelled.wire": workloads.arrangement(labels[::-1], drop=m * (m - 1) // 4),
+        "moved_free_point.wire": arr.replace(f"F({m})", "F(1)", 1),
+        "split.wire": "strands 3\ncomponents A=1 B=2 C=3\nseq: 1, T(1), 1, F(3), 1\n",
+        **{f"shape_fault_{i}.json": json.dumps(data) for i, data in enumerate(SHAPE_FAULTS.values())},
+        f"arr_{m}.germ": workloads.arrangement_germ(labels, names),
+        f"arr_{m}_bare.wire": bare,
+        f"arr_{m}_bare_moved.wire": bare.replace(f"F({m})", "F(1)", 1),
+        # vertex v -4 with curvettas a, b, c: three smooth branches of weight 2, pairwise 1
+        "v4.germ": "branch a b c\npoint p parent root\npoint qa parent p\npoint qb parent p\npoint qc parent p\n"
+                   "mult p a=1 b=1 c=1\nmult qa a=1\nmult qb b=1\nmult qc c=1\n",
+        # one ordinary cusp: d 2, weight 4, delta 1
+        "cusp.germ": "branch a\npoint p parent root\npoint q parent p\npoint r parent q prox p\n"
+                     "mult p a=2\nmult q a=1\nmult r a=1\n",
+        **{f"germ_fault_{i}.wire": text for i, (_, text) in enumerate(GERM_FAULTS.values())},
+        # a branch shrinks inside a three-branch window, so no unbraided layout exists
+        "no_layout.germ": "branch a b c\npoint p parent root\npoint q parent p\npoint ta parent q\npoint tb parent q\n"
+                          "point tc parent q\nmult p a=1 b=2 c=1\nmult q a=1 b=1 c=1\nmult ta a=1\nmult tb b=1\n"
+                          "mult tc c=1\n",
+        **{f"holes_fault_{i}.json": json.dumps(data) for i, data in enumerate(HOLES_FAULTS.values())},
+        "path4.plumb": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge c d\n",
+        "strands_256.wire": f"strands 256\ncomponents a={','.join(map(str, range(1, 257)))}\nseq: I(1..256)\n",
+        # the figure of the paper that validates against the two-cusp germ (acceptance check c10)
+        "c10.wire": "strands 4\ncomponents A=2,3 B=1,4\nseq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, "
+                    "I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n",
+    }
+    for name, content in inputs.items():
+        if isinstance(content, tuple):
+            op("setup", *content).run()
+        else:
+            (work / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+
+    def equalities(k: int) -> list:  # the same braid with R = s1 s2 s1 s2' s1' s2' conjugated in, another with s1^2
+        bb = api.wiring.boundary_braid(api.wiring.parse_wire(lines[k]))
         mid = len(bb) // 2
         g = bb[mid:mid + 4]
-        copies = {"R conjugated in": workloads.inverse(g) + workloads.TRIVIAL_R + g,
-                  "s1^2 in": workloads.PURE_S1_SQUARED}
-        for tag, insert in copies.items():
-            ops.append(workloads.Op("braid_equal", f"braid_equal boundary m={m} {tag}",
-                                    lambda a=bb, b=bb[:mid] + insert + bb[mid:], n=m:
-                                    api.mcg.braid_equal(a, b, n), {}, None))
-    for m in EXTRA_VANISHING_M:
-        wire, fact, rebuilt = work / f"van_{m}.wire", work / f"van_{m}.json", work / f"van_{m}_rebuilt.wire"
-        wire.write_text(workloads.arrangement(workloads.Names(SEED).take(m)))
-        ops.append(workloads.Op("vanishing", f"vanishing arrangement m={m}",
-                                lambda wire=wire, fact=fact: api.run_cli("vanishing", "--wire", wire, "-o", fact),
-                                {}, None, (fact,)))
-        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing arrangement m={m}",
-                                lambda fact=fact, rebuilt=rebuilt: api.run_cli(
-                                    "wire-from-vanishing", "--fact", fact, "-o", rebuilt),
-                                {}, None, (rebuilt,)))
-    germ, cusp_wire = work / "twocusp.germ", work / "twocusp.wire"
-    germ.write_text(workloads.cusp_cluster(workloads.Names(SEED), 3, weights=True).text)
-    api.run_cli("scott", "--germ", germ, "-o", cusp_wire)
-    api.run_cli("unexpected", "--graph", work / "pair.plumb", "-N", 1, "--wmax", workloads.WMAX,
-                "-o", work / "K_pair_1")
-    for tag, wire in (("two-cusp scott", cusp_wire), ("unexpected pair N=1", work / "K_pair_1.wire")):
-        ops.append(workloads.Op("render", f"render {tag}",
-                                lambda wire=wire: api.run_cli("render", "--wire", wire), {}, None))
-    binary = work / "not_utf8.wire"
-    binary.write_bytes(b"strands 2\nseq: s1\xff\n")
-    ops.append(workloads.Op("validate", "validate not UTF-8",
-                            lambda: api.run_cli("validate", "--wire", binary), {}, None))
-    loose = work / "loose_components.wire"
-    loose.write_text("strands 2\ncomponents A=1 B=3\nseq: 1\n")
-    ops.append(workloads.Op("validate", "validate components A=1 B=3",
-                            lambda: api.run_cli("validate", "--wire", loose), {}, None))
-    m = EXTRA_ARRANGEMENT_M
-    arr = work / f"arr_{m}.wire"  # the inside-out op's input
-    ops.append(workloads.Op("compare", "compare one --wire",
-                            lambda: api.run_cli("compare", "--wire", arr), {}, None))
-    labels = workloads.Names(SEED).take(m)
-    dropped = (work / "dropped.wire", work / "dropped_relabelled.wire")
-    for path, order in zip(dropped, (labels, labels[::-1])):
-        path.write_text(workloads.arrangement(order, drop=m * (m - 1) // 4))
-    moved = work / "moved_free_point.wire"
-    moved.write_text(arr.read_text().replace(f"F({m})", "F(1)", 1))
-    for tag, a, b in (("relabelled dropped", *dropped), ("moved free point", arr, moved)):
-        ops.append(workloads.Op("compare", f"compare --unlabeled {tag} m={m}",
-                                lambda a=a, b=b: api.run_cli("compare", "--wire", a, "--wire", b, "--unlabeled"),
-                                {}, None))
-    split = work / "split.wire"
-    split.write_text(SPLIT_WIRE)
-    ops.append(workloads.Op("incidence", "incidence split tangency",
-                            lambda: api.run_cli("incidence", "--wire", split), {}, None))
-    ops.append(workloads.Op("inside-out", "inside-out split tangency hole 3",
-                            lambda: api.run_cli("inside-out", "--wire", split, "--hole", 3), {}, None))
-    for i, (tag, data) in enumerate(SHAPE_FAULTS.items()):
-        fact = work / f"shape_fault_{i}.json"
-        fact.write_text(json.dumps(data))
-        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
-                                lambda fact=fact: api.run_cli("wire-from-vanishing", "--fact", fact), {}, None))
-    germ, bare = work / f"arr_{m}.germ", work / f"arr_{m}_bare.wire"
-    names = workloads.Names(SEED)
-    names.take(m)  # the labels, so that the germ's points get other names
-    germ.write_text(workloads.arrangement_germ(labels, names))
-    bare.write_text("".join(line for line in arr.read_text().splitlines(True)
-                            if not line.startswith("components")))
-    moved_bare = work / f"arr_{m}_bare_moved.wire"
-    moved_bare.write_text(bare.read_text().replace(f"F({m})", "F(1)", 1))
-    for tag, wire in (("inferred labels", bare), ("inferred labels, moved free point", moved_bare)):
-        ops.append(workloads.Op("validate-germ", f"validate --germ {tag} m={m}",
-                                lambda wire=wire: api.run_cli("validate", "--wire", wire, "--germ", germ),
-                                {}, None))
-    for tag, text in GERMS.items():
-        (work / f"{tag}.germ").write_text(text)
-    for i, (tag, (key, text)) in enumerate(GERM_FAULTS.items()):
-        wire = work / f"germ_fault_{i}.wire"
-        wire.write_text(text)
-        ops.append(workloads.Op("validate-germ", f"validate --germ {key} {tag}",
-                                lambda wire=wire, key=key: api.run_cli("validate", "--wire", wire,
-                                                                       "--germ", work / f"{key}.germ"),
-                                {}, None))
-    no_layout = work / "no_layout.germ"
-    no_layout.write_text(NO_LAYOUT)
-    ops.append(workloads.Op("scott", "scott no unbraided layout",
-                            lambda: api.run_cli("scott", "--germ", no_layout), {}, None))
-    for i, (tag, data) in enumerate(HOLES_FAULTS.items()):
-        fact = work / f"holes_fault_{i}.json"
-        fact.write_text(json.dumps(data))
-        ops.append(workloads.Op("wire-from-vanishing", f"wire-from-vanishing {tag}",
-                                lambda fact=fact: api.run_cli("wire-from-vanishing", "--fact", fact), {}, None))
-    return ops
+        inserts = {"R conjugated in": workloads.inverse(g) + workloads.TRIVIAL_R + g,
+                   "s1^2 in": workloads.PURE_S1_SQUARED}
+        return [(f"braid_equal boundary m={k} {tag}", (api.mcg.braid_equal, bb, bb[:mid] + w + bb[mid:], k))
+                for tag, w in inserts.items()]
+
+    rows = [
+        # larger than any benchmark rung
+        *[(f"unexpected {tag} N={n}", f"unexpected --graph {tag}.plumb -N {n} --wmax {workloads.WMAX} -o K_{tag}_{n}",
+           f"K_{tag}_{n}.plumb", f"K_{tag}_{n}.wire") for tag in ("pair", "triple") for n in EXTRA_N],
+        (f"germ --trace chains L={EXTRA_CHAIN_L}", "germ --graph chains.plumb --trace trace.json", "trace.json"),
+        # commands and inputs that no workload runs
+        ("extend pair c0=4,c1=4", "extend --graph pair.plumb --chains c0=4,c1=4 -o pair_extended.plumb",
+         "pair_extended.plumb"),
+        ("auts extended pair", "auts --graph pair_extended.plumb"),
+        (f"inside-out m={m} hole {m // 2}", f"inside-out --wire arr_{m}.wire --hole {m // 2}"),
+        ("validate left-out braid words", "validate --wire gaps.wire"),
+        # each located error of a seq, and their precedence
+        *[(f"validate seq: {seq}", f"validate --wire fault_{i}.wire")
+          for i, seq in enumerate(SEQ_FAULTS + RANGE_FAULTS)],
+        # each fault of a 3-hole factorization's items
+        *[(f"wire-from-vanishing {tag}", f"wire-from-vanishing --fact fact_fault_{i}.json -o fact_fault_{i}.wire",
+           f"fact_fault_{i}.wire") for i, tag in enumerate(FACT_FAULTS)],
+        # graphs that are no trees, and a blow-down that stalls
+        *[(f"auts {tag}", f"auts --graph {tag.replace(' ', '_')}.plumb") for tag in NOT_TREES],
+        ("germ stalled blow-down", "germ --graph stall.plumb"),
+        # braid equalities past the ladder
+        *[row for k in EXTRA_EQUAL_M for row in equalities(k)],
+        # vanishing at the paper's sizes, and back
+        *[row for k in EXTRA_VANISHING_M for row in (
+            (f"vanishing arrangement m={k}", f"vanishing --wire van_{k}.wire -o van_{k}.json", f"van_{k}.json"),
+            (f"wire-from-vanishing arrangement m={k}",
+             f"wire-from-vanishing --fact van_{k}.json -o van_{k}_rebuilt.wire", f"van_{k}_rebuilt.wire"))],
+        # renders that no workload makes; the first draws tangencies
+        ("render two-cusp scott", "render --wire twocusp.wire"),
+        ("render unexpected pair N=1", "render --wire K_pair_1.wire"),
+        # read errors: a byte that is not UTF-8, components that do not partition the strands, one --wire
+        ("validate not UTF-8", "validate --wire not_utf8.wire"),
+        ("validate components A=1 B=3", "validate --wire loose_components.wire"),
+        ("compare one --wire", f"compare --wire arr_{m}.wire"),
+        # the row search of an unlabeled compare, a "yes" and a "no"
+        *[(f"compare --unlabeled {tag} m={m}", f"compare --wire {a} --wire {b} --unlabeled")
+          for tag, a, b in (("relabelled dropped", "dropped.wire", "dropped_relabelled.wire"),
+                            ("moved free point", f"arr_{m}.wire", "moved_free_point.wire"))],
+        # a tangency that joins two declared components, which only validate rejects
+        ("incidence split tangency", "incidence --wire split.wire"),
+        ("inside-out split tangency hole 3", "inside-out --wire split.wire --hole 3"),
+        # factorization documents of the wrong shape
+        *[(f"wire-from-vanishing {tag}", f"wire-from-vanishing --fact shape_fault_{i}.json")
+          for i, tag in enumerate(SHAPE_FAULTS)],
+        # each germ-check outcome no workload reaches: inferred labels with an assignment, with none,
+        # then each mismatch of GERM_FAULTS
+        (f"validate --germ inferred labels m={m}", f"validate --wire arr_{m}_bare.wire --germ arr_{m}.germ"),
+        (f"validate --germ inferred labels, moved free point m={m}",
+         f"validate --wire arr_{m}_bare_moved.wire --germ arr_{m}.germ"),
+        *[(f"validate --germ {key} {tag}", f"validate --wire germ_fault_{i}.wire --germ {key}.germ")
+          for i, (tag, (key, _)) in enumerate(GERM_FAULTS.items())],
+        ("scott no unbraided layout", "scott --germ no_layout.germ"),
+        # hole counts below 1
+        *[(f"wire-from-vanishing {tag}", f"wire-from-vanishing --fact holes_fault_{i}.json")
+          for i, tag in enumerate(HOLES_FAULTS)],
+        # a tree with two centroids, whose halves swap about a virtual root
+        ("auts path of four -2 vertices", "auts --graph path4.plumb"),
+        # a count past 255, so the incidence columns are lists and not bytes
+        ("incidence strands 256 one component", "incidence --wire strands_256.wire"),
+        # the one compatible "no" that names a hole permutation
+        ("compatible c10 figure against two-cusp germ",
+         (api.fillings.compatible, api.wiring.parse_wire(inputs["c10.wire"]),
+          api.plumbing.parse_germ(inputs["twocusp.germ"]))),
+    ]
+    return [op(*row) for row in rows]
 
 
 def traced_counts(build, workloads, tracing, work: Path, root: Path) -> str:
