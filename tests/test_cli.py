@@ -42,7 +42,7 @@ from sandwich.wiring import (
     wiring_from_vanishing,
 )
 
-from fixtures import E3_PLUMB, FIG, FIG_FULL, TWO_CUSP_GERM, TWO_CUSP_PLUMB
+from fixtures import E3_PLUMB, FIG, FIG_FULL, TWO_CUSP_GERM, TWO_CUSP_PLUMB, arrangement
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
 
@@ -425,6 +425,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "wire-from-vanishing", "--fact", work / "f.json")
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "range", "location": "holes", "message": "need at least one hole"}
+
+    # a hole that the diagram does not have, and a graph that already uses
+    # a name of the star that ``unexpected`` attaches
+    @pytest.mark.parametrize("command, text, message", [
+        ("inside-out --hole 0 --wire", serialize_wire(arrangement(8)), "hole 0 outside 1..8"),
+        ("inside-out --hole 9 --wire", serialize_wire(arrangement(8)), "hole 9 outside 1..8"),
+        ("unexpected -N 1 --wmax 5 --graph", "vertex vstar -3\ncurvetta c0 on vstar\ncurvetta c1 on vstar\n",
+         "vertex name vstar already in use"),
+        ("unexpected -N 1 --wmax 5 --graph", "vertex leg1.1 -3\ncurvetta c0 on leg1.1\ncurvetta c1 on leg1.1\n",
+         "vertex name leg1.1 already in use"),
+        ("unexpected -N 1 --wmax 5 --graph", "vertex v -3\ncurvetta line1 on v\ncurvetta c1 on v\n",
+         "curvetta name line1 already in use"),
+    ], ids=["hole 0", "hole 9", "vstar", "leg1.1", "line1"])
+    def test_holes_and_names_out_of_range_are_two(self, work, capsys, command, text, message):
+        (work / "input").write_text(text)
+        code, out, err = run(capsys, *command.split(), work / "input", "-o", work / "K")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "range", "location": None, "message": message}
+        assert not list(work.glob("K*"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from sandwich.fillings import (
     spinal_open_book,
     unexpected_arrangement,
 )
-from sandwich.mcg import Factorization, braid_permutation, exponent_sum, mc_from_braid
+from sandwich.mcg import Factorization, braid_permutation, curve_holes, exponent_sum, mc_from_braid
 from sandwich.plumbing import (
     Branch,
     DecoratedGerm,
@@ -28,6 +29,7 @@ from sandwich.plumbing import (
     cluster_from_trace,
     germ_from_augmentation,
     germ_from_cluster,
+    graph_from_cluster,
     plumbing_graph,
 )
 from sandwich.wiring import (
@@ -449,6 +451,114 @@ class TestFillingSummary:
         assert data["exoticCount"] == 2
         assert data["eulerCharacteristic"] == 7
         assert data["incidence"]["components"] == ["A", "B"]
+
+
+# ---------------------------------------------------------------------------
+# the filling of a Scott layout against the resolution graph
+
+
+def smith_diagonal(rows) -> list[int]:
+    """The nonzero diagonal of the Smith normal form of an integer matrix,
+    by unimodular row and column steps on its smallest nonzero entry."""
+    a = [list(r) for r in rows]
+    diagonal = []
+    while a and a[0] and any(any(r) for r in a):
+        _, i, j = min((abs(x), i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x)
+        a[0], a[i] = a[i], a[0]
+        for r in a:
+            r[0], r[j] = r[j], r[0]
+        p = a[0][0]
+        for r in a[1:]:
+            q = r[0] // p
+            r[:] = [x - q * y for x, y in zip(r, a[0])]
+        for c in range(1, len(a[0])):
+            q = a[0][c] // p
+            for r in a:
+                r[c] -= q * r[0]
+        if any(r[0] for r in a[1:]) or any(a[0][1:]):
+            continue  # a remainder below |p| is the next pivot
+        indivisible = next((r for r in a[1:] if any(x % p for x in r)), None)
+        if indivisible:
+            a[0] = [x + y for x, y in zip(a[0], indivisible)]
+            continue
+        diagonal.append(abs(p))
+        a = [r[1:] for r in a[1:]]
+    return diagonal
+
+
+def determinant(rows) -> int:
+    a = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], det = a[p], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def test_integer_helpers():
+    assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
+    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_diagonal([[1, 1], [1, 1], [0, 0]]) == [1]
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[-2, 1], [1, -3]]) == 5
+
+
+def filling_matrix(w) -> list[list[int]]:
+    """M: one row per cycle item of the layout's vanishing data, counting
+    the holes its curve encloses in each merged hole.  A working rule, not
+    a derivation (ROADMAP item 18): each arc joins its two holes into one
+    and adds no 2-handle."""
+    items = vanishing_data(w).items
+    parent = list(range(w.n + 1))
+
+    def root(h):
+        while parent[h] != h:
+            h = parent[h]
+        return h
+
+    for item in items:
+        if item.kind == "arc":
+            a, b = sorted(curve_holes(item))
+            parent[root(b)] = root(a)
+    merged = sorted({root(h) for h in range(1, w.n + 1)})
+    return [[sum(root(h) == k for h in curve_holes(item)) for k in merged]
+            for item in items if item.kind == "cycle"]
+
+
+def test_scott_layout_filling_has_the_graph_homology():
+    # with a handle per cycle on the disk with the merged holes: H1 = Z^holes
+    # / rows of M is 0, b2 = rank ker M^T is the number of graph vertices,
+    # and det(M^T M) is |det| of the graph's intersection matrix
+    rng = random.Random(1)
+    cases = []
+    for _ in range(400):
+        c = rand_cluster(rng)
+        try:
+            cases.append((scott(c), graph_from_cluster(c)[0]))
+        except SandwichError:
+            pass
+    assert len(cases) == 391
+    with_arcs = 0
+    for w, g in cases:
+        m = filling_matrix(w)
+        holes = len(m[0])
+        with_arcs += holes < w.n
+        assert smith_diagonal(m) == [1] * holes
+        assert len(m) - holes == len(g.vertices)
+        names = [v for v, _ in g.vertices]
+        q = [[e if u == v else 0 for u in names] for v, e in g.vertices]
+        for a, b in g.edges:
+            q[names.index(a)][names.index(b)] = q[names.index(b)][names.index(a)] = 1
+        gram = [[sum(r[i] * r[j] for r in m) for j in range(holes)] for i in range(holes)]
+        assert determinant(gram) == abs(determinant(q))
+    assert with_arcs == 98
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """What importing the package costs: compile, fresh import, new process.
 
-    python3 tools/import_time.py CHECKOUT [REPEATS]
+    python3 tools/import_time.py CHECKOUT
 
 Copies CHECKOUT/src/sandwich (no ``__pycache__``) into a temporary
 directory and measures that copy, so no bytecode cache is ever written
 inside the checkout.  Prints, in milliseconds:
 
 - ``compile``: each module's ``compile()`` of its source, median of
-  REPEATS (default 20);
+  REPEATS;
 - ``fresh import``: ``import sandwich.cli`` with every ``sandwich`` module
   dropped from ``sys.modules`` first and no bytecode cache, median of
   REPEATS in this process (the standard library stays imported, so this is
@@ -28,10 +28,12 @@ import tempfile
 import time
 from pathlib import Path
 
+REPEATS = 20
 
-def median_ms(fn, repeats: int) -> float:
+
+def median_ms(fn) -> float:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -45,12 +47,12 @@ def fresh_import() -> None:
     importlib.import_module("sandwich.cli")
 
 
-def process_ms(src: Path, repeats: int, flags: list[str]) -> float:
+def process_ms(src: Path, flags: list[str]) -> float:
     """Median wall time of ``import sandwich.cli`` in a new interpreter,
     less a bare one, each run alternating with the other."""
     load = f"import sys; sys.path.insert(0, {str(src)!r}); import sandwich.cli"
     gaps = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         walls = []
         for code in (load, "pass"):
             t0 = time.perf_counter()
@@ -62,8 +64,7 @@ def process_ms(src: Path, repeats: int, flags: list[str]) -> float:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    repeats = 20 if len(argv) == 1 else int(argv[1]) if len(argv) == 2 and argv[1].isdigit() else 0
-    if repeats < 1:
+    if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     package = Path(argv[0]).resolve() / "src" / "sandwich"
@@ -76,16 +77,16 @@ def main(argv=None) -> int:
         shutil.copytree(package, src / "sandwich", ignore=shutil.ignore_patterns("__pycache__"))
         for path in sorted((src / "sandwich").glob("*.py")):
             text = path.read_text()
-            ms = median_ms(lambda: compile(text, str(path), "exec"), repeats)
+            ms = median_ms(lambda: compile(text, str(path), "exec"))
             print(f"compile\t{ms:.2f}\t{path.name}")
         sys.path.insert(0, str(src))
         try:
-            print(f"fresh import\t{median_ms(fresh_import, repeats):.2f}\tsandwich.cli")
+            print(f"fresh import\t{median_ms(fresh_import):.2f}\tsandwich.cli")
         finally:
             sys.path.remove(str(src))
-        print(f"new process\t{process_ms(src, repeats, ['-B']):.2f}\tno bytecode cache")
+        print(f"new process\t{process_ms(src, ['-B']):.2f}\tno bytecode cache")
         compileall.compile_dir(src / "sandwich", quiet=1)
-        print(f"new process\t{process_ms(src, repeats, []):.2f}\twith bytecode cache")
+        print(f"new process\t{process_ms(src, []):.2f}\twith bytecode cache")
     return 0
 
 

@@ -61,6 +61,11 @@ HOLES_FAULTS = {  # a hole count below 1, whatever the items
     "holes 0, an arc": {"holes": 0, "items": [{"kind": "arc", "start": 1}]},
     "holes 0, no items": {"holes": 0, "items": []},
 }
+TAKEN_NAMES = {  # a graph that already uses a name of the star that ``unexpected`` attaches
+    "vertex vstar": "vertex vstar -3\ncurvetta c0 on vstar\ncurvetta c1 on vstar\n",
+    "vertex leg1.1": "vertex leg1.1 -3\ncurvetta c0 on leg1.1\ncurvetta c1 on leg1.1\n",
+    "curvetta line1": "vertex v -3\ncurvetta line1 on v\ncurvetta c1 on v\n",
+}
 NOT_TREES = {
     "triangle and vertex": "vertex a -2\nvertex b -2\nvertex c -2\nvertex d -2\nedge a b\nedge b c\nedge a c\n",
     "two vertices": "vertex a -2\nvertex b -2\n",
@@ -145,6 +150,7 @@ def extra_ops(api, workloads, work: Path) -> list:
         # the figure of the paper that validates against the two-cusp germ (acceptance check c10)
         "c10.wire": "strands 4\ncomponents A=2,3 B=1,4\nseq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, "
                     "I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n",
+        **{f"taken_{i}.plumb": text for i, text in enumerate(TAKEN_NAMES.values())},
     }
     for name, content in inputs.items():
         if isinstance(content, tuple):
@@ -224,6 +230,10 @@ def extra_ops(api, workloads, work: Path) -> list:
         ("compatible c10 figure against two-cusp germ",
          (api.fillings.compatible, api.wiring.parse_wire(inputs["c10.wire"]),
           api.plumbing.parse_germ(inputs["twocusp.germ"]))),
+        # holes outside the diagram, and graphs whose names the star would reuse
+        *[(f"inside-out m={m} hole {h}", f"inside-out --wire arr_{m}.wire --hole {h}") for h in (0, m + 1)],
+        *[(f"unexpected {tag} in use", f"unexpected --graph taken_{i}.plumb -N 1 --wmax {workloads.WMAX} "
+           f"-o K_taken_{i}", f"K_taken_{i}.plumb", f"K_taken_{i}.wire") for i, tag in enumerate(TAKEN_NAMES)],
     ]
     return [op(*row) for row in rows]
 

@@ -1,14 +1,11 @@
 """The scaling ledger: how the time of every traced layer grows with its input.
 
-    python3 tools/scaling.py CHECKOUT [OTHER] [--rounds R]
+    python3 tools/scaling.py CHECKOUT
 
 Imports ``perfbench/workloads.py`` and the package under ``src/`` of the
-git checkout CHECKOUT and writes nothing inside it.  With a second checkout
-OTHER, R rounds (default 3) each measure both in a fresh subprocess apiece,
-the first alternating, so that a drift in the machine's speed falls on both
-alike; a cell then shows the median over the rounds of CHECKOUT, an arrow,
-that of OTHER and the change in percent.  All runs keep to one CPU, as
-``perfbench/run.py`` does.
+git checkout CHECKOUT, writes nothing inside it and keeps to one CPU, as
+``perfbench/run.py`` does.  Two checkouts are compared by alternating
+``perfbench/run.py`` pairs, not here.
 
 Each row of ``rows()`` names a function of the package (every function
 that ``perfbench/tracing.py`` wraps has one), a ladder of LADDERS and a
@@ -21,7 +18,6 @@ against log measure on a doubling ladder, the time ratio of each step on
 an additive one.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -29,7 +25,6 @@ import math
 import os
 import random
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -224,25 +219,28 @@ def cell_ms(once) -> float:
     return 1000 * statistics.median(times[1:] or times)
 
 
-def ledger(api, wl, work: Path) -> list[dict]:
-    """One table per ladder: headers, format specs, and per row its name,
-    milliseconds per rung (None past the cap) and growth."""
-    tables = []
+def _cell(x, spec: str) -> str:
+    return "–" if x is None else format(x, spec)
+
+
+def ledger(api, wl, work: Path) -> None:
+    """Prints one Markdown table per ladder: per row its name, milliseconds
+    per rung (– past the cap) and growth."""
     for name, (build, values, rung, measure) in LADDERS.items():
         rungs = [build(api, wl, work, value) for value in values]
         heads = [f"`{name}` row"] + [f"{rung}={v}" + (f", {measure}={r.size:,}" if measure else "") + " ms"
                                      for v, r in zip(values, rungs)]
         heads += ["slope"] if measure else [f"× {rung}={a}→{b}" for a, b in zip(values, values[1:])]
-        out = []
+        print("| " + " | ".join(heads) + " |\n|" + " --- |" * len(heads))
         for row in (row for row in rows() if row.ladder == name):
             times: list[float | None] = []
             for r in rungs:
                 stop = times and (times[-1] is None or times[-1] > 1000 * CAP_S)
                 times.append(None if stop else cell_ms(lambda: call(api, row, r)))
-            out.append([f"`{row.name}`", *times, *growth([r.size for r in rungs], times, measure is not None)])
-        specs = [""] + [",.3f"] * len(rungs) + [".2f"] * (len(heads) - len(rungs) - 1)
-        tables.append({"heads": heads, "specs": specs, "rows": out})
-    return tables
+            slopes = growth([r.size for r in rungs], times, measure is not None)
+            cells = [f"`{row.name}`"] + [_cell(t, ",.3f") for t in times] + [_cell(g, ".2f") for g in slopes]
+            print("| " + " | ".join(cells) + " |", flush=True)
+        print()
 
 
 def growth(sizes: list, times: list, doubling: bool) -> list:
@@ -255,64 +253,27 @@ def growth(sizes: list, times: list, doubling: bool) -> list:
     return [statistics.linear_regression(*([math.log(x) for x in xs] for xs in zip(*points))).slope]
 
 
-def _median(cells):
-    return cells[0] if isinstance(cells[0], str) else None if None in cells else statistics.median(cells)
-
-
-def _cell(a, b, spec: str) -> str:
-    """``a``, or with ``b`` different, both and the change in percent."""
-    one, two = ("–" if x is None else format(x, spec) for x in (a, b))
-    if a == b:
-        return one
-    return f"{one} → {two}" + (f" ({100 * (b - a) / a:+.0f}%)" if None not in (a, b) and a else "")
-
-
-def print_tables(tables, other=None) -> None:
-    """Markdown of ``tables``; with ``other``, each cell paired with its cell there."""
-    for t, table in enumerate(tables):
-        print("| " + " | ".join(table["heads"]) + " |\n|" + " --- |" * len(table["heads"]))
-        for i, row in enumerate(table["rows"]):
-            theirs = row if other is None else other[t]["rows"][i]
-            print("| " + " | ".join(map(_cell, row, theirs, table["specs"])) + " |")
-        print()
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path)
-    parser.add_argument("other", type=Path, nargs="?")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)  # one round of a pair
-    args = parser.parse_args(argv)
-    checkouts = [c.resolve() for c in (args.checkout, args.other) if c]
-    if args.rounds < 1 or not all((c / "src" / "sandwich" / "__init__.py").is_file() for c in checkouts):
-        parser.error("--rounds must be positive, and each checkout must hold src/sandwich")
-    with contextlib.suppress(AttributeError, OSError):  # this process and its rounds stay on one CPU
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]).resolve()
+    if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
+        print(f"no src/sandwich in {checkout}", file=sys.stderr)
+        return 2
+    with contextlib.suppress(AttributeError, OSError):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    if len(checkouts) == 1:  # no bytecode written into the checkout
-        sys.dont_write_bytecode = True
-        sys.path[:0] = [str(checkouts[0] / "src"), str(checkouts[0] / "perfbench")]
-        import workloads
-        api = workloads.Api()
-        if checkouts[0] not in Path(api.cli.__file__).resolve().parents:
-            sys.exit(f"sandwich imported from {api.cli.__file__}, not {checkouts[0]}")
-        with tempfile.TemporaryDirectory(prefix="sandwich-scaling-") as work:
-            tables = ledger(api, workloads, Path(work))
-        print(json.dumps(tables)) if args.json else print_tables(tables)
-        return 0
-    rounds: list[list] = [[], []]
-    for r in range(args.rounds):
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            done = subprocess.run([sys.executable, "-B", __file__, "--json", str(checkouts[side])],
-                                  capture_output=True, text=True, check=False)
-            if done.returncode != 0:
-                sys.exit(f"round {r + 1} on {checkouts[side]} failed:\n{done.stderr}")
-            rounds[side].append(json.loads(done.stdout.splitlines()[-1]))
-        print(f"round {r + 1} of {args.rounds} done", file=sys.stderr, flush=True)
-    print(f"Medians of {args.rounds} alternating rounds: {checkouts[0]} → {checkouts[1]}.\n")
-    print_tables(*([{**table, "rows": [list(map(_median, zip(*(r[t]["rows"][i] for r in side))))
-                                       for i in range(len(table["rows"]))]} for t, table in enumerate(side[0])]
-                   for side in rounds))
+    sys.dont_write_bytecode = True  # no cache inside the checkout either
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workloads
+
+    api = workloads.Api()
+    if checkout not in Path(api.cli.__file__).resolve().parents:
+        print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="sandwich-scaling-") as work:
+        ledger(api, workloads, Path(work))
     return 0
 
 
