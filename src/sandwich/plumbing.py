@@ -70,8 +70,7 @@ class PlumbingGraph:
 
 def plumbing_graph(vertices, edges=()) -> PlumbingGraph:
     """Build a graph from a {name: euler} mapping or (name, euler) pairs."""
-    vs = tuple(vertices.items() if hasattr(vertices, "items") else vertices)
-    return PlumbingGraph(vs, tuple(tuple(e) for e in edges))
+    return PlumbingGraph(tuple(vertices.items() if hasattr(vertices, "items") else vertices), tuple(edges))
 
 
 @frozen
@@ -89,7 +88,7 @@ class Augmentation:
 
 
 def augmentation(arrows) -> Augmentation:
-    return Augmentation(tuple(tuple(a) for a in arrows))
+    return Augmentation(tuple(arrows))
 
 
 def _find(parent, x):
@@ -350,26 +349,6 @@ class Cluster:
         from .wiring import boundary_braid, scott  # wiring imports this module
 
         return germ_from_cluster(self), boundary_braid(scott(self))
-
-
-def cluster(branches, points, mults, weights=None) -> Cluster:
-    """Build a cluster from (id, parent, [prox...]) triples (parent None or
-    "root" for the root point) and a {point: {branch: mult}} mapping."""
-    branches = tuple(branches)
-    pts = []
-    for entry in points:
-        pid, parent = entry[0], entry[1]
-        prox = tuple(entry[2]) if len(entry) > 2 else ()
-        if parent in (None, "root"):
-            parent = None
-        pts.append(ClusterPoint(pid, parent, prox))
-    col = {b: k for k, b in enumerate(branches)}
-    rows = []
-    for p in pts:
-        row = {col[b]: int(m) for b, m in mults.get(p.id, {}).items() if b in col}
-        rows.append({k: m for k, m in row.items() if m})
-    w = tuple(weights) if weights is not None else None
-    return Cluster(branches, tuple(pts), tuple(rows), w)
 
 
 def _prox_set(p: ClusterPoint) -> tuple[str, ...]:
@@ -829,7 +808,8 @@ def serialize_plumb(g: PlumbingGraph, aug: Augmentation) -> str:
 def parse_germ(text: str) -> Cluster:
     """Parse the ``.germ`` cluster format: ``branch <names...>``,
     ``point <id> parent <id|root> [prox <id>,...]``,
-    ``mult <id> <branch>=<k> ...``, ``weight <branch> <w>``."""
+    ``mult <id> <branch>=<k> ...``, ``weight <branch> <w>``.  A parent
+    ``root`` is no parent; a zero multiplicity is left out of its row."""
     names, branches, points, mults, weights = Ledger("weight", "mult"), [], [], {}, {}
     for line in names.statements(text):
         tok = line.split()
@@ -845,7 +825,7 @@ def parse_germ(text: str) -> Cluster:
                 elif len(tok) != 4:
                     raise ValueError(line)
                 names.define("point", tok[1])
-                points.append((tok[1], tok[3], prox))
+                points.append(ClusterPoint(tok[1], None if tok[3] == "root" else tok[3], prox))
             elif tok[0] == "mult" and len(tok) >= 3:
                 names.use("mult", "point", tok[1])
                 names.pairs(tok[2:], mults.setdefault(tok[1], {}), "mult", "branch", "multiplicity", tok[1])
@@ -861,18 +841,24 @@ def parse_germ(text: str) -> Cluster:
         raise FormatError("no branch line")
     if weights and set(weights) != set(branches):
         raise FormatError("weights given for some branches but not all")
-    return cluster(branches, points, mults, tuple(weights[b] for b in branches) if weights else None)
+    col = {b: k for k, b in enumerate(branches)}
+    rows = tuple({col[b]: m for b, m in mults.get(p.id, {}).items() if m} for p in points)
+    return Cluster(tuple(branches), tuple(points), rows, tuple(weights[b] for b in branches) if weights else None)
 
 
 def serialize_germ(c: Cluster) -> str:
+    """The ``.germ`` text of ``c``; ``RangeError`` if a point's parent is
+    named ``root``, which the text would read back as no parent."""
     out = ["branch " + " ".join(c.branches)]
     for p in c.points:
+        if p.parent == "root":
+            raise RangeError(f"point {p.id} has a parent named root, which .germ reads as no parent")
         line = f"point {p.id} parent {p.parent if p.parent is not None else 'root'}"
         if p.prox:
             line += " prox " + ",".join(p.prox)
         out.append(line)
     for i, p in enumerate(c.points):
-        parts = [f"{c.branches[k]}={m}" for k, m in sorted(c.mults[i].items()) if m > 0]
+        parts = [f"{c.branches[k]}={m}" for k, m in sorted(c.mults[i].items()) if m]
         if parts:
             out.append(f"mult {p.id} " + " ".join(parts))
     if c.weights is not None:

@@ -1,9 +1,9 @@
 """The examples and helpers that several test modules share, each kept
 once, so that no test module imports another: the figure diagram, the
-two-cusp cluster and its files, the line pair, generic arrangements and
-the ``unexpected`` layouts, mutated cluster rows, the folded factorization
-product, outcomes of a call, random braid words, and the benchmark's
-literals read as text."""
+reference cluster builder, the two-cusp cluster and its files, the line
+pair, generic arrangements and the ``unexpected`` layouts, mutated cluster
+rows, the folded factorization product, outcomes of a call, random braid
+words, and the benchmark's literals read as text."""
 
 import ast
 from pathlib import Path
@@ -11,7 +11,7 @@ from pathlib import Path
 from sandwich.errors import SandwichError
 from sandwich.fillings import unexpected_arrangement
 from sandwich.mcg import braid_permutation, item_offset, item_word, perm_compose, perm_identity, reduce_word
-from sandwich.plumbing import Cluster, _index_cluster, augmentation, cluster, parse_plumb, plumbing_graph
+from sandwich.plumbing import Cluster, ClusterPoint, _index_cluster, augmentation, parse_plumb, plumbing_graph
 from sandwich.wiring import FreePoint, Intersection, WiringDiagram, parse_wire, serialize_wire
 
 FIG = (
@@ -73,6 +73,27 @@ mult fB B=1
 weight A 8
 weight B 8
 """
+
+
+def cluster(branches, points, mults, weights=None) -> Cluster:
+    """Build a cluster from (id, parent, [prox...]) triples (parent None or
+    "root" for the root point) and a {point: {branch: mult}} mapping: the
+    reference builder that ``parse_germ`` is checked against."""
+    branches = tuple(branches)
+    pts = []
+    for entry in points:
+        pid, parent = entry[0], entry[1]
+        prox = tuple(entry[2]) if len(entry) > 2 else ()
+        if parent in (None, "root"):
+            parent = None
+        pts.append(ClusterPoint(pid, parent, prox))
+    col = {b: k for k, b in enumerate(branches)}
+    rows = []
+    for p in pts:
+        row = {col[b]: int(m) for b, m in mults.get(p.id, {}).items()}
+        rows.append({k: m for k, m in row.items() if m})
+    w = tuple(weights) if weights is not None else None
+    return Cluster(branches, tuple(pts), tuple(rows), w)
 
 
 def two_cusp_cluster(weights=(8, 8)):

@@ -4,8 +4,9 @@ layouts of its clusters."""
 import itertools
 
 from sandwich.errors import SandwichError
-from sandwich.plumbing import cluster
 from sandwich.wiring import scott
+
+from fixtures import cluster
 
 
 def rand_cluster(rng):

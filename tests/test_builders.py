@@ -22,7 +22,6 @@ from sandwich.plumbing import (
     blow_down,
     build_unexpected,
     check_cluster,
-    cluster,
     cluster_from_trace,
     germ_from_cluster,
     plumbing_graph,
@@ -40,7 +39,7 @@ from sandwich.wiring import (
     scott,
 )
 
-from fixtures import mutate_rows, outcome
+from fixtures import cluster, mutate_rows, outcome
 from random_clusters import rand_cluster
 from random_diagrams import rand_diagram
 

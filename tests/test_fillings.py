@@ -25,7 +25,6 @@ from sandwich.plumbing import (
     DecoratedGerm,
     augmentation,
     blow_down,
-    cluster,
     cluster_from_trace,
     germ_from_augmentation,
     germ_from_cluster,
@@ -42,7 +41,7 @@ from sandwich.wiring import (
     vanishing_data,
 )
 
-from fixtures import FIG_FULL, line_pair, product_fingerprint, two_cusp_cluster
+from fixtures import FIG_FULL, cluster, line_pair, product_fingerprint, two_cusp_cluster
 from hurwitz import hurwitz_move, mc_equal
 from matrices import from_rows
 from random_clusters import rand_cluster

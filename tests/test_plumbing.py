@@ -30,7 +30,6 @@ from sandwich.plumbing import (
     branch_chain,
     build_unexpected,
     check_cluster,
-    cluster,
     cluster_from_trace,
     delta,
     extend_chains,
@@ -46,7 +45,7 @@ from sandwich.plumbing import (
     subcluster,
 )
 
-from fixtures import line_pair, mutate_rows, proximate_sum, two_cusp_cluster
+from fixtures import cluster, line_pair, mutate_rows, proximate_sum, two_cusp_cluster
 from hurwitz import cap_framing
 from random_clusters import rand_cluster
 
@@ -308,6 +307,13 @@ def test_cluster_from_trace_keeps_a_vertex_named_root():
     c = cluster_from_trace(blow_down(g, aug))
     assert [(p.id, p.parent) for p in c.points] == [("root", None), ("@d", "root"), ("@c", "root")]
     assert germ_from_cluster(c) == germ_from_augmentation(g, aug)
+
+
+def test_serialize_germ_refuses_a_parent_named_root():
+    # its text would read @d and @c back as two more root points
+    c = cluster_from_trace(blow_down(plumbing_graph({"root": -3}), augmentation([("c", "root"), ("d", "root")])))
+    with pytest.raises(RangeError, match="^point @d has a parent named root"):
+        serialize_germ(c)
 
 
 def test_subcluster_single_cusp():
@@ -955,6 +961,35 @@ def test_parse_germ_errors():
         parse_germ("branch A\npoint q0 parent root\nmult q0 A\n")
     with pytest.raises(FormatError):
         parse_germ("branch A\npoint q0 parent root\nmult q0 A=1\nweight B 2\n")
+
+
+# texts that serialize_germ never writes: (text, points, mults) of the
+# reference builder, on branches A and B
+GERM_READS = {
+    "mult before point": ("branch A B\nmult q0 A=1 B=1\npoint q0 parent root\n",
+                          [("q0", None)], {"q0": {"A": 1, "B": 1}}),
+    "zero multiplicity": ("branch A B\npoint q0 parent root\nmult q0 A=1 B=0\n",
+                          [("q0", None)], {"q0": {"A": 1, "B": 0}}),
+    "negative multiplicity": ("branch A B\npoint q0 parent root\npoint q1 parent q0\nmult q0 A=1 B=1\nmult q1 B=-1\n",
+                              [("q0", None), ("q1", "q0")], {"q0": {"A": 1, "B": 1}, "q1": {"B": -1}}),
+    "two mult lines": ("branch A B\npoint q0 parent root\nmult q0 B=2\nmult q0 A=1\n",
+                       [("q0", None)], {"q0": {"B": 2, "A": 1}}),
+    "branch line last": ("point q0 parent root\nmult q0 A=1 B=1\nbranch A B\n",
+                         [("q0", None)], {"q0": {"A": 1, "B": 1}}),
+    "empty prox entry": ("branch A B\npoint q0 parent root\npoint q1 parent q0 prox a,,b\nmult q0 A=1 B=1\n",
+                         [("q0", None), ("q1", "q0", ("a", "b"))], {"q0": {"A": 1, "B": 1}}),
+}
+
+
+@pytest.mark.parametrize("text, points, mults", GERM_READS.values(), ids=GERM_READS)
+def test_parse_germ_reads_as_the_reference_builder(text, points, mults):
+    c = parse_germ(text)
+    assert repr(c) == repr(cluster(["A", "B"], points, mults))
+    assert all(m for row in c.mults for m in row.values())  # a zero is left out, a negative kept
+    assert parse_germ(serialize_germ(c)) == c  # a negative is written back, not dropped
+    if any(m < 0 for row in mults.values() for m in row.values()):
+        with pytest.raises(ProximityViolationError, match="^negative multiplicity at q1$"):
+            check_cluster(c)
 
 
 def test_serialize_plumb_two_cusp_roundtrip():

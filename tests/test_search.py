@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandwich.fillings import incidence_canonical, incidence_equiv
-from sandwich.plumbing import Branch, DecoratedGerm, cluster, germ_from_cluster
+from sandwich.plumbing import Branch, DecoratedGerm, germ_from_cluster
 from sandwich.wiring import (
     FreePoint,
     Intersection,
@@ -23,6 +23,7 @@ from sandwich.wiring import (
     validate_wiring,
 )
 
+from fixtures import cluster
 from matrices import from_rows
 
 KINDS = ("intersection", "free")

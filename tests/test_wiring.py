@@ -26,7 +26,7 @@ from sandwich.mcg import (
     inverse_word,
     reduce_word,
 )
-from sandwich.plumbing import _find, _union, cluster, germ_from_cluster
+from sandwich.plumbing import _find, _union, germ_from_cluster
 from sandwich.wiring import (
     EnclosureData,
     Event,
@@ -56,7 +56,7 @@ from sandwich.wiring import (
     wiring_from_vanishing,
 )
 
-from fixtures import arrangement, two_cusp_cluster, unexpected_layouts, unexpected_wires
+from fixtures import arrangement, cluster, two_cusp_cluster, unexpected_layouts, unexpected_wires
 from hurwitz import canonical_factorization, hurwitz_move
 from matrices import from_rows
 from random_clusters import rand_layouts

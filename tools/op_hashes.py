@@ -21,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from checkout import load_checkout
+
 SEED = 7
 WORK = b"WORK"  # stands for the work directory in every hashed output
 FILE_OPTIONS = {"--graph", "--wire", "--germ", "--fact", "--trace", "-o"}  # the word after one names a file
@@ -265,18 +267,10 @@ def traced_counts(build, workloads, tracing, work: Path, root: Path) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
+    if (loaded := load_checkout(argv, __doc__)) is None:
         return 2
-    checkout = Path(argv[0]).resolve()
-    if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
-        print(f"no src/sandwich in {checkout}", file=sys.stderr)
-        return 2
-    sys.dont_write_bytecode = True  # no cache inside the checkout either
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    workloads, _ = loaded
     import tracing
-    import workloads
 
     work = Path(tempfile.mkdtemp(prefix="sandwich-op-hashes-"))
     counts = {}
@@ -284,9 +278,6 @@ def main(argv=None) -> int:
         for name, build in workloads.WORKLOADS.items():
             (work / name).mkdir()
             api = workloads.Api()
-            if checkout not in Path(api.cli.__file__).resolve().parents:
-                print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
-                return 2
             plan = build(api, workloads.Names(SEED), work / name)
             for op in plan.setup_checks + plan.ops:
                 print(f"{name}\t{op.label}\t{op_digest(op, workloads, work)}", flush=True)

@@ -32,6 +32,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
+from checkout import load_checkout
+
 SEED = 7
 BUDGET_S = 0.1
 CAP_S = 1.0
@@ -254,24 +256,11 @@ def growth(sizes: list, times: list, doubling: bool) -> list:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
+    if (loaded := load_checkout(argv, __doc__)) is None:
         return 2
-    checkout = Path(argv[0]).resolve()
-    if not (checkout / "src" / "sandwich" / "__init__.py").is_file():
-        print(f"no src/sandwich in {checkout}", file=sys.stderr)
-        return 2
+    workloads, api = loaded
     with contextlib.suppress(AttributeError, OSError):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    sys.dont_write_bytecode = True  # no cache inside the checkout either
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
-    import workloads
-
-    api = workloads.Api()
-    if checkout not in Path(api.cli.__file__).resolve().parents:
-        print(f"sandwich imported from {api.cli.__file__}, not {checkout}", file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory(prefix="sandwich-scaling-") as work:
         ledger(api, workloads, Path(work))
     return 0
