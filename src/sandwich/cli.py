@@ -4,7 +4,6 @@ together, and SVG rendering of wiring diagrams."""
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -41,20 +40,6 @@ from .wiring import (
     vanishing_data,
     wiring_from_vanishing,
 )
-
-SUPPORTED_FORMAT_VERSIONS = (1,)
-
-
-def _format_version() -> int:
-    raw = os.environ.get("SANDWICH_FORMAT_VERSION", "1")
-    try:
-        version = int(raw)
-    except ValueError:
-        raise FormatError(f"bad format version {raw!r}", location="SANDWICH_FORMAT_VERSION")
-    if version not in SUPPORTED_FORMAT_VERSIONS:
-        raise FormatError(f"unsupported format version {version}", location="SANDWICH_FORMAT_VERSION")
-    return version
-
 
 def _emit_error(code: str, message: str, location=None) -> None:
     payload = {"code": code, "message": message, "location": location}
@@ -115,8 +100,8 @@ def _dumps(x, indent: str = "") -> str:
     return json.dumps(x)
 
 
-def _write_json(data: dict, out, version: int) -> None:
-    payload = {"formatVersion": version}
+def _write_json(data: dict, out) -> None:
+    payload = {"formatVersion": 1}
     payload.update(data)
     _write(_dumps(payload) + "\n", out)
 
@@ -140,7 +125,7 @@ def _read(path: str) -> str:
 _STRAND_STYLE = 'fill="none" stroke="black" stroke-width="0.05"'
 
 
-def render(w: WiringDiagram, version: int = 1) -> str:
+def render(w: WiringDiagram) -> str:
     """Strands as polylines left to right, position 1 at the bottom; one x
     unit per seq element, one y unit per strand position.  Crossings break
     the understrand; tangencies are filled diamonds, intersections filled
@@ -226,7 +211,7 @@ def render(w: WiringDiagram, version: int = 1) -> str:
     width = len(w.braids) + len(w.events)
     # n >= 1 and the first braid slot always draws, so paths is never empty
     paths[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.5 0 {width + 1} {n + 1}">\n'
-                f'<!-- format {version} -->\n<path class="strand" {_STRAND_STYLE} d="{paths[0]}')
+                f'<!-- format 1 -->\n<path class="strand" {_STRAND_STYLE} d="{paths[0]}')
     paths[-1] += '"/>\n' + "".join(markers) + "</svg>\n"
     return " ".join(paths)
 
@@ -242,67 +227,67 @@ def _load_plumb(path: str):
     return g, aug
 
 
-def _cmd_germ(args, version):
+def _cmd_germ(args):
     g, aug = _load_plumb(args.graph)
     trace = blow_down(g, aug)
     germ = germ_from_trace(trace, aug)
     if args.trace is not None:
-        _write_json(trace_json(trace), args.trace, version)
-    _write_json(germ_json(germ), args.out, version)
+        _write_json(trace_json(trace), args.trace)
+    _write_json(germ_json(germ), args.out)
     return 0
 
 
-def _cmd_graph(args, version):
+def _cmd_graph(args):
     c = parse_germ(_read(args.germ))
     g, aug = graph_from_cluster(c)
     _write(serialize_plumb(g, aug), args.out)
     return 0
 
 
-def _cmd_scott(args, version):
+def _cmd_scott(args):
     c = parse_germ(_read(args.germ))
     _write(serialize_wire(scott(c)), args.out)
     return 0
 
 
-def _cmd_validate(args, version):
+def _cmd_validate(args):
     w = parse_wire(_read(args.wire))
     germ = germ_from_cluster(parse_germ(_read(args.germ))) if args.germ else None
     report = validate_wiring(w, germ=germ)
     problems = [{"code": code, "message": msg} for code, msg in report.entries]
-    _write_json({"ok": report.ok, "problems": problems}, args.out, version)
+    _write_json({"ok": report.ok, "problems": problems}, args.out)
     return 0 if report.ok else 1
 
 
-def _cmd_vanishing(args, version):
+def _cmd_vanishing(args):
     w = parse_wire(_read(args.wire))
-    _write_json(factorization_json(vanishing_data(w)), args.out, version)
+    _write_json(factorization_json(vanishing_data(w)), args.out)
     return 0
 
 
-def _cmd_wire_from_vanishing(args, version):
+def _cmd_wire_from_vanishing(args):
     fact = factorization_from_json(json.loads(_read(args.fact)))
     _write(serialize_wire(wiring_from_vanishing(fact)), args.out)
     return 0
 
 
-def _cmd_incidence(args, version):
+def _cmd_incidence(args):
     w = parse_wire(_read(args.wire))
-    _write_json(incidence_json(incidence_canonical(incidence(w))), args.out, version)
+    _write_json(incidence_json(incidence_canonical(incidence(w))), args.out)
     return 0
 
 
-def _cmd_compare(args, version):
+def _cmd_compare(args):
     if len(args.wire) != 2:
         _emit_error("usage", "compare needs exactly two --wire inputs")
         return 2
     a, b = (incidence(parse_wire(_read(p))) for p in args.wire)
     equivalent = incidence_equiv(a, b, unlabeled=args.unlabeled)
-    _write_json({"equivalent": equivalent}, args.out, version)
+    _write_json({"equivalent": equivalent}, args.out)
     return 0 if equivalent else 1
 
 
-def _cmd_inside_out(args, version):
+def _cmd_inside_out(args):
     w = parse_wire(_read(args.wire))
     e = inside_out(enclosure_from_wiring(w), args.hole)
     data = {
@@ -310,11 +295,11 @@ def _cmd_inside_out(args, version):
         "components": list(e.components),
         "items": [{"kind": kind, "holes": sorted(holes)} for kind, holes in e.items],
     }
-    _write_json(data, args.out, version)
+    _write_json(data, args.out)
     return 0
 
 
-def _cmd_extend(args, version):
+def _cmd_extend(args):
     g, aug = _load_plumb(args.graph)
     names, lengths = Ledger("chains", where="--chains"), {}
     names.defined.update(("curvetta", c) for c in aug.curvettas())
@@ -329,29 +314,26 @@ def _cmd_extend(args, version):
     return 0
 
 
-def _cmd_unexpected(args, version):
+def _cmd_unexpected(args):
     g, aug = _load_plumb(args.graph)
     arr = unexpected_arrangement(g, aug, args.n, args.wmax)
     plumb_path = f"{args.out}.plumb"
     wire_path = f"{args.out}.wire"
     _write(serialize_plumb(arr.graph, arr.arrows), plumb_path)
     _write(serialize_wire(arr.wiring), wire_path)
-    _write_json(
-        {"plumb": plumb_path, "wire": wire_path, "germ": germ_json(arr.germ)},
-        None, version,
-    )
+    _write_json({"plumb": plumb_path, "wire": wire_path, "germ": germ_json(arr.germ)}, None)
     return 0
 
 
-def _cmd_auts(args, version):
+def _cmd_auts(args):
     g, _ = _load_plumb(args.graph)
-    _write_json({"automorphisms": automorphisms(g)}, args.out, version)
+    _write_json({"automorphisms": automorphisms(g)}, args.out)
     return 0
 
 
-def _cmd_render(args, version):
+def _cmd_render(args):
     w = parse_wire(_read(args.wire))
-    _write(render(w, version), args.out)
+    _write(render(w), args.out)
     return 0
 
 
@@ -444,8 +426,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        version = _format_version()
-        return _COMMANDS[name][0](args, version)
+        return _COMMANDS[name][0](args)
     except SandwichError as exc:
         _emit_error(exc.code, exc.message, exc.location)
         return 2

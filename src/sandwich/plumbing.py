@@ -262,7 +262,7 @@ def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation) -> DecoratedGerm
 def germ_from_trace(trace: BlowDownTrace, aug: Augmentation) -> DecoratedGerm:
     """The decorated germ of a blow-down trace of ``aug``; see
     ``germ_from_augmentation``."""
-    if not trace.steps:
+    if not aug.arrows:
         raise RangeError("empty configuration has no germ")
     seqs: list[list[int]] = [[] for _ in aug.arrows]
     for s in trace.steps:

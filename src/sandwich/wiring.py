@@ -666,8 +666,10 @@ def parse_wire(text: str) -> WiringDiagram:
     word left out (before the first event, after the last or between two) is ``1``."""
     names, n, components, seq_chunks = Ledger(), None, {}, None
     for stmt in names.statements(text, ";"):
-        words = stmt.split()
-        if words[0] == "strands":
+        if stmt.startswith("seq:"):  # nearly the whole file, so not split into words
+            names.define("seq")
+            seq_chunks, seq_line = list(map(str.strip, stmt[4:].split(","))), names.line
+        elif (words := stmt.split())[0] == "strands":
             names.define("strands")
             try:
                 (n,) = map(int, words[1:])
@@ -687,9 +689,6 @@ def parse_wire(text: str) -> WiringDiagram:
                     components[label] = [int(x) for x in positions.split(",") if x]
                 except ValueError as exc:
                     raise names.error(f"bad components group {group!r}") from exc
-        elif stmt.startswith("seq:"):
-            names.define("seq")
-            seq_chunks, seq_line = list(map(str.strip, stmt[4:].split(","))), names.line
         else:
             raise names.error(f"unrecognized statement {stmt!r}")
     if n is None:

@@ -107,21 +107,6 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["code"] == "usage"
 
-    def test_bad_format_version(self, work, capsys, monkeypatch):
-        monkeypatch.setenv("SANDWICH_FORMAT_VERSION", "9")
-        code, _, err = run(capsys, "germ", "--graph", work / "e3.plumb")
-        assert code == 2
-        data = json.loads(err)
-        assert data["code"] == "format"
-        assert data["location"] == "SANDWICH_FORMAT_VERSION"
-
-    def test_unparsable_format_version(self, work, capsys, monkeypatch):
-        monkeypatch.setenv("SANDWICH_FORMAT_VERSION", "x")
-        code, out, err = run(capsys, "germ", "--graph", work / "e3.plumb")
-        assert code == 2 and out == ""
-        assert json.loads(err) == {"code": "format", "location": "SANDWICH_FORMAT_VERSION",
-                                   "message": "bad format version 'x'"}
-
     def test_arrow_vertex_name_is_reserved(self, work, capsys):
         (work / "taken.plumb").write_text("vertex v -1\nvertex @a -2\ncurvetta a on v\n")
         code, out, err = run(capsys, "germ", "--graph", work / "taken.plumb")
@@ -445,6 +430,16 @@ class TestExitCodes:
         assert json.loads(err) == {"code": "range", "location": None, "message": message}
         assert not list(work.glob("K*"))
 
+    # a germ has a branch: a graph that blows down but carries no curvetta
+    # has none, as an empty graph has none
+    @pytest.mark.parametrize("text", ["vertex v -1\n", ""], ids=["no curvetta", "empty"])
+    def test_graph_without_curvetta_has_no_germ(self, work, capsys, text):
+        (work / "bare.plumb").write_text(text)
+        code, out, err = run(capsys, "germ", "--graph", work / "bare.plumb", "--trace", work / "T.json")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "range", "location": None, "message": "empty configuration has no germ"}
+        assert not (work / "T.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # exit codes on mutated input
@@ -712,7 +707,7 @@ def assert_main_parses_like_all(capsys, monkeypatch, command, cases):
     ``build_parser()`` does; the command's handler only records its args."""
     parsed = []
     _, help_text, arguments = _COMMANDS[command]
-    monkeypatch.setitem(_COMMANDS, command, (lambda args, version: parsed.append(vars(args)) or 0,
+    monkeypatch.setitem(_COMMANDS, command, (lambda args: parsed.append(vars(args)) or 0,
                                              help_text, arguments))
     for argv in cases:
         code = main(argv)
@@ -1048,30 +1043,30 @@ class TestAuts:
 class TestRender:
     def test_empty_diagram_is_horizontal_lines(self):
         w = parse_wire("strands 3\ncomponents X=1,2,3\nseq: 1\n")
-        svg = render(w, 1)
+        svg = render(w)
         assert svg.count("M ") == 3
         assert svg.count('class="tangency"') == 0
 
     def test_single_tangency(self):
         w = parse_wire("strands 2\ncomponents X=1,2\nseq: 1, T(1), 1\n")
-        svg = render(w, 1)
+        svg = render(w)
         assert svg.count('class="tangency"') == 1
 
     def test_figure_marker_counts(self):
-        svg = render(parse_wire(FIG), 1)
+        svg = render(parse_wire(FIG))
         assert svg.count('class="tangency"') == 2
         assert svg.count('class="intersection"') == 7
         assert svg.count('class="free"') == 0
 
     def test_free_points_are_open_circles(self):
         w = parse_wire(FIG_FULL)
-        svg = render(w, 1)
+        svg = render(w)
         assert svg.count('class="free"') == 1
 
     def test_understrand_breaks(self):
         # one crossing: three strand segments replace two straight lines
         w = parse_wire("strands 2\ncomponents X=1 Y=2\nseq: s1\n")
-        svg = render(w, 1)
+        svg = render(w)
         assert svg.count("M ") == 3
 
     def test_deterministic_output(self, work, capsys):

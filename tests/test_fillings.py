@@ -534,7 +534,10 @@ def filling_matrix(w) -> list[list[int]]:
 def test_scott_layout_filling_has_the_graph_homology():
     # with a handle per cycle on the disk with the merged holes: H1 = Z^holes
     # / rows of M is 0, b2 = rank ker M^T is the number of graph vertices,
-    # and det(M^T M) is |det| of the graph's intersection matrix
+    # and det(M^T M) is |det| of the graph's intersection matrix.  H1 = 0
+    # makes im M primitive in the unimodular Z^cycles, so coker(M^T M) is
+    # the discriminant group of the lattice ker M^T: it is the graph's, as
+    # the invariant factors above 1 say, cyclic or not
     rng = random.Random(1)
     cases = []
     for _ in range(400):
@@ -544,7 +547,7 @@ def test_scott_layout_filling_has_the_graph_homology():
         except SandwichError:
             pass
     assert len(cases) == 391
-    with_arcs = 0
+    with_arcs = noncyclic = 0
     for w, g in cases:
         m = filling_matrix(w)
         holes = len(m[0])
@@ -557,7 +560,10 @@ def test_scott_layout_filling_has_the_graph_homology():
             q[names.index(a)][names.index(b)] = q[names.index(b)][names.index(a)] = 1
         gram = [[sum(r[i] * r[j] for r in m) for j in range(holes)] for i in range(holes)]
         assert determinant(gram) == abs(determinant(q))
-    assert with_arcs == 98
+        group = [d for d in smith_diagonal(q) if d != 1]
+        assert [d for d in smith_diagonal(gram) if d != 1] == group
+        noncyclic += len(group) > 1
+    assert (with_arcs, noncyclic) == (98, 20)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,25 @@ def test_graph_from_cluster_needs_free_simple_finals():
         graph_from_cluster(c2)
 
 
+@pytest.mark.parametrize("branches, points, mults, error, message", [
+    (["A"], [("q0", None)], {"q0": {"A": 1}},
+     WeightMismatchError, "branch A has weight 1; a single free point cannot be presented"),
+    (["A"], [("q0", None), ("q1", "q0")], {"q0": {"A": 2}, "q1": {"A": 2}},
+     ProximityViolationError, "final point q1 of branch A must be simple and private"),
+    (["A", "B"], [("q0", None), ("q1", "q0")], {"q0": {"A": 1, "B": 1}, "q1": {"A": 1, "B": 1}},
+     ProximityViolationError, "final point q1 of branch A must be simple and private"),
+    (["A"], [("q0", None), ("q1", "q0"), ("q2", "q1", ("q0",))], {"q0": {"A": 2}, "q1": {"A": 1}, "q2": {"A": 1}},
+     ProximityViolationError, "final point q2 must be free"),
+    (["A"], [("q0", None), ("q1", "q0"), ("q2", "q1")], {"q0": {"A": 1}, "q1": {"A": 1}},
+     ProximityViolationError, "final point q1 must be last on its branch"),
+    (["A"], [("q0", None), ("q1", "q0")], {"q0": {"A": 2}, "q1": {"A": 1}},
+     ProximityViolationError, "branch A has multiplicity 2 at q0 but its proximate points only account for 1"),
+], ids=["weight 1", "not simple", "not private", "satellite", "not last", "slack"])
+def test_graph_from_cluster_rejection_messages(branches, points, mults, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        graph_from_cluster(cluster(branches, points, mults))
+
+
 def test_cluster_from_trace_two_cusp():
     g, aug = two_cusp_graph()
     c = cluster_from_trace(blow_down(g, aug))

@@ -60,7 +60,7 @@ def _seg(x0, y0, x1, y1):
     return f"M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)}"
 
 
-def reference_render(w, version=1):
+def reference_render(w):
     n = w.n
 
     def y(pos):
@@ -136,7 +136,7 @@ def reference_render(w, version=1):
     width = len(elements)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.5 0 {width + 1} {n + 1}">',
-        f"<!-- format {version} -->",
+        "<!-- format 1 -->",
         '<path class="strand" fill="none" stroke="black" stroke-width="0.05" '
         f'd="{" ".join(paths)}"/>',
     ]
@@ -346,7 +346,7 @@ def parse_outcome(f, text):
 
 
 def assert_read_side_agrees(w):
-    assert render(w, 1) == reference_render(w, 1)
+    assert render(w) == reference_render(w)
     got = outcome(lambda: as_rows(incidence(w)))
     assert got == outcome(row_major_incidence, w)
     if got[0] == "ok":

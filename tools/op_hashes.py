@@ -153,6 +153,7 @@ def extra_ops(api, workloads, work: Path) -> list:
         "c10.wire": "strands 4\ncomponents A=2,3 B=1,4\nseq: 1, T(2), s1' s3', T(2), 1, I(1..2), 1, I(1..2), 1, "
                     "I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n",
         **{f"taken_{i}.plumb": text for i, text in enumerate(TAKEN_NAMES.values())},
+        "no_curvetta.plumb": "vertex v -1\n",
     }
     for name, content in inputs.items():
         if isinstance(content, tuple):
@@ -236,6 +237,8 @@ def extra_ops(api, workloads, work: Path) -> list:
         *[(f"inside-out m={m} hole {h}", f"inside-out --wire arr_{m}.wire --hole {h}") for h in (0, m + 1)],
         *[(f"unexpected {tag} in use", f"unexpected --graph taken_{i}.plumb -N 1 --wmax {workloads.WMAX} "
            f"-o K_taken_{i}", f"K_taken_{i}.plumb", f"K_taken_{i}.wire") for i, tag in enumerate(TAKEN_NAMES)],
+        # a graph that blows down but carries no curvetta
+        ("germ no curvetta", "germ --graph no_curvetta.plumb"),
     ]
     return [op(*row) for row in rows]
 
