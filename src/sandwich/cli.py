@@ -221,16 +221,14 @@ def render(w: WiringDiagram) -> str:
 
 
 def _load_plumb(path: str):
-    g, aug, chains = parse_plumb(_read(path))
-    if chains:
-        g, aug = extend_chains(g, aug, chains)
-    return g, aug
+    g, chains = parse_plumb(_read(path))
+    return extend_chains(g, chains) if chains else g
 
 
 def _cmd_germ(args):
-    g, aug = _load_plumb(args.graph)
-    trace = blow_down(g, aug)
-    germ = germ_from_trace(trace, aug)
+    g = _load_plumb(args.graph)
+    trace = blow_down(g)
+    germ = germ_from_trace(trace, g)
     if args.trace is not None:
         _write_json(trace_json(trace), args.trace)
     _write_json(germ_json(germ), args.out)
@@ -239,8 +237,7 @@ def _cmd_germ(args):
 
 def _cmd_graph(args):
     c = parse_germ(_read(args.germ))
-    g, aug = graph_from_cluster(c)
-    _write(serialize_plumb(g, aug), args.out)
+    _write(serialize_plumb(graph_from_cluster(c)), args.out)
     return 0
 
 
@@ -266,7 +263,12 @@ def _cmd_vanishing(args):
 
 
 def _cmd_wire_from_vanishing(args):
-    fact = factorization_from_json(json.loads(_read(args.fact)))
+    text = _read(args.fact)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
+    fact = factorization_from_json(data)
     _write(serialize_wire(wiring_from_vanishing(fact)), args.out)
     return 0
 
@@ -300,34 +302,32 @@ def _cmd_inside_out(args):
 
 
 def _cmd_extend(args):
-    g, aug = _load_plumb(args.graph)
+    g = _load_plumb(args.graph)
     names, lengths = Ledger("chains", where="--chains"), {}
-    names.defined.update(("curvetta", c) for c in aug.curvettas())
+    names.defined.update(("curvetta", c) for c in g.curvettas())
     try:
         read_chains(names, args.chains, lengths)
     except ValueError:
         raise names.error(f"bad chain spec {args.chains!r}")
     names.check()
-    if hit := chain_collision(set(g.names()), aug.arrows, lengths):
+    if hit := chain_collision(g, lengths):
         raise names.error(f"chain vertex name {hit[1]} collides")
-    _write(serialize_plumb(*extend_chains(g, aug, lengths)), args.out)
+    _write(serialize_plumb(extend_chains(g, lengths)), args.out)
     return 0
 
 
 def _cmd_unexpected(args):
-    g, aug = _load_plumb(args.graph)
-    arr = unexpected_arrangement(g, aug, args.n, args.wmax)
+    arr = unexpected_arrangement(_load_plumb(args.graph), args.n, args.wmax)
     plumb_path = f"{args.out}.plumb"
     wire_path = f"{args.out}.wire"
-    _write(serialize_plumb(arr.graph, arr.arrows), plumb_path)
+    _write(serialize_plumb(arr.graph), plumb_path)
     _write(serialize_wire(arr.wiring), wire_path)
     _write_json({"plumb": plumb_path, "wire": wire_path, "germ": germ_json(arr.germ)}, None)
     return 0
 
 
 def _cmd_auts(args):
-    g, _ = _load_plumb(args.graph)
-    _write_json({"automorphisms": automorphisms(g)}, args.out)
+    _write_json({"automorphisms": automorphisms(_load_plumb(args.graph))}, args.out)
     return 0
 
 

@@ -16,7 +16,6 @@ from .mcg import (
     reduce_word,
 )
 from .plumbing import (
-    Augmentation,
     Branch,
     Cluster,
     DecoratedGerm,
@@ -246,15 +245,12 @@ def combine_germs(a: DecoratedGerm, b: DecoratedGerm) -> DecoratedGerm:
 @frozen
 class UnexpectedArrangement:
     graph: PlumbingGraph
-    arrows: Augmentation
     wiring: WiringDiagram
     germ: DecoratedGerm
 
 
-def unexpected_arrangement(
-    g: PlumbingGraph, aug: Augmentation, N: int, wmax: int
-) -> UnexpectedArrangement:
-    """Attach the star of generic lines to the germ of ``(g, aug)``, lay
+def unexpected_arrangement(g: PlumbingGraph, N: int, wmax: int) -> UnexpectedArrangement:
+    """Attach the star of generic lines to the germ of ``g``, lay
     out the original branches and the new lines separately, and merge the
     two layouts; the result is checked against the generic-union germ.
 
@@ -263,9 +259,9 @@ def unexpected_arrangement(
     with curvettas ``a`` and ``b``, N = 1 and wmax = 5, every branch here
     has weight 15, while the graph's germ (``germ --graph``) gives 8 to
     ``a`` and ``b`` and 13 to each line (ROADMAP item 1)."""
-    graph, arrows = build_unexpected(g, aug, N, wmax)
-    full = cluster_from_trace(blow_down(graph, arrows))
-    original = set(aug.curvettas())
+    graph = build_unexpected(g, N, wmax)
+    full = cluster_from_trace(blow_down(graph))
+    original = set(g.curvettas())
     base = subcluster(full, [name for name in full.branches if name in original])
     lines = subcluster(full, [name for name in full.branches if name not in original])
     w = combine(scott(base), scott(lines))
@@ -276,4 +272,4 @@ def unexpected_arrangement(
             "combined layout fails its own germ: "
             + "; ".join(f"{code}: {msg}" for code, msg in report.entries)
         )
-    return UnexpectedArrangement(graph, arrows, w, germ)
+    return UnexpectedArrangement(graph, w, germ)

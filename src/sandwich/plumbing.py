@@ -46,8 +46,12 @@ class ValidationReport:
 
 @frozen
 class PlumbingGraph:
+    """Vertices with euler numbers, edges, and curvetta arrows ``(curvetta,
+    vertex)``; whether an arrow's vertex exists is ``blow_down``'s to judge."""
+
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
+    arrows: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         names = self.names()
@@ -63,32 +67,22 @@ class PlumbingGraph:
             norm.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "vertices", tuple((v, int(e)) for v, e in self.vertices))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        curvettas = self.curvettas()
+        if len(set(curvettas)) != len(curvettas):
+            raise RangeError("duplicate curvetta name")
+        object.__setattr__(self, "arrows", tuple((c, v) for c, v in self.arrows))
 
     def names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.vertices)
-
-
-def plumbing_graph(vertices, edges=()) -> PlumbingGraph:
-    """Build a graph from a {name: euler} mapping or (name, euler) pairs."""
-    return PlumbingGraph(tuple(vertices.items() if hasattr(vertices, "items") else vertices), tuple(edges))
-
-
-@frozen
-class Augmentation:
-    arrows: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        names = self.curvettas()
-        if len(set(names)) != len(names):
-            raise RangeError("duplicate curvetta name")
-        object.__setattr__(self, "arrows", tuple((c, v) for c, v in self.arrows))
 
     def curvettas(self) -> tuple[str, ...]:
         return tuple(c for c, _ in self.arrows)
 
 
-def augmentation(arrows) -> Augmentation:
-    return Augmentation(tuple(arrows))
+def plumbing_graph(vertices, edges=(), arrows=()) -> PlumbingGraph:
+    """Build a graph from a {name: euler} mapping or (name, euler) pairs."""
+    return PlumbingGraph(tuple(vertices.items() if hasattr(vertices, "items") else vertices), tuple(edges),
+                         tuple(arrows))
 
 
 def _find(parent, x):
@@ -127,7 +121,7 @@ class BlowDownTrace:
     pairwise: tuple[tuple[int, ...], ...]
 
 
-def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
+def blow_down(g: PlumbingGraph) -> BlowDownTrace:
     """Contract (-1) curves until nothing remains, recording per-step
     curvetta multiplicities.  Ties break to the lexicographically smallest
     name.
@@ -141,10 +135,10 @@ def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
     numbers and the heap, and collects the step's record; the heap's keys
     are distinct names, so the order of pushes never moves a pop."""
     euler = dict(g.vertices)
-    curvettas = aug.curvettas()
+    curvettas = g.curvettas()
     col = {c: k for k, c in enumerate(curvettas)}
     taken = set(euler) | set(curvettas)
-    for cname, vname in aug.arrows:
+    for cname, vname in g.arrows:
         if vname not in euler:
             raise RangeError(f"arrow for {cname} references unknown vertex {vname}")
         if cname in euler:
@@ -157,7 +151,7 @@ def blow_down(g: PlumbingGraph, aug: Augmentation) -> BlowDownTrace:
     graph_names = set(euler)
     meet = {x: {} for x in taken}  # name -> {name: intersection number}
     pairs = list(g.edges)
-    for cname, vname in aug.arrows:
+    for cname, vname in g.arrows:
         arrow_vertex = ARROW_PREFIX + cname
         euler[arrow_vertex] = -1
         pairs += [(arrow_vertex, vname), (cname, arrow_vertex)]
@@ -253,24 +247,24 @@ def delta(seq) -> int:
     return sum(m * (m - 1) // 2 for m in seq)
 
 
-def germ_from_augmentation(g: PlumbingGraph, aug: Augmentation) -> DecoratedGerm:
+def germ_from_augmentation(g: PlumbingGraph) -> DecoratedGerm:
     """Blow down and assemble the decorated germ, cross-checking the final
     curvetta intersections against the Noether sums over shared steps."""
-    return germ_from_trace(blow_down(g, aug), aug)
+    return germ_from_trace(blow_down(g), g)
 
 
-def germ_from_trace(trace: BlowDownTrace, aug: Augmentation) -> DecoratedGerm:
-    """The decorated germ of a blow-down trace of ``aug``; see
+def germ_from_trace(trace: BlowDownTrace, g: PlumbingGraph) -> DecoratedGerm:
+    """The decorated germ of ``trace``, a blow-down trace of ``g``; see
     ``germ_from_augmentation``."""
-    if not aug.arrows:
+    if not g.arrows:
         raise RangeError("empty configuration has no germ")
-    seqs: list[list[int]] = [[] for _ in aug.arrows]
+    seqs: list[list[int]] = [[] for _ in g.arrows]
     for s in trace.steps:
         for i, m in s.mults:
             seqs[i].append(m)
     last = dict(trace.steps[-1].mults)
     branches = []
-    for i, (cname, vname) in enumerate(aug.arrows):
+    for i, (cname, vname) in enumerate(g.arrows):
         seq = tuple(seqs[i])
         if not seq:
             raise InternalInconsistencyError(f"curvetta {cname} never met a contracted curve")
@@ -462,7 +456,7 @@ def branch_chain(c: Cluster, b: int) -> list[int]:
     return list(c.indexed.chains[b])
 
 
-def graph_from_cluster(c: Cluster) -> tuple[PlumbingGraph, Augmentation]:
+def graph_from_cluster(c: Cluster) -> PlumbingGraph:
     """Dual graph of the embedded resolution: one vertex per non-final
     point with euler -1 - #(points proximate to it), one arrow per branch
     on the parent of the branch's final point.
@@ -514,7 +508,7 @@ def graph_from_cluster(c: Cluster) -> tuple[PlumbingGraph, Augmentation]:
                 edges.append((p.id, q))
 
     arrows = [(c.branches[b], c.points[finals[b]].parent) for b in range(len(c.branches))]
-    return plumbing_graph(vertices, edges), augmentation(arrows)
+    return plumbing_graph(vertices, edges, arrows)
 
 
 def germ_from_cluster(c: Cluster) -> DecoratedGerm:
@@ -582,32 +576,33 @@ def subcluster(c: Cluster, branch_names) -> Cluster:
 # graph surgeries
 
 
-def chain_collision(names, arrows, lengths):
+def chain_collision(g: PlumbingGraph, lengths):
     """The curvetta and name of the first chain vertex of ``extend_chains``
-    already in ``names``, in arrow order then i ascending; else None."""
-    for c, _ in arrows:
+    already a vertex of ``g``, in arrow order then i ascending; else None."""
+    names = set(g.names())
+    for c, _ in g.arrows:
         for i in range(1, int(lengths.get(c, 0)) + 1):
             if (u := f"{c}.{i}") in names:
                 return c, u
     return None
 
 
-def extend_chains(g: PlumbingGraph, aug: Augmentation, lengths) -> tuple[PlumbingGraph, Augmentation]:
+def extend_chains(g: PlumbingGraph, lengths) -> PlumbingGraph:
     """Insert a chain of ``lengths[c]`` euler -2 vertices before each
     arrow; the germ keeps its shape with weight_c increased by lengths[c]."""
-    known = set(aug.curvettas())
+    known = g.curvettas()
     for c in lengths:
         if c not in known:
             raise RangeError(f"chain length given for unknown curvetta {c}")
-    for c in aug.curvettas():
+    for c in known:
         if int(lengths.get(c, 0)) < 0:
             raise RangeError(f"negative chain length for {c}")
-    if hit := chain_collision(set(g.names()), aug.arrows, lengths):
+    if hit := chain_collision(g, lengths):
         raise RangeError(f"chain vertex name {hit[1]} collides")
     vertices = list(g.vertices)
     edges = list(g.edges)
     arrows = []
-    for c, v in aug.arrows:
+    for c, v in g.arrows:
         prev = v
         for i in range(1, int(lengths.get(c, 0)) + 1):
             u = f"{c}.{i}"
@@ -615,27 +610,26 @@ def extend_chains(g: PlumbingGraph, aug: Augmentation, lengths) -> tuple[Plumbin
             edges.append((prev, u))
             prev = u
         arrows.append((c, prev))
-    return plumbing_graph(vertices, edges), augmentation(arrows)
+    return plumbing_graph(vertices, edges, arrows)
 
 
-def build_unexpected(g: PlumbingGraph, aug: Augmentation, N: int, wmax: int) -> tuple[PlumbingGraph, Augmentation]:
+def build_unexpected(g: PlumbingGraph, N: int, wmax: int) -> PlumbingGraph:
     """Attach the m-leg star (m = 2N+5, center euler -m-2, legs of m-1
     euler -2 vertices) to the germ's root vertex, put one line arrow at
     each leg end, then extend every arrow by wmax."""
-    if not aug.arrows:
+    if not g.arrows:
         raise RangeError("the star construction needs a curvetta: the graph has none")
     if N < 1 or wmax < 1:
         raise RangeError("N and wmax must be positive")
     m = 2 * N + 5
-    trace = blow_down(g, aug)
-    root = trace.last_vertex
-    names = set(g.names()) | set(aug.curvettas())
+    root = blow_down(g).last_vertex
+    names = set(g.names()) | set(g.curvettas())
     star = "vstar"
     if star in names:
         raise RangeError("vertex name vstar already in use")
     vertices = list(g.vertices) + [(star, -m - 2)]
     edges = list(g.edges) + [(star, root)]
-    arrows = list(aug.arrows)
+    arrows = list(g.arrows)
     for i in range(1, m + 1):
         prev = star
         for j in range(1, m):
@@ -649,9 +643,8 @@ def build_unexpected(g: PlumbingGraph, aug: Augmentation, N: int, wmax: int) -> 
         if line in names:
             raise RangeError(f"curvetta name {line} already in use")
         arrows.append((line, prev))
-    k = plumbing_graph(vertices, edges)
-    augk = augmentation(arrows)
-    return extend_chains(k, augk, {c: wmax for c in augk.curvettas()})
+    k = plumbing_graph(vertices, edges, arrows)
+    return extend_chains(k, {c: wmax for c in k.curvettas()})
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +682,9 @@ def _centroids(adj) -> list[int]:
 
 
 def automorphisms(g: PlumbingGraph) -> list[dict[str, str]]:
-    """All euler-preserving tree automorphisms (identity included)."""
+    """All euler-preserving tree automorphisms (identity included).  The
+    arrows play no part: a curvetta on one of two swappable vertices leaves
+    the swap in the list."""
     names, adj = _adjacency(g)
     n = len(names)
     if n == 0:
@@ -752,7 +747,7 @@ def automorphisms(g: PlumbingGraph) -> list[dict[str, str]]:
 # text formats
 
 
-def parse_plumb(text: str) -> tuple[PlumbingGraph, Augmentation, dict[str, int]]:
+def parse_plumb(text: str) -> tuple[PlumbingGraph, dict[str, int]]:
     """Parse the ``.plumb`` format: ``vertex <name> <euler>``,
     ``edge <a> <b>``, ``curvetta <c> on <v>``, ``chains c=3,d=4``."""
     names, vertices, edges, arrows, chains = Ledger("edge", "curvetta", "chains"), [], [], [], {}
@@ -780,9 +775,11 @@ def parse_plumb(text: str) -> tuple[PlumbingGraph, Augmentation, dict[str, int]]
                 raise ValueError(line)
         except ValueError as exc:
             raise names.error(f"bad .plumb line: {line!r}") from exc
-    if hit := chain_collision({v for v, _ in vertices}, arrows, chains):
+    # the ledger has refused whatever the constructor would
+    g = plumbing_graph(vertices, edges, arrows)
+    if hit := chain_collision(g, chains):
         raise names.error(f"chain vertex name {hit[1]} collides", names.used["chains"]["curvetta", hit[0]])
-    return plumbing_graph(vertices, edges), augmentation(arrows), chains
+    return g, chains
 
 
 def read_chains(names: Ledger, spec: str, into: dict):
@@ -794,13 +791,13 @@ def read_chains(names: Ledger, spec: str, into: dict):
             raise names.error(f"negative chain length for {c}")
 
 
-def serialize_plumb(g: PlumbingGraph, aug: Augmentation) -> str:
+def serialize_plumb(g: PlumbingGraph) -> str:
     out = []
     for v, e in g.vertices:
         out.append(f"vertex {v} {e}")
     for a, b in g.edges:
         out.append(f"edge {a} {b}")
-    for c, v in aug.arrows:
+    for c, v in g.arrows:
         out.append(f"curvetta {c} on {v}")
     return "\n".join(out) + "\n"
 

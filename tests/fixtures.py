@@ -11,7 +11,7 @@ from pathlib import Path
 from sandwich.errors import SandwichError
 from sandwich.fillings import unexpected_arrangement
 from sandwich.mcg import braid_permutation, item_offset, item_word, perm_compose, perm_identity, reduce_word
-from sandwich.plumbing import Cluster, ClusterPoint, _index_cluster, augmentation, parse_plumb, plumbing_graph
+from sandwich.plumbing import Cluster, ClusterPoint, _index_cluster, parse_plumb, plumbing_graph
 from sandwich.wiring import FreePoint, Intersection, WiringDiagram, parse_wire, serialize_wire
 
 FIG = (
@@ -115,7 +115,7 @@ def two_cusp_cluster(weights=(8, 8)):
 
 def line_pair():
     """Two transverse lines c and d: one -3 vertex with both arrows."""
-    return plumbing_graph({"E": -3}), augmentation([("c", "E"), ("d", "E")])
+    return plumbing_graph({"E": -3}, arrows=[("c", "E"), ("d", "E")])
 
 
 def arrangement(m, free_per_line=2, free_first=False, drop=None, trade=False):
@@ -154,9 +154,9 @@ def unexpected_layouts():
     triple of smooth branches at N = 1 and 2 (9 to 12 strands)."""
     for text in ("vertex v -3\ncurvetta a on v\ncurvetta b on v\n",
                  "vertex v -4\ncurvetta a on v\ncurvetta b on v\ncurvetta c on v\n"):
-        g, aug, _ = parse_plumb(text)
+        g, _ = parse_plumb(text)
         for n in (1, 2):
-            yield unexpected_arrangement(g, aug, n, 5).wiring
+            yield unexpected_arrangement(g, n, 5).wiring
 
 
 def unexpected_wires():

@@ -79,15 +79,14 @@ def test_c01_two_cusp_germ_values():
 
 
 def test_c02_extended_chain_weights():
-    g, aug = graph_from_cluster(two_cusp_cluster(None))
-    g2, aug2 = extend_chains(g, aug, {"A": 3, "B": 4})
-    germ = germ_from_augmentation(g2, aug2)
+    g = extend_chains(graph_from_cluster(two_cusp_cluster(None)), {"A": 3, "B": 4})
+    germ = germ_from_augmentation(g)
     assert tuple(b.weight for b in germ.branches) == (11, 12)
     print("c02 PASS: chains of lengths (3,4) push the weights to (11,12)")
 
 
 def test_c03_line_pair_from_graph():
-    germ = germ_from_augmentation(*line_pair())
+    germ = germ_from_augmentation(line_pair())
     assert tuple(b.weight for b in germ.branches) == (2, 2)
     assert tuple(b.multiplicity_seq for b in germ.branches) == ((1, 1), (1, 1))
     assert germ.pair("c", "d") == 1
@@ -149,7 +148,7 @@ def test_c05_exotic_count_matches_tangencies():
     assert validate_wiring(full, germ=germ).ok
     assert tangency_count(full) == exotic_count(germ)
 
-    arr = unexpected_arrangement(*line_pair(), 1, 10)
+    arr = unexpected_arrangement(line_pair(), 1, 10)
     assert validate_wiring(arr.wiring, germ=arr.germ).ok
     assert tangency_count(arr.wiring) == exotic_count(arr.germ)
 
@@ -256,18 +255,18 @@ def test_c11_inside_out_rule_and_involution():
 
 
 def test_c12_unexpected_construction():
-    g, aug = line_pair()
+    g = line_pair()
 
-    graph, arrows = build_unexpected(g, aug, 4, 10)
+    graph = build_unexpected(g, 4, 10)
     assert dict(graph.vertices)["vstar"] == -15
     legs = [v for v in graph.names() if v.startswith("leg") and v.endswith(".1")]
     assert len(legs) == 13
-    trace = blow_down(graph, arrows)
-    assert len(trace.steps) == len(graph.vertices) + len(arrows.arrows)
-    arr4 = unexpected_arrangement(g, aug, 4, 10)
+    trace = blow_down(graph)
+    assert len(trace.steps) == len(graph.vertices) + len(graph.arrows)
+    arr4 = unexpected_arrangement(g, 4, 10)
     assert validate_wiring(arr4.wiring, germ=arr4.germ).ok
 
-    arr1 = unexpected_arrangement(g, aug, 1, 10)
+    arr1 = unexpected_arrangement(g, 1, 10)
     assert dict(arr1.graph.vertices)["vstar"] == -9
     assert sum(1 for v in arr1.graph.names()
                if v.startswith("leg") and v.endswith(".1")) == 7

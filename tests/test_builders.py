@@ -18,7 +18,6 @@ from sandwich.plumbing import (
     Branch,
     Cluster,
     DecoratedGerm,
-    augmentation,
     blow_down,
     build_unexpected,
     check_cluster,
@@ -264,10 +263,9 @@ def unexpected_subclusters():
     """The two halves ``unexpected`` lays out, base branches and lines, on
     graph-pipeline's pair and triple graphs at N = 1..6."""
     for k in (2, 3):
-        g = plumbing_graph({"v": -(k + 1)}, [])
-        aug = augmentation([(f"c{i}", "v") for i in range(k)])
+        g = plumbing_graph({"v": -(k + 1)}, [], [(f"c{i}", "v") for i in range(k)])
         for n in range(1, 7):
-            full = cluster_from_trace(blow_down(*build_unexpected(g, aug, n, 5)))
+            full = cluster_from_trace(blow_down(build_unexpected(g, n, 5)))
             base = [name for name in full.branches if name.startswith("c")]
             yield subcluster(full, base)
             yield subcluster(full, [name for name in full.branches if name not in base])

@@ -150,8 +150,8 @@ class TestExitCodes:
         (work / "long.germ").write_text("\n".join(lines) + "\n")
         code, out, _ = run(capsys, "graph", "--germ", work / "long.germ")
         assert code == 0
-        g, aug, _ = parse_plumb(out)
-        assert len(g.vertices) == n - 1 and aug.arrows == (("A", f"q{n - 2}"),)
+        g, _ = parse_plumb(out)
+        assert len(g.vertices) == n - 1 and g.arrows == (("A", f"q{n - 2}"),)
         code, out, _ = run(capsys, "scott", "--germ", work / "long.germ")
         assert code == 0
         assert parse_wire(out).events == (FreePoint(1),) * n
@@ -411,6 +411,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "range", "location": "holes", "message": "need at least one hole"}
 
+    # JSON nested deeper than the decoder recurses is bad input, not a
+    # failure to compute; a document the decoder reads reaches the item checks
+    @pytest.mark.parametrize("text, error", [
+        ('{"holes": 3, "items": ' + "[" * 3000 + "]" * 3000 + "}",
+         {"code": "format", "location": None, "message": "JSON nested too deeply"}),
+        ("[" * 100_000, {"code": "format", "location": None, "message": "JSON nested too deeply"}),
+        ('{"holes": 3, "items": ' + "[" * 500 + "]" * 500 + "}",
+         {"code": "format", "location": "items[0]", "message": "bad factorization JSON: items[0] must be an object"}),
+    ], ids=["items 3000 deep", "bare 100000 deep", "items 500 deep"])
+    def test_deeply_nested_json_is_a_format_error(self, work, capsys, text, error):
+        (work / "f.json").write_text(text)
+        code, out, err = run(capsys, "wire-from-vanishing", "--fact", work / "f.json", "-o", work / "f.wire")
+        assert code == 2 and out == ""
+        assert json.loads(err) == error
+        assert not (work / "f.wire").exists()
+
     # a hole that the diagram does not have, and a graph that already uses
     # a name of the star that ``unexpected`` attaches
     @pytest.mark.parametrize("command, text, message", [
@@ -510,7 +526,7 @@ def wire_texts(draw):
 def plumb_texts(draw):
     """serialize_plumb of the graph of a random cluster, edited."""
     c = rand_cluster(random.Random(draw(st.integers(0, 10**6))))
-    return edit_lines(draw, serialize_plumb(*graph_from_cluster(c)).splitlines(), _PLUMB_WORDS)
+    return edit_lines(draw, serialize_plumb(graph_from_cluster(c)).splitlines(), _PLUMB_WORDS)
 
 
 _JSON_VALUES = (0, 1, 2, -1, 1.5, True, None, "x", "arc", "cycle", [], [1], [1, -1], {})
@@ -571,7 +587,7 @@ def test_mutated_germ_keeps_the_exit_code_contract(text, command):
     if code == 0:
         c = parse_germ(text)
         if command == "graph":
-            assert parse_plumb(out)[:2] == graph_from_cluster(c)
+            assert parse_plumb(out)[0] == graph_from_cluster(c)
         else:
             assert parse_wire(out) == scott(c)
     assert code != 1
@@ -599,14 +615,14 @@ def test_mutated_plumb_keeps_the_exit_code_contract(text, chains):
     assert code != 1
     if code == 0:
         # the output re-parses to the library's answer
-        g, aug, file_chains = parse_plumb(text)
+        g, file_chains = parse_plumb(text)
         if file_chains:
-            g, aug = extend_chains(g, aug, file_chains)
+            g = extend_chains(g, file_chains)
         if chains:
             lengths = {k: int(v) for k, v in (p.split("=") for p in chains.split(","))}
-            assert parse_plumb(out)[:2] == extend_chains(g, aug, lengths)
+            assert parse_plumb(out)[0] == extend_chains(g, lengths)
         else:
-            germ = germ_json(germ_from_augmentation(g, aug))
+            germ = germ_json(germ_from_augmentation(g))
             assert json.loads(out) == json.loads(json.dumps({"formatVersion": 1, **germ}))
 
 
@@ -626,10 +642,10 @@ def valid_texts(rng):
     c = rand_cluster(rng)
     if rng.random() < 0.5:
         c = Cluster(c.branches, c.points, c.mults, check_cluster(c))
-    g, aug = graph_from_cluster(c)
-    curvettas = aug.curvettas()
+    g = graph_from_cluster(c)
+    curvettas = g.curvettas()
     chains = {name: rng.randint(0, 3) for name in rng.sample(curvettas, rng.randint(1, len(curvettas)))}
-    plumb = serialize_plumb(g, aug) + "chains " + ",".join(f"{k}={n}" for k, n in sorted(chains.items())) + "\n"
+    plumb = serialize_plumb(g) + "chains " + ",".join(f"{k}={n}" for k, n in sorted(chains.items())) + "\n"
     return [(parse_germ, serialize_germ(c)), (parse_plumb, plumb), (parse_wire, serialize_wire(rand_diagram(rng)))]
 
 
@@ -911,17 +927,17 @@ class TestRoundtrips:
 
     def test_emitted_plumb_reparses(self, work, capsys):
         _, out, _ = run(capsys, "extend", "--graph", work / "e3.plumb", "--chains", "c=3,d=4")
-        g, aug, chains = parse_plumb(out)
+        g, chains = parse_plumb(out)
         assert dict(g.vertices)["d.4"] == -2
-        assert aug.arrows == (("c", "c.3"), ("d", "d.4"))
+        assert g.arrows == (("c", "c.3"), ("d", "d.4"))
         assert chains == {}
 
     def test_graph_of_cluster_reparses(self, work, capsys):
         code, out, _ = run(capsys, "graph", "--germ", work / "twocusp.germ")
         assert code == 0
-        g, aug, _ = parse_plumb(out)
+        g, _ = parse_plumb(out)
         assert dict(g.vertices)["s1"] == -3
-        assert set(aug.curvettas()) == {"A", "B"}
+        assert set(g.curvettas()) == {"A", "B"}
 
 
 class TestInsideOut:
@@ -947,7 +963,7 @@ class TestUnexpected:
         assert code == 0
         data = json.loads(out)
         assert {b["weight"] for b in data["germ"]["branches"]} == {13}
-        g, aug, _ = parse_plumb((work / "K.plumb").read_text())
+        g, _ = parse_plumb((work / "K.plumb").read_text())
         assert dict(g.vertices)["vstar"] == -9
         assert sum(1 for a, b in g.edges if "vstar" in (a, b)) == 8
         code, *_ = run(capsys, "validate", "--wire", work / "K.wire")
@@ -975,8 +991,8 @@ class TestGermTrace:
         assert trace["lastVertex"] == json.loads(out)["rootVertex"] == "s1"
         # replay the euler numbers: every step here meets each proximate
         # curve once, and the smallest-named (-1) curve goes first
-        g, aug, _ = parse_plumb(TWO_CUSP_PLUMB)
-        euler = dict(g.vertices) | {"@" + c: -1 for c in aug.curvettas()}
+        g, _ = parse_plumb(TWO_CUSP_PLUMB)
+        euler = dict(g.vertices) | {"@" + c: -1 for c in g.curvettas()}
         for step in trace["steps"]:
             assert step["curve"] == min(v for v, e in euler.items() if e == -1)
             del euler[step["curve"]]
@@ -1011,6 +1027,13 @@ class TestAuts:
         maps = [json.loads(run(capsys, "auts", "--graph", work / name)[1])["automorphisms"]
                 for name in ("ef.plumb", "extended.plumb")]
         assert maps[0] == maps[1] == [{"E": "E", "F": "F", "c.1": "c.1"}]
+
+    def test_arrows_do_not_break_a_symmetry(self, work, capsys):
+        # a curvetta on a alone still leaves the a <-> b swap: arrows play no part
+        (work / "ab.plumb").write_text("vertex a -2\nvertex b -2\nedge a b\ncurvetta c on a\n")
+        code, out, _ = run(capsys, "auts", "--graph", work / "ab.plumb")
+        assert code == 0
+        assert json.loads(out)["automorphisms"] == [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]
 
     @pytest.mark.parametrize("text, maps", [
         ("", [{}]),

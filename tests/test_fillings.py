@@ -23,7 +23,6 @@ from sandwich.mcg import Factorization, braid_permutation, curve_holes, exponent
 from sandwich.plumbing import (
     Branch,
     DecoratedGerm,
-    augmentation,
     blow_down,
     cluster_from_trace,
     germ_from_augmentation,
@@ -70,8 +69,7 @@ def figure():
 
 
 def line_pair_cluster():
-    g, aug = line_pair()
-    return cluster_from_trace(blow_down(g, aug))
+    return cluster_from_trace(blow_down(line_pair()))
 
 
 def smooth_germ(k):
@@ -93,8 +91,7 @@ class TestSpinalOpenBook:
         assert book.marking == (("A", "a2"), ("B", "b2"))
 
     def test_line_pair_book(self):
-        g, aug = line_pair()
-        book = spinal_open_book(germ_from_augmentation(g, aug))
+        book = spinal_open_book(germ_from_augmentation(line_pair()))
         assert book.page_holes == 2
         assert book.bindings == (("E", 1), ("E", 1))
         assert book.outer == ("E", 1)
@@ -543,7 +540,7 @@ def test_scott_layout_filling_has_the_graph_homology():
     for _ in range(400):
         c = rand_cluster(rng)
         try:
-            cases.append((scott(c), graph_from_cluster(c)[0]))
+            cases.append((scott(c), graph_from_cluster(c)))
         except SandwichError:
             pass
     assert len(cases) == 391
@@ -572,8 +569,7 @@ def test_scott_layout_filling_has_the_graph_homology():
 
 class TestUnexpected:
     def test_line_pair_n1(self):
-        g, aug = line_pair()
-        arr = unexpected_arrangement(g, aug, 1, 10)
+        arr = unexpected_arrangement(line_pair(), 1, 10)
         assert dict(arr.graph.vertices)["vstar"] == -9
         legs = sum(1 for a, b in arr.graph.edges if "vstar" in (a, b)) - 1
         assert legs == 7
@@ -581,10 +577,9 @@ class TestUnexpected:
         assert validate_wiring(arr.wiring, germ=arr.germ).ok
 
     def test_blow_down_consumes_everything(self):
-        g, aug = line_pair()
-        arr = unexpected_arrangement(g, aug, 1, 3)
-        trace = blow_down(arr.graph, arr.arrows)
-        assert len(trace.steps) == len(arr.graph.vertices) + len(arr.arrows.arrows)
+        arr = unexpected_arrangement(line_pair(), 1, 3)
+        trace = blow_down(arr.graph)
+        assert len(trace.steps) == len(arr.graph.vertices) + len(arr.graph.arrows)
 
     def test_two_cusp_base(self):
         vertices = {
@@ -595,12 +590,23 @@ class TestUnexpected:
             ("s1", "s3"), ("s2", "s3"), ("s3", "s4"),
             ("s4", "a1"), ("a1", "a2"), ("s4", "b1"), ("b1", "b2"),
         ]
-        g = plumbing_graph(vertices, edges)
-        aug = augmentation([("A", "a2"), ("B", "b2")])
-        arr = unexpected_arrangement(g, aug, 1, 6)
+        g = plumbing_graph(vertices, edges, [("A", "a2"), ("B", "b2")])
+        arr = unexpected_arrangement(g, 1, 6)
         assert validate_wiring(arr.wiring, germ=arr.germ).ok
         assert exotic_count(arr.germ) == 2
         assert sum(1 for ev in arr.wiring.events if ev.kind == "T") == 2
+
+    # ROADMAP item 1's acceptance: the arrangement fills the germ of the
+    # graph written beside it.  Today every branch fails its weight (the
+    # pair's first problem is "component a: row sum 15 != weight 8"), so the
+    # change that mends item 1 removes the marker.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the wiring does not fit its own graph's germ")
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("curvettas", ["ab", "abc"], ids=["pair", "triple"])
+    def test_wiring_fits_the_germ_of_its_graph(self, curvettas, n):
+        g = plumbing_graph({"v": -1 - len(curvettas)}, arrows=[(c, "v") for c in curvettas])
+        arr = unexpected_arrangement(g, n, 5)
+        assert validate_wiring(arr.wiring, germ_from_augmentation(arr.graph)).ok
 
     def test_combine_germs_arithmetic(self):
         a = germ_from_cluster(two_cusp_cluster())

@@ -24,7 +24,6 @@ from sandwich.plumbing import (
     ClusterPoint,
     _index_cluster,
     _prox_set,
-    augmentation,
     automorphisms,
     blow_down,
     branch_chain,
@@ -60,8 +59,7 @@ def two_cusp_graph():
         ("s4", "a1"), ("a1", "a2"),
         ("s4", "b1"), ("b1", "b2"),
     ]
-    aug = augmentation([("A", "a2"), ("B", "b2")])
-    return plumbing_graph(vertices, edges), aug
+    return plumbing_graph(vertices, edges, [("A", "a2"), ("B", "b2")])
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +67,7 @@ def two_cusp_graph():
 
 
 def test_blow_down_two_cusp_order_and_trace():
-    g, aug = two_cusp_graph()
-    t = blow_down(g, aug)
+    t = blow_down(two_cusp_graph())
     assert [s.curve for s in t.steps] == [
         "@A", "@B", "a2", "a1", "b2", "b1", "s4", "s3", "s2", "s1",
     ]
@@ -83,30 +80,26 @@ def test_blow_down_two_cusp_order_and_trace():
 
 
 def test_blow_down_line_pair():
-    g, aug = line_pair()
-    t = blow_down(g, aug)
+    t = blow_down(line_pair())
     assert [s.curve for s in t.steps] == ["@c", "@d", "E"]
     assert t.steps[-1].mults == ((0, 1), (1, 1))
     assert t.pairwise == ((0, 1), (1, 0))
 
 
 def test_blow_down_not_sandwiched():
-    g = plumbing_graph({"E": -3})
     with pytest.raises(NotSandwichedError):
-        blow_down(g, augmentation([("c", "E")]))
+        blow_down(plumbing_graph({"E": -3}, arrows=[("c", "E")]))
 
 
 def test_blow_down_rejects_bad_names():
-    g = plumbing_graph({"E": -2})
     with pytest.raises(RangeError):
-        blow_down(g, augmentation([("c", "F")]))
+        blow_down(plumbing_graph({"E": -2}, arrows=[("c", "F")]))
     with pytest.raises(RangeError):
-        blow_down(g, augmentation([("E", "E")]))
+        blow_down(plumbing_graph({"E": -2}, arrows=[("E", "E")]))
 
 
 def test_germ_two_cusp():
-    g, aug = two_cusp_graph()
-    germ = germ_from_augmentation(g, aug)
+    germ = germ_from_augmentation(two_cusp_graph())
     a = germ.branch("A")
     assert a == Branch("A", (1, 1, 1, 1, 1, 1, 2), 8, 2, 1, "a2")
     assert germ.branch("B").sits_on == "b2"
@@ -117,8 +110,7 @@ def test_germ_two_cusp():
 
 
 def test_germ_lookups_by_name():
-    g, aug = two_cusp_graph()
-    germ = germ_from_augmentation(g, aug)
+    germ = germ_from_augmentation(two_cusp_graph())
     assert germ.columns == {"A": 0, "B": 1}
     assert germ.pair("B", "A") == germ.pairwise[1][0] == 7
     assert germ.pair("A", "A") == 0
@@ -128,8 +120,7 @@ def test_germ_lookups_by_name():
 
 
 def test_germ_line_pair():
-    g, aug = line_pair()
-    germ = germ_from_augmentation(g, aug)
+    germ = germ_from_augmentation(line_pair())
     for name in ("c", "d"):
         b = germ.branch(name)
         assert b.multiplicity_seq == (1, 1)
@@ -143,17 +134,16 @@ def test_germ_line_pair():
 
 
 def test_germ_single_chain():
-    g = plumbing_graph({"E": -2})
-    germ = germ_from_augmentation(g, augmentation([("c", "E")]))
+    germ = germ_from_augmentation(plumbing_graph({"E": -2}, arrows=[("c", "E")]))
     assert germ.branch("c").multiplicity_seq == (1, 1)
     assert germ.branch("c").weight == 2
 
 
 def test_germ_independent_of_contraction_choice():
-    g, aug = two_cusp_graph()
-    t = reference_blow_down(g, aug, choose=lambda avail: avail[-1])
+    g = two_cusp_graph()
+    t = reference_blow_down(g, choose=lambda avail: avail[-1])
     assert t.steps[0].curve == "@B"
-    assert germ_from_trace(t, aug) == germ_from_augmentation(g, aug)
+    assert germ_from_trace(t, g) == germ_from_augmentation(g)
 
 
 def test_delta_and_cap_framing():
@@ -168,12 +158,14 @@ def test_delta_and_cap_framing():
 
 
 def test_graph_rejects_malformed():
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="^self-loop at a$"):
         plumbing_graph({"a": -2}, [("a", "a")])
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^edge \(a, b\) references unknown vertex$"):
         plumbing_graph({"a": -2}, [("a", "b")])
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="^duplicate vertex name$"):
         plumbing_graph([("a", -2), ("a", -3)])
+    with pytest.raises(RangeError, match="^duplicate curvetta name$"):
+        plumbing_graph({"a": -2, "b": -2}, [("a", "b")], [("c", "a"), ("c", "b")])
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +213,12 @@ def test_check_cluster_rejections():
 
 def test_graph_from_cluster_two_cusp_roundtrip():
     c = two_cusp_cluster()
-    g, aug = graph_from_cluster(c)
-    expected_g, expected_aug = two_cusp_graph()
-    assert dict(g.vertices) == dict(expected_g.vertices)
-    assert g.edges == expected_g.edges
-    assert aug.arrows == expected_aug.arrows
-    assert germ_from_cluster(c) == germ_from_augmentation(g, aug)
+    g = graph_from_cluster(c)
+    expected = two_cusp_graph()
+    assert dict(g.vertices) == dict(expected.vertices)
+    assert g.edges == expected.edges
+    assert g.arrows == expected.arrows
+    assert germ_from_cluster(c) == germ_from_augmentation(g)
 
 
 def test_graph_from_cluster_pencil():
@@ -236,13 +228,13 @@ def test_graph_from_cluster_pencil():
         "p1": {"A": 1}, "p2": {"B": 1}, "p3": {"C": 1},
     }
     c = cluster(["A", "B", "C"], points, mults)
-    g, aug = graph_from_cluster(c)
+    g = graph_from_cluster(c)
     assert g.vertices == (("q0", -4),)
-    assert aug.arrows == (("A", "q0"), ("B", "q0"), ("C", "q0"))
+    assert g.arrows == (("A", "q0"), ("B", "q0"), ("C", "q0"))
     germ = germ_from_cluster(c)
     assert [b.weight for b in germ.branches] == [2, 2, 2]
     assert germ.pair("A", "B") == 1
-    assert germ == germ_from_augmentation(g, aug)
+    assert germ == germ_from_augmentation(g)
 
 
 def test_weight_one_branch():
@@ -301,8 +293,8 @@ def test_graph_from_cluster_rejection_messages(branches, points, mults, error, m
 
 
 def test_cluster_from_trace_two_cusp():
-    g, aug = two_cusp_graph()
-    c = cluster_from_trace(blow_down(g, aug))
+    g = two_cusp_graph()
+    c = cluster_from_trace(blow_down(g))
     ref = two_cusp_cluster()
     by_id = {p.id: p for p in c.points}
     assert set(by_id) == {"s1", "s2", "s3", "s4", "a1", "a2", "b1", "b2", "@A", "@B"}
@@ -314,23 +306,23 @@ def test_cluster_from_trace_two_cusp():
     assert c.mults[c.indexed.row["@A"]][a] == 1 and c.mults[c.indexed.row["@A"]].get(b, 0) == 0
     # same germ as the reference cluster
     assert germ_from_cluster(c).pairwise == germ_from_cluster(ref).pairwise
-    g2, aug2 = graph_from_cluster(c)
+    g2 = graph_from_cluster(c)
     assert dict(g2.vertices) == dict(g.vertices)
     assert g2.edges == g.edges
-    assert aug2.arrows == aug.arrows
+    assert g2.arrows == g.arrows
 
 
 def test_cluster_from_trace_keeps_a_vertex_named_root():
     # "root" is the .germ word for no parent, not a reserved vertex name
-    g, aug = plumbing_graph({"root": -3}), augmentation([("c", "root"), ("d", "root")])
-    c = cluster_from_trace(blow_down(g, aug))
+    g = plumbing_graph({"root": -3}, arrows=[("c", "root"), ("d", "root")])
+    c = cluster_from_trace(blow_down(g))
     assert [(p.id, p.parent) for p in c.points] == [("root", None), ("@d", "root"), ("@c", "root")]
-    assert germ_from_cluster(c) == germ_from_augmentation(g, aug)
+    assert germ_from_cluster(c) == germ_from_augmentation(g)
 
 
 def test_serialize_germ_refuses_a_parent_named_root():
     # its text would read @d and @c back as two more root points
-    c = cluster_from_trace(blow_down(plumbing_graph({"root": -3}), augmentation([("c", "root"), ("d", "root")])))
+    c = cluster_from_trace(blow_down(plumbing_graph({"root": -3}, arrows=[("c", "root"), ("d", "root")])))
     with pytest.raises(RangeError, match="^point @d has a parent named root"):
         serialize_germ(c)
 
@@ -342,11 +334,11 @@ def test_subcluster_single_cusp():
     b = germ.branch("A")
     assert b.multiplicity_seq == (1, 1, 1, 1, 1, 1, 2)
     assert b.weight == 8 and b.delta == 1 and b.origin_multiplicity == 2
-    g, aug = graph_from_cluster(sub)
+    g = graph_from_cluster(sub)
     assert dict(g.vertices) == {
         "s1": -3, "s2": -2, "s3": -2, "s4": -2, "a1": -2, "a2": -2,
     }
-    assert aug.arrows == (("A", "a2"),)
+    assert g.arrows == (("A", "a2"),)
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +346,28 @@ def test_subcluster_single_cusp():
 
 
 def test_extend_chains():
-    g, aug = line_pair()
-    g2, aug2 = extend_chains(g, aug, {"c": 3})
+    g = line_pair()
+    g2 = extend_chains(g, {"c": 3})
     assert dict(g2.vertices) == {"E": -3, "c.1": -2, "c.2": -2, "c.3": -2}
-    assert aug2.arrows == (("c", "c.3"), ("d", "E"))
-    germ = germ_from_augmentation(g2, aug2)
+    assert g2.arrows == (("c", "c.3"), ("d", "E"))
+    germ = germ_from_augmentation(g2)
     assert germ.branch("c").weight == 5
     assert germ.branch("d").weight == 2
     assert germ.pair("c", "d") == 1
     with pytest.raises(RangeError):
-        extend_chains(g, aug, {"nope": 1})
+        extend_chains(g, {"nope": 1})
     # the two errors kept for library callers
     with pytest.raises(RangeError, match="^negative chain length for c$"):
-        extend_chains(g, aug, {"c": -1})
-    taken = plumbing_graph({"E": -3, "c.1": -2}, [("E", "c.1")])
+        extend_chains(g, {"c": -1})
+    taken = plumbing_graph({"E": -3, "c.1": -2}, [("E", "c.1")], g.arrows)
     with pytest.raises(RangeError, match=r"^chain vertex name c\.1 collides$"):
-        extend_chains(taken, aug, {"c": 1})
+        extend_chains(taken, {"c": 1})
 
 
 def test_extend_chains_keeps_shape():
-    g, aug = two_cusp_graph()
-    before = germ_from_augmentation(g, aug)
-    g2, aug2 = extend_chains(g, aug, {"A": 8, "B": 8})
-    after = germ_from_augmentation(g2, aug2)
+    g = two_cusp_graph()
+    before = germ_from_augmentation(g)
+    after = germ_from_augmentation(extend_chains(g, {"A": 8, "B": 8}))
     for name in ("A", "B"):
         x, y = before.branch(name), after.branch(name)
         assert y.weight == x.weight + 8
@@ -389,17 +380,15 @@ def test_extend_chains_keeps_shape():
 
 
 def test_build_unexpected_small():
-    g = plumbing_graph({"E": -2})
-    aug = augmentation([("c", "E")])
-    k, augk = build_unexpected(g, aug, N=1, wmax=1)
+    k = build_unexpected(plumbing_graph({"E": -2}, arrows=[("c", "E")]), N=1, wmax=1)
     m = 7
     assert dict(k.vertices)["vstar"] == -m - 2
     legs = [v for v in k.names() if v.startswith("leg")]
     assert len(legs) == m * (m - 1)
-    assert len(augk.arrows) == 1 + m
-    trace = blow_down(k, augk)
+    assert len(k.arrows) == 1 + m
+    trace = blow_down(k)
     assert trace.steps[-1].curve == "vstar"
-    germ = germ_from_augmentation(k, augk)
+    germ = germ_from_augmentation(k)
     assert germ.root_vertex == "vstar"
     assert germ.branch("c").origin_multiplicity == 1
     for i in range(1, m + 1):
@@ -411,10 +400,9 @@ def test_build_unexpected_small():
 
 
 def test_build_unexpected_pairwise_law():
-    g, aug = two_cusp_graph()
-    base = germ_from_augmentation(g, aug)
-    k, augk = build_unexpected(g, aug, N=1, wmax=2)
-    germ = germ_from_augmentation(k, augk)
+    g = two_cusp_graph()
+    base = germ_from_augmentation(g)
+    germ = germ_from_augmentation(build_unexpected(g, N=1, wmax=2))
     dA = base.branch("A").origin_multiplicity
     dB = base.branch("B").origin_multiplicity
     assert germ.branch("A").origin_multiplicity == dA
@@ -424,10 +412,9 @@ def test_build_unexpected_pairwise_law():
 
 
 def test_build_unexpected_rejects_bad_args():
-    g = plumbing_graph({"E": -2})
-    aug = augmentation([("c", "E")])
+    g = plumbing_graph({"E": -2}, arrows=[("c", "E")])
     with pytest.raises(RangeError):
-        build_unexpected(g, aug, N=0, wmax=1)
+        build_unexpected(g, N=0, wmax=1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +481,7 @@ def test_random_cluster_paths_agree():
     for _ in range(60):
         c = rand_cluster(rng)
         check_cluster(c)
-        g, aug = graph_from_cluster(c)
-        assert germ_from_augmentation(g, aug) == germ_from_cluster(c)
+        assert germ_from_augmentation(graph_from_cluster(c)) == germ_from_cluster(c)
 
 
 def test_random_cluster_mutations():
@@ -532,14 +518,14 @@ def test_random_cluster_trace_roundtrip():
     rng = random.Random(6)
     for _ in range(40):
         c = rand_cluster(rng)
-        g, aug = graph_from_cluster(c)
-        back = cluster_from_trace(blow_down(g, aug))
+        g = graph_from_cluster(c)
+        back = cluster_from_trace(blow_down(g))
         orig = {p.id: p for p in c.points}
         new = {p.id: p for p in back.points}
         # graph vertices keep their point ids; finals come back as @branch
         finals = {p.id for p in c.points if p.id not in g.names()}
         renamed = {}
-        for b, v in aug.arrows:
+        for b, v in g.arrows:
             f = next(p.id for i, p in enumerate(c.points) if p.parent == v and p.id in finals
                      and c.mults[i].get(c.branches.index(b), 0) > 0)
             renamed[f] = "@" + b
@@ -555,21 +541,21 @@ def test_random_germ_determinism():
     rng = random.Random(7)
     for _ in range(30):
         c = rand_cluster(rng)
-        g, aug = graph_from_cluster(c)
-        assert germ_from_augmentation(g, aug) == germ_from_trace(
-            reference_blow_down(g, aug, choose=lambda avail: avail[-1]), aug)
+        g = graph_from_cluster(c)
+        assert germ_from_augmentation(g) == germ_from_trace(
+            reference_blow_down(g, choose=lambda avail: avail[-1]), g)
 
 
 def test_random_extend_chains_shifts_weight():
     rng = random.Random(8)
     for _ in range(20):
         c = rand_cluster(rng)
-        g, aug = graph_from_cluster(c)
-        before = germ_from_augmentation(g, aug)
-        lengths = {b: rng.randrange(4) for b, _ in aug.arrows}
-        after = germ_from_augmentation(*extend_chains(g, aug, lengths))
+        g = graph_from_cluster(c)
+        before = germ_from_augmentation(g)
+        lengths = {b: rng.randrange(4) for b in g.curvettas()}
+        after = germ_from_augmentation(extend_chains(g, lengths))
         assert after.pairwise == before.pairwise
-        for b, _ in aug.arrows:
+        for b in g.curvettas():
             assert after.branch(b).weight == before.branch(b).weight + lengths[b]
             assert after.branch(b).origin_multiplicity == before.branch(b).origin_multiplicity
 
@@ -594,12 +580,12 @@ def _key(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def reference_blow_down(g, aug, choose=None):
+def reference_blow_down(g, choose=None):
     """Rescans every active curve at each step: O(V^2 log V)."""
     euler = dict(g.vertices)
-    curvettas = aug.curvettas()
+    curvettas = g.curvettas()
     taken = set(euler) | set(curvettas)
-    for cname, vname in aug.arrows:
+    for cname, vname in g.arrows:
         if vname not in euler:
             raise RangeError(f"arrow for {cname} references unknown vertex {vname}")
         if cname in euler:
@@ -613,7 +599,7 @@ def reference_blow_down(g, aug, choose=None):
     table = {}
     for a, b in g.edges:
         table[_key(a, b)] = 1
-    for cname, vname in aug.arrows:
+    for cname, vname in g.arrows:
         arrow_vertex = ARROW_PREFIX + cname
         euler[arrow_vertex] = -1
         table[_key(arrow_vertex, vname)] = 1
@@ -842,53 +828,52 @@ CHOICES = (lambda avail: avail[-1], lambda avail: avail[len(avail) // 2])
 
 
 def blow_down_cases():
-    """(graph, augmentation) cases, and the random clusters they come from:
+    """Graph cases, and the random clusters they come from:
     a square whose blow-down has a step that is not simple, then the graph
     of each of 150 random clusters, as it is and with nudged euler numbers
     (which reach stalls and the error paths as well as sandwiched graphs)."""
     # a square x-a-y-b: contracting a and b makes x and y meet twice
     square = plumbing_graph({"x": -4, "y": -7, "a": -1, "b": -1},
-                            [("x", "a"), ("a", "y"), ("x", "b"), ("b", "y")])
-    cases = [(square, augmentation([("c", "x")]))]
+                            [("x", "a"), ("a", "y"), ("x", "b"), ("b", "y")], [("c", "x")])
+    cases = [square]
     clusters = []
     rng = random.Random(11)
     for _ in range(150):
         c = rand_cluster(rng)
         clusters.append(c)
-        g, aug = graph_from_cluster(c)
+        g = graph_from_cluster(c)
         vertices = [(v, e + rng.choice((-1, 0, 0, 0, 1))) for v, e in g.vertices]
-        cases += [(g, aug), (plumbing_graph(vertices, g.edges), aug)]
+        cases += [g, plumbing_graph(vertices, g.edges, g.arrows)]
     return cases, clusters
 
 
 def test_blow_down_matches_reference():
     cases, clusters = blow_down_cases()
-    assert not all(s.simple for s in blow_down(*cases[0]).steps)
+    assert not all(s.simple for s in blow_down(cases[0]).steps)
     for c in clusters:
         assert germ_from_cluster(c).pairwise == reference_pairwise(c)
-    for h, aug in cases:
-        trace = outcome(blow_down, h, aug)
-        assert trace == outcome(reference_blow_down, h, aug)
+    for h in cases:
+        trace = outcome(blow_down, h)
+        assert trace == outcome(reference_blow_down, h)
         if isinstance(trace, BlowDownTrace):
             # another contraction order gives the same germ, or the same error
-            germ = outcome(germ_from_trace, trace, aug)
+            germ = outcome(germ_from_trace, trace, h)
             for choose in CHOICES:
-                assert outcome(lambda: germ_from_trace(reference_blow_down(h, aug, choose), aug)) == germ
+                assert outcome(lambda: germ_from_trace(reference_blow_down(h, choose), h)) == germ
 
 
 def unexpected_traces():
     """Blow-down traces of the star-extended graphs of ``unexpected`` for the
     pair and the triple of smooth branches at N = 1..3, wmax 5."""
     for k in (2, 3):
-        g = plumbing_graph({"v": -(k + 1)})
-        aug = augmentation([(c, "v") for c in "abc"[:k]])
+        g = plumbing_graph({"v": -(k + 1)}, arrows=[(c, "v") for c in "abc"[:k]])
         for n in (1, 2, 3):
-            yield blow_down(*build_unexpected(g, aug, n, 5))
+            yield blow_down(build_unexpected(g, n, 5))
 
 
 def test_cluster_from_trace_matches_reference():
     cases, _ = blow_down_cases()
-    traces = [t for t in (outcome(blow_down, h, aug) for h, aug in cases) if isinstance(t, BlowDownTrace)]
+    traces = [t for t in (outcome(blow_down, h) for h in cases) if isinstance(t, BlowDownTrace)]
     traces += unexpected_traces()
     seen = collections.Counter()
     for trace in traces:
@@ -926,8 +911,7 @@ def test_subcluster_shares_the_points_that_keep_their_prox():
 
 def test_germ_of_long_chains():
     # two -2 arms of 2000 vertices on a -3 vertex: weight 2002, untimed
-    g, aug = extend_chains(*line_pair(), {"c": 2000, "d": 2000})
-    germ = germ_from_augmentation(g, aug)
+    germ = germ_from_augmentation(extend_chains(line_pair(), {"c": 2000, "d": 2000}))
     assert [b.weight for b in germ.branches] == [2002, 2002]
     assert germ.pair("c", "d") == 1
 
@@ -945,12 +929,12 @@ chains c=3,d=1
 
 
 def test_parse_plumb():
-    g, aug, chains = parse_plumb(PLUMB_TEXT)
+    g, chains = parse_plumb(PLUMB_TEXT)
     assert g.vertices == (("E", -3),)
-    assert aug.arrows == (("c", "E"), ("d", "E"))
+    assert g.arrows == (("c", "E"), ("d", "E"))
     assert chains == {"c": 3, "d": 1}
-    text = serialize_plumb(g, aug) + "chains c=3,d=1\n"
-    assert parse_plumb(text) == (g, aug, chains)
+    text = serialize_plumb(g) + "chains c=3,d=1\n"
+    assert parse_plumb(text) == (g, chains)
 
 
 def test_parse_plumb_errors():
@@ -1012,6 +996,5 @@ def test_parse_germ_reads_as_the_reference_builder(text, points, mults):
 
 
 def test_serialize_plumb_two_cusp_roundtrip():
-    g, aug = two_cusp_graph()
-    g2, aug2, chains = parse_plumb(serialize_plumb(g, aug))
-    assert (g2, aug2, chains) == (g, aug, {})
+    g = two_cusp_graph()
+    assert parse_plumb(serialize_plumb(g)) == (g, {})

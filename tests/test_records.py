@@ -28,7 +28,8 @@ from sandwich.fillings import (
 )
 from sandwich.mcg import Item, mc_from_braid
 from sandwich.plumbing import (
-    Augmentation,
+    ClusterPoint,
+    DecoratedGerm,
     ValidationReport,
     blow_down,
     cluster_from_trace,
@@ -106,16 +107,16 @@ def harvest():
     kind, for an Event or an Item), from one run of the chain: graph,
     blow-down, germ, cluster, diagrams, vanishing factorization, mapping
     classes and filling data."""
-    g, aug, _ = parse_plumb(E3_PLUMB)
-    trace = blow_down(g, aug)
-    germ = germ_from_trace(trace, aug)
+    g, _ = parse_plumb(E3_PLUMB)
+    trace = blow_down(g)
+    germ = germ_from_trace(trace, g)
     c = cluster_from_trace(trace)
     fig = parse_wire(FIG)
     fact = vanishing_data(fig)
     moved = hurwitz_move(fact, 2)
-    arr = unexpected_arrangement(g, aug, 1, 2)
+    arr = unexpected_arrangement(g, 1, 2)
     roots = [
-        g, aug, ValidationReport(), trace, germ, c, c.indexed, scott(c), fig, fact, moved,
+        g, ValidationReport(), trace, germ, c, c.indexed, scott(c), fig, fact, moved,
         parse_wire(FIG_A), incidence(fig), validate_wiring(fig, germ=germ),
         enclosure_from_wiring(fig), factorization_product(fact), mc_from_braid((1, -2, 3), 4),
         conjugate_item((1, 2), (1, 0, 0, 0, -1), fact.items[3]), arr,
@@ -210,9 +211,9 @@ def test_equality_matches_the_dataclass_across_classes():
     for (a, ta), (b, tb) in itertools.product(zip(xs, ts), repeat=2):
         assert (a == b, a != b) == (ta == tb, ta != tb)
     # two classes with equal field tuples
-    a, r = Augmentation((("c", "v"),)), ValidationReport((("c", "v"),))
-    assert a != r and a == Augmentation((("c", "v"),))
-    assert a.__eq__(r) is NotImplemented
+    p, d = ClusterPoint("q", "p", ()), DecoratedGerm("q", "p", ())
+    assert p != d and p == ClusterPoint("q", "p", ())
+    assert p.__eq__(d) is NotImplemented
 
 
 def test_assignment_and_deletion_raise():

@@ -31,6 +31,7 @@ EXTRA_CHAIN_L = 4000
 EXTRA_ARRANGEMENT_M = 8
 EXTRA_EQUAL_M = (16, 24)  # at 24, checkouts that decide equality by Garside normal forms take 0.5 s per form
 EXTRA_VANISHING_M = (24, 40)  # the paper's sizes
+NESTED_DEPTH = 3000
 SEQ_FAULTS = ("s1, T(1), , s1", "s1, T(1), s1, s1 x", "T(1), s1 x, s2", "1, 1", "s1 s2 q")
 RANGE_FAULTS = ("T(3)", "I(2..2)", "I(3..2)", "F(4)", "s3")
 FACT_FAULTS = {
@@ -154,6 +155,7 @@ def extra_ops(api, workloads, work: Path) -> list:
                     "I(1..2), s3', I(2..3), s2', I(1..2), s3 s2, I(3..4), 1, I(1..3), 1, F(2), 1\n",
         **{f"taken_{i}.plumb": text for i, text in enumerate(TAKEN_NAMES.values())},
         "no_curvetta.plumb": "vertex v -1\n",
+        "nested.json": '{"holes": 3, "items": ' + "[" * NESTED_DEPTH + "]" * NESTED_DEPTH + "}",
     }
     for name, content in inputs.items():
         if isinstance(content, tuple):
@@ -239,6 +241,9 @@ def extra_ops(api, workloads, work: Path) -> list:
            f"-o K_taken_{i}", f"K_taken_{i}.plumb", f"K_taken_{i}.wire") for i, tag in enumerate(TAKEN_NAMES)],
         # a graph that blows down but carries no curvetta
         ("germ no curvetta", "germ --graph no_curvetta.plumb"),
+        # a factorization document nested deeper than the JSON decoder recurses
+        (f"wire-from-vanishing items nested {NESTED_DEPTH} deep",
+         "wire-from-vanishing --fact nested.json -o nested.wire", "nested.wire"),
     ]
     return [op(*row) for row in rows]
 

@@ -55,13 +55,13 @@ def _arrangement(api, wl, work: Path, m: int):
 
 def _unexpected(api, wl, work: Path, n: int):
     plumbing, wiring = api.plumbing, api.wiring
-    graph, aug, _ = plumbing.parse_plumb(LINE_PAIR)
-    r = SimpleNamespace(graph=graph, aug=aug, n=n, wmax=wl.WMAX)
-    r.g, r.arrows = plumbing.build_unexpected(graph, aug, n, wl.WMAX)
-    r.trace = plumbing.blow_down(r.g, r.arrows)
+    graph, _ = plumbing.parse_plumb(LINE_PAIR)
+    r = SimpleNamespace(graph=graph, n=n, wmax=wl.WMAX)
+    r.g = plumbing.build_unexpected(graph, n, wl.WMAX)
+    r.trace = plumbing.blow_down(r.g)
     r.full = plumbing.cluster_from_trace(r.trace)
-    r.line_names = [b for b in r.full.branches if b not in aug.curvettas()]
-    base = plumbing.subcluster(r.full, [b for b in r.full.branches if b in aug.curvettas()])
+    r.line_names = [b for b in r.full.branches if b not in graph.curvettas()]
+    base = plumbing.subcluster(r.full, [b for b in r.full.branches if b in graph.curvettas()])
     r.lines = plumbing.subcluster(r.full, r.line_names)
     r.wa, r.wb = wiring.scott(base), wiring.scott(r.lines)
     r.w = wiring.combine(r.wa, r.wb)
@@ -72,11 +72,11 @@ def _unexpected(api, wl, work: Path, n: int):
 
 def _chains(api, wl, work: Path, length: int):
     plumbing = api.plumbing
-    graph, aug, _ = plumbing.parse_plumb(LINE_PAIR)
-    r = SimpleNamespace(graph=graph, aug=aug, lengths={"a": length, "b": length})
-    r.g, r.arrows = plumbing.extend_chains(graph, aug, r.lengths)
-    r.plumb, r.size = plumbing.serialize_plumb(r.g, r.arrows), len(r.g.vertices)
-    r.cluster = plumbing.cluster_from_trace(plumbing.blow_down(r.g, r.arrows))
+    graph, _ = plumbing.parse_plumb(LINE_PAIR)
+    r = SimpleNamespace(graph=graph, lengths={"a": length, "b": length})
+    r.g = plumbing.extend_chains(graph, r.lengths)
+    r.plumb, r.size = plumbing.serialize_plumb(r.g), len(r.g.vertices)
+    r.cluster = plumbing.cluster_from_trace(plumbing.blow_down(r.g))
     r.germ_text, r.germ = plumbing.serialize_germ(r.cluster), plumbing.germ_from_cluster(r.cluster)
     return r
 
@@ -166,9 +166,9 @@ def rows() -> list[Row]:
         Row("wiring.inside_out", "arrangement", lambda f, r: f(r.enclosure, r.hole)),
         Row("cli.main incidence", "arrangement", lambda f, r: _main(f, "incidence", "--wire", r.wire)),
         Row("cli.main compare", "arrangement", lambda f, r: _main(f, "compare", "--wire", r.wire, "--wire", r.copy)),
-        Row("fillings.unexpected_arrangement", "unexpected", lambda f, r: f(r.graph, r.aug, r.n, r.wmax)),
-        Row("plumbing.build_unexpected", "unexpected", lambda f, r: f(r.graph, r.aug, r.n, r.wmax)),
-        Row("plumbing.blow_down", "unexpected", lambda f, r: f(r.g, r.arrows)),
+        Row("fillings.unexpected_arrangement", "unexpected", lambda f, r: f(r.graph, r.n, r.wmax)),
+        Row("plumbing.build_unexpected", "unexpected", lambda f, r: f(r.graph, r.n, r.wmax)),
+        Row("plumbing.blow_down", "unexpected", lambda f, r: f(r.g)),
         Row("plumbing.cluster_from_trace", "unexpected", lambda f, r: f(r.trace)),
         Row("plumbing.subcluster", "unexpected", lambda f, r: f(r.full, r.line_names)),
         Row("plumbing.check_cluster", "unexpected", lambda f, r: f(r.full), ("full", "indexed")),
@@ -176,12 +176,12 @@ def rows() -> list[Row]:
         Row("wiring.combine", "unexpected", lambda f, r: f(r.wa, r.wb)),
         Row("fillings.combine_germs", "unexpected", lambda f, r: f(*r.germs)),
         Row("wiring.validate_wiring germ", "unexpected", lambda f, r: f(r.w, r.germ), ("w", "walked")),
-        Row("plumbing.extend_chains", "chains", lambda f, r: f(r.graph, r.aug, r.lengths)),
-        Row("plumbing.serialize_plumb", "chains", lambda f, r: f(r.g, r.arrows)),
+        Row("plumbing.extend_chains", "chains", lambda f, r: f(r.graph, r.lengths)),
+        Row("plumbing.serialize_plumb", "chains", lambda f, r: f(r.g)),
         Row("plumbing.parse_plumb", "chains", lambda f, r: f(r.plumb)),
         Row("plumbing.automorphisms", "chains", lambda f, r: f(r.g)),
-        Row("plumbing.blow_down", "chains", lambda f, r: f(r.g, r.arrows)),
-        Row("plumbing.germ_from_augmentation", "chains", lambda f, r: f(r.g, r.arrows)),
+        Row("plumbing.blow_down", "chains", lambda f, r: f(r.g)),
+        Row("plumbing.germ_from_augmentation", "chains", lambda f, r: f(r.g)),
         Row("plumbing.serialize_germ", "chains", lambda f, r: f(r.cluster)),
         Row("plumbing.parse_germ", "chains", lambda f, r: f(r.germ_text)),
         Row("plumbing.check_cluster", "chains", lambda f, r: f(r.cluster), ("cluster", "indexed")),
